@@ -35,10 +35,44 @@ if [ -n "$cli_raw_telemetry" ]; then
   echo "$cli_raw_telemetry" >&2
   exit 1
 fi
+echo "==> deprecation lane: retired ingestion/wrapper APIs, one Flowmark decoder"
+# Retired ingestion and wrapper APIs must not regrow: the contiguous
+# `ExecutionStream` reader (and its `ReopenedCase` error) behind the
+# removed `mine --stream`, and the `mine_general_dag_parallel` wrapper
+# over `MineSession::with_threads`.
+retired=$(grep -rnw --include='*.rs' -E 'ExecutionStream|ReopenedCase|mine_general_dag_parallel' \
+  crates src tests || true)
+if [ -n "$retired" ]; then
+  echo "retired APIs reappeared:" >&2
+  echo "$retired" >&2
+  exit 1
+fi
+# One Flowmark line decoder: `parse_event_line` is called only by
+# `FlowmarkSource` and the flowmark unit tests (below `#[cfg(test)]`).
+extra_decoders=$(
+  grep -rn --include='*.rs' 'parse_event_line' crates src tests \
+    | grep -v -e '^crates/log/src/stream/source.rs:' -e '^crates/log/src/codec/flowmark.rs:' || true
+  awk '/^#\[cfg\(test\)\]/ { exit }
+       /parse_event_line\(/ && !/fn parse_event_line/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/log/src/codec/flowmark.rs
+)
+if [ -n "$extra_decoders" ]; then
+  echo "parse_event_line gained a caller outside FlowmarkSource (one Flowmark decoder):" >&2
+  echo "$extra_decoders" >&2
+  exit 1
+fi
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+# The benchmark harness is a package of its own that builds the
+# library crates by path, outside the workspace, so tier-1 cannot see
+# an API change that breaks it. Build and test it against this tree,
+# sharing target/ as its run.sh does.
+echo "==> benchmark package: cargo test against the workspace crates"
+CARGO_TARGET_DIR="$PWD/target" cargo test -q \
+  --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
 echo "==> corruption smoke subset"
 cargo test -q --test corruption smoke_

@@ -8,8 +8,7 @@
 
 use procmine_bench::{synthetic_workload, TextTable};
 use procmine_core::{
-    mine_general_dag, mine_general_dag_in, mine_general_dag_parallel, MineSession, MinerMetrics,
-    MinerOptions, Stage,
+    mine_general_dag, mine_general_dag_in, MineSession, MinerMetrics, MinerOptions, Stage,
 };
 use std::time::Instant;
 
@@ -43,8 +42,12 @@ fn main() {
             let mut all_match = true;
             for threads in [2usize, 4, 8] {
                 let started = Instant::now();
-                let parallel = mine_general_dag_parallel(&log, &MinerOptions::default(), threads)
-                    .expect("mine");
+                let parallel = mine_general_dag_in(
+                    &mut MineSession::new().with_threads(threads),
+                    &log,
+                    &MinerOptions::default(),
+                )
+                .expect("mine");
                 let t = started.elapsed().as_secs_f64();
                 row.push(format!("{t:.3} ({:.1}x)", serial_t / t.max(1e-9)));
                 let mut a = serial.edges_named();

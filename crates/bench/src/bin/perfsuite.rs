@@ -59,9 +59,9 @@ use procmine_bench::synthetic_workload;
 use procmine_core::conformance::check_conformance;
 use procmine_core::reference::mine_general_reference;
 use procmine_core::{
-    mine_auto, mine_cyclic, mine_general_dag, mine_general_dag_in, mine_general_dag_parallel,
-    FollowCheckpoint, IncrementalMiner, MineSession, MinerOptions, OnlineMiner, OptionsFingerprint,
-    Registry, SnapshotPolicy, SourceState, DEFAULT_CHECKPOINT_EVERY,
+    mine_auto, mine_cyclic, mine_general_dag, mine_general_dag_in, FollowCheckpoint,
+    IncrementalMiner, MineSession, MinerOptions, OnlineMiner, OptionsFingerprint, Registry,
+    SnapshotPolicy, SourceState, DEFAULT_CHECKPOINT_EVERY,
 };
 use procmine_graph::reduction::{
     transitive_reduction_matrix, transitive_reduction_matrix_parallel_budgeted,
@@ -265,7 +265,12 @@ fn workload_cells(scenario: &str, log: &WorkflowLog, repeats: usize, cells: &mut
         scenario,
         "mine.parallel4",
         time_runs(repeats, || {
-            mine_general_dag_parallel(log, &options, MICRO_THREADS).expect("mining succeeds");
+            mine_general_dag_in(
+                &mut MineSession::new().with_threads(MICRO_THREADS),
+                log,
+                &options,
+            )
+            .expect("mining succeeds");
         }),
     ));
 

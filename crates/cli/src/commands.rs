@@ -53,9 +53,6 @@ COMMANDS:
       --json FILE          write the mined model as JSON
       --bpmn FILE          write the mined model as BPMN 2.0 XML
       --check              verify conformance (Definition 7) after mining
-      --stream             stream the log through the incremental miner
-                           (flowmark format, contiguous cases; bad cases
-                           are skipped with a warning)
       --follow             online mining over a live event stream
                            (flowmark format; cases may interleave).
                            <LOG> may be `-` for stdin; final model
@@ -85,9 +82,8 @@ COMMANDS:
                            errors are retried with exponential backoff
                            up to N times before failing (default 3)
       --threads N          mine with the parallel general miner on N
-                           threads (requires --algorithm auto|general;
-                           not combinable with --stream); with
-                           --format xes the log is also decoded in
+                           threads (requires --algorithm auto|general);
+                           with --format xes the log is also decoded in
                            parallel chunks
       --stats              print pipeline telemetry (stage timings,
                            counters, codec byte/event tallies; with
@@ -523,70 +519,6 @@ fn mine_with<S: MetricsSink>(
     })
 }
 
-/// Streams a flowmark log through the incremental miner, skipping bad
-/// cases with a warning. Returns the model and the log (re-read in
-/// batch form for the conformance/gateway reporting). The stream's
-/// byte/event/execution tallies are merged into `codec_stats` and its
-/// decode-error accounting into `ingest`. Under a recovering `policy`
-/// the stream itself skips bad lines; under `Strict` a decode error
-/// aborts the whole command (the historical `--stream` behaviour of
-/// warning and continuing applies only to *assembly* rejections, which
-/// the miner reports per case).
-fn mine_streaming<S: MetricsSink>(
-    path: &str,
-    options: MinerOptions,
-    policy: RecoveryPolicy,
-    session: &mut MineSession<S>,
-    codec_stats: &mut CodecStats,
-    ingest: &mut IngestReport,
-) -> Result<(MinedModel, WorkflowLog), Box<dyn Error>> {
-    use procmine_log::codec::stream::ExecutionStream;
-    let tracer = session.tracer().clone();
-    let stream_span = tracer.span_cat("stream.ingest", "codec");
-    let mut miner = procmine_core::IncrementalMiner::new(options);
-    let mut stream = ExecutionStream::with_policy(BufReader::new(File::open(path)?), policy);
-    let mut skipped = 0usize;
-    let mut kept = WorkflowLog::new();
-    while let Some(result) = stream.next() {
-        match result {
-            Ok(exec) => {
-                let table = stream.activities().clone();
-                match miner.absorb_execution(&exec, &table) {
-                    Ok(()) => {
-                        let names: Vec<String> = exec
-                            .sequence()
-                            .iter()
-                            .map(|&a| table.name(a).to_string())
-                            .collect();
-                        kept.push_sequence(&names)?;
-                    }
-                    Err(e) => {
-                        errln!("warning: skipping case `{}`: {e}", exec.id);
-                        skipped += 1;
-                    }
-                }
-            }
-            Err(e) if policy.is_strict() => {
-                codec_stats.merge(&stream.stats());
-                ingest.merge(stream.report());
-                return Err(e.into());
-            }
-            Err(e) => {
-                errln!("warning: skipping unparsable case: {e}");
-                skipped += 1;
-            }
-        }
-    }
-    if skipped > 0 {
-        errln!("streamed with {skipped} case(s) skipped");
-    }
-    codec_stats.merge(&stream.stats());
-    ingest.merge(stream.report());
-    drop(stream_span);
-    let model = miner.model_in(session)?;
-    Ok((model, kept))
-}
-
 /// Writes the `--dot` / `--graphml` / `--json` model artifacts shared
 /// by batch and follow mining (`--bpmn` needs the materialized log and
 /// stays batch-only).
@@ -957,9 +889,6 @@ fn mine_follow(p: &Parsed) -> CliResult {
         .positional()
         .first()
         .ok_or(ArgError::Required("log file (or - for stdin)"))?;
-    if p.has("stream") {
-        return Err("--follow already streams; drop --stream".into());
-    }
     if p.has("check") || p.get("bpmn").is_some() {
         return Err("--check/--bpmn need a materialized log and cannot follow a stream".into());
     }
@@ -1320,7 +1249,7 @@ fn mine(argv: &[String]) -> CliResult {
             "metrics",
             "metrics-every",
         ],
-        &["check", "stream", "stats", "recover", "follow"],
+        &["check", "stats", "recover", "follow"],
     )?;
     if p.has("follow") {
         return mine_follow(&p);
@@ -1353,37 +1282,17 @@ fn mine(argv: &[String]) -> CliResult {
     let mut metrics = MinerMetrics::new();
     let mut session = base.with_sink(&mut metrics);
     let started = std::time::Instant::now();
-    let (model, log, algorithm) = if p.has("stream") {
-        if p.get("format").is_some_and(|f| f != "flowmark") {
-            return Err("--stream supports the flowmark format only".into());
-        }
-        if p.get("threads").is_some() {
-            return Err("--threads cannot be combined with --stream".into());
-        }
-        let (model, log) = mine_streaming(
-            path,
-            miner_options(&p)?,
-            policy,
-            &mut session,
-            &mut codec_stats,
-            &mut ingest,
-        )?;
-        (model, log, Algorithm::GeneralDag)
-    } else {
-        let format = p.get("format").unwrap_or("flowmark");
-        let log = read_log_with(
-            path,
-            format,
-            policy,
-            &mut codec_stats,
-            &mut ingest,
-            &tracer,
-            &reg,
-            threads.max(1),
-        )?;
-        let (model, algorithm) = mine_with(&p, &mut session, &log)?;
-        (model, log, algorithm)
-    };
+    let log = read_log_with(
+        path,
+        p.get("format").unwrap_or("flowmark"),
+        policy,
+        &mut codec_stats,
+        &mut ingest,
+        &tracer,
+        &reg,
+        threads.max(1),
+    )?;
+    let (model, algorithm) = mine_with(&p, &mut session, &log)?;
     drop(session);
     report_ingest(&ingest, policy);
     let elapsed = started.elapsed();

@@ -173,38 +173,6 @@ fn seqs_format_roundtrip_via_cli() {
 }
 
 #[test]
-fn stream_mining_matches_batch() {
-    let dir = tmpdir("stream");
-    let log = dir.join("log.fm");
-    procmine(&[
-        "generate",
-        "--preset",
-        "uwi",
-        "--executions",
-        "120",
-        "--seed",
-        "3",
-        "-o",
-        log.to_str().unwrap(),
-    ]);
-    let batch = procmine(&["mine", log.to_str().unwrap()]);
-    let stream = procmine(&["mine", log.to_str().unwrap(), "--stream"]);
-    assert!(batch.status.success() && stream.status.success());
-    let edges = |out: &[u8]| -> Vec<String> {
-        String::from_utf8_lossy(out)
-            .lines()
-            .filter(|l| l.starts_with("  ") && l.contains(" -> "))
-            .map(str::to_string)
-            .collect()
-    };
-    let mut a = edges(&batch.stdout);
-    let mut b = edges(&stream.stdout);
-    a.sort();
-    b.sort();
-    assert_eq!(a, b);
-}
-
-#[test]
 fn bpmn_export_produces_xml() {
     let dir = tmpdir("bpmn");
     let log = dir.join("log.fm");
@@ -356,8 +324,8 @@ fn stats_json_matches_mined_model() {
 }
 
 #[test]
-fn stream_stats_report_miner_counters() {
-    let dir = tmpdir("stream-stats");
+fn follow_stats_report_miner_and_codec_counters() {
+    let dir = tmpdir("follow-stats");
     let log = dir.join("log.fm");
     let stats = dir.join("stats.json");
     procmine(&[
@@ -373,8 +341,8 @@ fn stream_stats_report_miner_counters() {
     ]);
     let out = procmine(&[
         "mine",
+        "--follow",
         log.to_str().unwrap(),
-        "--stream",
         "--stats-json",
         stats.to_str().unwrap(),
     ]);
@@ -390,13 +358,12 @@ fn stream_stats_report_miner_counters() {
         counters.get("executions_scanned").unwrap().as_u64(),
         Some(60)
     );
+    let codec = json.get("codec").expect("codec object");
+    assert_eq!(codec.get("executions_parsed").unwrap().as_u64(), Some(60));
     assert_eq!(
-        json.get("codec")
-            .unwrap()
-            .get("executions_parsed")
-            .unwrap()
-            .as_u64(),
-        Some(60)
+        codec.get("bytes_read").unwrap().as_u64(),
+        Some(std::fs::metadata(&log).unwrap().len()),
+        "the follow codec must account for every byte"
     );
 }
 
@@ -525,68 +492,6 @@ fn parallel_mine_stats_include_wall_column() {
     a.sort();
     b.sort();
     assert_eq!(a, b);
-}
-
-#[test]
-fn stream_stats_count_real_codec_bytes() {
-    let dir = tmpdir("stream-bytes");
-    let log = dir.join("log.fm");
-    let stats = dir.join("stats.json");
-    procmine(&[
-        "generate",
-        "--preset",
-        "pend",
-        "--executions",
-        "80",
-        "--seed",
-        "21",
-        "-o",
-        log.to_str().unwrap(),
-    ]);
-    let out = procmine(&[
-        "mine",
-        log.to_str().unwrap(),
-        "--stream",
-        "--stats-json",
-        stats.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let json: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&stats).unwrap()).unwrap();
-    let codec = json.get("codec").expect("codec object");
-    assert_eq!(
-        codec.get("bytes_read").unwrap().as_u64(),
-        Some(std::fs::metadata(&log).unwrap().len()),
-        "streaming codec must account for every byte"
-    );
-    assert!(codec.get("events_parsed").unwrap().as_u64().unwrap() > 0);
-    assert_eq!(codec.get("executions_parsed").unwrap().as_u64(), Some(80));
-}
-
-#[test]
-fn threads_and_stream_are_mutually_exclusive() {
-    let dir = tmpdir("threads-stream");
-    let log = dir.join("log.fm");
-    procmine(&[
-        "generate",
-        "--preset",
-        "uwi",
-        "--executions",
-        "10",
-        "-o",
-        log.to_str().unwrap(),
-    ]);
-    let out = procmine(&["mine", log.to_str().unwrap(), "--stream", "--threads", "2"]);
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--threads"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 }
 
 #[test]
@@ -1249,12 +1154,6 @@ fn follow_assembles_interleaved_cases_that_break_contiguous_stream() {
     let text = String::from_utf8_lossy(&follow.stdout);
     assert!(text.contains("2 executions"), "{text}");
     assert!(text.contains("A -> B"), "{text}");
-
-    // The contiguous strict reader refuses the same input.
-    let strict = procmine(&["mine", "--stream", log.to_str().unwrap()]);
-    assert!(!strict.status.success());
-    let err = String::from_utf8_lossy(&strict.stderr);
-    assert!(err.contains("p1"), "{err}");
 }
 
 #[test]
@@ -1303,7 +1202,7 @@ fn follow_flag_validation() {
     ]);
     let path = log.to_str().unwrap();
     // Incompatible combinations are rejected up front.
-    for extra in [&["--stream"][..], &["--check"][..], &["--threads", "4"][..]] {
+    for extra in [&["--check"][..], &["--threads", "4"][..]] {
         let mut args = vec!["mine", "--follow", path];
         args.extend_from_slice(extra);
         let out = procmine(&args);

@@ -91,7 +91,6 @@ pub use miner::{mine_auto, mine_auto_in, Algorithm, MinerOptions};
 pub use model::MinedModel;
 pub use obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use online::{OnlineMiner, SnapshotPolicy};
-pub use parallel::mine_general_dag_parallel;
 pub use session::MineSession;
 pub use special_dag::{mine_special_dag, mine_special_dag_in};
 pub use telemetry::{ConformanceMetrics, MetricsSink, MinerMetrics, NullSink, Stage, WallStage};

@@ -26,12 +26,10 @@ use crate::general_dag::{
 };
 use crate::limits::Deadline;
 use crate::obs::Registry;
-use crate::session::MineSession;
 use crate::telemetry::{stage_end, stage_start, MetricsSink, MinerMetrics, Stage, WallStage};
 use crate::trace::Tracer;
-use crate::{MineError, MinedModel, MinerOptions};
+use crate::MineError;
 use procmine_graph::AdjMatrix;
-use procmine_log::WorkflowLog;
 
 /// Vertex count below which the graph-level parallel algorithms
 /// (per-component SCC, row-parallel transitive reduction) are not worth
@@ -77,24 +75,6 @@ pub(crate) fn parse_threshold_override(raw: Option<&str>, default: usize) -> Res
             _ => Err(s.to_string()),
         },
     }
-}
-
-/// Parallel Algorithm 2: identical output to
-/// [`mine_general_dag`](crate::mine_general_dag), with the heavy stages
-/// fanned out over `threads` scoped threads. Convenience wrapper for a
-/// default [`MineSession`](crate::MineSession) with
-/// [`with_threads`](crate::MineSession::with_threads) set;
-/// `threads == 0` is treated as 1.
-pub fn mine_general_dag_parallel(
-    log: &WorkflowLog,
-    options: &MinerOptions,
-    threads: usize,
-) -> Result<MinedModel, MineError> {
-    crate::general_dag::mine_general_dag_in(
-        &mut MineSession::new().with_threads(threads),
-        log,
-        options,
-    )
 }
 
 /// Merges per-worker results at a join barrier: every handle is joined
@@ -260,12 +240,20 @@ pub(crate) fn parallel_mark<S: MetricsSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mine_general_dag;
+    use crate::general_dag::mine_general_dag_in;
+    use crate::session::MineSession;
+    use crate::{mine_general_dag, MinerOptions};
+    use procmine_log::WorkflowLog;
 
     fn assert_matches_serial(strings: &[&str], threads: usize) {
         let log = WorkflowLog::from_strings(strings.iter().copied()).unwrap();
         let serial = mine_general_dag(&log, &MinerOptions::default()).unwrap();
-        let parallel = mine_general_dag_parallel(&log, &MinerOptions::default(), threads).unwrap();
+        let parallel = mine_general_dag_in(
+            &mut MineSession::new().with_threads(threads),
+            &log,
+            &MinerOptions::default(),
+        )
+        .unwrap();
         let mut a = serial.edges_named();
         let mut b = parallel.edges_named();
         a.sort();
@@ -303,7 +291,12 @@ mod tests {
         .unwrap();
         let log = walk::random_walk_log(&model, 500, &mut rng).unwrap();
         let serial = mine_general_dag(&log, &MinerOptions::default()).unwrap();
-        let parallel = mine_general_dag_parallel(&log, &MinerOptions::default(), 4).unwrap();
+        let parallel = mine_general_dag_in(
+            &mut MineSession::new().with_threads(4),
+            &log,
+            &MinerOptions::default(),
+        )
+        .unwrap();
         let mut a = serial.edges_named();
         let mut b = parallel.edges_named();
         a.sort();
@@ -314,19 +307,26 @@ mod tests {
     #[test]
     fn rejects_bad_inputs_like_serial() {
         assert!(matches!(
-            mine_general_dag_parallel(&WorkflowLog::new(), &MinerOptions::default(), 4),
+            mine_general_dag_in(
+                &mut MineSession::new().with_threads(4),
+                &WorkflowLog::new(),
+                &MinerOptions::default()
+            ),
             Err(MineError::EmptyLog)
         ));
         let cyclic = WorkflowLog::from_strings(["ABAB"]).unwrap();
         assert!(matches!(
-            mine_general_dag_parallel(&cyclic, &MinerOptions::default(), 4),
+            mine_general_dag_in(
+                &mut MineSession::new().with_threads(4),
+                &cyclic,
+                &MinerOptions::default()
+            ),
             Err(MineError::RepeatsRequireCyclicMiner { .. })
         ));
     }
 
     #[test]
     fn merged_counters_equal_serial() {
-        use crate::general_dag::mine_general_dag_in;
         use crate::telemetry::MinerMetrics;
         let strings = ["ABCF", "ACDF", "ADEF", "AECF", "ABCF", "ACDF"];
         let log = WorkflowLog::from_strings(strings).unwrap();
@@ -351,7 +351,6 @@ mod tests {
 
     #[test]
     fn wall_timers_cover_only_the_barrier_stages() {
-        use crate::general_dag::mine_general_dag_in;
         use procmine_sim::{randdag, walk};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -409,8 +408,12 @@ mod tests {
         strings.push("ACB");
         let log = WorkflowLog::from_strings(strings).unwrap();
         let serial = mine_general_dag(&log, &MinerOptions::with_threshold(2)).unwrap();
-        let parallel =
-            mine_general_dag_parallel(&log, &MinerOptions::with_threshold(2), 3).unwrap();
+        let parallel = mine_general_dag_in(
+            &mut MineSession::new().with_threads(3),
+            &log,
+            &MinerOptions::with_threshold(2),
+        )
+        .unwrap();
         let mut a = serial.edges_named();
         let mut b = parallel.edges_named();
         a.sort();

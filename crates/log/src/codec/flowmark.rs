@@ -12,25 +12,15 @@
 //! this mirrors the flat audit-trail files the paper's implementation
 //! consumed ("lists of event records consisting of the process name, the
 //! activity name, the event type, and the timestamp", §8).
+//!
+//! Lines are decoded by [`FlowmarkSource`], the one Flowmark decoder;
+//! [`read_log_with`] drains it and assembles the records into a log.
 
-use super::{ByteLines, CodecStats, IngestReport, RecoveryPolicy};
+use super::{CodecStats, IngestReport, RecoveryPolicy};
+use crate::stream::FlowmarkSource;
 use crate::validate::{assemble_executions_with, AssemblyPolicy};
 use crate::{ActivityTable, EventKind, EventRecord, LogError, WorkflowLog};
 use std::io::{BufRead, Write};
-
-/// Parses a Flowmark-style event stream into raw records.
-pub fn read_events<R: BufRead>(reader: R) -> Result<Vec<EventRecord>, LogError> {
-    let mut records = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        records.push(parse_event_line(trimmed, lineno + 1)?);
-    }
-    Ok(records)
-}
 
 /// Parses a Flowmark-style event stream and assembles it into a
 /// [`WorkflowLog`] (strict START/END pairing).
@@ -58,27 +48,38 @@ pub fn read_log_with_stats<R: BufRead>(
 /// and skipped and START/END pairing falls back to lenient assembly.
 /// An unparsable final line with no trailing newline is reported as
 /// [`LogError::UnexpectedEof`] — a truncated file, not a garbage line.
+/// An I/O error is fatal under every policy and is recorded in
+/// `report` too.
 pub fn read_log_with<R: BufRead>(
     reader: R,
     policy: RecoveryPolicy,
     stats: &mut CodecStats,
     report: &mut IngestReport,
 ) -> Result<WorkflowLog, LogError> {
-    let mut lines = ByteLines::new(reader);
-    let result = collect_records(&mut lines, policy, report);
-    stats.bytes_read += lines.bytes();
-    let records = result?;
+    let mut source = FlowmarkSource::new(reader, policy);
+    let mut records = Vec::new();
+    let drained = loop {
+        match source.next_event() {
+            Ok(Some((record, _))) => records.push(record),
+            Ok(None) => break Ok(()),
+            Err(e) => break Err(e),
+        }
+    };
+    let bytes = source.stats().bytes_read;
+    stats.bytes_read += bytes;
+    report.merge(source.report());
+    drained?;
     stats.events_parsed += records.len() as u64;
     let log = if policy.is_strict() {
         WorkflowLog::from_events(&records).map_err(|e| {
-            report.record_error(lines.bytes(), 0, e.to_string());
+            report.record_error(bytes, 0, e.to_string());
             e
         })?
     } else {
         let mut table = ActivityTable::new();
         let assembled = assemble_executions_with(&records, &mut table, AssemblyPolicy::Lenient)
             .map_err(|e| {
-                report.record_error(lines.bytes(), 0, e.to_string());
+                report.record_error(bytes, 0, e.to_string());
                 e
             })?;
         report.records_skipped += assembled.diagnostics.len() as u64;
@@ -90,54 +91,6 @@ pub fn read_log_with<R: BufRead>(
     };
     stats.executions_parsed += log.len() as u64;
     Ok(log)
-}
-
-fn collect_records<R: BufRead>(
-    lines: &mut ByteLines<R>,
-    policy: RecoveryPolicy,
-    report: &mut IngestReport,
-) -> Result<Vec<EventRecord>, LogError> {
-    let mut records = Vec::new();
-    while let Some((offset, lineno, had_newline)) = lines.read_next()? {
-        let raw = lines.line();
-        let parsed = match std::str::from_utf8(raw) {
-            Ok(text) => {
-                let trimmed = text.trim();
-                if trimmed.is_empty() || trimmed.starts_with('#') {
-                    continue;
-                }
-                parse_event_line(trimmed, lineno)
-            }
-            Err(_) => Err(LogError::Parse {
-                line: lineno,
-                message: "line is not valid UTF-8".to_string(),
-            }),
-        };
-        match parsed {
-            Ok(record) => {
-                report.records_parsed += 1;
-                records.push(record);
-            }
-            Err(e) => {
-                // A bad final line with no newline is a truncated tail.
-                let err = if had_newline {
-                    e
-                } else {
-                    LogError::UnexpectedEof {
-                        byte_offset: offset,
-                        message: format!("input ends mid-record ({e})"),
-                    }
-                };
-                report.record_error(offset, lineno, err.to_string());
-                if policy.is_strict() {
-                    return Err(err);
-                }
-                report.records_skipped += 1;
-                report.over_budget(policy)?;
-            }
-        }
-    }
-    Ok(records)
 }
 
 /// Writes a log as a Flowmark-style event stream. Instances are emitted
@@ -194,9 +147,9 @@ fn check_field(s: &str) -> Result<(), LogError> {
     Ok(())
 }
 
-/// Parses one Flowmark-style event line (1-based `lineno` for error
-/// reporting). Used by the batch reader and the streaming reader.
-pub fn parse_event_line(line: &str, lineno: usize) -> Result<EventRecord, LogError> {
+/// Parses one trimmed Flowmark-style event line (1-based `lineno` for
+/// error reporting). [`FlowmarkSource::next_event`] is its one caller.
+pub(crate) fn parse_event_line(line: &str, lineno: usize) -> Result<EventRecord, LogError> {
     let parts: Vec<&str> = line.split(',').collect();
     if parts.len() < 4 || parts.len() > 5 {
         return Err(LogError::Parse {
@@ -289,26 +242,21 @@ p2,A,END,2
 
     #[test]
     fn rejects_malformed_lines() {
-        assert!(matches!(
-            read_events("p1,A,START".as_bytes()),
-            Err(LogError::Parse { line: 1, .. })
-        ));
-        assert!(matches!(
-            read_events("p1,A,BEGIN,0".as_bytes()),
-            Err(LogError::Parse { .. })
-        ));
-        assert!(matches!(
-            read_events("p1,A,START,abc".as_bytes()),
-            Err(LogError::Parse { .. })
-        ));
-        assert!(matches!(
-            read_events("p1,A,START,0,1;2".as_bytes()),
-            Err(LogError::Parse { .. })
-        ));
-        assert!(matches!(
-            read_events("p1,A,END,0,1;x".as_bytes()),
-            Err(LogError::Parse { .. })
-        ));
+        for (line, why) in [
+            ("p1,A,START", "too few fields"),
+            ("p1,A,BEGIN,0", "unknown event type"),
+            ("p1,A,START,abc", "bad timestamp"),
+            ("p1,A,START,0,1;2", "output on a START"),
+            ("p1,A,END,0,1;x", "bad output vector"),
+        ] {
+            assert!(
+                matches!(
+                    parse_event_line(line, 7),
+                    Err(LogError::Parse { line: 7, .. })
+                ),
+                "{why}: {line:?}"
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,6 @@
 pub mod flowmark;
 pub mod jsonl;
 pub mod seqs;
-pub mod stream;
 pub mod xes;
 pub mod xes_reference;
 
@@ -273,7 +272,7 @@ pub struct CodecStats {
 
 impl CodecStats {
     /// Adds `other`'s tallies into `self` (stats from separate reads or
-    /// a finished [`stream::ExecutionStream`]).
+    /// a drained [`FlowmarkSource`](crate::stream::FlowmarkSource)).
     pub fn merge(&mut self, other: &CodecStats) {
         self.bytes_read += other.bytes_read;
         self.events_parsed += other.events_parsed;

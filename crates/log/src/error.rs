@@ -55,18 +55,6 @@ pub enum LogError {
         /// Description of what was being parsed when input ran out.
         message: String,
     },
-    /// A case id reappeared after its case was already closed — under
-    /// the contiguous-cases assumption of the streaming reader this
-    /// means the log is interleaved and the stream would silently split
-    /// one execution into several, corrupting ordering counts. Route
-    /// such logs through the interleaved assembler
-    /// (`stream::CaseAssembler`) instead.
-    ReopenedCase {
-        /// The case (process-execution) name that reappeared.
-        execution: String,
-        /// 1-based line number of the reopening record.
-        line: usize,
-    },
     /// A recovering read hit more decode errors than its
     /// `RecoveryPolicy::Skip { max_errors }` budget allows.
     TooManyErrors {
@@ -117,11 +105,6 @@ impl fmt::Display for LogError {
             } => write!(
                 f,
                 "unexpected end of input at byte {byte_offset}: {message}"
-            ),
-            LogError::ReopenedCase { execution, line } => write!(
-                f,
-                "case `{execution}` reappears at line {line} after being closed \
-                 (interleaved log — use the interleaved case assembler)"
             ),
             LogError::TooManyErrors { errors, max_errors } => write!(
                 f,

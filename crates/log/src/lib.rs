@@ -18,9 +18,9 @@
 //!   path ([`RecoveryPolicy`] / [`IngestReport`]);
 //! * [`validate`] — structural validation and diagnostics for raw event
 //!   streams (unmatched STARTs, END-before-START, duplicate events);
-//! * [`stream`] — streaming/online ingestion: composable event-sink
-//!   stages, the interleaved case assembler (bounded open-case window),
-//!   and a follow-mode tail reader;
+//! * [`stream`] — streaming/online ingestion: the Flowmark event source
+//!   (the one Flowmark decoder), the interleaved case assembler (bounded
+//!   open-case window), and a follow-mode tail reader;
 //! * [`fault`] — deterministic fault injection ([`fault::FaultReader`])
 //!   for robustness tests and benchmarks.
 //!

@@ -1,13 +1,13 @@
 //! The interleaved case assembler: events in, completed executions out.
 //!
-//! [`ExecutionStream`](crate::codec::stream::ExecutionStream) assumes
-//! *contiguous cases* — all records of one case adjacent in the log.
-//! Real multi-writer audit trails interleave cases freely, and under
-//! that assumption a case id that reappears is silently split into two
-//! executions, corrupting follows counts. [`CaseAssembler`] drops the
-//! assumption: events are keyed into an open-case map by case id, and a
-//! case is assembled into an [`Execution`](crate::Execution) when it
-//! *closes* — evicted by the memory bound, or flushed at end of input.
+//! Real multi-writer audit trails interleave cases freely, so a reader
+//! that assumed *contiguous cases* — all records of one case adjacent
+//! in the log — would split a case id that reappears into two
+//! executions, corrupting follows counts. [`CaseAssembler`] makes no
+//! such assumption: events are keyed into an open-case map by case id,
+//! and a case is assembled into an [`Execution`](crate::Execution) when
+//! it *closes* — evicted by the memory bound, or flushed at end of
+//! input.
 //!
 //! # Memory bound
 //!

@@ -1,5 +1,5 @@
-//! Streaming/online ingestion: event sinks, composable stages, and the
-//! interleaved case assembler.
+//! Streaming/online ingestion: event sinks, the flowmark event source,
+//! and the interleaved case assembler.
 //!
 //! The batch codecs materialize a whole [`WorkflowLog`](crate::WorkflowLog)
 //! before any miner runs; the paper's motivating scenario — "evolution
@@ -12,16 +12,15 @@
 //!   [`EventRecord`]s (with their source locations);
 //! * [`Observer`] — anything that consumes *completed executions*
 //!   (the online miner's side of the contract; closures implement it);
-//! * [`stages`] — composable [`StreamSink`] adapters: [`Filter`],
-//!   [`Repair`], [`Validate`], [`Stats`];
 //! * [`CaseAssembler`] — the interleaved case assembler: a keyed
-//!   open-case map under a bounded memory window, replacing the
-//!   contiguous-cases assumption of
-//!   [`codec::stream::ExecutionStream`](crate::codec::stream::ExecutionStream);
-//! * [`FlowmarkSource`] — a pull-based Flowmark event source with the
+//!   open-case map under a bounded memory window, so cases need not be
+//!   contiguous in the log;
+//! * [`FlowmarkSource`] — the pull-based Flowmark event source, with the
 //!   same [`RecoveryPolicy`](crate::RecoveryPolicy) /
-//!   [`IngestReport`](crate::IngestReport) semantics as the batch
-//!   codecs;
+//!   [`IngestReport`](crate::IngestReport) semantics as the other
+//!   codecs. It is the only Flowmark decoder: the batch reader
+//!   [`flowmark::read_log_with`](crate::codec::flowmark::read_log_with)
+//!   drains one;
 //! * [`TailReader`] — a [`std::io::Read`] adapter that follows a
 //!   growing file (`procmine mine --follow`) with bounded retry
 //!   ([`RetryPolicy`]) and truncation detection;
@@ -54,7 +53,6 @@
 pub mod assembler;
 pub mod checkpoint;
 pub mod source;
-pub mod stages;
 pub mod tail;
 
 pub use assembler::{
@@ -62,13 +60,12 @@ pub use assembler::{
 };
 pub use checkpoint::{CheckpointError, WireError, WireReader, WireWriter};
 pub use source::FlowmarkSource;
-pub use stages::{Filter, Repair, Stats, StreamStats, Validate};
 pub use tail::{RetryPolicy, TailReader, TailStats};
 
 use crate::{ActivityTable, EventRecord, Execution, LogError};
 
 /// Where an event sat in the source stream — threaded alongside each
-/// record so downstream stages can report problems with the same
+/// record so downstream sinks can report problems with the same
 /// byte-offset/line precision as the batch codecs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SourceLocation {
@@ -113,11 +110,9 @@ impl From<LogError> for StreamError {
     }
 }
 
-/// Consumes a stream of parsed event records. Implementations are
-/// composable: the [`stages`] adapters wrap a downstream sink and
-/// forward (possibly transformed) events to it, and
-/// [`CaseAssembler`] terminates a chain by turning events into
-/// completed executions for an [`Observer`].
+/// Consumes a stream of parsed event records. [`CaseAssembler`] is the
+/// terminal sink: it turns events into completed executions for an
+/// [`Observer`].
 pub trait StreamSink {
     /// Consumes one event record.
     fn on_event(&mut self, event: EventRecord, at: SourceLocation) -> Result<(), StreamError>;

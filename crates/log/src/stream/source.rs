@@ -1,17 +1,18 @@
-//! Pull-based Flowmark event source for streaming pipelines.
+//! Pull-based Flowmark event source — the one Flowmark decoder.
 //!
 //! [`FlowmarkSource`] reads one Flowmark record at a time with the same
-//! [`RecoveryPolicy`] / [`IngestReport`] semantics as the batch codec:
+//! [`RecoveryPolicy`] / [`IngestReport`] semantics as the other codecs:
 //! under [`RecoveryPolicy::Strict`] the first bad line is fatal; under
 //! a recovering policy bad lines are skipped and counted, a truncated
 //! unterminated tail surfaces as
 //! [`LogError::UnexpectedEof`](crate::LogError::UnexpectedEof), and a
 //! [`RecoveryPolicy::Skip`] budget overrun ends the stream with
-//! [`LogError::TooManyErrors`](crate::LogError::TooManyErrors). Unlike
-//! [`ExecutionStream`](crate::codec::stream::ExecutionStream) it emits
-//! raw *events*, leaving case assembly to a downstream
-//! [`StreamSink`] — typically a
-//! [`CaseAssembler`](super::CaseAssembler) behind some [`stages`](super::stages).
+//! [`LogError::TooManyErrors`](crate::LogError::TooManyErrors). It
+//! emits raw *events* and leaves case assembly to the consumer: the
+//! batch reader [`flowmark::read_log_with`] collects them into a
+//! [`WorkflowLog`](crate::WorkflowLog), and a streaming pipeline pumps
+//! them into a [`StreamSink`] such as a
+//! [`CaseAssembler`](super::CaseAssembler).
 
 use super::{SourceLocation, StreamError, StreamSink};
 use crate::codec::{flowmark, ByteLines, CodecStats, IngestReport, RecoveryPolicy};

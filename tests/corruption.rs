@@ -145,49 +145,6 @@ proptest! {
         }
     }
 
-    /// The streaming path survives the same corpora: corrupted bytes
-    /// through `ExecutionStream` yield per-case `Err` items (strict)
-    /// or counted skips (BestEffort) — never a panic — and the
-    /// stream's report stays consistent with what the iterator saw.
-    #[test]
-    fn corrupted_execution_streams_never_panic(
-        log in arb_log(8),
-        seed in 0u64..1_000,
-        flips_per_mille in 1u64..30,
-    ) {
-        use procmine::log::codec::stream::ExecutionStream;
-        let mut clean = Vec::new();
-        flowmark::write_log(&log, &mut clean).unwrap();
-        let corrupted = corrupt_bytes(
-            &clean,
-            &FaultConfig::bit_flips(flips_per_mille as f64 / 1_000.0, seed),
-        );
-        for policy in [RecoveryPolicy::Strict, RecoveryPolicy::BestEffort] {
-            let mut stream = ExecutionStream::with_policy(corrupted.as_slice(), policy);
-            let mut yielded_errors = 0u64;
-            for result in stream.by_ref() {
-                if result.is_err() {
-                    yielded_errors += 1;
-                }
-            }
-            let report = stream.report();
-            if policy.is_strict() {
-                // Every recorded decode error is yielded; assembly
-                // failures (unpaired events) yield extra Err items.
-                prop_assert!(
-                    yielded_errors >= report.errors_total,
-                    "strict: {} Err items < {} recorded decode errors",
-                    yielded_errors,
-                    report.errors_total
-                );
-            } else {
-                prop_assert_eq!(yielded_errors, 0, "BestEffort yields no Err items");
-                // Skips cover decode errors plus lenient-assembly drops.
-                prop_assert!(report.records_skipped >= report.errors_total);
-            }
-        }
-    }
-
     /// `Skip {{ max_errors }}` is exact: a budget at least as large as
     /// the BestEffort error count succeeds with identical accounting; a
     /// smaller budget fails with `TooManyErrors`.
@@ -377,7 +334,7 @@ fn smoke_seqs_truncation_is_silent_by_design() {
 #[test]
 fn smoke_mid_stream_io_errors_are_fatal_under_every_policy() {
     // An I/O fault is infrastructure failure, not data corruption: no
-    // policy may paper over it.
+    // policy may paper over it, and every policy records it.
     let log = reference_log();
     let mut clean = Vec::new();
     flowmark::write_log(&log, &mut clean).unwrap();
@@ -398,5 +355,6 @@ fn smoke_mid_stream_io_errors_are_fatal_under_every_policy() {
             matches!(result, Err(LogError::Io(_))),
             "{policy:?}: got {result:?}"
         );
+        assert_eq!(report.errors_total, 1, "{policy:?}: I/O error not recorded");
     }
 }

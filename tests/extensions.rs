@@ -9,7 +9,7 @@ use procmine::log::WorkflowLog;
 use procmine::mine::conformance::fitness;
 use procmine::mine::splits::{analyze_gateways, GatewayKind};
 use procmine::mine::{
-    mine_auto, mine_general_dag, mine_general_dag_parallel, IncrementalMiner, MinerOptions,
+    mine_auto, mine_general_dag, mine_general_dag_in, IncrementalMiner, MineSession, MinerOptions,
 };
 use procmine::sim::{engine, presets, textfmt, walk};
 use rand::rngs::StdRng;
@@ -76,7 +76,12 @@ fn parallel_and_incremental_match_batch_on_real_workload() {
     let log = walk::random_walk_log(&process, 400, &mut rng).unwrap();
 
     let batch = mine_general_dag(&log, &MinerOptions::default()).unwrap();
-    let parallel = mine_general_dag_parallel(&log, &MinerOptions::default(), 4).unwrap();
+    let parallel = mine_general_dag_in(
+        &mut MineSession::new().with_threads(4),
+        &log,
+        &MinerOptions::default(),
+    )
+    .unwrap();
     let mut inc = IncrementalMiner::new(MinerOptions::default());
     inc.absorb_log(&log).unwrap();
     let incremental = inc.model().unwrap();

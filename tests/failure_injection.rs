@@ -9,17 +9,17 @@ use procmine::mine::{mine_auto, mine_general_dag, mine_special_dag, MineError, M
 
 #[test]
 fn truncated_flowmark_lines_are_rejected_with_line_numbers() {
+    // Newline-terminated, so each bad line is garbage rather than a
+    // truncated tail (which reads as `UnexpectedEof`).
     let cases = [
-        ("p1,A,START", 1usize),
-        ("p1,A,START,0\np1,A,END,1\np2,B,WAT,0", 3),
-        ("p1,A,START,0\np1,A,END,notatime", 2),
-        ("p1,A,END,1,xx;2", 2_usize.saturating_sub(1)), // line 2... output vector bad
+        ("p1,A,START\n", 1usize),
+        ("p1,A,START,0\np1,A,END,1\np2,B,WAT,0\n", 3),
+        ("p1,A,START,0\np1,A,END,notatime\n", 2),
+        ("p1,A,START,0\np1,A,END,1,xx;2\n", 2), // bad output vector
     ];
-    for (text, _line) in cases {
-        match flowmark::read_events(text.as_bytes()) {
-            Err(LogError::Parse { line, message }) => {
-                assert!(line >= 1, "line numbers are 1-based: {message}");
-            }
+    for (text, expected) in cases {
+        match flowmark::read_log(text.as_bytes()) {
+            Err(LogError::Parse { line, .. }) => assert_eq!(line, expected, "{text:?}"),
             other => panic!("expected parse error for {text:?}, got {other:?}"),
         }
     }

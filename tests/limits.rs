@@ -4,8 +4,8 @@
 
 use procmine::log::WorkflowLog;
 use procmine::mine::{
-    mine_auto, mine_cyclic, mine_general_dag, mine_general_dag_parallel, mine_special_dag,
-    IncrementalMiner, LimitKind, Limits, MineError, MinerOptions,
+    mine_auto, mine_cyclic, mine_general_dag, mine_general_dag_in, mine_special_dag,
+    IncrementalMiner, LimitKind, Limits, MineError, MineSession, MinerOptions,
 };
 use std::time::{Duration, Instant};
 
@@ -76,7 +76,11 @@ fn deadline_bounds_reduction_dominated_special_mining() {
 #[test]
 fn deadline_fires_in_parallel_miner() {
     let log = adversarial_log(100, 10_000);
-    let result = mine_general_dag_parallel(&log, &deadline_options(Duration::from_millis(100)), 4);
+    let result = mine_general_dag_in(
+        &mut MineSession::new().with_threads(4),
+        &log,
+        &deadline_options(Duration::from_millis(100)),
+    );
     assert!(matches!(
         result,
         Err(MineError::LimitExceeded {

@@ -5,8 +5,8 @@
 
 use procmine::log::WorkflowLog;
 use procmine::mine::{
-    mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_general_dag_parallel,
-    mine_special_dag_in, IncrementalMiner, MineSession, MinerOptions, Registry, Stage,
+    mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, IncrementalMiner,
+    MineSession, MinerOptions, Registry, Stage,
 };
 
 /// The paper's Example 6 log — accepted by every miner, including the
@@ -82,15 +82,16 @@ fn every_miner_populates_stage_latency_histograms() {
 
 #[test]
 fn parallel_entry_point_samples_through_shared_registry() {
-    // The convenience parallel entry point builds its own session; the
-    // session form with threads + obs is the instrumented path and must
-    // agree with it while sampling.
+    // A threaded session with a registry is the instrumented parallel
+    // path; it must agree with an unobserved threaded session while
+    // sampling.
     let log = example_log();
     let options = MinerOptions::default();
     let reg = Registry::new();
     let mut session = MineSession::new().with_obs(reg.clone()).with_threads(4);
     let metered = mine_general_dag_in(&mut session, &log, &options).unwrap();
-    let plain = mine_general_dag_parallel(&log, &options, 4).unwrap();
+    let plain =
+        mine_general_dag_in(&mut MineSession::new().with_threads(4), &log, &options).unwrap();
     assert_eq!(metered.edges_named(), plain.edges_named());
     assert!(stage_samples(&reg) > 0);
 }

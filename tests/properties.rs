@@ -62,8 +62,8 @@ fn edges_via_plain(
     threads: usize,
 ) -> Vec<Result<Vec<(String, String)>, String>> {
     use procmine::mine::{
-        mine_auto, mine_cyclic, mine_general_dag, mine_general_dag_parallel, mine_special_dag,
-        IncrementalMiner,
+        mine_auto, mine_cyclic, mine_general_dag, mine_general_dag_in, mine_special_dag,
+        IncrementalMiner, MineSession,
     };
     let mut inc = IncrementalMiner::new(options.clone());
     inc.absorb_log(log).expect("logs here have no repeats");
@@ -72,7 +72,7 @@ fn edges_via_plain(
         mine_general_dag(log, options),
         mine_cyclic(log, options),
         mine_auto(log, options).map(|(m, _)| m),
-        mine_general_dag_parallel(log, options, threads),
+        mine_general_dag_in(&mut MineSession::new().with_threads(threads), log, options),
         inc.model(),
     ]
     .into_iter()
@@ -340,9 +340,14 @@ proptest! {
         log in arb_log(10),
         threads in 1usize..6,
     ) {
-        use procmine::mine::mine_general_dag_parallel;
+        use procmine::mine::{mine_general_dag_in, MineSession};
         let serial = procmine::mine::mine_general_dag(&log, &MinerOptions::default()).unwrap();
-        let parallel = mine_general_dag_parallel(&log, &MinerOptions::default(), threads).unwrap();
+        let parallel = mine_general_dag_in(
+            &mut MineSession::new().with_threads(threads),
+            &log,
+            &MinerOptions::default(),
+        )
+        .unwrap();
         let mut a = serial.edges_named(); a.sort();
         let mut b = parallel.edges_named(); b.sort();
         prop_assert_eq!(a, b);
