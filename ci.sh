@@ -74,6 +74,22 @@ echo "==> benchmark package: cargo test against the workspace crates"
 CARGO_TARGET_DIR="$PWD/target" cargo test -q \
   --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
+# Benchmark output lane: one-second untraced runs of the two wide
+# workloads through the release binary. The harness checks every
+# invocation's edges against `core::reference`, which marks every
+# execution, so this checks set-keyed marking end to end at T = 1 on
+# logs whose executions all share one activity set.
+echo "==> benchmark output lane: follow-wide and batch-wide match the reference"
+for workload in follow-wide batch-wide; do
+  result=$(bash crates/bench/src/bin/benchmark/run.sh \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  if ! grep -q '"correct":true' <<<"$result" || ! grep -q '"failed":0[,}]' <<<"$result"; then
+    echo "benchmark $workload: an invocation failed or diverged from the reference:" >&2
+    echo "$result" >&2
+    exit 1
+  fi
+done
+
 echo "==> corruption smoke subset"
 cargo test -q --test corruption smoke_
 

@@ -15,6 +15,20 @@
 //!   the induced subgraph is computed and its edges marked; unmarked
 //!   edges are dropped.
 //!
+//! **Marking once per activity set.** At noise threshold T ≤ 1 the
+//! marking pass reduces only the first execution of each distinct
+//! vertex set ([`executions_to_mark`]). This is exact. For T = 1, every
+//! edge u→v left after pruning and SCC removal has `ordered[u][v] ≥ 1`
+//! and `overlap[u][v] = 0`, and `ordered[v][u] = 0` because otherwise
+//! two-cycle removal would have dropped the pair. So in every execution
+//! that contains both u and v, u ends before v starts, and the induced
+//! subgraph is exactly `g` restricted to the execution's vertex set. A
+//! DAG's transitive reduction is unique, so every execution with that
+//! vertex set marks the same edges. For T = 0 no edge survives pruning
+//! and the claim is trivial. For T ≥ 2 an execution can contradict a
+//! kept edge (`tests::noise_threshold_filters_in_general_miner`), so
+//! every execution is marked.
+//!
 //! The pipeline is expressed as [`Stage`]s run inside a
 //! [`MineSession`]: lower → count_pairs → prune → scc_removal →
 //! transitive_reduction → assemble. The session's thread count selects
@@ -34,6 +48,7 @@ use crate::trace::Tracer;
 use crate::{MineError, MinedModel, MinerOptions};
 use procmine_graph::{scc, words, AdjMatrix, Arena, ArenaStats, NodeId};
 use procmine_log::{EventColumns, ExecColumns, WorkflowLog};
+use std::collections::HashSet;
 
 /// A log lowered to dense vertex ids, in columnar form: each
 /// execution's start-time-sorted `(vertex, start, end)` triples live in
@@ -196,6 +211,10 @@ impl MarkScratch {
 /// transitive reduction (Appendix A, over positions — start order is a
 /// topological order), and mark the surviving edges.
 ///
+/// At T ≤ 1 the induced subgraph depends only on the execution's vertex
+/// set (see the module doc), so the caller runs this once per distinct
+/// set; at T ≥ 2 it runs once per execution.
+///
 /// The induced subgraph `sub` and descendant DP table `desc` are packed
 /// bit rows of `wpr = ceil(k/64)` words, carved from one arena block.
 pub(crate) fn mark_one_execution(
@@ -224,24 +243,27 @@ pub(crate) fn mark_one_execution(
     }
     // Transitive reduction in reverse position order (Appendix A).
     for i in (0..k).rev() {
-        // desc row i := union of descendants of i's successors.
+        // desc row i := i's successors and their descendants. Successors
+        // are visited in ascending position, a topological order: one
+        // already in desc row i is reachable through an earlier
+        // successor, so it is redundant and its descendants are already
+        // there too.
         let (before, after) = desc.split_at_mut((i + 1) * wpr);
         let di = &mut before[i * wpr..];
         let sub_i = &sub[i * wpr..(i + 1) * wpr];
-        for s in words::ones(sub_i) {
-            // Successors have s > i, so their desc rows sit in `after`.
-            words::union(di, &after[(s - i - 1) * wpr..(s - i) * wpr]);
-        }
         scratch.redundant.clear();
-        scratch
-            .redundant
-            .extend(words::ones(sub_i).filter(|&s| words::contains(di, s)));
+        for s in words::ones(sub_i) {
+            if words::contains(di, s) {
+                scratch.redundant.push(s);
+            } else {
+                words::insert(di, s);
+                // Successors have s > i, so their desc rows sit in `after`.
+                words::union(di, &after[(s - i - 1) * wpr..(s - i) * wpr]);
+            }
+        }
         let sub_i = &mut sub[i * wpr..(i + 1) * wpr];
         for &s in &scratch.redundant {
             words::remove(sub_i, s);
-        }
-        for s in words::ones(&sub[i * wpr..(i + 1) * wpr]) {
-            words::insert(di, s);
         }
     }
     // Mark surviving edges at the vertex level.
@@ -366,6 +388,36 @@ pub(crate) fn prune_graph<S: MetricsSink>(
     Ok(g)
 }
 
+/// The executions the marking pass reduces: at `threshold ≤ 1`, the
+/// first execution of each distinct sorted vertex set (exact — see the
+/// module doc); otherwise every execution. The deadline is re-checked
+/// once per execution while keying.
+pub(crate) fn executions_to_mark(
+    cols: &EventColumns,
+    threshold: u32,
+    deadline: Deadline,
+) -> Result<Vec<usize>, MineError> {
+    let m = cols.exec_count();
+    if threshold > 1 {
+        return Ok((0..m).collect());
+    }
+    let mut seen: HashSet<Box<[u32]>> = HashSet::new();
+    let mut set: Vec<u32> = Vec::new();
+    let mut keys = Vec::new();
+    for i in 0..m {
+        deadline.check()?;
+        set.clear();
+        set.extend_from_slice(cols.exec(i).activities);
+        set.sort_unstable();
+        // Look up by slice so a set already seen allocates nothing.
+        if !seen.contains(set.as_slice()) {
+            seen.insert(set.as_slice().into());
+            keys.push(i);
+        }
+    }
+    Ok(keys)
+}
+
 /// Steps 3–7 of Algorithm 2, given precomputed step-2 counts.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_from_counts<S: MetricsSink>(
@@ -385,12 +437,12 @@ pub(crate) fn finish_from_counts<S: MetricsSink>(
     // Steps 5–6: per-execution induced-subgraph transitive reduction;
     // keep only edges some reduction needs.
     let marked = if threads > 1 {
-        crate::parallel::parallel_mark(vlog, &g, threads, deadline, sink, tracer, reg)?
+        crate::parallel::parallel_mark(vlog, &g, threshold, threads, deadline, sink, tracer, reg)?
     } else {
         run_stage(Stage::Reduce, deadline, sink, tracer, reg, |sink, _| {
             let mut marked = AdjMatrix::new(n);
             let mut scratch = MarkScratch::new();
-            for i in 0..vlog.cols.exec_count() {
+            for i in executions_to_mark(vlog.cols, threshold, deadline)? {
                 deadline.check()?;
                 mark_one_execution(&g, vlog.cols.exec(i), &mut marked, &mut scratch);
             }
@@ -703,6 +755,32 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn marking_keys_one_execution_per_activity_set_at_threshold_one() {
+        // Executions 0, 1 and 3 share the set {0,1,2} in different
+        // orders; 2 and 4 share {0,1}.
+        let mut cols = EventColumns::new();
+        for exec in [&[0u32, 1, 2][..], &[2, 0, 1], &[1, 0], &[0, 1, 2], &[0, 1]] {
+            cols.push_exec(
+                exec.iter()
+                    .enumerate()
+                    .map(|(t, &a)| (a, t as u64, t as u64)),
+            );
+        }
+        let deadline = Deadline::unlimited();
+        for threshold in [0, 1] {
+            assert_eq!(
+                executions_to_mark(&cols, threshold, deadline).unwrap(),
+                vec![0, 2],
+                "T={threshold}"
+            );
+        }
+        assert_eq!(
+            executions_to_mark(&cols, 2, deadline).unwrap(),
+            vec![0, 1, 2, 3, 4]
+        );
     }
 
     #[test]

@@ -228,9 +228,10 @@ impl IncrementalMiner {
     ///
     /// The deadline (the sooner of the session's and
     /// `options.limits.deadline`, the latter measured from this call)
-    /// starts *before* any work and is re-checked exactly once per
-    /// retained execution during the marking pass, so an expired
-    /// deadline aborts the snapshot promptly even on large histories.
+    /// starts *before* any work and is re-checked once per retained
+    /// execution during the marking pass (while keying executions by
+    /// activity set at T ≤ 1), so an expired deadline aborts the
+    /// snapshot promptly even on large histories.
     pub fn model_in<S: MetricsSink>(
         &self,
         session: &mut MineSession<S>,

@@ -21,8 +21,8 @@
 //! binary).
 
 use crate::general_dag::{
-    count_one_execution, mark_one_execution, pair_observations_range, record_arena_telemetry,
-    MarkScratch, OrderObservations, VertexLog,
+    count_one_execution, executions_to_mark, mark_one_execution, pair_observations_range,
+    record_arena_telemetry, MarkScratch, OrderObservations, VertexLog,
 };
 use crate::limits::Deadline;
 use crate::obs::Registry;
@@ -172,13 +172,16 @@ pub(crate) fn parallel_count<S: MetricsSink>(
     Ok(total)
 }
 
-/// The parallel [`Stage::Reduce`] strategy: per-thread marked matrices
-/// built by the serial [`mark_one_execution`] body, merged by union at
-/// the join barrier. Worker telemetry and tracing mirror
-/// [`parallel_count`].
+/// The parallel [`Stage::Reduce`] strategy: the executions chosen by
+/// [`executions_to_mark`] are chunked over workers, each building a
+/// marked matrix with the serial [`mark_one_execution`] body; the
+/// matrices merge by union at the join barrier. Worker telemetry and
+/// tracing mirror [`parallel_count`].
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn parallel_mark<S: MetricsSink>(
     vlog: &VertexLog<'_>,
     g: &AdjMatrix,
+    threshold: u32,
     threads: usize,
     deadline: Deadline,
     sink: &mut S,
@@ -190,16 +193,15 @@ pub(crate) fn parallel_mark<S: MetricsSink>(
     let reg_started = reg.start();
     let vlog = *vlog;
     let n = vlog.n;
-    let m_execs = vlog.cols.exec_count();
-    let chunk = m_execs.div_ceil(threads).max(1);
     let wall = WallStage::start::<S>(Stage::Reduce);
+    let keys = executions_to_mark(vlog.cols, threshold, deadline)?;
+    let chunk = keys.len().div_ceil(threads).max(1);
     let mut total = AdjMatrix::new(n);
     let mut arena_total = procmine_graph::ArenaStats::default();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..m_execs)
-            .step_by(chunk)
-            .map(|lo| {
-                let hi = (lo + chunk).min(m_execs);
+        let handles: Vec<_> = keys
+            .chunks(chunk)
+            .map(|part| {
                 scope.spawn(
                     move || -> Result<((AdjMatrix, procmine_graph::ArenaStats), MinerMetrics), MineError> {
                         let buf = tracer.worker();
@@ -207,7 +209,7 @@ pub(crate) fn parallel_mark<S: MetricsSink>(
                         let started = stage_start::<S>();
                         let mut local = AdjMatrix::new(n);
                         let mut scratch = MarkScratch::new();
-                        for i in lo..hi {
+                        for &i in part {
                             deadline.check()?;
                             mark_one_execution(g, vlog.cols.exec(i), &mut local, &mut scratch);
                         }

@@ -140,7 +140,9 @@ pub struct MinerMetrics {
     /// Bytes handed out by the marking pass's scratch arenas (cumulative
     /// across executions and threads; see `procmine_graph::arena`).
     pub arena_bytes: u64,
-    /// Scratch-arena recycle events (one per marked execution).
+    /// Scratch-arena recycle events, one per marked execution: one per
+    /// distinct activity set at noise threshold T ≤ 1, one per
+    /// execution otherwise.
     pub arena_resets: u64,
     /// Largest per-arena resident scratch footprint, in bytes (max
     /// across threads, not summed — it bounds one worker's memory).

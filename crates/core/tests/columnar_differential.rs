@@ -23,6 +23,7 @@ use procmine_core::{
     mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, IncrementalMiner,
     MineSession, MinedModel, MinerMetrics, MinerOptions,
 };
+use procmine_graph::NodeId;
 use procmine_log::{ActivityInstance, Execution, WorkflowLog};
 use proptest::prelude::*;
 use proptest::{collection, sample};
@@ -113,6 +114,55 @@ fn interval_log(n: usize) -> impl Strategy<Value = WorkflowLog> {
         }
         log
     })
+}
+
+/// An interval log whose executions reuse two or three fixed activity
+/// subsets, each run in its own order with jittered starts and random
+/// durations, so executions sharing a set conflict in order and overlap.
+/// At T ≤ 1 the marking pass reduces one execution per set; the
+/// reference still reduces every execution.
+fn set_reuse_log(n: usize) -> impl Strategy<Value = WorkflowLog> {
+    let subset = sample::subsequence((0..n).collect::<Vec<_>>(), 1..=n).prop_shuffle();
+    let exec = (0usize..3, collection::vec((0u64..8, 0u64..5), n));
+    (collection::vec(subset, 2..=3), collection::vec(exec, 1..12)).prop_map(
+        move |(subsets, execs)| {
+            let mut log = WorkflowLog::new();
+            let ids: Vec<_> = (0..n).map(|i| log.intern_activity(NAMES[i])).collect();
+            for (x, (which, times)) in execs.iter().enumerate() {
+                let instances = subsets[which % subsets.len()]
+                    .iter()
+                    .zip(times)
+                    .enumerate()
+                    .map(|(pos, (&a, &(jitter, dur)))| {
+                        let start = 4 * pos as u64 + jitter;
+                        ActivityInstance {
+                            activity: ids[a],
+                            start,
+                            end: start + dur,
+                            output: None,
+                        }
+                    })
+                    .collect();
+                log.push(Execution::new(format!("case-{x}"), instances).unwrap());
+            }
+            log
+        },
+    )
+}
+
+/// A model's supports keyed by activity name, for comparing models
+/// whose activity tables intern names in different orders.
+fn named_support(model: &MinedModel) -> Vec<(String, String, u32)> {
+    let mut support: Vec<_> = model
+        .edge_support()
+        .iter()
+        .map(|&(u, v, c)| {
+            let name = |x| model.name_of(NodeId::new(x)).to_string();
+            (name(u), name(v), c)
+        })
+        .collect();
+    support.sort();
+    support
 }
 
 /// Runs a `*_in` miner with a metrics sink and returns model + metrics.
@@ -248,6 +298,57 @@ proptest! {
         let (expected, ref_metrics) = mine_general_reference(&log, &options).unwrap();
         assert_models_identical(&model, &expected, "interval");
         assert_counters_identical(&metrics, &ref_metrics, "interval");
+    }
+
+    #[test]
+    fn set_reuse_logs_match_reference(log in set_reuse_log(6)) {
+        for threshold in 0..=3 {
+            let options = MinerOptions::with_threshold(threshold);
+            let (expected, ref_metrics) = mine_general_reference(&log, &options).unwrap();
+            // threads = 1 is the serial strategy.
+            for threads in 1..5 {
+                let what = format!("set reuse T={threshold} threads={threads}");
+                let mut metrics = MinerMetrics::new();
+                let mut session = MineSession::new()
+                    .with_threads(threads)
+                    .with_sink(&mut metrics);
+                let model = mine_general_dag_in(&mut session, &log, &options).unwrap();
+                drop(session);
+                assert_models_identical(&model, &expected, &what);
+                assert_counters_identical(&metrics, &ref_metrics, &what);
+            }
+
+            let (model, metrics) = with_metrics(|s| mine_cyclic_in(s, &log, &options).unwrap());
+            let (expected, ref_metrics) = mine_cyclic_reference(&log, &options).unwrap();
+            let what = format!("set reuse cyclic T={threshold}");
+            assert_models_identical(&model, &expected, &what);
+            assert_counters_identical(&metrics, &ref_metrics, &what);
+
+            // Snapshot after every absorb against the reference over the
+            // same prefix. The miner interns names as they arrive, so
+            // supports are compared by name.
+            let mut inc = IncrementalMiner::new(options.clone());
+            for (j, exec) in log.executions().iter().enumerate() {
+                inc.absorb_execution(exec, log.activities()).unwrap();
+                let mut prefix = WorkflowLog::new();
+                for name in NAMES.iter().take(log.activities().len()) {
+                    prefix.intern_activity(name);
+                }
+                for e in &log.executions()[..=j] {
+                    prefix.push(e.clone());
+                }
+                let (model, metrics) = with_metrics(|s| inc.model_in(s).unwrap());
+                let (expected, ref_metrics) = mine_general_reference(&prefix, &options).unwrap();
+                let what = format!("set reuse incremental T={threshold} after {}", j + 1);
+                let mut edges = model.edges_named();
+                let mut ref_edges = expected.edges_named();
+                edges.sort();
+                ref_edges.sort();
+                assert_eq!(edges, ref_edges, "{what}: edge sets diverged");
+                assert_eq!(named_support(&model), named_support(&expected), "{what}: supports diverged");
+                assert_counters_identical(&metrics, &ref_metrics, &what);
+            }
+        }
     }
 
     #[test]

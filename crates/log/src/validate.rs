@@ -192,31 +192,34 @@ fn assemble_impl(
             }
         }
 
-        // Any still-open STARTs are unmatched.
-        let mut dangling: Vec<usize> = Vec::new();
-        for (activity, starts) in open {
-            for (time, idx) in starts {
-                match policy {
-                    AssemblyPolicy::Strict => {
-                        return Err(LogError::UnmatchedStart {
-                            execution: name.to_string(),
-                            activity: activity.to_string(),
-                            time,
-                        })
-                    }
-                    AssemblyPolicy::Lenient => {
-                        diagnostics.push(Diagnostic::DanglingStart {
-                            execution: name.to_string(),
-                            activity: activity.to_string(),
-                            time,
-                        });
-                        dangling.push(idx);
-                    }
+        // Any still-open STARTs are unmatched; report them in instance
+        // order, not the map's hash order.
+        let mut dangling: Vec<(usize, &str, u64)> = open
+            .into_iter()
+            .flat_map(|(activity, starts)| {
+                starts
+                    .into_iter()
+                    .map(move |(time, idx)| (idx, activity, time))
+            })
+            .collect();
+        dangling.sort_unstable_by_key(|&(idx, ..)| idx);
+        for &(_, activity, time) in &dangling {
+            match policy {
+                AssemblyPolicy::Strict => {
+                    return Err(LogError::UnmatchedStart {
+                        execution: name.to_string(),
+                        activity: activity.to_string(),
+                        time,
+                    })
                 }
+                AssemblyPolicy::Lenient => diagnostics.push(Diagnostic::DanglingStart {
+                    execution: name.to_string(),
+                    activity: activity.to_string(),
+                    time,
+                }),
             }
         }
-        dangling.sort_unstable_by(|a, b| b.cmp(a));
-        for idx in dangling {
+        for &(idx, ..) in dangling.iter().rev() {
             instances.remove(idx);
         }
 
@@ -270,6 +273,45 @@ mod tests {
         assert_eq!(report.executions.len(), 1);
         assert_eq!(report.executions[0].len(), 1);
         assert_eq!(report.diagnostics.len(), 2);
+    }
+
+    #[test]
+    fn unmatched_starts_reported_in_instance_order() {
+        // Several never-ended STARTs in one case: strict assembly names
+        // the earliest, and lenient diagnostics follow log order, not
+        // hash order.
+        let names = ["H", "C", "F", "A", "G", "B", "E", "D"];
+        let mut records = vec![
+            EventRecord::start("p", "X", 0),
+            EventRecord::end("p", "X", 1, None),
+        ];
+        for (t, &name) in names.iter().enumerate() {
+            records.push(EventRecord::start("p", name, 2 + t as u64));
+        }
+        let mut t = ActivityTable::new();
+        match assemble_executions(&records, &mut t) {
+            Err(LogError::UnmatchedStart { activity, time, .. }) => {
+                assert_eq!((activity.as_str(), time), ("H", 2));
+            }
+            other => panic!("expected UnmatchedStart, got {other:?}"),
+        }
+        let mut t = ActivityTable::new();
+        let report = assemble_executions_with(&records, &mut t, AssemblyPolicy::Lenient).unwrap();
+        let reported: Vec<(&str, u64)> = report
+            .diagnostics
+            .iter()
+            .map(|d| match d {
+                Diagnostic::DanglingStart { activity, time, .. } => (activity.as_str(), *time),
+                other => panic!("unexpected diagnostic {other:?}"),
+            })
+            .collect();
+        let expected: Vec<(&str, u64)> = names
+            .iter()
+            .enumerate()
+            .map(|(t, &name)| (name, 2 + t as u64))
+            .collect();
+        assert_eq!(reported, expected);
+        assert_eq!(report.executions[0].display(&t), "X");
     }
 
     #[test]
