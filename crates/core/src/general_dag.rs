@@ -388,6 +388,32 @@ pub(crate) fn prune_graph<S: MetricsSink>(
     Ok(g)
 }
 
+/// The executions the marking pass reduces, by position `0..len()`.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum MarkList {
+    /// Every execution `0..m`; no list is built.
+    Every(usize),
+    /// The first execution of each distinct sorted vertex set.
+    FirstOfSet(Vec<usize>),
+}
+
+impl MarkList {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            MarkList::Every(m) => *m,
+            MarkList::FirstOfSet(keys) => keys.len(),
+        }
+    }
+
+    /// The execution at position `k < len()`.
+    pub(crate) fn get(&self, k: usize) -> usize {
+        match self {
+            MarkList::Every(_) => k,
+            MarkList::FirstOfSet(keys) => keys[k],
+        }
+    }
+}
+
 /// The executions the marking pass reduces: at `threshold ≤ 1`, the
 /// first execution of each distinct sorted vertex set (exact — see the
 /// module doc); otherwise every execution. The deadline is re-checked
@@ -396,10 +422,10 @@ pub(crate) fn executions_to_mark(
     cols: &EventColumns,
     threshold: u32,
     deadline: Deadline,
-) -> Result<Vec<usize>, MineError> {
+) -> Result<MarkList, MineError> {
     let m = cols.exec_count();
     if threshold > 1 {
-        return Ok((0..m).collect());
+        return Ok(MarkList::Every(m));
     }
     let mut seen: HashSet<Box<[u32]>> = HashSet::new();
     let mut set: Vec<u32> = Vec::new();
@@ -415,7 +441,7 @@ pub(crate) fn executions_to_mark(
             keys.push(i);
         }
     }
-    Ok(keys)
+    Ok(MarkList::FirstOfSet(keys))
 }
 
 /// Steps 3–7 of Algorithm 2, given precomputed step-2 counts.
@@ -442,9 +468,10 @@ pub(crate) fn finish_from_counts<S: MetricsSink>(
         run_stage(Stage::Reduce, deadline, sink, tracer, reg, |sink, _| {
             let mut marked = AdjMatrix::new(n);
             let mut scratch = MarkScratch::new();
-            for i in executions_to_mark(vlog.cols, threshold, deadline)? {
+            let list = executions_to_mark(vlog.cols, threshold, deadline)?;
+            for k in 0..list.len() {
                 deadline.check()?;
-                mark_one_execution(&g, vlog.cols.exec(i), &mut marked, &mut scratch);
+                mark_one_execution(&g, vlog.cols.exec(list.get(k)), &mut marked, &mut scratch);
             }
             record_arena_telemetry(&scratch.arena_stats(), sink, reg);
             Ok(marked)
@@ -773,14 +800,14 @@ mod tests {
         for threshold in [0, 1] {
             assert_eq!(
                 executions_to_mark(&cols, threshold, deadline).unwrap(),
-                vec![0, 2],
+                MarkList::FirstOfSet(vec![0, 2]),
                 "T={threshold}"
             );
         }
-        assert_eq!(
-            executions_to_mark(&cols, 2, deadline).unwrap(),
-            vec![0, 1, 2, 3, 4]
-        );
+        let every = executions_to_mark(&cols, 2, deadline).unwrap();
+        assert_eq!(every, MarkList::Every(5));
+        let order: Vec<usize> = (0..every.len()).map(|k| every.get(k)).collect();
+        assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -194,14 +194,15 @@ pub(crate) fn parallel_mark<S: MetricsSink>(
     let vlog = *vlog;
     let n = vlog.n;
     let wall = WallStage::start::<S>(Stage::Reduce);
-    let keys = executions_to_mark(vlog.cols, threshold, deadline)?;
-    let chunk = keys.len().div_ceil(threads).max(1);
+    let list = &executions_to_mark(vlog.cols, threshold, deadline)?;
+    let len = list.len();
+    let chunk = len.div_ceil(threads).max(1);
     let mut total = AdjMatrix::new(n);
     let mut arena_total = procmine_graph::ArenaStats::default();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = keys
-            .chunks(chunk)
-            .map(|part| {
+        let handles: Vec<_> = (0..len)
+            .step_by(chunk)
+            .map(|lo| {
                 scope.spawn(
                     move || -> Result<((AdjMatrix, procmine_graph::ArenaStats), MinerMetrics), MineError> {
                         let buf = tracer.worker();
@@ -209,9 +210,9 @@ pub(crate) fn parallel_mark<S: MetricsSink>(
                         let started = stage_start::<S>();
                         let mut local = AdjMatrix::new(n);
                         let mut scratch = MarkScratch::new();
-                        for &i in part {
+                        for k in lo..(lo + chunk).min(len) {
                             deadline.check()?;
-                            mark_one_execution(g, vlog.cols.exec(i), &mut local, &mut scratch);
+                            mark_one_execution(g, vlog.cols.exec(list.get(k)), &mut local, &mut scratch);
                         }
                         let mut lm = MinerMetrics::new();
                         if S::ENABLED {

@@ -20,6 +20,21 @@ fn adversarial_log(n: usize, execs: usize) -> WorkflowLog {
     log
 }
 
+/// Like [`adversarial_log`], but execution `j` skips activity `i` when
+/// bit `i` of `j` is set, so no two executions share an activity set and
+/// the marking pass must reduce every one of them.
+fn distinct_set_log(n: usize, execs: usize) -> WorkflowLog {
+    let mut log = WorkflowLog::new();
+    for j in 0..execs {
+        let names: Vec<String> = (0..n)
+            .filter(|&i| i >= 64 || (j >> i) & 1 == 0)
+            .map(|i| format!("a{i}"))
+            .collect();
+        log.push_sequence(&names).unwrap();
+    }
+    log
+}
+
 fn deadline_options(deadline: Duration) -> MinerOptions {
     MinerOptions::default().with_limits(Limits {
         deadline: Some(deadline),
@@ -29,7 +44,7 @@ fn deadline_options(deadline: Duration) -> MinerOptions {
 
 #[test]
 fn deadline_fires_within_twice_the_budget() {
-    let log = adversarial_log(100, 10_000);
+    let log = distinct_set_log(150, 10_000);
     let deadline = Duration::from_millis(250);
     let started = Instant::now();
     let result = mine_general_dag(&log, &deadline_options(deadline));
@@ -75,7 +90,7 @@ fn deadline_bounds_reduction_dominated_special_mining() {
 
 #[test]
 fn deadline_fires_in_parallel_miner() {
-    let log = adversarial_log(100, 10_000);
+    let log = distinct_set_log(150, 10_000);
     let result = mine_general_dag_in(
         &mut MineSession::new().with_threads(4),
         &log,
@@ -92,10 +107,15 @@ fn deadline_fires_in_parallel_miner() {
 
 #[test]
 fn deadline_fires_in_cyclic_miner() {
-    // A repeated activity routes the log to Algorithm 3.
-    let names: Vec<String> = (0..60).map(|i| format!("a{}", i % 30)).collect();
+    // A repeated activity routes the log to Algorithm 3. Execution `j`
+    // skips the second occurrence of `a{i}` when bit `i` of `j` is set,
+    // so every execution has its own instance set.
     let mut log = WorkflowLog::new();
-    for _ in 0..10_000 {
+    for j in 0..20_000usize {
+        let names: Vec<String> = (0..60)
+            .filter(|&i| i < 30 || (j >> (i - 30)) & 1 == 0)
+            .map(|i| format!("a{}", i % 30))
+            .collect();
         log.push_sequence(&names).unwrap();
     }
     let result = mine_cyclic(&log, &deadline_options(Duration::from_millis(100)));
