@@ -38,13 +38,24 @@ fi
 echo "==> deprecation lane: retired ingestion/wrapper APIs, one Flowmark decoder"
 # Retired ingestion and wrapper APIs must not regrow: the contiguous
 # `ExecutionStream` reader (and its `ReopenedCase` error) behind the
-# removed `mine --stream`, and the `mine_general_dag_parallel` wrapper
-# over `MineSession::with_threads`.
-retired=$(grep -rnw --include='*.rs' -E 'ExecutionStream|ReopenedCase|mine_general_dag_parallel' \
+# removed `mine --stream`, the `mine_general_dag_parallel` wrapper
+# over `MineSession::with_threads`, the `WallStage` barrier timer
+# (`run_stage` frames fanned-out stages too), and the two env knobs
+# that overrode the parallel thresholds (tune the constants instead).
+retired=$(grep -rnw --include='*.rs' \
+  -E 'ExecutionStream|ReopenedCase|mine_general_dag_parallel|WallStage|PROCMINE_PARALLEL_MIN_VERTICES|PROCMINE_PARALLEL_XES_MIN_BYTES' \
   crates src tests || true)
 if [ -n "$retired" ]; then
   echo "retired APIs reappeared:" >&2
   echo "$retired" >&2
+  exit 1
+fi
+# Stage functions take the session, not its parts: no argument tuple
+# long enough to need clippy's `too_many_arguments` allowance.
+long_args=$(grep -rn --include='*.rs' 'too_many_arguments' crates/core/src || true)
+if [ -n "$long_args" ]; then
+  echo "crates/core/src regrew a too_many_arguments allowance (pass the session instead):" >&2
+  echo "$long_args" >&2
   exit 1
 fi
 # One Flowmark line decoder: `parse_event_line` is called only by
@@ -203,8 +214,8 @@ cargo run --release -q -p procmine-bench --bin perfsuite -- \
 # (the second run reprocesses a superset from scratch, so every counter
 # is deterministically >= the first scrape), then validate with the
 # in-repo checker: exposition shape (HELP/TYPE per family, no duplicate
-# series), counter monotonicity across the two scrapes, and the JSON
-# snapshot against its schema.
+# series, every counter family named `…_total`), counter monotonicity
+# across the two scrapes, and the JSON snapshot against its schema.
 echo "==> metrics lane: follow --metrics-every + exposition/schema validation"
 ./target/release/procmine generate --preset graph10 --executions 200 --seed 23 \
   -o "$smoke_dir/metrics.fm" >/dev/null

@@ -28,7 +28,7 @@ pub struct ClassifyMetrics {
     pub splits_evaluated: u64,
     /// Decision trees fitted.
     pub trees_fitted: u64,
-    /// Depth of the deepest fitted tree (merge takes the max).
+    /// Depth of the deepest fitted tree.
     pub max_tree_depth: u64,
     /// Nanoseconds spent learning end to end.
     pub learn_nanos: u64,
@@ -38,18 +38,6 @@ impl ClassifyMetrics {
     /// Fresh, all-zero metrics.
     pub fn new() -> Self {
         ClassifyMetrics::default()
-    }
-
-    /// Folds another metrics value into this one (counters add,
-    /// `max_tree_depth` takes the max).
-    pub fn merge(&mut self, other: &ClassifyMetrics) {
-        self.edges_considered += other.edges_considered;
-        self.edges_without_outputs += other.edges_without_outputs;
-        self.rows_extracted += other.rows_extracted;
-        self.splits_evaluated += other.splits_evaluated;
-        self.trees_fitted += other.trees_fitted;
-        self.max_tree_depth = self.max_tree_depth.max(other.max_tree_depth);
-        self.learn_nanos += other.learn_nanos;
     }
 
     /// The counters as `(name, value)` pairs in the stable reporting
@@ -171,19 +159,6 @@ mod tests {
                 "\"max_tree_depth\":6},\"timers_ns\":{\"learn\":7}}"
             )
         );
-    }
-
-    #[test]
-    fn merge_adds_counters_and_maxes_depth() {
-        let mut a = sample();
-        let mut b = sample();
-        b.max_tree_depth = 2;
-        a.merge(&b);
-        assert_eq!(a.edges_considered, 2);
-        assert_eq!(a.rows_extracted, 6);
-        assert_eq!(a.splits_evaluated, 8);
-        assert_eq!(a.learn_nanos, 14);
-        assert_eq!(a.max_tree_depth, 6, "depth merges by max, not sum");
     }
 
     #[test]

@@ -102,7 +102,8 @@ pub fn record_ingest(reg: &Registry, format: &str, bytes: u64, events: u64) {
 /// by extension) as a human-readable summary; with `--validate` it
 /// instead checks the file — exposition: HELP/TYPE present for every
 /// family, no duplicate series, counters monotone vs `--prev`; JSON:
-/// schema id, per-kind field shape, bucket/count consistency.
+/// schema id, per-kind field shape, bucket/count consistency; both:
+/// every counter family named `…_total`.
 pub fn report(argv: &[String]) -> CliResult {
     let p = parse(argv, &["prev", "trace"], &["validate"])?;
     let [path] = p.positional() else {
@@ -271,6 +272,9 @@ impl Snapshot {
             if !matches!(m.kind.as_str(), "counter" | "gauge" | "histogram") {
                 return Err(format!("metric `{}`: unknown type `{}`", m.name, m.kind));
             }
+            if m.kind == "counter" {
+                check_counter_name(&m.name)?;
+            }
             for s in &m.series {
                 if !seen.insert((m.name.clone(), s.labels.clone())) {
                     return Err(format!("duplicate series `{}{{{}}}`", m.name, s.labels));
@@ -422,9 +426,12 @@ impl ExpositionScrape {
                 return Err(format!("duplicate series `{name}{{{labels}}}`"));
             }
         }
-        for family in self.types.keys() {
+        for (family, kind) in &self.types {
             if !self.helps.contains(family) {
                 return Err(format!("family `{family}` has no HELP line"));
+            }
+            if kind == "counter" {
+                check_counter_name(family)?;
             }
         }
         Ok(())
@@ -463,6 +470,16 @@ impl ExpositionScrape {
             }
         }
         Ok(())
+    }
+}
+
+/// The Prometheus naming rule both checkers enforce: a counter family's
+/// name ends in `_total`.
+fn check_counter_name(name: &str) -> Result<(), String> {
+    if name.ends_with("_total") {
+        Ok(())
+    } else {
+        Err(format!("counter `{name}` does not end in `_total`"))
     }
 }
 
@@ -629,6 +646,35 @@ mod tests {
                    procmine_x_total 4\nprocmine_x_total 5\n";
         let scrape = ExpositionScrape::parse(dup).unwrap();
         assert!(scrape.validate().unwrap_err().contains("duplicate series"));
+    }
+
+    /// A registry holding one counter family without the `_total`
+    /// suffix.
+    fn unsuffixed_counter_registry() -> Registry {
+        let reg = Registry::new();
+        reg.counter("procmine_arena_bytes", "Bytes.", &[]).add(4);
+        reg
+    }
+
+    #[test]
+    fn exposition_checker_rejects_counter_without_total_suffix() {
+        let scrape =
+            ExpositionScrape::parse(&unsuffixed_counter_registry().render_prometheus()).unwrap();
+        let err = scrape.validate().unwrap_err();
+        assert!(
+            err.contains("procmine_arena_bytes") && err.contains("_total"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn json_checker_rejects_counter_without_total_suffix() {
+        let snap = Snapshot::parse(&unsuffixed_counter_registry().to_json()).unwrap();
+        let err = snap.validate().unwrap_err();
+        assert!(
+            err.contains("procmine_arena_bytes") && err.contains("_total"),
+            "{err}"
+        );
     }
 
     #[test]

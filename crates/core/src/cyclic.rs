@@ -15,7 +15,6 @@ use crate::general_dag::{mine_vertex_log, VertexLog};
 use crate::model::graph_skeleton;
 use crate::session::{run_stage, MineSession};
 use crate::telemetry::{MetricsSink, Stage};
-use crate::trace::Tracer;
 use crate::{MineError, MinedModel, MinerOptions};
 use procmine_graph::NodeId;
 use procmine_log::{EventColumns, WorkflowLog};
@@ -43,22 +42,12 @@ pub fn mine_cyclic_in<S: MetricsSink>(
     log: &WorkflowLog,
     options: &MinerOptions,
 ) -> Result<MinedModel, MineError> {
-    let deadline = session.run_deadline(&options.limits);
-    let threads = session.threads;
-    let MineSession {
-        sink,
-        tracer,
-        obs: reg,
-        limits,
-        ..
-    } = session;
-    let tracer: &Tracer = tracer;
-    let reg: &crate::obs::Registry = reg;
+    let deadline = options.limits.start_clock();
+    let tracer = session.tracer.clone();
     let _root = tracer.span_cat("mine.cyclic", "miner");
     if log.is_empty() {
         return Err(MineError::EmptyLog);
     }
-    limits.check_log(log)?;
     options.limits.check_log(log)?;
     let n = log.activities().len();
 
@@ -66,61 +55,52 @@ pub fn mine_cyclic_in<S: MetricsSink>(
     // Instance vertex space: activity a gets `max_occ[a]` consecutive
     // vertices starting at offset[a]. Lowering the log to instance
     // vertices (steps 1–3) is one pass.
-    let (cols, activity_of, total) =
-        run_stage(Stage::Lower, deadline, sink, tracer, reg, |_, _| {
-            let mut max_occ = vec![0usize; n];
-            for exec in log.executions() {
-                deadline.check()?;
-                let mut counts = vec![0usize; n];
-                for a in exec.sequence() {
-                    counts[a.index()] += 1;
-                    max_occ[a.index()] = max_occ[a.index()].max(counts[a.index()]);
-                }
+    let (cols, activity_of, total) = run_stage(session, Stage::Lower, deadline, |_, _| {
+        let mut max_occ = vec![0usize; n];
+        for exec in log.executions() {
+            deadline.check()?;
+            let mut counts = vec![0usize; n];
+            for a in exec.sequence() {
+                counts[a.index()] += 1;
+                max_occ[a.index()] = max_occ[a.index()].max(counts[a.index()]);
             }
-            let mut offset = vec![0usize; n + 1];
-            for a in 0..n {
-                offset[a + 1] = offset[a] + max_occ[a];
-            }
-            let total = offset[n];
-            // Reverse map: instance vertex -> activity.
-            let mut activity_of = vec![0usize; total];
-            for a in 0..n {
-                activity_of[offset[a]..offset[a + 1]].fill(a);
-            }
+        }
+        let mut offset = vec![0usize; n + 1];
+        for a in 0..n {
+            offset[a + 1] = offset[a] + max_occ[a];
+        }
+        let total = offset[n];
+        // Reverse map: instance vertex -> activity.
+        let mut activity_of = vec![0usize; total];
+        for a in 0..n {
+            activity_of[offset[a]..offset[a + 1]].fill(a);
+        }
 
-            let events = log.executions().iter().map(|e| e.len()).sum();
-            let mut cols = EventColumns::with_capacity(log.len(), events);
-            for e in log.executions() {
-                deadline.check()?;
-                let labeled = e.labeled_sequence();
-                cols.push_exec(e.instances().iter().zip(labeled).map(|(inst, (a, occ))| {
-                    (
-                        (offset[a.index()] + occ as usize) as u32,
-                        inst.start,
-                        inst.end,
-                    )
-                }));
-            }
-            Ok((cols, activity_of, total))
-        })?;
+        let events = log.executions().iter().map(|e| e.len()).sum();
+        let mut cols = EventColumns::with_capacity(log.len(), events);
+        for e in log.executions() {
+            deadline.check()?;
+            let labeled = e.labeled_sequence();
+            cols.push_exec(e.instances().iter().zip(labeled).map(|(inst, (a, occ))| {
+                (
+                    (offset[a.index()] + occ as usize) as u32,
+                    inst.start,
+                    inst.end,
+                )
+            }));
+        }
+        Ok((cols, activity_of, total))
+    })?;
     let vlog = VertexLog {
         n: total,
         cols: &cols,
     };
 
     // Steps 4–7: the shared pipeline.
-    let result = mine_vertex_log(
-        &vlog,
-        options.noise_threshold,
-        deadline,
-        threads,
-        sink,
-        tracer,
-        reg,
-    )?;
+    let result = mine_vertex_log(session, &vlog, options.noise_threshold, deadline)?;
 
     // Step 8: merge instance vertices back into activities.
-    run_stage(Stage::Assemble, deadline, sink, tracer, reg, |sink, _| {
+    run_stage(session, Stage::Assemble, deadline, |session, _| {
         let mut graph = graph_skeleton(log.activities());
         let mut support_acc = vec![0u32; n * n];
         for (x, y) in result.graph.edges() {
@@ -136,11 +116,14 @@ pub fn mine_cyclic_in<S: MetricsSink>(
             .map(|(u, v)| (u.index(), v.index(), support_acc[u.index() * n + v.index()]))
             .collect();
         if S::ENABLED {
-            // The pipeline recorded the instance-level edge count; the
+            // The pipeline credited the instance-level edge count; the
             // merge step can collapse several instance edges into one
-            // activity edge, so re-point `edges_final` at the model.
+            // activity edge, so swap that credit for the model's count.
+            let instance = result.graph.edge_count() as u64;
             let merged = support.len() as u64;
-            sink.record(|m| m.edges_final = merged);
+            session
+                .sink
+                .record(|m| m.edges_final = m.edges_final - instance + merged);
         }
         Ok(MinedModel::new(graph, support))
     })
@@ -235,6 +218,21 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn reused_metrics_accumulate_edges_final_across_runs() {
+        // Metrics accumulate across runs on one sink; the instance merge
+        // must swap its own run's credit, not overwrite earlier runs'.
+        let log = WorkflowLog::from_strings(["ABCBD", "ABCD", "ABCBCD"]).unwrap();
+        let mut metrics = crate::MinerMetrics::new();
+        let mut session = MineSession::new().with_sink(&mut metrics);
+        let model = mine_cyclic_in(&mut session, &log, &MinerOptions::default()).unwrap();
+        mine_cyclic_in(&mut session, &log, &MinerOptions::default()).unwrap();
+        drop(session);
+        assert_eq!(model.edge_count(), 5);
+        assert_eq!(metrics.executions_scanned, 6);
+        assert_eq!(metrics.edges_final, 10);
     }
 
     #[test]

@@ -41,10 +41,9 @@
 
 use crate::limits::Deadline;
 use crate::model::graph_skeleton;
-use crate::obs::Registry;
+use crate::parallel::{self, PARALLEL_GRAPH_MIN_VERTICES};
 use crate::session::{run_stage, MineSession};
 use crate::telemetry::{MetricsSink, Stage};
-use crate::trace::Tracer;
 use crate::{MineError, MinedModel, MinerOptions};
 use procmine_graph::{scc, words, AdjMatrix, Arena, ArenaStats, NodeId};
 use procmine_log::{EventColumns, ExecColumns, WorkflowLog};
@@ -75,24 +74,17 @@ pub(crate) struct VertexMineResult {
 
 /// Steps 2–7 of Algorithm 2 over an arbitrary vertex log. The
 /// `deadline` is re-checked once per execution in both heavy passes;
-/// `threads > 1` selects the parallel strategy for them.
+/// a session with `threads > 1` fans them out.
 pub(crate) fn mine_vertex_log<S: MetricsSink>(
+    session: &mut MineSession<S>,
     vlog: &VertexLog<'_>,
     threshold: u32,
     deadline: Deadline,
-    threads: usize,
-    sink: &mut S,
-    tracer: &Tracer,
-    reg: &Registry,
 ) -> Result<VertexMineResult, MineError> {
-    let obs = if threads > 1 {
-        crate::parallel::parallel_count(vlog, threads, deadline, sink, tracer, reg)?
-    } else {
-        run_stage(Stage::CountPairs, deadline, sink, tracer, reg, |sink, _| {
-            count_ordered_pairs(vlog, deadline, sink)
-        })?
-    };
-    finish_from_counts(vlog, obs, threshold, deadline, threads, sink, tracer, reg)
+    let obs = run_stage(session, Stage::CountPairs, deadline, |session, busy_ns| {
+        count_ordered_pairs(session, vlog, deadline, busy_ns)
+    })?;
+    finish_from_counts(session, vlog, obs, threshold, deadline)
 }
 
 /// Step-2 observation counts: `ordered[u*n+v]` executions where `u`
@@ -117,25 +109,31 @@ impl OrderObservations {
     }
 }
 
-/// The serial [`Stage::CountPairs`] body: one pass over the executions,
-/// re-checking the deadline per execution. Counter recording only — the
-/// stage runner (or the parallel strategy's workers) owns the span and
-/// stage timer.
-pub(crate) fn count_ordered_pairs<S: MetricsSink>(
+/// The [`Stage::CountPairs`] body: one pass over the executions,
+/// re-checking the deadline per execution — serially, or fanned out
+/// with [`parallel::count_pairs`] when the session has `threads > 1`.
+/// The counters are recorded here for both strategies.
+fn count_ordered_pairs<S: MetricsSink>(
+    session: &mut MineSession<S>,
     vlog: &VertexLog<'_>,
     deadline: Deadline,
-    sink: &mut S,
+    busy_ns: &mut Option<u64>,
 ) -> Result<OrderObservations, MineError> {
     let n = vlog.n;
-    let mut obs = OrderObservations::new(n);
-    for i in 0..vlog.cols.exec_count() {
-        deadline.check()?;
-        count_one_execution(n, vlog.cols.exec(i), &mut obs);
-    }
+    let obs = if session.threads > 1 {
+        parallel::count_pairs(session, vlog, deadline, busy_ns)?
+    } else {
+        let mut obs = OrderObservations::new(n);
+        for i in 0..vlog.cols.exec_count() {
+            deadline.check()?;
+            count_one_execution(n, vlog.cols.exec(i), &mut obs);
+        }
+        obs
+    };
     if S::ENABLED {
         let scanned = vlog.cols.exec_count() as u64;
         let pairs = pair_observations(vlog.cols);
-        sink.record(|m| {
+        session.sink.record(|m| {
             m.executions_scanned += scanned;
             m.pairs_counted += pairs;
         });
@@ -146,13 +144,7 @@ pub(crate) fn count_ordered_pairs<S: MetricsSink>(
 /// Pair observations step 2 makes over the whole columnar log:
 /// `k·(k−1)/2` per execution of length `k`.
 pub(crate) fn pair_observations(cols: &EventColumns) -> u64 {
-    pair_observations_range(cols, 0, cols.exec_count())
-}
-
-/// [`pair_observations`] restricted to executions `lo..hi` — the
-/// parallel counting workers report their own chunk's total.
-pub(crate) fn pair_observations_range(cols: &EventColumns, lo: usize, hi: usize) -> u64 {
-    cols.offsets()[lo..=hi]
+    cols.offsets()
         .windows(2)
         .map(|w| {
             let k = (w[1] - w[0]) as u64;
@@ -281,29 +273,27 @@ impl Default for MarkScratch {
 }
 
 /// Folds one marking pass's arena statistics into the session's sink
-/// and the registry's `procmine_arena_bytes` / `procmine_arena_resets`
-/// counters (satellite telemetry for the arena-backed scratch).
-pub(crate) fn record_arena_telemetry<S: MetricsSink>(
-    stats: &ArenaStats,
-    sink: &mut S,
-    reg: &Registry,
-) {
+/// and the registry's `procmine_arena_bytes_total` /
+/// `procmine_arena_resets_total` counters (satellite telemetry for the
+/// arena-backed scratch).
+fn record_arena_telemetry<S: MetricsSink>(session: &mut MineSession<S>, stats: &ArenaStats) {
     if S::ENABLED {
         let st = *stats;
-        sink.record(|m| {
+        session.sink.record(|m| {
             m.arena_bytes += st.bytes_allocated;
             m.arena_resets += st.resets;
             m.arena_high_water_bytes = m.arena_high_water_bytes.max(st.high_water_bytes);
         });
     }
+    let reg = &session.obs;
     reg.counter(
-        "procmine_arena_bytes",
+        "procmine_arena_bytes_total",
         "Bytes handed out by mining scratch arenas",
         &[],
     )
     .add(stats.bytes_allocated);
     reg.counter(
-        "procmine_arena_resets",
+        "procmine_arena_resets_total",
         "Mining scratch arena recycle events",
         &[],
     )
@@ -318,23 +308,19 @@ pub(crate) fn record_arena_telemetry<S: MetricsSink>(
 /// pathological followings graph cannot hide from `--deadline-ms`; with
 /// `threads > 1` and a large vertex count it fans out per weakly
 /// connected component.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn prune_graph<S: MetricsSink>(
+    session: &mut MineSession<S>,
     n: usize,
     obs: &OrderObservations,
     threshold: u32,
     deadline: Deadline,
-    threads: usize,
-    sink: &mut S,
-    tracer: &Tracer,
-    reg: &Registry,
 ) -> Result<AdjMatrix, MineError> {
-    let mut g = run_stage(Stage::Prune, deadline, sink, tracer, reg, |sink, _| {
+    let mut g = run_stage(session, Stage::Prune, deadline, |session, _| {
         if S::ENABLED {
             let before = (0..n * n)
                 .filter(|&i| i / n != i % n && obs.ordered[i] > 0)
                 .count() as u64;
-            sink.record(|m| m.edges_before_threshold += before);
+            session.sink.record(|m| m.edges_before_threshold += before);
         }
         let mut g = AdjMatrix::new(n);
         for u in 0..n {
@@ -351,7 +337,7 @@ pub(crate) fn prune_graph<S: MetricsSink>(
         g.remove_two_cycles();
         if S::ENABLED {
             let dissolved = ((thresholded - g.edge_count()) / 2) as u64;
-            sink.record(|m| {
+            session.sink.record(|m| {
                 m.edges_after_threshold += thresholded as u64;
                 m.two_cycles_dissolved += dissolved;
             });
@@ -359,11 +345,12 @@ pub(crate) fn prune_graph<S: MetricsSink>(
         Ok(g)
     })?;
 
-    run_stage(Stage::SccRemoval, deadline, sink, tracer, reg, |sink, _| {
+    run_stage(session, Stage::SccRemoval, deadline, |session, _| {
         let digraph = g.to_digraph(|_| ());
         let budget = deadline.budget();
         // The budgeted Tarjan's only failure mode is budget exhaustion.
-        let sccs = if threads > 1 && n >= crate::parallel::parallel_graph_min_vertices() {
+        let threads = session.threads;
+        let sccs = if threads > 1 && n >= PARALLEL_GRAPH_MIN_VERTICES {
             scc::tarjan_scc_parallel_budgeted(&digraph, threads, &budget)
         } else {
             scc::tarjan_scc_budgeted(&digraph, &budget)
@@ -381,7 +368,7 @@ pub(crate) fn prune_graph<S: MetricsSink>(
             }
         }
         if S::ENABLED {
-            sink.record(|m| m.scc_count += nontrivial);
+            session.sink.record(|m| m.scc_count += nontrivial);
         }
         Ok(())
     })?;
@@ -445,52 +432,51 @@ pub(crate) fn executions_to_mark(
 }
 
 /// Steps 3–7 of Algorithm 2, given precomputed step-2 counts.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_from_counts<S: MetricsSink>(
+    session: &mut MineSession<S>,
     vlog: &VertexLog<'_>,
     obs: OrderObservations,
     threshold: u32,
     deadline: Deadline,
-    threads: usize,
-    sink: &mut S,
-    tracer: &Tracer,
-    reg: &Registry,
 ) -> Result<VertexMineResult, MineError> {
     let n = vlog.n;
-    let mut g = prune_graph(n, &obs, threshold, deadline, threads, sink, tracer, reg)?;
+    let mut g = prune_graph(session, n, &obs, threshold, deadline)?;
     let counts = obs.ordered;
 
     // Steps 5–6: per-execution induced-subgraph transitive reduction;
     // keep only edges some reduction needs.
-    let marked = if threads > 1 {
-        crate::parallel::parallel_mark(vlog, &g, threshold, threads, deadline, sink, tracer, reg)?
-    } else {
-        run_stage(Stage::Reduce, deadline, sink, tracer, reg, |sink, _| {
+    let marked = run_stage(session, Stage::Reduce, deadline, |session, busy_ns| {
+        let list = executions_to_mark(vlog.cols, threshold, deadline)?;
+        let (marked, arena) = if session.threads > 1 {
+            parallel::mark(session, vlog, &g, &list, deadline, busy_ns)?
+        } else {
             let mut marked = AdjMatrix::new(n);
             let mut scratch = MarkScratch::new();
-            let list = executions_to_mark(vlog.cols, threshold, deadline)?;
             for k in 0..list.len() {
                 deadline.check()?;
                 mark_one_execution(&g, vlog.cols.exec(list.get(k)), &mut marked, &mut scratch);
             }
-            record_arena_telemetry(&scratch.arena_stats(), sink, reg);
-            Ok(marked)
-        })?
-    };
+            (marked, scratch.arena_stats())
+        };
+        record_arena_telemetry(session, &arena);
+        Ok(marked)
+    })?;
 
     // Step 6: drop edges no execution needed.
     let unmarked: Vec<(usize, usize)> =
         g.edges().filter(|&(u, v)| !marked.has_edge(u, v)).collect();
     if S::ENABLED {
         let dropped = unmarked.len() as u64;
-        sink.record(|m| m.edges_dropped_by_reduction += dropped);
+        session
+            .sink
+            .record(|m| m.edges_dropped_by_reduction += dropped);
     }
     for (u, v) in unmarked {
         g.remove_edge(u, v);
     }
     if S::ENABLED {
         let final_edges = g.edge_count() as u64;
-        sink.record(|m| m.edges_final += final_edges);
+        session.sink.record(|m| m.edges_final += final_edges);
     }
 
     Ok(VertexMineResult { graph: g, counts })
@@ -523,19 +509,10 @@ pub fn mine_general_dag_in<S: MetricsSink>(
     log: &WorkflowLog,
     options: &MinerOptions,
 ) -> Result<MinedModel, MineError> {
-    let deadline = session.run_deadline(&options.limits);
-    let threads = session.threads;
-    let MineSession {
-        sink,
-        tracer,
-        obs: reg,
-        limits,
-        ..
-    } = session;
-    let tracer: &Tracer = tracer;
-    let reg: &Registry = reg;
+    let deadline = options.limits.start_clock();
+    let tracer = session.tracer.clone();
     let _root = tracer.span_cat(
-        if threads > 1 {
+        if session.threads > 1 {
             "mine.parallel"
         } else {
             "mine.general"
@@ -545,7 +522,6 @@ pub fn mine_general_dag_in<S: MetricsSink>(
     if log.is_empty() {
         return Err(MineError::EmptyLog);
     }
-    limits.check_log(log)?;
     options.limits.check_log(log)?;
     for exec in log.executions() {
         deadline.check()?;
@@ -557,7 +533,7 @@ pub fn mine_general_dag_in<S: MetricsSink>(
     }
 
     let n = log.activities().len();
-    let cols = run_stage(Stage::Lower, deadline, sink, tracer, reg, |_, _| {
+    let cols = run_stage(session, Stage::Lower, deadline, |_, _| {
         let events = log.executions().iter().map(|e| e.len()).sum();
         let mut cols = EventColumns::with_capacity(log.len(), events);
         for e in log.executions() {
@@ -572,17 +548,9 @@ pub fn mine_general_dag_in<S: MetricsSink>(
     })?;
 
     let vlog = VertexLog { n, cols: &cols };
-    let result = mine_vertex_log(
-        &vlog,
-        options.noise_threshold,
-        deadline,
-        threads,
-        sink,
-        tracer,
-        reg,
-    )?;
+    let result = mine_vertex_log(session, &vlog, options.noise_threshold, deadline)?;
 
-    run_stage(Stage::Assemble, deadline, sink, tracer, reg, |_, _| {
+    run_stage(session, Stage::Assemble, deadline, |_, _| {
         let mut graph = graph_skeleton(log.activities());
         let mut support = Vec::with_capacity(result.graph.edge_count());
         for (u, v) in result.graph.edges() {
@@ -596,7 +564,6 @@ pub fn mine_general_dag_in<S: MetricsSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::NullSink;
 
     fn mine(strings: &[&str]) -> MinedModel {
         let log = WorkflowLog::from_strings(strings.iter().copied()).unwrap();
@@ -619,17 +586,7 @@ mod tests {
         }
         let deadline = Deadline::already_expired();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let err = prune_graph(
-            n,
-            &obs,
-            1,
-            deadline,
-            1,
-            &mut NullSink,
-            &Tracer::disabled(),
-            &Registry::disabled(),
-        )
-        .unwrap_err();
+        let err = prune_graph(&mut MineSession::new(), n, &obs, 1, deadline).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -766,22 +723,6 @@ mod tests {
         // The session run mines the same model as the plain one.
         let plain = mine_general_dag(&log, &MinerOptions::default()).unwrap();
         assert_eq!(plain.edges_named(), model.edges_named());
-    }
-
-    #[test]
-    fn session_limits_apply_alongside_option_limits() {
-        let log = WorkflowLog::from_strings(["ABCF", "ACDF"]).unwrap();
-        let mut session = MineSession::new().with_limits(crate::Limits {
-            max_events: Some(3),
-            ..crate::Limits::default()
-        });
-        assert!(matches!(
-            mine_general_dag_in(&mut session, &log, &MinerOptions::default()),
-            Err(MineError::LimitExceeded {
-                kind: crate::LimitKind::Events,
-                ..
-            })
-        ));
     }
 
     #[test]

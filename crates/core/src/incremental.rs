@@ -24,7 +24,6 @@ use crate::limits::LimitKind;
 use crate::model::graph_skeleton;
 use crate::session::{run_stage, MineSession};
 use crate::telemetry::{MetricsSink, Stage};
-use crate::trace::Tracer;
 use crate::{MineError, MinedModel, MinerOptions};
 use procmine_graph::NodeId;
 use procmine_log::{ActivityTable, EventColumns, Execution, WorkflowLog};
@@ -226,26 +225,17 @@ impl IncrementalMiner {
     /// pair totals are still reported so the counters describe the
     /// whole mining effort behind the snapshot.
     ///
-    /// The deadline (the sooner of the session's and
-    /// `options.limits.deadline`, the latter measured from this call)
-    /// starts *before* any work and is re-checked once per retained
-    /// execution during the marking pass (while keying executions by
-    /// activity set at T ≤ 1), so an expired deadline aborts the
-    /// snapshot promptly even on large histories.
+    /// The deadline (`options.limits.deadline`, measured from this
+    /// call) starts *before* any work and is re-checked once per
+    /// retained execution during the marking pass (while keying
+    /// executions by activity set at T ≤ 1), so an expired deadline
+    /// aborts the snapshot promptly even on large histories.
     pub fn model_in<S: MetricsSink>(
         &self,
         session: &mut MineSession<S>,
     ) -> Result<MinedModel, MineError> {
-        let deadline = session.run_deadline(&self.options.limits);
-        let threads = session.threads;
-        let MineSession {
-            sink,
-            tracer,
-            obs: reg,
-            ..
-        } = session;
-        let tracer: &Tracer = tracer;
-        let reg: &crate::obs::Registry = reg;
+        let deadline = self.options.limits.start_clock();
+        let tracer = session.tracer.clone();
         let _root = tracer.span_cat("mine.incremental", "miner");
         if self.execs.is_empty() {
             return Err(MineError::EmptyLog);
@@ -259,22 +249,19 @@ impl IncrementalMiner {
         if S::ENABLED {
             let scanned = self.execs.exec_count() as u64;
             let pairs = pair_observations(&self.execs);
-            sink.record(|m| {
+            session.sink.record(|m| {
                 m.executions_scanned += scanned;
                 m.pairs_counted += pairs;
             });
         }
         let result = finish_from_counts(
+            session,
             &vlog,
             self.obs.clone(),
             self.options.noise_threshold,
             deadline,
-            threads,
-            sink,
-            tracer,
-            reg,
         )?;
-        run_stage(Stage::Assemble, deadline, sink, tracer, reg, |_, _| {
+        run_stage(session, Stage::Assemble, deadline, |_, _| {
             let mut graph = graph_skeleton(&self.table);
             let mut support = Vec::with_capacity(result.graph.edge_count());
             for (u, v) in result.graph.edges() {
@@ -382,38 +369,29 @@ mod tests {
         // The snapshot deadline must start before any work and be
         // honored between retained executions, so even a large history
         // aborts on the first check rather than after a full pass.
-        let mut inc = IncrementalMiner::new(MinerOptions::default());
+        let mut inc = IncrementalMiner::new(MinerOptions::default().with_limits(Limits {
+            deadline: Some(Duration::ZERO),
+            ..Limits::default()
+        }));
         for i in 0..200 {
             let names: Vec<String> = (0..20).map(|a| format!("A{a}-{}", i % 3)).collect();
             inc.absorb_sequence(&names).unwrap();
         }
-        let mut session = MineSession::new().with_limits(Limits {
-            deadline: Some(Duration::ZERO),
-            ..Limits::default()
-        });
-        std::thread::sleep(Duration::from_millis(2));
-        let err = inc.model_in(&mut session).unwrap_err();
-        assert!(matches!(
-            err,
-            MineError::LimitExceeded {
-                kind: LimitKind::Deadline,
-                ..
-            }
-        ));
-
-        // An expired per-options deadline is honored the same way.
-        let mut tight = IncrementalMiner::new(MinerOptions::default().with_limits(Limits {
-            deadline: Some(Duration::ZERO),
-            ..Limits::default()
-        }));
-        tight.absorb_sequence(&["A", "B", "C"]).unwrap();
-        assert!(matches!(
-            tight.model(),
-            Err(MineError::LimitExceeded {
-                kind: LimitKind::Deadline,
-                ..
-            })
-        ));
+        for threads in [1, 2] {
+            let err = inc
+                .model_in(&mut MineSession::new().with_threads(threads))
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    MineError::LimitExceeded {
+                        kind: LimitKind::Deadline,
+                        ..
+                    }
+                ),
+                "threads={threads}: {err:?}"
+            );
+        }
     }
 
     #[test]

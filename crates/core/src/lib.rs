@@ -30,9 +30,9 @@
 //!
 //! Every miner also has a `*_in` form ([`mine_general_dag_in`] etc.)
 //! that runs inside a [`MineSession`] — the one place to configure
-//! metrics, tracing, resource limits, and the thread count for the
-//! parallelizable stages. See [`session`](MineSession) for the builder
-//! idiom.
+//! metrics, tracing, and the thread count for the parallelizable
+//! stages. See [`session`](MineSession) for the builder idiom. Resource
+//! limits travel in [`MinerOptions::limits`].
 //!
 //! # Example
 //!
@@ -93,5 +93,5 @@ pub use obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use online::{OnlineMiner, SnapshotPolicy};
 pub use session::MineSession;
 pub use special_dag::{mine_special_dag, mine_special_dag_in};
-pub use telemetry::{ConformanceMetrics, MetricsSink, MinerMetrics, NullSink, Stage, WallStage};
+pub use telemetry::{ConformanceMetrics, MetricsSink, MinerMetrics, NullSink, Stage};
 pub use trace::{SpanGuard, SpanRecord, TraceBuffer, Tracer};

@@ -129,16 +129,6 @@ impl Deadline {
         Deadline(Some(Instant::now()))
     }
 
-    /// The earlier of two deadlines: a [`MineSession`](crate::MineSession)
-    /// deadline combined with the per-run clock started from
-    /// [`Limits::deadline`] — whichever fires first wins.
-    pub(crate) fn earliest(self, other: Deadline) -> Deadline {
-        Deadline(match (self.0, other.0) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        })
-    }
-
     /// The same deadline as a [`procmine_graph::Budget`], for the
     /// budgeted graph algorithms (transitive reduction, Tarjan SCC).
     pub(crate) fn budget(self) -> procmine_graph::Budget {
@@ -239,24 +229,6 @@ mod tests {
             }) => assert!(details.contains("exec-1"), "details: {details}"),
             other => panic!("expected ExecutionLength, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn earliest_prefers_the_sooner_deadline() {
-        assert!(Deadline::unlimited()
-            .earliest(Deadline::unlimited())
-            .check()
-            .is_ok());
-        // An expired deadline dominates an unlimited one, whichever side
-        // it sits on.
-        let soon = Deadline::already_expired();
-        let late = Deadline(Some(Instant::now() + Duration::from_secs(3600)));
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(soon.earliest(Deadline::unlimited()).check().is_err());
-        assert!(Deadline::unlimited().earliest(soon).check().is_err());
-        // Between two set deadlines the sooner one wins.
-        assert!(late.earliest(soon).check().is_err());
-        assert!(late.earliest(late).check().is_ok());
     }
 
     #[test]

@@ -2,18 +2,19 @@
 //! two heavy passes — ordered-pair counting (step 2) and per-execution
 //! transitive-reduction marking (step 5) — are embarrassingly parallel
 //! over executions; this module fans them out over scoped threads with
-//! per-thread accumulators merged at the join barriers, reusing the
+//! per-thread accumulators folded at the join barrier, reusing the
 //! serial per-execution bodies ([`count_one_execution`] /
 //! [`mark_one_execution`]) so there is exactly one implementation of
 //! each stage's work.
 //!
-//! A [`MineSession`](crate::MineSession) with `threads > 1` routes the
-//! counting and marking stages through [`parallel_count`] /
-//! [`parallel_mark`]; the SCC and global-transitive-reduction stages
-//! additionally switch to the graph crate's parallel algorithms once
-//! the vertex count reaches [`PARALLEL_GRAPH_MIN_VERTICES`]. The
-//! results are identical to the serial strategy for any thread count —
-//! counts merge by addition, marks by union, both order-independent.
+//! A [`MineSession`] with `threads > 1` runs the counting and marking
+//! stage bodies through [`count_pairs`] / [`mark`], inside the same
+//! [`run_stage`](crate::session::run_stage) frame as the serial
+//! bodies; the SCC and global-transitive-reduction stages additionally
+//! switch to the graph crate's parallel algorithms once the vertex
+//! count reaches [`PARALLEL_GRAPH_MIN_VERTICES`]. The results are
+//! identical to the serial strategy for any thread count — counts merge
+//! by addition, marks by union, both order-independent.
 //!
 //! The paper's cost model has `m ≫ n`, so both passes are linear in the
 //! number of executions; at the Table 1 scale (10 000 executions) the
@@ -21,230 +22,158 @@
 //! binary).
 
 use crate::general_dag::{
-    count_one_execution, executions_to_mark, mark_one_execution, pair_observations_range,
-    record_arena_telemetry, MarkScratch, OrderObservations, VertexLog,
+    count_one_execution, mark_one_execution, MarkList, MarkScratch, OrderObservations, VertexLog,
 };
 use crate::limits::Deadline;
-use crate::obs::Registry;
-use crate::telemetry::{stage_end, stage_start, MetricsSink, MinerMetrics, Stage, WallStage};
-use crate::trace::Tracer;
+use crate::session::MineSession;
+use crate::telemetry::MetricsSink;
 use crate::MineError;
-use procmine_graph::AdjMatrix;
+use procmine_graph::{AdjMatrix, ArenaStats};
+use std::ops::Range;
+use std::time::Instant;
 
 /// Vertex count below which the graph-level parallel algorithms
 /// (per-component SCC, row-parallel transitive reduction) are not worth
 /// their spawn overhead; smaller graphs keep the serial bodies even in
-/// a multi-threaded session. Overridable at run time through the
-/// `PROCMINE_PARALLEL_MIN_VERTICES` environment variable (see
-/// [`parallel_graph_min_vertices`]), so the threshold can be tuned
-/// against real workloads without a rebuild.
+/// a multi-threaded session. Tune it by editing this constant.
 pub(crate) const PARALLEL_GRAPH_MIN_VERTICES: usize = 256;
 
-/// The effective graph-parallelism threshold: the
-/// `PROCMINE_PARALLEL_MIN_VERTICES` override when set and valid (a
-/// positive integer), [`PARALLEL_GRAPH_MIN_VERTICES`] otherwise. Read
-/// once per process; an invalid value warns on stderr and keeps the
-/// default rather than silently changing strategy.
-pub(crate) fn parallel_graph_min_vertices() -> usize {
-    static THRESHOLD: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        let raw = std::env::var("PROCMINE_PARALLEL_MIN_VERTICES").ok();
-        match parse_threshold_override(raw.as_deref(), PARALLEL_GRAPH_MIN_VERTICES) {
-            Ok(v) => v,
-            Err(bad) => {
-                eprintln!(
-                    "warning: ignoring PROCMINE_PARALLEL_MIN_VERTICES=`{bad}` \
-                     (expected a positive integer); using {PARALLEL_GRAPH_MIN_VERTICES}"
-                );
-                PARALLEL_GRAPH_MIN_VERTICES
-            }
-        }
-    })
-}
-
-/// Validates one threshold override: `None` keeps the default, a
-/// positive integer replaces it, anything else is returned as the
-/// offending string. Pure, so tests cover the validation without
-/// mutating process environment (env reads race across parallel
-/// tests).
-pub(crate) fn parse_threshold_override(raw: Option<&str>, default: usize) -> Result<usize, String> {
-    match raw {
-        None => Ok(default),
-        Some(s) => match s.trim().parse::<usize>() {
-            Ok(v) if v > 0 => Ok(v),
-            _ => Err(s.to_string()),
-        },
-    }
-}
-
-/// Merges per-worker results at a join barrier: every handle is joined
-/// even after an error so no worker outlives the scope; a worker panic
-/// is re-raised as-is, and the first worker error wins.
-fn join_workers<'scope, T, S: MetricsSink>(
-    handles: Vec<std::thread::ScopedJoinHandle<'scope, Result<(T, MinerMetrics), MineError>>>,
-    sink: &mut S,
-    mut fold: impl FnMut(T),
+/// Splits `0..len` into one contiguous chunk per session thread and
+/// runs `work` on each chunk on a scoped worker, inside a `worker_span`
+/// span on the worker's own trace lane (see [`Tracer::worker`]). Each
+/// worker returns its partial result and, when the sink records, its
+/// busy nanoseconds; partials are folded with `fold` in chunk order and
+/// the summed busy time is stored in `busy_ns` for the stage frame.
+///
+/// Every worker is joined even after an error, so none outlives the
+/// scope; a worker panic is re-raised as-is, and the first worker error
+/// wins.
+///
+/// [`Tracer::worker`]: crate::Tracer::worker
+fn fan_out<S: MetricsSink, P: Send>(
+    session: &MineSession<S>,
+    len: usize,
+    worker_span: &'static str,
+    busy_ns: &mut Option<u64>,
+    work: impl Fn(Range<usize>) -> Result<P, MineError> + Sync,
+    mut fold: impl FnMut(P),
 ) -> Result<(), MineError> {
+    let chunk = len.div_ceil(session.threads).max(1);
+    let tracer = &session.tracer;
+    let work = &work;
+    let mut busy = 0;
     let mut first_err = None;
-    for h in handles {
-        let (local, lm) = match h.join() {
-            Err(payload) => std::panic::resume_unwind(payload),
-            Ok(Err(e)) => {
-                first_err.get_or_insert(e);
-                continue;
-            }
-            Ok(Ok(parts)) => parts,
-        };
-        fold(local);
-        if S::ENABLED {
-            sink.record(|m| m.merge(&lm));
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
-/// The parallel [`Stage::CountPairs`] strategy: per-thread count
-/// matrices built by the serial [`count_one_execution`] body, merged by
-/// addition at the join barrier. Each worker accumulates its own
-/// [`MinerMetrics`] (the sink itself never crosses a thread boundary)
-/// and records its span into a private per-thread trace buffer (its own
-/// lane — see [`Tracer::worker`]), flushed at the join. A [`WallStage`]
-/// timer around the barrier records elapsed wall time, so CPU-ns /
-/// wall-ns per stage is the parallel efficiency.
-pub(crate) fn parallel_count<S: MetricsSink>(
-    vlog: &VertexLog<'_>,
-    threads: usize,
-    deadline: Deadline,
-    sink: &mut S,
-    tracer: &Tracer,
-    reg: &Registry,
-) -> Result<OrderObservations, MineError> {
-    let _span = tracer.span_cat(Stage::CountPairs.span_name(), "miner");
-    deadline.check()?;
-    let reg_started = reg.start();
-    let vlog = *vlog;
-    let n = vlog.n;
-    let m_execs = vlog.cols.exec_count();
-    let chunk = m_execs.div_ceil(threads).max(1);
-    let wall = WallStage::start::<S>(Stage::CountPairs);
-    let mut total = OrderObservations::new(n);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..m_execs)
+        let handles: Vec<_> = (0..len)
             .step_by(chunk)
             .map(|lo| {
-                let hi = (lo + chunk).min(m_execs);
-                scope.spawn(
-                    move || -> Result<(OrderObservations, MinerMetrics), MineError> {
-                        let buf = tracer.worker();
-                        let _span = buf.span_cat("count_pairs.worker", "miner");
-                        let started = stage_start::<S>();
-                        let mut local = OrderObservations::new(n);
-                        for i in lo..hi {
-                            deadline.check()?;
-                            count_one_execution(n, vlog.cols.exec(i), &mut local);
-                        }
-                        let mut lm = MinerMetrics::new();
-                        if S::ENABLED {
-                            lm.executions_scanned = (hi - lo) as u64;
-                            lm.pairs_counted = pair_observations_range(vlog.cols, lo, hi);
-                            stage_end(&mut lm, Stage::CountPairs, started);
-                        }
-                        Ok((local, lm))
-                    },
-                )
+                scope.spawn(move || {
+                    let lane = tracer.worker();
+                    let _span = lane.span_cat(worker_span, "miner");
+                    let started = S::ENABLED.then(Instant::now);
+                    let part = work(lo..(lo + chunk).min(len))?;
+                    Ok((part, started.map_or(0, |t| t.elapsed().as_nanos() as u64)))
+                })
             })
             .collect();
-        join_workers(handles, sink, |local: OrderObservations| {
+        for h in handles {
+            match h.join() {
+                Err(payload) => std::panic::resume_unwind(payload),
+                Ok(Err(e)) => {
+                    first_err.get_or_insert(e);
+                }
+                Ok(Ok((part, nanos))) => {
+                    fold(part);
+                    busy += nanos;
+                }
+            }
+        }
+    });
+    *busy_ns = Some(busy);
+    first_err.map_or(Ok(()), Err)
+}
+
+/// The fanned-out [`Stage::CountPairs`](crate::Stage::CountPairs) body:
+/// per-worker count matrices built by the serial [`count_one_execution`]
+/// body, merged by addition.
+pub(crate) fn count_pairs<S: MetricsSink>(
+    session: &MineSession<S>,
+    vlog: &VertexLog<'_>,
+    deadline: Deadline,
+    busy_ns: &mut Option<u64>,
+) -> Result<OrderObservations, MineError> {
+    let VertexLog { n, cols } = *vlog;
+    let mut total = OrderObservations::new(n);
+    fan_out(
+        session,
+        cols.exec_count(),
+        "count_pairs.worker",
+        busy_ns,
+        |execs| {
+            let mut local = OrderObservations::new(n);
+            for i in execs {
+                deadline.check()?;
+                count_one_execution(n, cols.exec(i), &mut local);
+            }
+            Ok(local)
+        },
+        |local| {
             for (t, l) in total.ordered.iter_mut().zip(local.ordered) {
                 *t += l;
             }
             for (t, l) in total.overlap.iter_mut().zip(local.overlap) {
                 *t += l;
             }
-        })
-    })?;
-    wall.finish(sink);
-    reg.stage_latency(Stage::CountPairs)
-        .observe_since(reg_started);
+        },
+    )?;
     Ok(total)
 }
 
-/// The parallel [`Stage::Reduce`] strategy: the executions chosen by
-/// [`executions_to_mark`] are chunked over workers, each building a
-/// marked matrix with the serial [`mark_one_execution`] body; the
-/// matrices merge by union at the join barrier. Worker telemetry and
-/// tracing mirror [`parallel_count`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn parallel_mark<S: MetricsSink>(
+/// The fanned-out [`Stage::Reduce`](crate::Stage::Reduce) body: the
+/// executions in `list` are chunked over workers, each building a
+/// marked matrix with the serial [`mark_one_execution`] body in its own
+/// scratch arena; the matrices merge by union and the arena statistics
+/// by [`ArenaStats::merge`].
+pub(crate) fn mark<S: MetricsSink>(
+    session: &MineSession<S>,
     vlog: &VertexLog<'_>,
     g: &AdjMatrix,
-    threshold: u32,
-    threads: usize,
+    list: &MarkList,
     deadline: Deadline,
-    sink: &mut S,
-    tracer: &Tracer,
-    reg: &Registry,
-) -> Result<AdjMatrix, MineError> {
-    let _span = tracer.span_cat(Stage::Reduce.span_name(), "miner");
-    deadline.check()?;
-    let reg_started = reg.start();
-    let vlog = *vlog;
-    let n = vlog.n;
-    let wall = WallStage::start::<S>(Stage::Reduce);
-    let list = &executions_to_mark(vlog.cols, threshold, deadline)?;
-    let len = list.len();
-    let chunk = len.div_ceil(threads).max(1);
+    busy_ns: &mut Option<u64>,
+) -> Result<(AdjMatrix, ArenaStats), MineError> {
+    let VertexLog { n, cols } = *vlog;
     let mut total = AdjMatrix::new(n);
-    let mut arena_total = procmine_graph::ArenaStats::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..len)
-            .step_by(chunk)
-            .map(|lo| {
-                scope.spawn(
-                    move || -> Result<((AdjMatrix, procmine_graph::ArenaStats), MinerMetrics), MineError> {
-                        let buf = tracer.worker();
-                        let _span = buf.span_cat("transitive_reduction.worker", "miner");
-                        let started = stage_start::<S>();
-                        let mut local = AdjMatrix::new(n);
-                        let mut scratch = MarkScratch::new();
-                        for k in lo..(lo + chunk).min(len) {
-                            deadline.check()?;
-                            mark_one_execution(g, vlog.cols.exec(list.get(k)), &mut local, &mut scratch);
-                        }
-                        let mut lm = MinerMetrics::new();
-                        if S::ENABLED {
-                            stage_end(&mut lm, Stage::Reduce, started);
-                        }
-                        Ok(((local, scratch.arena_stats()), lm))
-                    },
-                )
-            })
-            .collect();
-        join_workers(
-            handles,
-            sink,
-            |(local, stats): (AdjMatrix, procmine_graph::ArenaStats)| {
-                for (u, v) in local.edges() {
-                    total.add_edge(u, v);
-                }
-                arena_total.merge(&stats);
-            },
-        )
-    })?;
-    record_arena_telemetry(&arena_total, sink, reg);
-    wall.finish(sink);
-    reg.stage_latency(Stage::Reduce).observe_since(reg_started);
-    Ok(total)
+    let mut arena = ArenaStats::default();
+    fan_out(
+        session,
+        list.len(),
+        "transitive_reduction.worker",
+        busy_ns,
+        |keys| {
+            let mut local = AdjMatrix::new(n);
+            let mut scratch = MarkScratch::new();
+            for k in keys {
+                deadline.check()?;
+                mark_one_execution(g, cols.exec(list.get(k)), &mut local, &mut scratch);
+            }
+            Ok((local, scratch.arena_stats()))
+        },
+        |(local, stats)| {
+            for (u, v) in local.edges() {
+                total.add_edge(u, v);
+            }
+            arena.merge(&stats);
+        },
+    )?;
+    Ok((total, arena))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::general_dag::mine_general_dag_in;
-    use crate::session::MineSession;
+    use crate::telemetry::{MinerMetrics, Stage};
     use crate::{mine_general_dag, MinerOptions};
     use procmine_log::WorkflowLog;
 
@@ -379,30 +308,6 @@ mod tests {
         assert_eq!(m.wall_nanos(Stage::Prune), 0);
         assert_eq!(m.wall_nanos(Stage::SccRemoval), 0);
         assert_eq!(m.wall_nanos(Stage::Assemble), 0);
-    }
-
-    #[test]
-    fn threshold_override_parses_and_validates() {
-        // Pure validation — no env mutation (racy across parallel
-        // tests); `parallel_graph_min_vertices` is just a cached read
-        // of this through the process environment.
-        assert_eq!(parse_threshold_override(None, 256), Ok(256));
-        assert_eq!(parse_threshold_override(Some("64"), 256), Ok(64));
-        assert_eq!(parse_threshold_override(Some(" 1024 "), 256), Ok(1024));
-        assert_eq!(
-            parse_threshold_override(Some("0"), 256),
-            Err("0".to_string()),
-            "zero would disable the serial fallback entirely"
-        );
-        assert_eq!(
-            parse_threshold_override(Some("-3"), 256),
-            Err("-3".to_string())
-        );
-        assert_eq!(
-            parse_threshold_override(Some("lots"), 256),
-            Err("lots".to_string())
-        );
-        assert!(parallel_graph_min_vertices() > 0);
     }
 
     #[test]

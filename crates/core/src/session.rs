@@ -1,5 +1,5 @@
 //! The mining session: one place to carry *how* a pipeline run should
-//! execute — metrics sink, tracer, resource limits, and thread count —
+//! execute — metrics sink, tracer, metrics registry, and thread count —
 //! so the miners themselves only describe *what* each stage computes.
 //!
 //! A [`MineSession`] is the single way to configure instrumentation
@@ -30,22 +30,21 @@
 //! keep their serial bodies — the parallel miner is a per-stage
 //! strategy, not a fork of the pipeline.
 //!
-//! Deadlines compose: a session-level deadline (started when
-//! [`with_limits`](MineSession::with_limits) is called) and the
-//! per-run clock started from `options.limits.deadline` at miner entry
-//! are combined with [`Deadline::earliest`] — whichever fires first
-//! aborts the run.
+//! Resource limits are not session state: each run starts its deadline
+//! from `options.limits` ([`MinerOptions`](crate::MinerOptions)) at
+//! miner entry.
 
 use crate::limits::Deadline;
 use crate::obs::Registry;
-use crate::telemetry::{stage_end, stage_start, MetricsSink, NullSink, Stage};
+use crate::telemetry::{MetricsSink, NullSink, Stage};
 use crate::trace::Tracer;
-use crate::{Limits, MineError};
+use crate::MineError;
+use std::time::Instant;
 
-/// A configured pipeline run: metrics sink, tracer, limits with a
-/// started deadline, and thread count. See the [module docs](self) for
-/// the builder idiom; `S` defaults to [`NullSink`], so
-/// `MineSession::new()` is the fully disabled (zero-cost) session.
+/// A configured pipeline run: metrics sink, tracer, registry, and
+/// thread count. See the [module docs](self) for the builder idiom; `S`
+/// defaults to [`NullSink`], so `MineSession::new()` is the fully
+/// disabled (zero-cost) session.
 ///
 /// The sink is held by value. To record into caller-owned metrics,
 /// pass a mutable reference — `&mut M` is itself a
@@ -55,21 +54,17 @@ pub struct MineSession<S = NullSink> {
     pub(crate) sink: S,
     pub(crate) tracer: Tracer,
     pub(crate) obs: Registry,
-    pub(crate) limits: Limits,
-    pub(crate) deadline: Deadline,
     pub(crate) threads: usize,
 }
 
 impl MineSession<NullSink> {
-    /// A fully disabled session: no metrics, no tracing, no limits,
-    /// serial execution. The convenience miners use this internally.
+    /// A fully disabled session: no metrics, no tracing, serial
+    /// execution. The convenience miners use this internally.
     pub fn new() -> Self {
         MineSession {
             sink: NullSink,
             tracer: Tracer::disabled(),
             obs: Registry::disabled(),
-            limits: Limits::default(),
-            deadline: Limits::default().start_clock(),
             threads: 1,
         }
     }
@@ -89,8 +84,6 @@ impl<S> MineSession<S> {
             sink,
             tracer: self.tracer,
             obs: self.obs,
-            limits: self.limits,
-            deadline: self.deadline,
             threads: self.threads,
         }
     }
@@ -108,16 +101,6 @@ impl<S> MineSession<S> {
     /// `procmine_stage_latency_ns{stage=…}`.
     pub fn with_obs(mut self, obs: Registry) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Replaces the resource limits and (re)starts the session
-    /// deadline from `limits.deadline`, measured from this call. Runs
-    /// additionally honor `options.limits` per miner call — the sooner
-    /// of the two deadlines wins.
-    pub fn with_limits(mut self, limits: Limits) -> Self {
-        self.deadline = limits.start_clock();
-        self.limits = limits;
         self
     }
 
@@ -140,11 +123,6 @@ impl<S> MineSession<S> {
         &self.obs
     }
 
-    /// The session's resource limits.
-    pub fn limits(&self) -> &Limits {
-        &self.limits
-    }
-
     /// The configured thread count (at least 1).
     pub fn threads(&self) -> usize {
         self.threads
@@ -156,37 +134,45 @@ impl<S> MineSession<S> {
     pub fn handles(&mut self) -> (&mut S, &Tracer) {
         (&mut self.sink, &self.tracer)
     }
-
-    /// The deadline governing a run started now: the sooner of the
-    /// session deadline and a fresh clock from `options_limits`.
-    pub(crate) fn run_deadline(&self, options_limits: &Limits) -> Deadline {
-        self.deadline.earliest(options_limits.start_clock())
-    }
 }
 
-/// Runs one pipeline stage as a named, traced, metered, budgeted unit:
-/// opens a `miner`-category span named [`Stage::span_name`], checks the
-/// deadline once at entry, credits the body's elapsed CPU time to the
-/// stage's [`MinerMetrics`](crate::MinerMetrics) timer, and samples
-/// the wall latency into the registry's per-stage histogram. Stage
-/// bodies that loop over executions re-check the deadline themselves,
-/// once per execution.
+/// Runs one pipeline stage as a named, traced, metered, budgeted unit —
+/// the one place a stage is framed, serial or fanned out. It opens a
+/// `miner`-category span named [`Stage::span_name`], checks the
+/// deadline once at entry, and times the body with one clock pair, read
+/// only when the sink or the registry records. That elapsed time is
+/// sampled into the registry's per-stage latency histogram and credited
+/// to the stage's [`MinerMetrics`](crate::MinerMetrics) timer.
+///
+/// A body that fans out over workers stores their summed busy
+/// nanoseconds in its `busy_ns` argument. The stage then credits that
+/// busy time to `stage_nanos` and the elapsed time, which spans the
+/// join barrier, to `wall_nanos`. Stage bodies that loop over
+/// executions re-check the deadline themselves, once per execution.
 pub(crate) fn run_stage<S: MetricsSink, T>(
+    session: &mut MineSession<S>,
     stage: Stage,
     deadline: Deadline,
-    sink: &mut S,
-    tracer: &Tracer,
-    obs: &Registry,
-    body: impl FnOnce(&mut S, &Tracer) -> Result<T, MineError>,
+    body: impl FnOnce(&mut MineSession<S>, &mut Option<u64>) -> Result<T, MineError>,
 ) -> Result<T, MineError> {
+    // The span borrows its tracer for the whole body, which needs the
+    // session mutably; a clone shares the span store.
+    let tracer = session.tracer.clone();
     let _span = tracer.span_cat(stage.span_name(), "miner");
     deadline.check()?;
-    let started = stage_start::<S>();
-    let obs_started = obs.start();
-    let out = body(sink, tracer)?;
-    stage_end(sink, stage, started);
-    if obs_started.is_some() {
-        obs.stage_latency(stage).observe_since(obs_started);
+    let started = (S::ENABLED || session.obs.is_enabled()).then(Instant::now);
+    let mut busy_ns = None;
+    let out = body(session, &mut busy_ns)?;
+    if let Some(started) = started {
+        let elapsed = started.elapsed().as_nanos() as u64;
+        session.obs.stage_latency(stage).observe(elapsed);
+        session.sink.record(|m| match busy_ns {
+            None => m.add_stage_nanos(stage, elapsed),
+            Some(busy) => {
+                m.add_stage_nanos(stage, busy);
+                m.add_wall_nanos(stage, elapsed);
+            }
+        });
     }
     Ok(out)
 }
@@ -201,9 +187,8 @@ mod tests {
     fn default_session_is_disabled_and_serial() {
         let session = MineSession::new();
         assert!(!session.tracer().is_enabled());
+        assert!(!session.obs().is_enabled());
         assert_eq!(session.threads(), 1);
-        assert_eq!(session.limits(), &Limits::default());
-        assert!(session.run_deadline(&Limits::default()).check().is_ok());
     }
 
     #[test]
@@ -213,13 +198,8 @@ mod tests {
         let mut session = MineSession::new()
             .with_threads(4)
             .with_tracer(tracer.clone())
-            .with_limits(Limits {
-                max_events: Some(10),
-                ..Limits::default()
-            })
             .with_sink(&mut metrics);
         assert_eq!(session.threads(), 4);
-        assert_eq!(session.limits().max_events, Some(10));
         let (sink, tracer_ref) = session.handles();
         assert!(tracer_ref.is_enabled());
         sink.record(|m| m.edges_final += 1);
@@ -233,43 +213,21 @@ mod tests {
     }
 
     #[test]
-    fn session_deadline_combines_with_run_limits() {
-        let session = MineSession::new().with_limits(Limits {
-            deadline: Some(Duration::ZERO),
-            ..Limits::default()
-        });
-        std::thread::sleep(Duration::from_millis(2));
-        // The expired session deadline dominates unlimited run limits.
-        assert!(session.run_deadline(&Limits::default()).check().is_err());
-
-        let roomy = MineSession::new();
-        let tight = Limits {
-            deadline: Some(Duration::ZERO),
-            ..Limits::default()
-        };
-        let deadline = roomy.run_deadline(&tight);
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(deadline.check().is_err());
-    }
-
-    #[test]
     fn run_stage_times_and_traces_the_body() {
         let mut metrics = MinerMetrics::new();
         let tracer = Tracer::new();
-        let out = run_stage(
-            Stage::Prune,
-            Deadline::unlimited(),
-            &mut metrics,
-            &tracer,
-            &Registry::disabled(),
-            |sink, _| {
-                sink.record(|m| m.edges_final += 7);
-                Ok(7u32)
-            },
-        )
+        let mut session = MineSession::new()
+            .with_tracer(tracer.clone())
+            .with_sink(&mut metrics);
+        let out = run_stage(&mut session, Stage::Prune, Deadline::unlimited(), |s, _| {
+            s.sink.record(|m| m.edges_final += 7);
+            Ok(7u32)
+        })
         .unwrap();
+        drop(session);
         assert_eq!(out, 7);
         assert_eq!(metrics.edges_final, 7);
+        assert_eq!(metrics.wall_nanos(Stage::Prune), 0, "serial: no barrier");
         let records = tracer.records();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].name, "prune");
@@ -277,14 +235,44 @@ mod tests {
     }
 
     #[test]
-    fn run_stage_samples_the_registry_histogram() {
+    fn fanned_out_body_splits_busy_and_barrier_time() {
+        let mut metrics = MinerMetrics::new();
         let obs = Registry::new();
+        let mut session = MineSession::new()
+            .with_obs(obs.clone())
+            .with_sink(&mut metrics);
         run_stage(
+            &mut session,
             Stage::Reduce,
             Deadline::unlimited(),
-            &mut NullSink,
-            &Tracer::disabled(),
-            &obs,
+            |_, busy_ns| {
+                std::thread::sleep(Duration::from_millis(1));
+                *busy_ns = Some(42);
+                Ok(())
+            },
+        )
+        .unwrap();
+        drop(session);
+        assert_eq!(
+            metrics.stage_nanos(Stage::Reduce),
+            42,
+            "busy time is CPU time"
+        );
+        let wall = metrics.wall_nanos(Stage::Reduce);
+        assert!(wall >= 1_000_000, "barrier time spans the body: {wall}");
+        // The registry samples the same elapsed time, once.
+        let snap = obs.stage_latency(Stage::Reduce).snapshot();
+        assert_eq!((snap.count, snap.sum), (1, wall));
+    }
+
+    #[test]
+    fn run_stage_samples_the_registry_histogram() {
+        let obs = Registry::new();
+        let mut session = MineSession::new().with_obs(obs.clone());
+        run_stage(
+            &mut session,
+            Stage::Reduce,
+            Deadline::unlimited(),
             |_, _| Ok(()),
         )
         .unwrap();
@@ -310,11 +298,9 @@ mod tests {
         let deadline = Deadline::already_expired();
         std::thread::sleep(Duration::from_millis(2));
         let err = run_stage(
+            &mut MineSession::new(),
             Stage::CountPairs,
             deadline,
-            &mut NullSink,
-            &Tracer::disabled(),
-            &Registry::disabled(),
             |_, _| Ok(()),
         )
         .unwrap_err();

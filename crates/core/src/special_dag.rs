@@ -14,9 +14,9 @@
 
 use crate::limits::Deadline;
 use crate::model::graph_skeleton;
+use crate::parallel::PARALLEL_GRAPH_MIN_VERTICES;
 use crate::session::{run_stage, MineSession};
 use crate::telemetry::{MetricsSink, Stage};
-use crate::trace::Tracer;
 use crate::{MineError, MinedModel, MinerOptions};
 use procmine_graph::reduction::{
     transitive_reduction_matrix_budgeted, transitive_reduction_matrix_parallel_budgeted,
@@ -55,22 +55,12 @@ pub fn mine_special_dag_in<S: MetricsSink>(
     log: &WorkflowLog,
     options: &MinerOptions,
 ) -> Result<MinedModel, MineError> {
-    let deadline = session.run_deadline(&options.limits);
-    let threads = session.threads;
-    let MineSession {
-        sink,
-        tracer,
-        obs: reg,
-        limits,
-        ..
-    } = session;
-    let tracer: &Tracer = tracer;
-    let reg: &crate::obs::Registry = reg;
+    let deadline = options.limits.start_clock();
+    let tracer = session.tracer.clone();
     let _root = tracer.span_cat("mine.special", "miner");
     if log.is_empty() {
         return Err(MineError::EmptyLog);
     }
-    limits.check_log(log)?;
     options.limits.check_log(log)?;
     let n = log.activities().len();
     for exec in log.executions() {
@@ -91,7 +81,7 @@ pub fn mine_special_dag_in<S: MetricsSink>(
     // occurs once per execution, so each execution contributes at most
     // 1 per pair. An overlap is independence evidence (§2) and prunes
     // the pair like a two-cycle.
-    let obs = run_stage(Stage::CountPairs, deadline, sink, tracer, reg, |sink, _| {
+    let obs = run_stage(session, Stage::CountPairs, deadline, |session, _| {
         let mut obs = crate::general_dag::OrderObservations::new(n);
         // Columnar scratch reused across executions: Algorithm 1 lowers
         // while counting, so one execution's columns live here at a
@@ -120,7 +110,7 @@ pub fn mine_special_dag_in<S: MetricsSink>(
             let scanned = log.len() as u64;
             // Every execution contains all n activities exactly once.
             let pairs = scanned * (n as u64 * (n as u64).saturating_sub(1) / 2);
-            sink.record(|m| {
+            session.sink.record(|m| {
                 m.executions_scanned += scanned;
                 m.pairs_counted += pairs;
             });
@@ -130,12 +120,12 @@ pub fn mine_special_dag_in<S: MetricsSink>(
     let counts = obs.ordered.clone();
 
     // Threshold (T = 1 keeps everything) and step 3: drop two-cycles.
-    let m = run_stage(Stage::Prune, deadline, sink, tracer, reg, |sink, _| {
+    let m = run_stage(session, Stage::Prune, deadline, |session, _| {
         if S::ENABLED {
             let before = (0..n * n)
                 .filter(|&i| i / n != i % n && obs.ordered[i] > 0)
                 .count() as u64;
-            sink.record(|m| m.edges_before_threshold += before);
+            session.sink.record(|m| m.edges_before_threshold += before);
         }
         let mut m = AdjMatrix::new(n);
         for u in 0..n {
@@ -153,7 +143,7 @@ pub fn mine_special_dag_in<S: MetricsSink>(
         m.remove_two_cycles();
         if S::ENABLED {
             let dissolved = ((thresholded - m.edge_count()) / 2) as u64;
-            sink.record(|met| {
+            session.sink.record(|met| {
                 met.edges_after_threshold += thresholded as u64;
                 met.two_cycles_dissolved += dissolved;
             });
@@ -164,9 +154,10 @@ pub fn mine_special_dag_in<S: MetricsSink>(
     // Step 4: transitive reduction (unique for a DAG), under the
     // deadline's wall-clock budget; row-parallel for large graphs in a
     // multi-threaded session.
-    let reduced = run_stage(Stage::Reduce, deadline, sink, tracer, reg, |sink, _| {
+    let reduced = run_stage(session, Stage::Reduce, deadline, |session, _| {
         let budget = deadline.budget();
-        let reduced = if threads > 1 && n >= crate::parallel::parallel_graph_min_vertices() {
+        let threads = session.threads;
+        let reduced = if threads > 1 && n >= PARALLEL_GRAPH_MIN_VERTICES {
             transitive_reduction_matrix_parallel_budgeted(&m, threads, &budget)
         } else {
             transitive_reduction_matrix_budgeted(&m, &budget)
@@ -178,7 +169,7 @@ pub fn mine_special_dag_in<S: MetricsSink>(
         if S::ENABLED {
             let dropped = (m.edge_count() - reduced.edge_count()) as u64;
             let final_edges = reduced.edge_count() as u64;
-            sink.record(|met| {
+            session.sink.record(|met| {
                 met.edges_dropped_by_reduction += dropped;
                 met.edges_final += final_edges;
             });
@@ -186,7 +177,7 @@ pub fn mine_special_dag_in<S: MetricsSink>(
         Ok(reduced)
     })?;
 
-    run_stage(Stage::Assemble, deadline, sink, tracer, reg, |_, _| {
+    run_stage(session, Stage::Assemble, deadline, |_, _| {
         let mut graph = graph_skeleton(log.activities());
         let mut support = Vec::with_capacity(reduced.edge_count());
         for (u, v) in reduced.edges() {

@@ -10,11 +10,11 @@
 //! to the same code as before the telemetry layer existed. A session
 //! built `with_sink(&mut MinerMetrics)` collects:
 //!
-//! * per-thread CPU nanoseconds per pipeline [`Stage`] (summed across
-//!   threads in the parallel miner);
-//! * wall-clock nanoseconds per stage, recorded by [`WallStage`]
-//!   timers at the parallel miner's fan-out/join barriers — the ratio
-//!   CPU-ns / wall-ns per stage is the stage's parallel efficiency;
+//! * CPU nanoseconds per pipeline [`Stage`] (for a fanned-out stage,
+//!   its workers' busy time summed across threads);
+//! * wall-clock nanoseconds per fanned-out stage, measured across its
+//!   fan-out/join barrier — the ratio CPU-ns / wall-ns per stage is the
+//!   stage's parallel efficiency;
 //! * the counters of [`MinerMetrics`] — executions scanned, pairs
 //!   counted, edge populations before/after the noise threshold,
 //!   two-cycles dissolved, nontrivial SCCs dissolved, edges dropped by
@@ -35,7 +35,6 @@
 //! this one); the CLI merges both reports.
 
 use std::fmt;
-use std::time::Instant;
 
 /// The pipeline stages timed by the session-based miners.
 ///
@@ -104,16 +103,14 @@ impl Stage {
 /// Counters and stage timings collected by one mining run.
 ///
 /// Counters accumulate: reusing one `MinerMetrics` across several runs
-/// (as the CLI's streaming mode does per snapshot) sums them, and
-/// [`merge`](Self::merge) folds per-thread metrics together the same
-/// way.
+/// (as the CLI's streaming mode does per snapshot) sums them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MinerMetrics {
     /// CPU nanoseconds per stage, indexed by `Stage as usize` (summed
-    /// across threads in the parallel miner).
+    /// across worker threads for a fanned-out stage).
     stage_nanos: [u64; Stage::COUNT],
-    /// Wall-clock nanoseconds per stage, recorded by [`WallStage`]
-    /// barrier timers. Zero for stages no barrier timed.
+    /// Wall-clock nanoseconds per stage, measured across the fan-out/join
+    /// barrier of a fanned-out stage. Zero for serial stages.
     wall_nanos: [u64; Stage::COUNT],
     /// Executions scanned by the step-2 counting pass.
     pub executions_scanned: u64,
@@ -134,8 +131,8 @@ pub struct MinerMetrics {
     /// Edges dropped because no execution's transitive reduction needed
     /// them (step 6), or by Algorithm 1's global reduction.
     pub edges_dropped_by_reduction: u64,
-    /// Edges in the final mined graph (vertex-level, before the cyclic
-    /// miner's instance merge).
+    /// Edges in the final mined model (for the cyclic miner, after
+    /// its instance merge).
     pub edges_final: u64,
     /// Bytes handed out by the marking pass's scratch arenas (cumulative
     /// across executions and threads; see `procmine_graph::arena`).
@@ -165,40 +162,15 @@ impl MinerMetrics {
         self.stage_nanos[stage as usize]
     }
 
-    /// Adds `nanos` to a stage's wall-clock timer (see [`WallStage`]).
+    /// Adds `nanos` to a stage's wall-clock (barrier) timer.
     pub fn add_wall_nanos(&mut self, stage: Stage, nanos: u64) {
         self.wall_nanos[stage as usize] += nanos;
     }
 
-    /// Wall-clock nanoseconds accumulated for a stage (zero if no
-    /// barrier timer ran for it).
+    /// Wall-clock nanoseconds accumulated for a stage (zero for a
+    /// stage that never fanned out).
     pub fn wall_nanos(&self, stage: Stage) -> u64 {
         self.wall_nanos[stage as usize]
-    }
-
-    /// Folds another metrics value into this one (all counters and
-    /// timers add). Used to merge per-thread metrics at the parallel
-    /// miner's join barriers.
-    pub fn merge(&mut self, other: &MinerMetrics) {
-        for (t, o) in self.stage_nanos.iter_mut().zip(other.stage_nanos) {
-            *t += o;
-        }
-        for (t, o) in self.wall_nanos.iter_mut().zip(other.wall_nanos) {
-            *t += o;
-        }
-        self.executions_scanned += other.executions_scanned;
-        self.pairs_counted += other.pairs_counted;
-        self.edges_before_threshold += other.edges_before_threshold;
-        self.edges_after_threshold += other.edges_after_threshold;
-        self.two_cycles_dissolved += other.two_cycles_dissolved;
-        self.scc_count += other.scc_count;
-        self.edges_dropped_by_reduction += other.edges_dropped_by_reduction;
-        self.edges_final += other.edges_final;
-        self.arena_bytes += other.arena_bytes;
-        self.arena_resets += other.arena_resets;
-        self.arena_high_water_bytes = self
-            .arena_high_water_bytes
-            .max(other.arena_high_water_bytes);
     }
 
     /// The counters as `(name, value)` pairs in the stable reporting
@@ -380,40 +352,6 @@ impl MetricsSink for MinerMetrics {
     }
 }
 
-/// A wall-clock timer for one stage across a parallel fan-out/join
-/// barrier.
-///
-/// Start it on the coordinating thread before spawning workers and
-/// finish it after the join; the elapsed wall time is credited to the
-/// stage's [`MinerMetrics::wall_nanos`], alongside the per-thread CPU
-/// time the workers record themselves. With at least two busy workers
-/// the stage's wall time is below its summed CPU time; the ratio is the
-/// stage's parallel efficiency.
-#[must_use = "a started WallStage must be finished to record anything"]
-pub struct WallStage {
-    stage: Stage,
-    started: Option<Instant>,
-}
-
-impl WallStage {
-    /// Starts a wall timer for `stage`; free when `S` is disabled.
-    pub fn start<S: MetricsSink>(stage: Stage) -> WallStage {
-        WallStage {
-            stage,
-            started: S::ENABLED.then(Instant::now),
-        }
-    }
-
-    /// Stops the timer, crediting the elapsed wall nanoseconds.
-    pub fn finish<S: MetricsSink>(self, sink: &mut S) {
-        if let Some(started) = self.started {
-            let nanos = started.elapsed().as_nanos() as u64;
-            let stage = self.stage;
-            sink.record(move |m| m.add_wall_nanos(stage, nanos));
-        }
-    }
-}
-
 /// Counters and timers collected by one conformance-checking run (see
 /// [`crate::conformance`]): executions checked, violations by variant,
 /// and the Definition-7 closure/SCC analysis times. Fields accumulate,
@@ -454,43 +392,6 @@ impl ConformanceMetrics {
     /// Fresh, all-zero metrics.
     pub fn new() -> Self {
         ConformanceMetrics::default()
-    }
-
-    /// Folds another metrics value into this one (everything adds).
-    pub fn merge(&mut self, other: &ConformanceMetrics) {
-        for (t, o) in [
-            (&mut self.executions_checked, other.executions_checked),
-            (&mut self.consistent_executions, other.consistent_executions),
-            (
-                &mut self.violations_unknown_activity,
-                other.violations_unknown_activity,
-            ),
-            (
-                &mut self.violations_not_connected,
-                other.violations_not_connected,
-            ),
-            (
-                &mut self.violations_wrong_initiating,
-                other.violations_wrong_initiating,
-            ),
-            (
-                &mut self.violations_wrong_terminating,
-                other.violations_wrong_terminating,
-            ),
-            (
-                &mut self.violations_unreachable,
-                other.violations_unreachable,
-            ),
-            (&mut self.violations_dependency, other.violations_dependency),
-            (&mut self.missing_dependencies, other.missing_dependencies),
-            (&mut self.spurious_dependencies, other.spurious_dependencies),
-            (&mut self.unknown_activities, other.unknown_activities),
-            (&mut self.closure_nanos, other.closure_nanos),
-            (&mut self.scc_nanos, other.scc_nanos),
-            (&mut self.check_nanos, other.check_nanos),
-        ] {
-            *t += o;
-        }
     }
 
     /// The counters as `(name, value)` pairs in the stable reporting
@@ -571,21 +472,6 @@ impl MetricsSink<ConformanceMetrics> for ConformanceMetrics {
 
     fn record(&mut self, update: impl FnOnce(&mut ConformanceMetrics)) {
         update(self);
-    }
-}
-
-/// Starts a stage timer if the sink is enabled (monomorphizes to `None`
-/// for [`NullSink`]).
-pub(crate) fn stage_start<S: MetricsSink>() -> Option<Instant> {
-    S::ENABLED.then(Instant::now)
-}
-
-/// Closes a stage timer opened by [`stage_start`], crediting the
-/// elapsed nanoseconds to `stage`.
-pub(crate) fn stage_end<S: MetricsSink>(sink: &mut S, stage: Stage, started: Option<Instant>) {
-    if let Some(started) = started {
-        let nanos = started.elapsed().as_nanos() as u64;
-        sink.record(|m| m.add_stage_nanos(stage, nanos));
     }
 }
 
@@ -689,27 +575,10 @@ mod tests {
              \"scc\":13,\
              \"execution_checks\":14}}"
         );
-        let mut twice = m.clone();
-        twice.merge(&m);
-        assert_eq!(twice.executions_checked, 2);
-        assert_eq!(twice.unknown_activities, 22);
-        assert_eq!(twice.check_nanos, 28);
         let table = m.render_table();
         for (name, _) in m.counters() {
             assert!(table.contains(name), "missing counter {name}");
         }
-    }
-
-    #[test]
-    fn merge_adds_everything() {
-        let mut a = sample();
-        a.merge(&sample());
-        assert_eq!(a.stage_nanos(Stage::Lower), 20);
-        assert_eq!(a.stage_nanos(Stage::Assemble), 100);
-        assert_eq!(a.wall_nanos(Stage::CountPairs), 22);
-        assert_eq!(a.wall_nanos(Stage::Reduce), 24);
-        assert_eq!(a.executions_scanned, 2);
-        assert_eq!(a.edges_final, 16);
     }
 
     #[test]
@@ -726,31 +595,10 @@ mod tests {
     const _: () = assert!(<ConformanceMetrics as MetricsSink<ConformanceMetrics>>::ENABLED);
 
     #[test]
-    fn wall_stage_records_elapsed_time() {
-        let mut m = MinerMetrics::new();
-        let wall = WallStage::start::<MinerMetrics>(Stage::CountPairs);
-        wall.finish(&mut m);
-        // Elapsed time is monotonic, possibly zero on coarse clocks —
-        // the credit itself must land on the right stage.
-        let _ = m.wall_nanos(Stage::CountPairs);
-        assert_eq!(m.wall_nanos(Stage::Reduce), 0);
-    }
-
-    #[test]
-    fn wall_stage_is_inert_for_null_sink() {
-        let mut sink = NullSink;
-        let wall = WallStage::start::<NullSink>(Stage::Reduce);
-        assert!(wall.started.is_none(), "no clock read when disabled");
-        wall.finish(&mut sink);
-    }
-
-    #[test]
     fn null_sink_records_nothing() {
         let mut sink = NullSink;
         sink.record(|m: &mut MinerMetrics| m.edges_final += 1);
         sink.record(|m: &mut ConformanceMetrics| m.executions_checked += 1);
-        // And timers never even start.
-        assert!(stage_start::<NullSink>().is_none());
     }
 
     #[test]
@@ -758,12 +606,6 @@ mod tests {
         let mut m = MinerMetrics::new();
         m.record(|m| m.edges_final += 3);
         assert_eq!(m.edges_final, 3);
-        let started = stage_start::<MinerMetrics>();
-        assert!(started.is_some());
-        stage_end(&mut m, Stage::Prune, started);
-        // Elapsed time is monotonic, possibly zero on coarse clocks —
-        // just assert it was credited without panicking.
-        let _ = m.stage_nanos(Stage::Prune);
     }
 
     #[test]

@@ -625,49 +625,12 @@ pub fn read_log_with<R: BufRead>(
 
 /// Minimum input size for the chunked parallel decode. Below this the
 /// serial parser wins: spawning scoped threads costs tens of
-/// microseconds, which dwarfs the parse itself.
+/// microseconds, which dwarfs the parse itself. Tune it by editing this
+/// constant.
 pub const PARALLEL_XES_MIN_BYTES: usize = 64 * 1024;
 
-/// The effective parallel-decode threshold:
-/// [`PARALLEL_XES_MIN_BYTES`] unless the `PROCMINE_PARALLEL_XES_MIN_BYTES`
-/// environment variable overrides it with a positive integer. Invalid
-/// values warn once on stderr and keep the default — tuning knobs must
-/// never turn a working pipeline into a failing one. Read once and
-/// cached for the process lifetime.
-pub fn parallel_xes_min_bytes() -> usize {
-    static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHED.get_or_init(|| {
-        let raw = std::env::var("PROCMINE_PARALLEL_XES_MIN_BYTES").ok();
-        match parse_env_threshold(raw.as_deref(), PARALLEL_XES_MIN_BYTES) {
-            Ok(v) => v,
-            Err(bad) => {
-                eprintln!(
-                    "warning: ignoring PROCMINE_PARALLEL_XES_MIN_BYTES={bad:?}: \
-                     expected a positive integer; keeping {PARALLEL_XES_MIN_BYTES}"
-                );
-                PARALLEL_XES_MIN_BYTES
-            }
-        }
-    })
-}
-
-/// Pure parse of a threshold override: `None` (unset) yields `default`,
-/// a positive integer its value, anything else the offending string.
-/// Split from the env read so validation is unit-testable without
-/// mutating process environment (env mutation races across parallel
-/// tests).
-fn parse_env_threshold(raw: Option<&str>, default: usize) -> Result<usize, String> {
-    let Some(raw) = raw else { return Ok(default) };
-    let trimmed = raw.trim();
-    match trimmed.parse::<usize>() {
-        Ok(v) if v > 0 => Ok(v),
-        _ => Err(raw.to_string()),
-    }
-}
-
 /// [`read_log_with`] with a chunked parallel decode. With `threads > 1`
-/// and at least [`PARALLEL_XES_MIN_BYTES`] of input (overridable via
-/// the `PROCMINE_PARALLEL_XES_MIN_BYTES` environment variable) the document is
+/// and at least [`PARALLEL_XES_MIN_BYTES`] of input the document is
 /// split at top-level `<trace` boundaries and chunks are parsed on
 /// scoped threads. The fast path engages only when every chunk parses
 /// cleanly and no parser state crosses a chunk boundary; otherwise the
@@ -685,7 +648,7 @@ pub fn read_log_with_threads<R: BufRead>(
         reader,
         policy,
         threads,
-        parallel_xes_min_bytes(),
+        PARALLEL_XES_MIN_BYTES,
         stats,
         report,
     )
@@ -1588,18 +1551,5 @@ mod tests {
         assert_eq!(stats.bytes_read, buf.len() as u64);
         assert_eq!(stats.events_parsed, 8, "4 instantaneous events per trace");
         assert_eq!(stats.executions_parsed, back.len() as u64);
-    }
-
-    #[test]
-    fn env_threshold_override_parses_and_validates() {
-        let d = PARALLEL_XES_MIN_BYTES;
-        assert_eq!(parse_env_threshold(None, d), Ok(d));
-        assert_eq!(parse_env_threshold(Some("4096"), d), Ok(4096));
-        assert_eq!(parse_env_threshold(Some("  8192 "), d), Ok(8192));
-        assert_eq!(parse_env_threshold(Some("1"), d), Ok(1));
-        assert_eq!(parse_env_threshold(Some("0"), d), Err("0".to_string()));
-        assert_eq!(parse_env_threshold(Some("-5"), d), Err("-5".to_string()));
-        assert_eq!(parse_env_threshold(Some("64k"), d), Err("64k".to_string()));
-        assert_eq!(parse_env_threshold(Some(""), d), Err(String::new()));
     }
 }

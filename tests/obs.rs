@@ -68,16 +68,34 @@ fn every_miner_populates_stage_latency_histograms() {
     run("auto", &|s| {
         mine_auto_in(s, &log, &options).unwrap();
     });
-    run("parallel", &|s| {
-        // The parallel strategy routes through the same session
-        // pipeline when the session carries a thread count.
-        mine_general_dag_in(s, &log, &options).unwrap();
-    });
     run("incremental", &|s| {
         let mut inc = IncrementalMiner::new(options.clone());
         inc.absorb_log(&log).unwrap();
         inc.model_in(s).unwrap();
     });
+}
+
+#[test]
+fn each_stage_is_sampled_once_per_run_serial_or_fanned_out() {
+    // The general miner runs all six stages once. Fanned out over two
+    // threads, count_pairs and reduce run inside the same stage frame
+    // as the serial bodies, so they too are sampled exactly once.
+    let log = example_log();
+    for threads in [1, 2] {
+        let reg = Registry::new();
+        let mut session = MineSession::new()
+            .with_obs(reg.clone())
+            .with_threads(threads);
+        mine_general_dag_in(&mut session, &log, &MinerOptions::default()).unwrap();
+        for stage in ALL_STAGES {
+            assert_eq!(
+                reg.stage_latency(stage).snapshot().count,
+                1,
+                "threads={threads}: stage {}",
+                stage.name()
+            );
+        }
+    }
 }
 
 #[test]
