@@ -40,10 +40,12 @@ echo "==> deprecation lane: retired ingestion/wrapper APIs, one Flowmark decoder
 # `ExecutionStream` reader (and its `ReopenedCase` error) behind the
 # removed `mine --stream`, the `mine_general_dag_parallel` wrapper
 # over `MineSession::with_threads`, the `WallStage` barrier timer
-# (`run_stage` frames fanned-out stages too), and the two env knobs
-# that overrode the parallel thresholds (tune the constants instead).
+# (`run_stage` frames fanned-out stages too), the two env knobs
+# that overrode the parallel thresholds (tune the constants instead),
+# and `locate_diagnostic`, which guessed a diagnostic's record by
+# kind, activity and time (`assemble_case` returns the exact index).
 retired=$(grep -rnw --include='*.rs' \
-  -E 'ExecutionStream|ReopenedCase|mine_general_dag_parallel|WallStage|PROCMINE_PARALLEL_MIN_VERTICES|PROCMINE_PARALLEL_XES_MIN_BYTES' \
+  -E 'ExecutionStream|ReopenedCase|mine_general_dag_parallel|WallStage|PROCMINE_PARALLEL_MIN_VERTICES|PROCMINE_PARALLEL_XES_MIN_BYTES|locate_diagnostic' \
   crates src tests || true)
 if [ -n "$retired" ]; then
   echo "retired APIs reappeared:" >&2
@@ -86,12 +88,17 @@ CARGO_TARGET_DIR="$PWD/target" cargo test -q \
   --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
 # Benchmark output lane: one-second untraced runs of the two wide
-# workloads through the release binary. The harness checks every
-# invocation's edges against `core::reference`, which marks every
-# execution, so this checks set-keyed marking end to end at T = 1 on
-# logs whose executions all share one activity set.
-echo "==> benchmark output lane: follow-wide and batch-wide match the reference"
-for workload in follow-wide batch-wide; do
+# workloads and follow-narrow through the release binary. The harness
+# checks every invocation's edges against `core::reference`, which
+# marks every execution, so this checks set-keyed marking end to end at
+# T = 1 on logs whose executions all share one activity set.
+# follow-narrow is the only workload whose case assembler evicts (each
+# of its ~79 000 evictions must be balanced) and that saves
+# checkpoints: the harness fails an invocation on any incomplete
+# eviction, and on a final checkpoint that `FollowCheckpoint::load`
+# (which verifies the CRC) refuses.
+echo "==> benchmark output lane: follow-wide, batch-wide and follow-narrow match the reference"
+for workload in follow-wide batch-wide follow-narrow; do
   result=$(bash crates/bench/src/bin/benchmark/run.sh \
     --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
   if ! grep -q '"correct":true' <<<"$result" || ! grep -q '"failed":0[,}]' <<<"$result"; then

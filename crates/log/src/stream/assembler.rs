@@ -30,7 +30,7 @@
 
 use super::checkpoint::{self, CheckpointError, WireError, WireReader, WireWriter};
 use super::{Observer, SourceLocation, StreamError, StreamSink};
-use crate::validate::{assemble_executions_with, locate_diagnostic, AssemblyPolicy};
+use crate::validate::{assemble_case, AssemblyPolicy, CaseWork};
 use crate::{ActivityTable, EventRecord, IngestReport};
 use std::collections::HashMap;
 
@@ -60,14 +60,23 @@ impl Default for AssemblerConfig {
     }
 }
 
-/// Buffered state of one open case.
+/// End of the recency list.
+const NIL: usize = usize::MAX;
+
+/// Buffered state of one open case: a slot of the assembler's slab,
+/// linked into the recency list while the case is open.
 struct OpenCase {
+    /// Buffered events, in arrival order (empty while the slot is free).
     records: Vec<EventRecord>,
     locations: Vec<SourceLocation>,
     /// Sequence number of the first event (flush order at finish).
     opened: u64,
     /// Sequence number of the latest event (LRU eviction order).
     last_touch: u64,
+    /// Neighbouring slot touched less recently, or `NIL`.
+    prev: usize,
+    /// Neighbouring slot touched more recently, or `NIL`.
+    next: usize,
 }
 
 /// One open case as exported into a checkpoint.
@@ -172,11 +181,24 @@ impl AssemblerState {
 /// Keyed open-case map turning an interleaved event stream into
 /// completed executions for an [`Observer`]. See the module docs for
 /// the state machine and eviction policy.
+///
+/// Open cases live in a slab of slots, found by case id through
+/// `index` and threaded oldest-to-newest touch on a doubly linked
+/// recency list, so touching a case and evicting the least recently
+/// touched one are both O(1).
 pub struct CaseAssembler<O: Observer> {
     config: AssemblerConfig,
     observer: O,
     table: ActivityTable,
-    open: HashMap<String, OpenCase>,
+    /// Open case id → its slot in `slots`.
+    index: HashMap<String, usize>,
+    slots: Vec<OpenCase>,
+    /// Slots not holding an open case (their buffers keep capacity).
+    free: Vec<usize>,
+    /// Least and most recently touched open cases, or `NIL`.
+    lru: usize,
+    mru: usize,
+    work: CaseWork,
     /// Logical clock: one tick per event, orders `opened`/`last_touch`.
     clock: u64,
     executions_emitted: u64,
@@ -192,7 +214,12 @@ impl<O: Observer> CaseAssembler<O> {
             config,
             observer,
             table: ActivityTable::new(),
-            open: HashMap::new(),
+            index: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            lru: NIL,
+            mru: NIL,
+            work: CaseWork::default(),
             clock: 0,
             executions_emitted: 0,
             report: IngestReport::default(),
@@ -209,7 +236,7 @@ impl<O: Observer> CaseAssembler<O> {
     /// Cases currently buffered — always `<= max_open_cases` when the
     /// bound is set (the eviction test pins this).
     pub fn open_cases(&self) -> usize {
-        self.open.len()
+        self.index.len()
     }
 
     /// Executions delivered to the observer so far.
@@ -243,18 +270,19 @@ impl<O: Observer> CaseAssembler<O> {
 
     /// Exports the full resumable state: activity table, open cases
     /// with their logical clocks, and the accumulated report. Open
-    /// cases are sorted by `opened` so the encoding is deterministic
-    /// regardless of hash-map iteration order.
+    /// cases are sorted by `opened` so the encoding is deterministic.
     pub fn export_state(&self) -> AssemblerState {
         let mut open: Vec<OpenCaseState> = self
-            .open
-            .iter()
-            .map(|(name, c)| OpenCaseState {
-                case: name.clone(),
-                records: c.records.clone(),
-                locations: c.locations.clone(),
-                opened: c.opened,
-                last_touch: c.last_touch,
+            .open_slots()
+            .map(|slot| {
+                let c = &self.slots[slot];
+                OpenCaseState {
+                    case: c.records[0].process.clone(),
+                    records: c.records.clone(),
+                    locations: c.locations.clone(),
+                    opened: c.opened,
+                    last_touch: c.last_touch,
+                }
             })
             .collect();
         open.sort_by_key(|c| c.opened);
@@ -271,9 +299,10 @@ impl<O: Observer> CaseAssembler<O> {
     /// delivering future executions to `observer`. The restored
     /// assembler replays exactly like the original: same activity-id
     /// assignment, same LRU eviction order, same finish flush order.
-    /// Structural inconsistencies (length mismatches, clock
-    /// violations, duplicate names) are rejected — a checkpoint that
-    /// fails them is corrupt even if its checksum matched.
+    /// Structural inconsistencies (length mismatches, events filed
+    /// under another case, clock violations, two cases sharing a tick,
+    /// duplicate names) are rejected — a checkpoint that fails them is
+    /// corrupt even if its checksum matched.
     pub fn resume(
         config: AssemblerConfig,
         observer: O,
@@ -288,7 +317,8 @@ impl<O: Observer> CaseAssembler<O> {
                 state.activities.len()
             )));
         }
-        let mut open = HashMap::with_capacity(state.open.len());
+        let mut index = HashMap::with_capacity(state.open.len());
+        let mut slots = Vec::with_capacity(state.open.len());
         for case in state.open {
             if case.records.len() != case.locations.len() {
                 return Err(invalid(format!(
@@ -301,113 +331,212 @@ impl<O: Observer> CaseAssembler<O> {
             if case.records.is_empty() {
                 return Err(invalid(format!("open case `{}` has no events", case.case)));
             }
+            if let Some(stray) = case.records.iter().find(|r| r.process != case.case) {
+                return Err(invalid(format!(
+                    "open case `{}` holds an event of case `{}`",
+                    case.case, stray.process
+                )));
+            }
             if case.opened > case.last_touch || case.last_touch >= state.clock {
                 return Err(invalid(format!(
                     "open case `{}` has clock ticks {}..{} outside the assembler clock {}",
                     case.case, case.opened, case.last_touch, state.clock
                 )));
             }
-            if open
-                .insert(
-                    case.case.clone(),
-                    OpenCase {
-                        records: case.records,
-                        locations: case.locations,
-                        opened: case.opened,
-                        last_touch: case.last_touch,
-                    },
-                )
-                .is_some()
-            {
+            if index.insert(case.case.clone(), slots.len()).is_some() {
                 return Err(invalid(format!("open case `{}` appears twice", case.case)));
             }
+            slots.push(OpenCase {
+                records: case.records,
+                locations: case.locations,
+                opened: case.opened,
+                last_touch: case.last_touch,
+                prev: NIL,
+                next: NIL,
+            });
         }
-        if config.max_open_cases > 0 && open.len() > config.max_open_cases {
+        if config.max_open_cases > 0 && slots.len() > config.max_open_cases {
             return Err(invalid(format!(
                 "{} open cases exceed the --max-open-cases window {}",
-                open.len(),
+                slots.len(),
                 config.max_open_cases
             )));
         }
-        Ok(CaseAssembler {
+        // Every event has its own tick, so no two open cases share a
+        // first or a latest one; eviction and flush order rely on it.
+        let clash = shared_tick(&slots, |c| c.opened)
+            .map(|clash| ("first", clash))
+            .or_else(|| shared_tick(&slots, |c| c.last_touch).map(|clash| ("latest", clash)));
+        if let Some((what, (a, b, tick))) = clash {
+            return Err(invalid(format!(
+                "open cases `{a}` and `{b}` share their {what} clock tick {tick}"
+            )));
+        }
+        let mut assembler = CaseAssembler {
             config,
             observer,
             table,
-            open,
+            index,
+            slots,
+            free: Vec::new(),
+            lru: NIL,
+            mru: NIL,
+            work: CaseWork::default(),
             clock: state.clock,
             executions_emitted: state.executions_emitted,
             report: state.report,
             finished: false,
+        };
+        let mut order: Vec<usize> = (0..assembler.slots.len()).collect();
+        order.sort_unstable_by_key(|&slot| assembler.slots[slot].last_touch);
+        for slot in order {
+            assembler.link_mru(slot);
+        }
+        Ok(assembler)
+    }
+
+    /// Open slots from the least to the most recently touched.
+    fn open_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(self.lru).filter(|&s| s != NIL), |&s| {
+            Some(self.slots[s].next).filter(|&n| n != NIL)
         })
     }
 
-    /// Closes one case: assemble, account diagnostics, deliver.
+    /// Appends `slot` to the recency list as the most recently touched.
+    fn link_mru(&mut self, slot: usize) {
+        self.slots[slot].prev = self.mru;
+        self.slots[slot].next = NIL;
+        match self.mru {
+            NIL => self.lru = slot,
+            mru => self.slots[mru].next = slot,
+        }
+        self.mru = slot;
+    }
+
+    /// Takes `slot` off the recency list.
+    fn unlink(&mut self, slot: usize) {
+        let (prev, next) = (self.slots[slot].prev, self.slots[slot].next);
+        match prev {
+            NIL => self.lru = next,
+            prev => self.slots[prev].next = next,
+        }
+        match next {
+            NIL => self.mru = prev,
+            next => self.slots[next].prev = prev,
+        }
+    }
+
+    /// Closes the case in `slot`: assemble, account diagnostics,
+    /// deliver, and free the slot.
     fn close_case(
         &mut self,
-        name: &str,
-        case: OpenCase,
+        slot: usize,
         assembly: AssemblyPolicy,
         eviction: bool,
     ) -> Result<(), StreamError> {
-        let assembled = assemble_executions_with(&case.records, &mut self.table, assembly)?;
-        self.report.records_skipped += assembled.diagnostics.len() as u64;
-        for diag in &assembled.diagnostics {
-            let at = locate_diagnostic(&case.records, diag)
-                .map(|i| case.locations[i])
-                .unwrap_or_default();
+        self.unlink(slot);
+        let result = self.deliver(slot, assembly, eviction);
+        let case = &mut self.slots[slot];
+        self.index.remove(case.records[0].process.as_str());
+        case.records.clear();
+        case.locations.clear();
+        self.free.push(slot);
+        result
+    }
+
+    /// Assembles the case in `slot`, accounts its dropped events and
+    /// hands its execution to the observer.
+    fn deliver(
+        &mut self,
+        slot: usize,
+        assembly: AssemblyPolicy,
+        eviction: bool,
+    ) -> Result<(), StreamError> {
+        let case = &self.slots[slot];
+        let name = &case.records[0].process;
+        let work = &mut self.work;
+        let exec = assemble_case(
+            name,
+            &case.records,
+            0..case.records.len(),
+            &mut self.table,
+            assembly,
+            work,
+        );
+        let dropped = work.diagnostics.len();
+        self.report.records_skipped += dropped as u64;
+        for (diag, i) in work.diagnostics.drain(..).zip(work.dropped.drain(..)) {
+            let at = case.locations[i];
             self.report
                 .record_diagnostic(at.byte_offset, at.line, diag.to_string());
         }
-        if eviction && !assembled.diagnostics.is_empty() {
+        if eviction && dropped > 0 {
             self.report.cases_evicted += 1;
             self.observer.on_eviction(name, case.records.len());
         }
-        for exec in &assembled.executions {
-            self.observer.on_execution(exec, &self.table)?;
+        if let Some(exec) = exec? {
+            self.observer.on_execution(&exec, &self.table)?;
             self.executions_emitted += 1;
         }
         Ok(())
     }
+}
 
-    /// Evicts the least-recently-touched case to honor the bound.
-    fn evict_lru(&mut self) -> Result<(), StreamError> {
-        let Some(victim) = self
-            .open
-            .iter()
-            .min_by_key(|(_, c)| c.last_touch)
-            .map(|(name, _)| name.clone())
-        else {
-            return Ok(());
-        };
-        let Some(case) = self.open.remove(&victim) else {
-            return Ok(()); // unreachable: key just came from the map
-        };
-        self.close_case(&victim, case, AssemblyPolicy::Lenient, true)
-    }
+/// Two open cases that share a `tick`, with the tick, if any.
+fn shared_tick(slots: &[OpenCase], tick: impl Fn(&OpenCase) -> u64) -> Option<(&str, &str, u64)> {
+    let mut ticks: Vec<(u64, &str)> = slots
+        .iter()
+        .map(|c| (tick(c), c.records[0].process.as_str()))
+        .collect();
+    ticks.sort_unstable();
+    ticks
+        .windows(2)
+        .find(|w| w[0].0 == w[1].0)
+        .map(|w| (w[0].1, w[1].1, w[0].0))
 }
 
 impl<O: Observer> StreamSink for CaseAssembler<O> {
     fn on_event(&mut self, event: EventRecord, at: SourceLocation) -> Result<(), StreamError> {
         let tick = self.clock;
         self.clock += 1;
-        if let Some(case) = self.open.get_mut(&event.process) {
+        if let Some(&slot) = self.index.get(event.process.as_str()) {
+            let case = &mut self.slots[slot];
             case.last_touch = tick;
             case.records.push(event);
             case.locations.push(at);
+            if slot != self.mru {
+                self.unlink(slot);
+                self.link_mru(slot);
+            }
             return Ok(());
         }
-        if self.config.max_open_cases > 0 && self.open.len() >= self.config.max_open_cases {
-            self.evict_lru()?;
+        if self.config.max_open_cases > 0 && self.index.len() >= self.config.max_open_cases {
+            // Evict the least recently touched case to honor the bound.
+            if self.lru != NIL {
+                self.close_case(self.lru, AssemblyPolicy::Lenient, true)?;
+            }
         }
-        self.open.insert(
-            event.process.clone(),
-            OpenCase {
-                records: vec![event],
-                locations: vec![at],
-                opened: tick,
-                last_touch: tick,
-            },
-        );
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.slots.push(OpenCase {
+                    records: Vec::new(),
+                    locations: Vec::new(),
+                    opened: 0,
+                    last_touch: 0,
+                    prev: NIL,
+                    next: NIL,
+                });
+                self.slots.len() - 1
+            }
+        };
+        self.index.insert(event.process.clone(), slot);
+        let case = &mut self.slots[slot];
+        case.opened = tick;
+        case.last_touch = tick;
+        case.records.push(event);
+        case.locations.push(at);
+        self.link_mru(slot);
         Ok(())
     }
 
@@ -418,18 +547,14 @@ impl<O: Observer> StreamSink for CaseAssembler<O> {
         self.finished = true;
         // Flush remaining cases in the order they were opened, so a
         // fully buffered (non-evicting) run reproduces batch order.
-        let mut names: Vec<(u64, String)> = self
-            .open
-            .iter()
-            .map(|(name, c)| (c.opened, name.clone()))
+        let mut open: Vec<(u64, usize)> = self
+            .open_slots()
+            .map(|slot| (self.slots[slot].opened, slot))
             .collect();
-        names.sort_unstable();
+        open.sort_unstable();
         let assembly = self.config.assembly;
-        for (_, name) in names {
-            let Some(case) = self.open.remove(&name) else {
-                continue; // unreachable: keys snapshot from the map
-            };
-            self.close_case(&name, case, assembly, false)?;
+        for (_, slot) in open {
+            self.close_case(slot, assembly, false)?;
         }
         Ok(())
     }
@@ -740,6 +865,106 @@ mod tests {
         .expect_err("over-window state accepted")
         .to_string();
         assert!(err.contains("exceed the --max-open-cases"), "got: {err}");
+    }
+
+    /// Each event has its own tick, so two open cases never share a
+    /// first or a latest one. A state where they do would make the
+    /// eviction order arbitrary; it is refused as corrupt.
+    #[test]
+    fn resume_rejects_cases_sharing_a_clock_tick() {
+        let case = |name: &str, opened: u64, last_touch: u64| OpenCaseState {
+            case: name.to_string(),
+            records: vec![
+                EventRecord::start(name, "A", 0),
+                EventRecord::start(name, "B", 1),
+            ],
+            locations: vec![SourceLocation::default(); 2],
+            opened,
+            last_touch,
+        };
+        let resume = |open: Vec<OpenCaseState>| {
+            CaseAssembler::resume(
+                AssemblerConfig::default(),
+                &mut Capture::default(),
+                AssemblerState {
+                    open,
+                    clock: 4,
+                    ..AssemblerState::default()
+                },
+            )
+            .map(|_| ())
+            .map_err(|e| e.to_string())
+        };
+        let err = resume(vec![case("p1", 0, 3), case("p2", 1, 3)]).unwrap_err();
+        assert!(
+            err.contains("`p1` and `p2` share their latest clock tick 3"),
+            "got: {err}"
+        );
+        let err = resume(vec![case("p1", 1, 2), case("p2", 1, 3)]).unwrap_err();
+        assert!(
+            err.contains("`p1` and `p2` share their first clock tick 1"),
+            "got: {err}"
+        );
+        resume(vec![case("p1", 0, 3), case("p2", 1, 2)]).unwrap();
+    }
+
+    #[test]
+    fn resume_rejects_events_filed_under_another_case() {
+        let mut stray = OpenCaseState {
+            case: "p1".to_string(),
+            records: vec![EventRecord::start("p1", "A", 0)],
+            locations: vec![SourceLocation::default(); 2],
+            opened: 0,
+            last_touch: 1,
+        };
+        stray.records.push(EventRecord::start("p2", "A", 1));
+        let err = CaseAssembler::resume(
+            AssemblerConfig::default(),
+            &mut Capture::default(),
+            AssemblerState {
+                open: vec![stray],
+                clock: 2,
+                ..AssemblerState::default()
+            },
+        )
+        .map(|_| ())
+        .expect_err("stray event accepted")
+        .to_string();
+        assert!(err.contains("holds an event of case `p2`"), "got: {err}");
+    }
+
+    /// Eviction follows the recency list: touching a case moves it
+    /// behind every other, and a resumed assembler evicts in the same
+    /// order as the one it was exported from.
+    #[test]
+    fn eviction_follows_recency_across_resume() {
+        let config = AssemblerConfig {
+            max_open_cases: 3,
+            ..AssemblerConfig::default()
+        };
+        let start = |case: &str, t: u64| EventRecord::start(case, "A", t);
+        let mut cap = Capture::default();
+        let mut asm = CaseAssembler::new(config, &mut cap);
+        for (i, case) in ["p1", "p2", "p3", "p1", "p2"].iter().enumerate() {
+            asm.on_event(start(case, i as u64), SourceLocation::default())
+                .unwrap();
+        }
+        let state = asm.export_state();
+        drop(asm);
+        let mut resumed_cap = Capture::default();
+        let mut resumed = CaseAssembler::resume(config, &mut resumed_cap, state).unwrap();
+        for (i, case) in ["p4", "p5", "p6"].iter().enumerate() {
+            resumed
+                .on_event(start(case, 10 + i as u64), SourceLocation::default())
+                .unwrap();
+        }
+        drop(resumed);
+        let order: Vec<&str> = resumed_cap
+            .evictions
+            .iter()
+            .map(|(case, _)| case.as_str())
+            .collect();
+        assert_eq!(order, ["p3", "p1", "p2"]);
     }
 
     #[test]

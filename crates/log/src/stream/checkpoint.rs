@@ -117,10 +117,11 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-// CRC32 (IEEE 802.3 polynomial, reflected), table-driven. Vendored so
-// the checkpoint format needs no external dependency.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+// CRC32 (IEEE 802.3 polynomial, reflected), slice-by-8: eight
+// 256-entry tables fold eight input bytes per step. Vendored so the
+// checkpoint format needs no external dependency.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -133,19 +134,44 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    // tables[k][b]: the CRC state after byte b and then k zero bytes.
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -598,6 +624,58 @@ mod tests {
         // IEEE CRC32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Reference: the bytewise table-driven CRC32.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// A deterministic pseudo-random buffer (xorshift64*).
+    fn noise(len: usize, mut seed: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                seed ^= seed >> 12;
+                seed ^= seed << 25;
+                seed ^= seed >> 27;
+                (seed.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_reference() {
+        let buf = noise(64 + 8, 0x5EED);
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
+        let big = noise(1 << 20, 7);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    /// Envelope bytes are pinned: checkpoints written by earlier builds
+    /// must keep loading, and theirs must load ours.
+    #[test]
+    fn envelope_bytes_are_pinned() {
+        let payload = b"procmine checkpoint payload\x00\x01\x02\xff";
+        let mut expected = Vec::new();
+        expected.extend_from_slice(b"PMCKPT\n");
+        expected.extend_from_slice(&[0x01, 0x00]); // version 1
+        expected.extend_from_slice(&[31, 0, 0, 0, 0, 0, 0, 0]); // payload length
+        expected.extend_from_slice(&[0xB9, 0x12, 0x01, 0x71]); // CRC32, little-endian
+        expected.extend_from_slice(payload);
+        assert_eq!(encode_envelope(payload), expected);
     }
 
     #[test]

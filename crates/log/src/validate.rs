@@ -66,20 +66,6 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Finds the index of the event record a lenient-assembly diagnostic
-/// refers to (first match by kind, activity, and time), so streaming
-/// callers can report the diagnostic with the record's byte offset and
-/// line number.
-pub fn locate_diagnostic(records: &[EventRecord], diag: &Diagnostic) -> Option<usize> {
-    let (want_kind, activity, time) = match diag {
-        Diagnostic::DanglingEnd { activity, time, .. } => (EventKind::End, activity, *time),
-        Diagnostic::DanglingStart { activity, time, .. } => (EventKind::Start, activity, *time),
-    };
-    records
-        .iter()
-        .position(|r| r.kind == want_kind && r.activity == *activity && r.time == time)
-}
-
 /// Result of a lenient assembly: the usable executions plus diagnostics.
 #[derive(Debug)]
 pub struct AssemblyReport {
@@ -126,115 +112,207 @@ fn assemble_impl(
 ) -> Result<(Vec<Execution>, Vec<Diagnostic>), LogError> {
     // Group by process name, preserving first-seen order.
     let mut order: Vec<&str> = Vec::new();
-    let mut groups: HashMap<&str, Vec<&EventRecord>> = HashMap::new();
-    for r in records {
+    let mut groups: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (i, r) in records.iter().enumerate() {
         groups
             .entry(&r.process)
             .or_insert_with(|| {
                 order.push(&r.process);
                 Vec::new()
             })
-            .push(r);
+            .push(i);
     }
 
-    let mut diagnostics = Vec::new();
+    let mut work = CaseWork::default();
     let mut executions = Vec::new();
     for name in order {
-        let Some(mut events) = groups.remove(name) else {
+        let Some(members) = groups.remove(name) else {
             continue; // unreachable: `order` mirrors `groups` keys
         };
-        events.sort_by_key(|r| r.time); // stable: log order breaks ties
+        if let Some(exec) = assemble_case(name, records, members, table, policy, &mut work)? {
+            executions.push(exec);
+        }
+    }
+    Ok((executions, work.diagnostics))
+}
 
-        // Open STARTs per activity, FIFO.
-        let mut open: HashMap<&str, Vec<(u64, usize)>> = HashMap::new();
-        let mut instances: Vec<ActivityInstance> = Vec::new();
-        for r in &events {
-            match r.kind {
-                EventKind::Start => {
-                    let idx = instances.len();
-                    instances.push(ActivityInstance {
-                        activity: table.intern(&r.activity),
-                        start: r.time,
-                        end: u64::MAX, // patched on END
-                        output: None,
-                    });
-                    open.entry(&r.activity).or_default().push((r.time, idx));
+/// End of a chain in [`CaseWork`].
+const NONE: usize = usize::MAX;
+
+/// Reusable working memory of [`assemble_case`], plus what it reports
+/// about dropped events.
+#[derive(Debug, Default)]
+pub(crate) struct CaseWork {
+    /// Record indices of the case being paired, sorted by time.
+    order: Vec<usize>,
+    /// Per activity id: the oldest and newest open START, as instance
+    /// indices (`NONE` when the activity has no open START). Every
+    /// entry is back to empty between calls.
+    chains: Vec<(usize, usize)>,
+    /// Per instance of the case being paired.
+    starts: Vec<OpenStart>,
+    /// One diagnostic per dropped event, across calls (lenient only).
+    pub(crate) diagnostics: Vec<Diagnostic>,
+    /// The record index of each dropped event, parallel to
+    /// `diagnostics`.
+    pub(crate) dropped: Vec<usize>,
+}
+
+/// The START that opened one instance of the case being paired.
+#[derive(Debug)]
+struct OpenStart {
+    /// Next open START of the same activity, or `NONE`.
+    next: usize,
+    /// Index of the START record.
+    record: usize,
+    /// Not yet closed by an END.
+    open: bool,
+}
+
+/// Assembles the case `name` from `records[i]` for each `i` in
+/// `members` (in log order) — the one per-case pairing behind batch
+/// reads and [`CaseAssembler`](crate::stream::CaseAssembler).
+///
+/// Events are sorted by timestamp (stable, so equal timestamps keep log
+/// order) and each END closes the earliest open START of its activity,
+/// through a FIFO chain per activity id: O(1) amortized per event,
+/// whatever the number of open STARTs. STARTs intern their activity
+/// into `table` in that order. Under [`AssemblyPolicy::Lenient`] every
+/// dropped event appends a diagnostic to `work.diagnostics` and its
+/// record index to `work.dropped` — dangling ENDs in time order, then
+/// never-ended STARTs in instance order. Returns `None` when nothing
+/// survives.
+pub(crate) fn assemble_case(
+    name: &str,
+    records: &[EventRecord],
+    members: impl IntoIterator<Item = usize>,
+    table: &mut ActivityTable,
+    policy: AssemblyPolicy,
+    work: &mut CaseWork,
+) -> Result<Option<Execution>, LogError> {
+    let CaseWork {
+        order,
+        chains,
+        starts,
+        diagnostics,
+        dropped,
+    } = work;
+    order.clear();
+    order.extend(members);
+    if order
+        .windows(2)
+        .any(|w| records[w[0]].time > records[w[1]].time)
+    {
+        order.sort_by_key(|&i| records[i].time); // stable: log order breaks ties
+    }
+
+    starts.clear();
+    let mut instances: Vec<ActivityInstance> = Vec::new();
+    let mut unmatched_end = None;
+    for &i in order.iter() {
+        let r = &records[i];
+        match r.kind {
+            EventKind::Start => {
+                let activity = table.intern(&r.activity);
+                let a = activity.index();
+                if chains.len() <= a {
+                    chains.resize(a + 1, (NONE, NONE));
                 }
-                EventKind::End => {
-                    let slot = open.get_mut(r.activity.as_str()).and_then(|v| {
-                        if v.is_empty() {
-                            None
-                        } else {
-                            Some(v.remove(0))
-                        }
-                    });
-                    match slot {
-                        Some((_, idx)) => {
-                            instances[idx].end = r.time;
-                            instances[idx].output = r.output.clone();
-                        }
-                        None => match policy {
-                            AssemblyPolicy::Strict => {
-                                return Err(LogError::UnmatchedEnd {
-                                    execution: name.to_string(),
-                                    activity: r.activity.clone(),
-                                    time: r.time,
-                                })
-                            }
-                            AssemblyPolicy::Lenient => diagnostics.push(Diagnostic::DanglingEnd {
-                                execution: name.to_string(),
-                                activity: r.activity.clone(),
-                                time: r.time,
-                            }),
-                        },
+                let idx = instances.len();
+                instances.push(ActivityInstance {
+                    activity,
+                    start: r.time,
+                    end: u64::MAX, // patched on END
+                    output: None,
+                });
+                starts.push(OpenStart {
+                    next: NONE,
+                    record: i,
+                    open: true,
+                });
+                let chain = &mut chains[a];
+                if chain.0 == NONE {
+                    chain.0 = idx;
+                } else {
+                    starts[chain.1].next = idx;
+                }
+                chain.1 = idx;
+            }
+            EventKind::End => {
+                let chain = table
+                    .id(&r.activity)
+                    .and_then(|a| chains.get_mut(a.index()))
+                    .filter(|chain| chain.0 != NONE);
+                match chain {
+                    Some(chain) => {
+                        let idx = chain.0;
+                        chain.0 = starts[idx].next;
+                        starts[idx].open = false;
+                        instances[idx].end = r.time;
+                        instances[idx].output = r.output.clone();
+                    }
+                    None if policy == AssemblyPolicy::Strict => {
+                        unmatched_end = Some(r);
+                        break;
+                    }
+                    None => {
+                        diagnostics.push(Diagnostic::DanglingEnd {
+                            execution: name.to_string(),
+                            activity: r.activity.clone(),
+                            time: r.time,
+                        });
+                        dropped.push(i);
                     }
                 }
             }
         }
-
-        // Any still-open STARTs are unmatched; report them in instance
-        // order, not the map's hash order.
-        let mut dangling: Vec<(usize, &str, u64)> = open
-            .into_iter()
-            .flat_map(|(activity, starts)| {
-                starts
-                    .into_iter()
-                    .map(move |(time, idx)| (idx, activity, time))
-            })
-            .collect();
-        dangling.sort_unstable_by_key(|&(idx, ..)| idx);
-        for &(_, activity, time) in &dangling {
-            match policy {
-                AssemblyPolicy::Strict => {
-                    return Err(LogError::UnmatchedStart {
-                        execution: name.to_string(),
-                        activity: activity.to_string(),
-                        time,
-                    })
-                }
-                AssemblyPolicy::Lenient => diagnostics.push(Diagnostic::DanglingStart {
-                    execution: name.to_string(),
-                    activity: activity.to_string(),
-                    time,
-                }),
-            }
-        }
-        for &(idx, ..) in dangling.iter().rev() {
-            instances.remove(idx);
-        }
-
-        if instances.is_empty() {
-            // A lenient pass may have dropped everything; skip the case.
-            continue;
-        }
-        executions.push(Execution::new(name, instances)?);
     }
-    Ok((executions, diagnostics))
+    for inst in &instances {
+        chains[inst.activity.index()] = (NONE, NONE);
+    }
+    if let Some(r) = unmatched_end {
+        return Err(LogError::UnmatchedEnd {
+            execution: name.to_string(),
+            activity: r.activity.clone(),
+            time: r.time,
+        });
+    }
+
+    // Any still-open STARTs are unmatched; report them in instance order.
+    let mut any_open = false;
+    for start in starts.iter().filter(|s| s.open) {
+        let r = &records[start.record];
+        if policy == AssemblyPolicy::Strict {
+            return Err(LogError::UnmatchedStart {
+                execution: name.to_string(),
+                activity: r.activity.clone(),
+                time: r.time,
+            });
+        }
+        diagnostics.push(Diagnostic::DanglingStart {
+            execution: name.to_string(),
+            activity: r.activity.clone(),
+            time: r.time,
+        });
+        dropped.push(start.record);
+        any_open = true;
+    }
+    if any_open {
+        let mut open = starts.iter().map(|s| s.open);
+        instances.retain(|_| open.next() == Some(false));
+    }
+
+    if instances.is_empty() {
+        // A lenient pass may have dropped everything; skip the case.
+        return Ok(None);
+    }
+    Execution::new(name, instances).map(Some)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn strict_rejects_dangling_end() {
@@ -344,6 +422,227 @@ mod tests {
         assert_eq!((inst[0].start, inst[0].end), (0, 3));
         assert_eq!(inst[0].output.as_deref(), Some(&[1i64][..]));
         assert_eq!((inst[1].start, inst[1].end), (2, 5));
+    }
+
+    #[test]
+    fn many_open_starts_pair_fifo() {
+        // Every START precedes every END: each END closes the oldest
+        // open START, so instance i runs from i to N + i.
+        const N: u64 = 50_000;
+        let mut records: Vec<EventRecord> =
+            (0..N).map(|t| EventRecord::start("p", "A", t)).collect();
+        records.extend((N..2 * N).map(|t| EventRecord::end("p", "A", t, None)));
+        let mut t = ActivityTable::new();
+        let execs = assemble_executions(&records, &mut t).unwrap();
+        let inst = execs[0].instances();
+        assert_eq!(inst.len(), N as usize);
+        assert!(inst
+            .iter()
+            .zip(0..)
+            .all(|(i, t)| (i.start, i.end) == (t, N + t)));
+    }
+
+    /// Reference grouping and pairing: a hash map of FIFO vectors per
+    /// activity, `Vec::remove(0)` per END.
+    fn reference_assemble(
+        records: &[EventRecord],
+        table: &mut ActivityTable,
+        policy: AssemblyPolicy,
+    ) -> Result<(Vec<Execution>, Vec<Diagnostic>), LogError> {
+        let mut order: Vec<&str> = Vec::new();
+        let mut groups: HashMap<&str, Vec<&EventRecord>> = HashMap::new();
+        for r in records {
+            groups
+                .entry(&r.process)
+                .or_insert_with(|| {
+                    order.push(&r.process);
+                    Vec::new()
+                })
+                .push(r);
+        }
+        let mut diagnostics = Vec::new();
+        let mut executions = Vec::new();
+        for name in order {
+            let mut events = groups.remove(name).unwrap();
+            events.sort_by_key(|r| r.time);
+            let mut open: HashMap<&str, Vec<(u64, usize)>> = HashMap::new();
+            let mut instances: Vec<ActivityInstance> = Vec::new();
+            for r in &events {
+                match r.kind {
+                    EventKind::Start => {
+                        let idx = instances.len();
+                        instances.push(ActivityInstance {
+                            activity: table.intern(&r.activity),
+                            start: r.time,
+                            end: u64::MAX,
+                            output: None,
+                        });
+                        open.entry(&r.activity).or_default().push((r.time, idx));
+                    }
+                    EventKind::End => {
+                        let slot = open
+                            .get_mut(r.activity.as_str())
+                            .and_then(|v| (!v.is_empty()).then(|| v.remove(0)));
+                        match slot {
+                            Some((_, idx)) => {
+                                instances[idx].end = r.time;
+                                instances[idx].output = r.output.clone();
+                            }
+                            None => match policy {
+                                AssemblyPolicy::Strict => {
+                                    return Err(LogError::UnmatchedEnd {
+                                        execution: name.to_string(),
+                                        activity: r.activity.clone(),
+                                        time: r.time,
+                                    })
+                                }
+                                AssemblyPolicy::Lenient => {
+                                    diagnostics.push(Diagnostic::DanglingEnd {
+                                        execution: name.to_string(),
+                                        activity: r.activity.clone(),
+                                        time: r.time,
+                                    })
+                                }
+                            },
+                        }
+                    }
+                }
+            }
+            let mut dangling: Vec<(usize, &str, u64)> = open
+                .into_iter()
+                .flat_map(|(activity, starts)| {
+                    starts
+                        .into_iter()
+                        .map(move |(time, idx)| (idx, activity, time))
+                })
+                .collect();
+            dangling.sort_unstable_by_key(|&(idx, ..)| idx);
+            for &(_, activity, time) in &dangling {
+                match policy {
+                    AssemblyPolicy::Strict => {
+                        return Err(LogError::UnmatchedStart {
+                            execution: name.to_string(),
+                            activity: activity.to_string(),
+                            time,
+                        })
+                    }
+                    AssemblyPolicy::Lenient => diagnostics.push(Diagnostic::DanglingStart {
+                        execution: name.to_string(),
+                        activity: activity.to_string(),
+                        time,
+                    }),
+                }
+            }
+            for &(idx, ..) in dangling.iter().rev() {
+                instances.remove(idx);
+            }
+            if !instances.is_empty() {
+                executions.push(Execution::new(name, instances)?);
+            }
+        }
+        Ok((executions, diagnostics))
+    }
+
+    /// Random events over `cases` case ids, four activities and a few
+    /// timestamps, so dangling, duplicated and same-time events abound.
+    fn arb_records(cases: u8) -> impl Strategy<Value = Vec<EventRecord>> {
+        let event = (0..cases, 0u8..4, 0u8..2, 0u64..6, 0i64..3);
+        proptest::collection::vec(event, 0..24).prop_map(|events| {
+            events
+                .into_iter()
+                .map(|(case, activity, end, time, out)| {
+                    let case = format!("p{case}");
+                    let activity = ((b'A' + activity) as char).to_string();
+                    if end == 1 {
+                        EventRecord::end(case, activity, time, (out > 0).then(|| vec![out]))
+                    } else {
+                        EventRecord::start(case, activity, time)
+                    }
+                })
+                .collect()
+        })
+    }
+
+    /// A table already holding some names, so ENDs also meet activities
+    /// known to the table but never started in the case.
+    fn seeded_table(seed: u8) -> ActivityTable {
+        ActivityTable::from_names(["C", "X", "A"].iter().take(usize::from(seed)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// One case through `assemble_case` (reusing its working memory
+        /// across calls and errors) equals the hash-map pairing:
+        /// execution, table order, diagnostics in order, strict errors.
+        #[test]
+        fn assemble_case_matches_reference(
+            records in arb_records(1),
+            seed in 0u8..4,
+        ) {
+            let mut work = CaseWork::default();
+            for policy in [AssemblyPolicy::Strict, AssemblyPolicy::Lenient, AssemblyPolicy::Strict] {
+                let mut table = seeded_table(seed);
+                let got = assemble_case("p0", &records, 0..records.len(), &mut table, policy, &mut work);
+                let mut ref_table = seeded_table(seed);
+                let want = reference_assemble(&records, &mut ref_table, policy);
+                prop_assert_eq!(table.names(), ref_table.names());
+                let (diagnostics, dropped) =
+                    (std::mem::take(&mut work.diagnostics), std::mem::take(&mut work.dropped));
+                match (got, want) {
+                    (Ok(exec), Ok((execs, want_diags))) => {
+                        prop_assert_eq!(exec.into_iter().collect::<Vec<_>>(), execs);
+                        prop_assert_eq!(&diagnostics, &want_diags);
+                    }
+                    (Err(got), Err(want)) => {
+                        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                        prop_assert!(diagnostics.is_empty());
+                    }
+                    (got, want) => panic!("assemble_case gave {got:?}, the reference {want:?}"),
+                }
+                // Each dropped index names a distinct record matching its
+                // diagnostic.
+                prop_assert_eq!(dropped.len(), diagnostics.len());
+                let mut seen = dropped.clone();
+                seen.sort_unstable();
+                seen.dedup();
+                prop_assert_eq!(seen.len(), dropped.len());
+                for (diag, &i) in diagnostics.iter().zip(&dropped) {
+                    let r = &records[i];
+                    let want = match diag {
+                        Diagnostic::DanglingEnd { activity, time, .. } => (EventKind::End, activity, *time),
+                        Diagnostic::DanglingStart { activity, time, .. } => (EventKind::Start, activity, *time),
+                    };
+                    prop_assert_eq!((r.kind, &r.activity, r.time), want);
+                }
+            }
+        }
+
+        /// Interleaved cases through the batch entry point equal the
+        /// hash-map grouping and pairing.
+        #[test]
+        fn batch_assembly_matches_reference(
+            records in arb_records(3),
+            seed in 0u8..4,
+        ) {
+            for policy in [AssemblyPolicy::Strict, AssemblyPolicy::Lenient] {
+                let mut table = seeded_table(seed);
+                let got = assemble_executions_with(&records, &mut table, policy);
+                let mut ref_table = seeded_table(seed);
+                let want = reference_assemble(&records, &mut ref_table, policy);
+                prop_assert_eq!(table.names(), ref_table.names());
+                match (got, want) {
+                    (Ok(report), Ok((execs, diags))) => {
+                        prop_assert_eq!(report.executions, execs);
+                        prop_assert_eq!(report.diagnostics, diags);
+                    }
+                    (Err(got), Err(want)) => {
+                        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                    }
+                    (got, want) => panic!("batch assembly gave {got:?}, the reference {want:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,18 +7,23 @@
 //!   materialized log;
 //! * corruption fuzz: the interleaved assembler survives corrupted
 //!   streams under all three `RecoveryPolicy` variants;
-//! * eviction: memory stays bounded by the open-case window.
+//! * eviction: memory stays bounded by the open-case window;
+//! * differential: the recency-list assembler evicts, delivers and
+//!   resumes exactly like a reference that scans every open case.
 
 use procmine::log::stream::{
-    AssemblerConfig, CaseAssembler, FlowmarkSource, Observer, StreamError, StreamSink,
+    AssemblerConfig, AssemblerState, CaseAssembler, FlowmarkSource, Observer, SourceLocation,
+    StreamError, StreamSink, WireReader, WireWriter,
 };
-use procmine::log::validate::AssemblyPolicy;
+use procmine::log::validate::{assemble_executions_with, AssemblyPolicy};
 use procmine::log::{
-    codec::flowmark, ActivityTable, EventKind, EventRecord, Execution, LogError, RecoveryPolicy,
+    codec::{flowmark, MAX_RECORDED_ERRORS},
+    ActivityInstance, ActivityTable, EventKind, EventRecord, Execution, LogError, RecoveryPolicy,
     WorkflowLog,
 };
 use procmine::mine::{mine_general_dag, MinedModel, MinerOptions, OnlineMiner, SnapshotPolicy};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Strategy: a random log of executions over activities `A`..`J`
 /// (shuffled subsets wrapped in fixed start/end activities — the same
@@ -297,4 +302,262 @@ fn eviction_notices_reach_the_observer() {
     assembler.finish().unwrap();
     drop(assembler);
     assert_eq!(notice.evicted, vec!["p1".to_string()]);
+}
+
+/// Lenient-assembly diagnostics carry the location of the record that
+/// was dropped, not of an earlier record with the same kind, activity
+/// and time.
+#[test]
+fn follow_diagnostics_point_at_the_dropped_records() {
+    let text = "p1,A,START,0\np1,A,END,1\np1,A,END,1\np1,B,START,2\np1,B,START,2\np1,B,END,3\n";
+    let mut assembler = CaseAssembler::new(
+        AssemblerConfig {
+            max_open_cases: 1024,
+            assembly: AssemblyPolicy::Lenient,
+        },
+        |_: &Execution, _: &ActivityTable| Ok::<(), StreamError>(()),
+    );
+    FlowmarkSource::new(text.as_bytes(), RecoveryPolicy::BestEffort)
+        .pump(&mut assembler)
+        .unwrap();
+    let located: Vec<(usize, u64, &str)> = assembler
+        .report()
+        .errors
+        .iter()
+        .map(|e| (e.line, e.byte_offset, e.message.as_str()))
+        .collect();
+    assert_eq!(
+        located,
+        [
+            (
+                3,
+                24,
+                "case `p1`: dropped END for `A` at t=1 (no open START)"
+            ),
+            (
+                5,
+                48,
+                "case `p1`: dropped START for `B` at t=2 (never ended)"
+            ),
+        ]
+    );
+    assert_eq!(assembler.report().records_skipped, 2);
+}
+
+/// What an assembler showed the outside world: executions delivered,
+/// eviction notices, and its report.
+#[derive(Debug, Default, PartialEq)]
+struct Delivered {
+    executions: Vec<(String, Vec<ActivityInstance>)>,
+    evictions: Vec<(String, usize)>,
+}
+
+impl Observer for &mut Delivered {
+    fn on_execution(
+        &mut self,
+        exec: &Execution,
+        _table: &ActivityTable,
+    ) -> Result<(), StreamError> {
+        self.executions
+            .push((exec.id.clone(), exec.instances().to_vec()));
+        Ok(())
+    }
+
+    fn on_eviction(&mut self, case: &str, buffered: usize) {
+        self.evictions.push((case.to_string(), buffered));
+    }
+}
+
+/// Reference assembler: evicting scans every open case for the oldest
+/// touch, and closing runs the batch assembly over the case's records.
+struct ScanningAssembler {
+    config: AssemblerConfig,
+    table: ActivityTable,
+    /// Case id → (records, opened, last touch).
+    open: HashMap<String, (Vec<EventRecord>, u64, u64)>,
+    clock: u64,
+    records_skipped: u64,
+    cases_evicted: u64,
+    messages: Vec<String>,
+    out: Delivered,
+}
+
+impl ScanningAssembler {
+    fn new(config: AssemblerConfig) -> Self {
+        ScanningAssembler {
+            config,
+            table: ActivityTable::new(),
+            open: HashMap::new(),
+            clock: 0,
+            records_skipped: 0,
+            cases_evicted: 0,
+            messages: Vec::new(),
+            out: Delivered::default(),
+        }
+    }
+
+    fn close(
+        &mut self,
+        name: &str,
+        policy: AssemblyPolicy,
+        eviction: bool,
+    ) -> Result<(), LogError> {
+        let (records, ..) = self.open.remove(name).unwrap();
+        let report = assemble_executions_with(&records, &mut self.table, policy)?;
+        self.records_skipped += report.diagnostics.len() as u64;
+        self.messages
+            .extend(report.diagnostics.iter().map(ToString::to_string));
+        if eviction && !report.diagnostics.is_empty() {
+            self.cases_evicted += 1;
+            self.out.evictions.push((name.to_string(), records.len()));
+        }
+        for exec in report.executions {
+            self.out
+                .executions
+                .push((exec.id.clone(), exec.instances().to_vec()));
+        }
+        Ok(())
+    }
+
+    fn on_event(&mut self, event: EventRecord) -> Result<(), LogError> {
+        let tick = self.clock;
+        self.clock += 1;
+        if let Some((records, _, last_touch)) = self.open.get_mut(&event.process) {
+            *last_touch = tick;
+            records.push(event);
+            return Ok(());
+        }
+        if self.config.max_open_cases > 0 && self.open.len() >= self.config.max_open_cases {
+            let victim = self
+                .open
+                .iter()
+                .min_by_key(|(_, (_, _, last_touch))| *last_touch)
+                .map(|(name, _)| name.clone())
+                .unwrap();
+            self.close(&victim, AssemblyPolicy::Lenient, true)?;
+        }
+        self.open
+            .insert(event.process.clone(), (vec![event], tick, tick));
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<(), LogError> {
+        let mut names: Vec<(u64, String)> = self
+            .open
+            .iter()
+            .map(|(name, (_, opened, _))| (*opened, name.clone()))
+            .collect();
+        names.sort_unstable();
+        for (_, name) in names {
+            self.close(&name, self.config.assembly, false)?;
+        }
+        Ok(())
+    }
+}
+
+/// Strategy: interleaved events over up to eight cases and four
+/// activities at a handful of timestamps — unmatched STARTs and ENDs,
+/// duplicates and same-time events included.
+fn arb_events() -> impl Strategy<Value = Vec<EventRecord>> {
+    let event = (0u8..8, 0u8..4, 0u8..3, 0u64..8);
+    proptest::collection::vec(event, 0..80).prop_map(|events| {
+        events
+            .into_iter()
+            .map(|(case, activity, kind, time)| {
+                let case = format!("c{case}");
+                let activity = ((b'A' + activity) as char).to_string();
+                // START twice as often as END: cases stay open for a while.
+                if kind == 2 {
+                    EventRecord::end(case, activity, time, None)
+                } else {
+                    EventRecord::start(case, activity, time)
+                }
+            })
+            .collect()
+    })
+}
+
+fn location(i: usize) -> SourceLocation {
+    SourceLocation {
+        byte_offset: 100 * i as u64,
+        line: i + 1,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// The recency-list assembler is observably the scanning one: same
+    /// executions in the same order, same eviction notices, same
+    /// skip/eviction counts and diagnostics, same open-case count after
+    /// every event — and the same again when the run is exported, sent
+    /// through the checkpoint wire format, and resumed at any prefix.
+    #[test]
+    fn assembler_matches_scanning_reference(
+        events in arb_events(),
+        window in 1usize..=8,
+        strict in 0u8..2,
+        cut in 0usize..=80,
+    ) {
+        let config = AssemblerConfig {
+            max_open_cases: window,
+            assembly: if strict == 1 { AssemblyPolicy::Strict } else { AssemblyPolicy::Lenient },
+        };
+        let mut reference = ScanningAssembler::new(config);
+        let mut out = Delivered::default();
+        let mut assembler = CaseAssembler::new(config, &mut out);
+        let mut open_after = Vec::new();
+        for (i, e) in events.iter().enumerate() {
+            reference.on_event(e.clone()).unwrap();
+            assembler.on_event(e.clone(), location(i)).unwrap();
+            open_after.push(reference.open.len());
+            prop_assert_eq!(assembler.open_cases(), reference.open.len());
+        }
+        let want_finish = reference.finish().map_err(|e| e.to_string());
+        let got_finish = assembler.finish().map_err(|e| e.to_string());
+        prop_assert_eq!(&got_finish, &want_finish);
+        let report = assembler.report().clone();
+        drop(assembler);
+        prop_assert_eq!(&out, &reference.out);
+        prop_assert_eq!(report.records_skipped, reference.records_skipped);
+        prop_assert_eq!(report.cases_evicted, reference.cases_evicted);
+        let messages: Vec<&str> = report.errors.iter().map(|e| e.message.as_str()).collect();
+        let want: Vec<&str> = reference
+            .messages
+            .iter()
+            .take(MAX_RECORDED_ERRORS)
+            .map(String::as_str)
+            .collect();
+        prop_assert_eq!(messages, want);
+
+        // Interrupted after `cut` events: export, wire, resume, go on.
+        let cut = cut.min(events.len());
+        let mut first = Delivered::default();
+        let mut head = CaseAssembler::new(config, &mut first);
+        for (i, e) in events[..cut].iter().enumerate() {
+            head.on_event(e.clone(), location(i)).unwrap();
+        }
+        let state = head.export_state();
+        drop(head);
+        let mut w = WireWriter::new();
+        state.encode_into(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = WireReader::new(&bytes);
+        let restored = AssemblerState::decode(&mut r).unwrap();
+        r.finish().unwrap();
+        let mut rest = Delivered::default();
+        let mut tail = CaseAssembler::resume(config, &mut rest, restored).unwrap();
+        for (i, e) in events.iter().enumerate().skip(cut) {
+            tail.on_event(e.clone(), location(i)).unwrap();
+            prop_assert_eq!(tail.open_cases(), open_after[i]);
+        }
+        let resumed_finish = tail.finish().map_err(|e| e.to_string());
+        prop_assert_eq!(&resumed_finish, &want_finish);
+        let resumed_report = tail.report().clone();
+        drop(tail);
+        first.executions.extend(rest.executions);
+        first.evictions.extend(rest.evictions);
+        prop_assert_eq!(&first, &reference.out);
+        prop_assert_eq!(resumed_report, report);
+    }
 }
