@@ -79,6 +79,12 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+# Tier-1's `cargo test -q` runs only the root `procmine` facade's
+# tests. The workspace crates carry their own unit, differential,
+# property and CLI tests; run them all.
+echo "==> workspace crates: cargo test -q --workspace --exclude procmine"
+cargo test -q --workspace --exclude procmine
+
 # The benchmark harness is a package of its own that builds the
 # library crates by path, outside the workspace, so tier-1 cannot see
 # an API change that breaks it. Build and test it against this tree,

@@ -1344,7 +1344,6 @@ fn mine(argv: &[String]) -> CliResult {
 
     write_model_artifacts(&p, &model)?;
     if let Some(bpmn_path) = p.get("bpmn") {
-        let gateways = procmine_core::splits::analyze_gateways(&model, &log);
         std::fs::write(
             bpmn_path,
             procmine_core::bpmn::to_bpmn_xml(&model, &gateways, "mined_process"),

@@ -26,12 +26,28 @@
 //! forms that run inside a [`MineSession`](crate::MineSession) and feed
 //! its [`ConformanceMetrics`](crate::telemetry::ConformanceMetrics)
 //! sink.
+//!
+//! **Replay cost.** Checking one execution of `k` activities costs
+//! O(k + |E_S|) (plus the model degrees of its activities), where `E_S`
+//! is the set of model edges among them. One replay context per log
+//! holds the model's endpoint flags and a node-indexed position map that
+//! each check resets for its own activities only. Connectivity and
+//! reachability are searches over the model's adjacency lists that skip
+//! absent nodes; no induced subgraph is built. The dependency-order
+//! clause tests only the induced *edges*: if every edge `u→v` has
+//! `max_end(u) < min_start(v)`, no violated pair exists, because
+//! precedence composes along a path (`min_start(w) ≤ max_end(w)`) and
+//! such edges cannot close a cycle (it would need
+//! `max_end(u) < min_start(u) ≤ max_end(u)`). Only when some edge fails
+//! — always the case for an induced cycle or self-loop — does the check
+//! build the induced closure and list every violated pair, in the same
+//! order as the all-pairs definition.
 
 use crate::follows::FollowsAnalysis;
 use crate::session::MineSession;
-use crate::telemetry::{ConformanceMetrics, MetricsSink};
+use crate::telemetry::{ConformanceMetrics, MetricsSink, NullSink};
 use crate::MinedModel;
-use procmine_graph::{reach, scc, NodeId};
+use procmine_graph::{reach, scc, AdjMatrix, NodeId};
 use procmine_log::{ActivityId, ActivityInstance, Execution, WorkflowLog};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -84,7 +100,7 @@ pub enum Violation {
 /// [`Violation::UnknownActivity`] — never a panic — and the remaining
 /// checks run over the known activities only.
 pub fn check_execution(model: &MinedModel, exec: &Execution) -> Vec<Violation> {
-    check_execution_impl(model, exec)
+    Replay::new(model).check(exec)
 }
 
 /// [`check_execution`] inside a [`MineSession`]: counts the execution,
@@ -98,7 +114,7 @@ pub fn check_execution_in<S: MetricsSink<ConformanceMetrics>>(
 ) -> Vec<Violation> {
     let (sink, _) = session.handles();
     let started = S::ENABLED.then(Instant::now);
-    let violations = check_execution_impl(model, exec);
+    let violations = Replay::new(model).check(exec);
     record_execution_check(sink, &violations, elapsed_nanos(started));
     violations
 }
@@ -135,123 +151,207 @@ fn record_execution_check<S: MetricsSink<ConformanceMetrics>>(
     });
 }
 
-fn check_execution_impl(model: &MinedModel, exec: &Execution) -> Vec<Violation> {
-    let g = model.graph();
-    let n = g.node_count();
-    let mut violations = Vec::new();
+/// Marks a node that is absent from the execution being checked.
+const ABSENT: u32 = u32::MAX;
 
-    // Present known activities, in start order (dedup, keep first
-    // occurrence). Ids the model has no node for become
-    // UnknownActivity violations (one per distinct id).
-    let mut present: Vec<usize> = Vec::new();
-    let mut seen = vec![false; n];
-    let mut unknown: Vec<usize> = Vec::new();
-    for a in exec.sequence() {
-        let idx = a.index();
-        if idx >= n {
-            if !unknown.contains(&idx) {
-                unknown.push(idx);
-                violations.push(Violation::UnknownActivity {
-                    activity: format!("#{idx}"),
-                });
+/// Definition 6 replay against one model, reusable across executions.
+/// Built once per log (or per single-execution call); each
+/// [`check`](Replay::check) resets only the scratch entries of its own
+/// activities. See the module doc for the cost model.
+struct Replay<'m> {
+    model: &'m MinedModel,
+    /// The model has at least one source / sink. Membership of a node
+    /// is then just its in-degree / out-degree being zero.
+    has_sources: bool,
+    has_sinks: bool,
+    /// Node → position in `present`, or [`ABSENT`].
+    pos: Vec<u32>,
+    /// The execution's known activities in first-occurrence order.
+    present: Vec<usize>,
+    /// Per position: the activity's earliest start and latest end.
+    min_start: Vec<u64>,
+    max_end: Vec<u64>,
+    /// Per position: visited by the current search.
+    seen: Vec<bool>,
+    /// Search queue of positions.
+    queue: Vec<usize>,
+}
+
+impl<'m> Replay<'m> {
+    fn new(model: &'m MinedModel) -> Self {
+        let g = model.graph();
+        let n = g.node_count();
+        Replay {
+            model,
+            has_sources: g.node_ids().any(|v| g.in_degree(v) == 0),
+            has_sinks: g.node_ids().any(|v| g.out_degree(v) == 0),
+            pos: vec![ABSENT; n],
+            present: Vec::new(),
+            min_start: Vec::new(),
+            max_end: Vec::new(),
+            seen: Vec::new(),
+            queue: Vec::new(),
+        }
+    }
+
+    /// Checks one execution whose activity ids are the model's node ids.
+    fn check(&mut self, exec: &Execution) -> Vec<Violation> {
+        let n = self.pos.len();
+        let mut violations = Vec::new();
+
+        // Present known activities, in start order (dedup, keep first
+        // occurrence), with their whole-activity intervals. Ids the
+        // model has no node for become UnknownActivity violations (one
+        // per distinct id). The last known instance is the execution's
+        // terminating activity.
+        let mut unknown: Vec<usize> = Vec::new();
+        let mut last = None;
+        for inst in exec.instances() {
+            let a = inst.activity.index();
+            if a >= n {
+                if !unknown.contains(&a) {
+                    unknown.push(a);
+                    violations.push(Violation::UnknownActivity {
+                        activity: format!("#{a}"),
+                    });
+                }
+                continue;
             }
-        } else if !seen[idx] {
-            seen[idx] = true;
-            present.push(idx);
+            last = Some(a);
+            match self.pos[a] {
+                ABSENT => {
+                    self.pos[a] = self.present.len() as u32;
+                    self.present.push(a);
+                    self.min_start.push(inst.start);
+                    self.max_end.push(inst.end);
+                }
+                p => {
+                    let p = p as usize;
+                    self.min_start[p] = self.min_start[p].min(inst.start);
+                    self.max_end[p] = self.max_end[p].max(inst.end);
+                }
+            }
+        }
+        // With no known activity the structural checks are vacuous.
+        if let Some(last) = last {
+            self.check_present(last, &mut violations);
+        }
+
+        for &a in &self.present {
+            self.pos[a] = ABSENT;
+        }
+        self.present.clear();
+        self.min_start.clear();
+        self.max_end.clear();
+        violations
+    }
+
+    /// The structural clauses of Definition 6 over the subgraph induced
+    /// by `present`, whose first entry is the initiating activity.
+    fn check_present(&mut self, last: usize, violations: &mut Vec<Violation>) {
+        let model = self.model;
+        let g = model.graph();
+        let name = |a: usize| model.name_of(NodeId::new(a)).to_string();
+        let k = self.present.len();
+
+        if self.search(0, true) < k {
+            violations.push(Violation::NotConnected);
+        }
+
+        // Endpoints: the model's initiating/terminating activities are
+        // its sources/sinks. (A well-formed process model has exactly
+        // one of each; we accept membership so partially-mined graphs
+        // still check.) With unknown activities in the mix, the
+        // first/last *known* activity stands in for the endpoints.
+        let first = self.present[0];
+        if self.has_sources && g.in_degree(NodeId::new(first)) != 0 {
+            violations.push(Violation::WrongInitiating { found: name(first) });
+        }
+        if self.has_sinks && g.out_degree(NodeId::new(last)) != 0 {
+            violations.push(Violation::WrongTerminating { found: name(last) });
+        }
+
+        // Reachability from the initiating activity within the induced
+        // subgraph.
+        self.search(0, false);
+        for (i, &a) in self.present.iter().enumerate() {
+            if !self.seen[i] {
+                violations.push(Violation::Unreachable { activity: name(a) });
+            }
+        }
+
+        // Dependency ordering: for each pair with a path u→v in the
+        // induced subgraph but not v→u (a real dependency — mutual paths
+        // mean a cycle, i.e. independence), u must terminate before v
+        // starts. Ordered edges imply every such pair is ordered.
+        if !self.edges_ordered() {
+            self.list_dependency_violations(violations);
         }
     }
-    if present.is_empty() {
-        // Nothing the model knows about; the structural checks are
-        // vacuous.
-        return violations;
-    }
 
-    // Induced subgraph over the present activities: Definition 6 takes
-    // *all* model edges between present activities.
-    let present_ids: Vec<NodeId> = present.iter().map(|&a| NodeId::new(a)).collect();
-    let induced = procmine_graph::induced::induced_subgraph(g, &present_ids).graph;
-
-    if !reach::is_weakly_connected(&induced) {
-        violations.push(Violation::NotConnected);
-    }
-
-    // Endpoints: the model's initiating/terminating activities are its
-    // sources/sinks. (A well-formed process model has exactly one of
-    // each; we accept membership so partially-mined graphs still check.)
-    // With unknown activities in the mix, the first/last *known*
-    // activity stands in for the endpoints.
-    let mut known = exec
-        .instances()
-        .iter()
-        .map(|i| i.activity)
-        .filter(|a| a.index() < n);
-    let Some(first) = known.next() else {
-        // Unreachable: `present` being non-empty means some instance
-        // maps into the model; bail without endpoint checks regardless.
-        return violations;
-    };
-    let last = known.next_back().unwrap_or(first);
-    let sources = g.sources();
-    let sinks = g.sinks();
-    if !sources.is_empty() && !sources.contains(&NodeId::new(first.index())) {
-        violations.push(Violation::WrongInitiating {
-            found: model.name_of(NodeId::new(first.index())).to_string(),
-        });
-    }
-    if !sinks.is_empty() && !sinks.contains(&NodeId::new(last.index())) {
-        violations.push(Violation::WrongTerminating {
-            found: model.name_of(NodeId::new(last.index())).to_string(),
-        });
-    }
-
-    // Reachability from the initiating activity within the induced
-    // subgraph.
-    let Some(first_pos) = present.iter().position(|&a| a == first.index()) else {
-        // Unreachable: `first` was selected from the known activities
-        // that populated `present`.
-        return violations;
-    };
-    let start_pos = NodeId::new(first_pos);
-    let mut reachable = reach::reachable_from(&induced, start_pos);
-    reachable.insert(start_pos.index());
-    for (i, &a) in present.iter().enumerate() {
-        if !reachable.contains(i) {
-            violations.push(Violation::Unreachable {
-                activity: model.name_of(NodeId::new(a)).to_string(),
-            });
+    /// Breadth-first search from position `start` over the induced
+    /// subgraph — along edges both ways when `undirected` — leaving the
+    /// visited positions in `seen`. Returns how many were visited.
+    fn search(&mut self, start: usize, undirected: bool) -> usize {
+        let g = self.model.graph();
+        self.seen.clear();
+        self.seen.resize(self.present.len(), false);
+        self.queue.clear();
+        self.seen[start] = true;
+        self.queue.push(start);
+        let mut head = 0;
+        while let Some(&p) = self.queue.get(head) {
+            head += 1;
+            let u = NodeId::new(self.present[p]);
+            let preds = if undirected { g.predecessors(u) } else { &[] };
+            for w in g.successors(u).iter().chain(preds) {
+                let q = self.pos[w.index()];
+                if q != ABSENT && !self.seen[q as usize] {
+                    self.seen[q as usize] = true;
+                    self.queue.push(q as usize);
+                }
+            }
         }
+        self.queue.len()
     }
 
-    // Dependency ordering: for each pair with a path u→v in the induced
-    // subgraph but not v→u (a real dependency — mutual paths mean a
-    // cycle, i.e. independence), u must terminate before v starts.
-    let closure = reach::transitive_closure(&induced);
-    // Whole-activity intervals within this execution.
-    let mut min_start = vec![u64::MAX; n];
-    let mut max_end = vec![0u64; n];
-    for inst in exec.instances() {
-        let a = inst.activity.index();
-        if a >= n {
-            continue;
-        }
-        min_start[a] = min_start[a].min(inst.start);
-        max_end[a] = max_end[a].max(inst.end);
+    /// `true` if every induced edge u→v has u ending before v starts.
+    fn edges_ordered(&self) -> bool {
+        let g = self.model.graph();
+        self.present.iter().enumerate().all(|(i, &u)| {
+            g.successors(NodeId::new(u)).iter().all(|w| {
+                let q = self.pos[w.index()];
+                q == ABSENT || self.max_end[i] < self.min_start[q as usize]
+            })
+        })
     }
-    for (i, &u) in present.iter().enumerate() {
-        for (j, &v) in present.iter().enumerate() {
-            if i != j && closure.has_edge(i, j) && !closure.has_edge(j, i) {
-                // u must wholly precede v.
-                if max_end[u] >= min_start[v] {
+
+    /// Lists every closure pair of the induced subgraph that the
+    /// execution orders against the model, in position order.
+    fn list_dependency_violations(&mut self, violations: &mut Vec<Violation>) {
+        let k = self.present.len();
+        let mut closure = AdjMatrix::new(k);
+        for i in 0..k {
+            self.search(i, false);
+            for j in (0..k).filter(|&j| self.seen[j]) {
+                closure.add_edge(i, j);
+            }
+        }
+        for (i, &u) in self.present.iter().enumerate() {
+            for (j, &v) in self.present.iter().enumerate() {
+                if i != j
+                    && closure.has_edge(i, j)
+                    && !closure.has_edge(j, i)
+                    && self.max_end[i] >= self.min_start[j]
+                {
                     violations.push(Violation::DependencyViolated {
-                        from: model.name_of(NodeId::new(u)).to_string(),
-                        to: model.name_of(NodeId::new(v)).to_string(),
+                        from: self.model.name_of(NodeId::new(u)).to_string(),
+                        to: self.model.name_of(NodeId::new(v)).to_string(),
                     });
                 }
             }
         }
     }
-
-    violations
 }
 
 /// The result of checking a model against a log (Definition 7).
@@ -405,22 +505,10 @@ pub fn check_conformance_in<S: MetricsSink<ConformanceMetrics>>(
     let (sink, tracer) = session.handles();
     let _root = tracer.span_cat("check_conformance", "conformance");
     let g = model.graph();
-    let n = g.node_count();
     let follows = FollowsAnalysis::analyze(log);
     let n_log = follows.activity_count();
-
-    // Align the log's activity table to the model's nodes by name. A
-    // model mined from this log shares the table, so the map is the
-    // identity and executions can be checked without remapping.
-    let node_by_name: HashMap<&str, usize> = (0..n)
-        .map(|i| (g.node(NodeId::new(i)).as_str(), i))
-        .collect();
-    let log_names = log.activities().names();
-    let map: Vec<Option<usize>> = log_names
-        .iter()
-        .map(|name| node_by_name.get(name.as_str()).copied())
-        .collect();
-    let identity = map.iter().enumerate().all(|(i, &m)| m == Some(i));
+    let alignment = Alignment::new(model, log);
+    let Alignment { map, log_names, .. } = &alignment;
 
     let mut report = ConformanceReport::default();
     for (i, m) in map.iter().enumerate() {
@@ -482,24 +570,13 @@ pub fn check_conformance_in<S: MetricsSink<ConformanceMetrics>>(
     drop(deps_span);
 
     let _exec_span = tracer.span_cat("execution_checks", "conformance");
-    for exec in log.executions() {
-        let violations = if identity {
-            let started = S::ENABLED.then(Instant::now);
-            let violations = check_execution_impl(model, exec);
-            record_execution_check(sink, &violations, elapsed_nanos(started));
-            violations
-        } else {
-            let started = S::ENABLED.then(Instant::now);
-            let violations = check_foreign_execution(model, exec, &map, log_names);
-            record_execution_check(sink, &violations, elapsed_nanos(started));
-            violations
-        };
+    replay_log(sink, model, log, &alignment, |exec, violations| {
         if !violations.is_empty() {
             report
                 .inconsistent_executions
                 .push((exec.id.clone(), violations));
         }
-    }
+    });
 
     if S::ENABLED {
         let missing = report.missing_dependencies.len() as u64;
@@ -514,16 +591,74 @@ pub fn check_conformance_in<S: MetricsSink<ConformanceMetrics>>(
     report
 }
 
-/// Definition 6 for an execution whose activity ids live in a foreign
-/// table: remap instances onto model node ids via `map` (log activity
-/// index → model node), report unmapped activities by their log name,
-/// and run the plain check over what remains.
-fn check_foreign_execution(
+/// A log's activity table aligned to a model's nodes by name. A model
+/// mined from the log shares its table, so the map is the identity and
+/// executions are checked without remapping.
+struct Alignment<'l> {
+    /// Log activity index → model node, `None` for names the model
+    /// lacks.
+    map: Vec<Option<usize>>,
+    /// `map[i] == Some(i)` for every log activity `i`.
+    identity: bool,
+    log_names: &'l [String],
+}
+
+impl<'l> Alignment<'l> {
+    fn new(model: &MinedModel, log: &'l WorkflowLog) -> Self {
+        let g = model.graph();
+        let node_by_name: HashMap<&str, usize> = g
+            .nodes()
+            .map(|(id, name)| (name.as_str(), id.index()))
+            .collect();
+        let log_names = log.activities().names();
+        let map: Vec<Option<usize>> = log_names
+            .iter()
+            .map(|name| node_by_name.get(name.as_str()).copied())
+            .collect();
+        let identity = map.iter().enumerate().all(|(i, &m)| m == Some(i));
+        Alignment {
+            map,
+            identity,
+            log_names,
+        }
+    }
+}
+
+/// Definition 6 over every execution of `log`, through one replay
+/// context: records each check into `sink` and hands the execution and
+/// its violations to `each`, in log order.
+fn replay_log<S: MetricsSink<ConformanceMetrics>>(
+    sink: &mut S,
     model: &MinedModel,
+    log: &WorkflowLog,
+    alignment: &Alignment<'_>,
+    mut each: impl FnMut(&Execution, Vec<Violation>),
+) {
+    let mut replay = Replay::new(model);
+    for exec in log.executions() {
+        let started = S::ENABLED.then(Instant::now);
+        let violations = if alignment.identity {
+            replay.check(exec)
+        } else {
+            check_foreign_execution(&mut replay, exec, alignment)
+        };
+        record_execution_check(sink, &violations, elapsed_nanos(started));
+        each(exec, violations);
+    }
+}
+
+/// Definition 6 for an execution whose activity ids live in a foreign
+/// table: remap instances onto model node ids (log activity index →
+/// model node), report unmapped activities by their log name, and run
+/// the plain check over what remains. The remapped execution is
+/// re-sorted, which decides the order of ties and so the activity that
+/// counts as initiating.
+fn check_foreign_execution(
+    replay: &mut Replay<'_>,
     exec: &Execution,
-    map: &[Option<usize>],
-    log_names: &[String],
+    alignment: &Alignment<'_>,
 ) -> Vec<Violation> {
+    let Alignment { map, log_names, .. } = alignment;
     let mut violations = Vec::new();
     let mut unknown_seen: Vec<usize> = Vec::new();
     let mut mapped: Vec<ActivityInstance> = Vec::new();
@@ -555,7 +690,7 @@ fn check_foreign_execution(
     #[allow(clippy::expect_used)]
     let remapped = Execution::new(exec.id.clone(), mapped)
         .expect("remapping preserves the original execution's validated intervals");
-    violations.extend(check_execution_impl(model, &remapped));
+    violations.extend(replay.check(&remapped));
     violations
 }
 
@@ -594,14 +729,16 @@ impl Fitness {
     }
 }
 
-/// Computes the replay fitness of `log` against `model`.
+/// Computes the replay fitness of `log` against `model`. Like
+/// [`check_conformance`], it aligns the log's activity table to the
+/// model's nodes by name; it skips Definition 7's pair checks.
 pub fn fitness(model: &MinedModel, log: &WorkflowLog) -> Fitness {
     let mut f = Fitness {
         executions: log.len(),
         ..Fitness::default()
     };
-    for exec in log.executions() {
-        let violations = check_execution(model, exec);
+    let alignment = Alignment::new(model, log);
+    replay_log(&mut NullSink, model, log, &alignment, |_, violations| {
         if violations.is_empty() {
             f.consistent += 1;
         }
@@ -616,7 +753,7 @@ pub fn fitness(model: &MinedModel, log: &WorkflowLog) -> Fitness {
                 Violation::UnknownActivity { .. } => f.unknown_activity += 1,
             }
         }
-    }
+    });
     f
 }
 
@@ -907,6 +1044,29 @@ mod tests {
         foreign.push(Execution::from_ids("x2", &[a, b]).unwrap());
         let report = check_conformance(&model, &foreign);
         assert!(report.is_conformal(), "{report:?}");
+    }
+
+    #[test]
+    fn fitness_aligns_foreign_table_by_name() {
+        // The setup of `foreign_table_aligned_by_name`: fitness must
+        // agree with check_conformance that both executions replay.
+        let log = WorkflowLog::from_strings(["AB", "AB"]).unwrap();
+        let model = mine_special_dag(&log, &MinerOptions::default()).unwrap();
+        let table = procmine_log::ActivityTable::from_names(["B", "A"]);
+        let mut foreign = WorkflowLog::with_activities(table);
+        let a = foreign.activities().id("A").unwrap();
+        let b = foreign.activities().id("B").unwrap();
+        foreign.push(Execution::from_ids("x1", &[a, b]).unwrap());
+        foreign.push(Execution::from_ids("x2", &[a, b]).unwrap());
+        assert!(check_conformance(&model, &foreign).is_conformal());
+        assert_eq!(
+            fitness(&model, &foreign),
+            Fitness {
+                executions: 2,
+                consistent: 2,
+                ..Fitness::default()
+            }
+        );
     }
 
     #[test]

@@ -14,15 +14,22 @@
 //! completeness) and must not (irredundancy) connect, so the
 //! [`conformance`](crate::conformance) checker is built on this module.
 
+use crate::general_dag::{count_one_execution, OrderObservations};
 use procmine_graph::{reach, scc, AdjMatrix};
-use procmine_log::WorkflowLog;
+use procmine_log::{ExecColumns, WorkflowLog};
 
 /// Per-ordered-pair observation counts over a log, at activity level.
 ///
 /// `ordered(u, v)` counts the executions in which every instance of `u`
 /// terminates before every instance of `v` starts; `cooccur(u, v)`
 /// counts executions containing both. Each execution contributes at most
-/// 1 to each counter (deduplicated with an execution stamp).
+/// 1 to each counter.
+///
+/// The counts come from the miners' own step-2 kernel
+/// ([`count_one_execution`]): each execution is lowered to one
+/// whole-activity interval per activity (its first start, its latest
+/// end), and then every co-occurring pair is either ordered one way or
+/// overlapping, so `cooccur = ordered + orderedᵀ + overlap`.
 #[derive(Debug, Clone)]
 pub struct OrderCounts {
     n: usize,
@@ -34,38 +41,49 @@ impl OrderCounts {
     /// Scans the log once and tallies the counters. O(Σ k²) over
     /// execution lengths `k`.
     pub fn from_log(log: &WorkflowLog) -> Self {
+        const ABSENT: usize = usize::MAX;
         let n = log.activities().len();
-        let mut ordered = vec![0u32; n * n];
-        let mut cooccur = vec![0u32; n * n];
-        // Per-activity min start / max end within one execution.
-        let mut min_start = vec![u64::MAX; n];
-        let mut max_end = vec![0u64; n];
-        let mut present: Vec<usize> = Vec::new();
-
+        let mut obs = OrderObservations::new(n);
+        // One execution's whole-activity intervals, in first-occurrence
+        // order. Instances are start-sorted, so that order is start
+        // order and the first occurrence carries the earliest start.
+        let mut slot = vec![ABSENT; n];
+        let mut activities: Vec<u32> = Vec::new();
+        let mut starts: Vec<u64> = Vec::new();
+        let mut ends: Vec<u64> = Vec::new();
         for exec in log.executions() {
-            present.clear();
             for inst in exec.instances() {
                 let a = inst.activity.index();
-                if min_start[a] == u64::MAX {
-                    present.push(a);
-                }
-                min_start[a] = min_start[a].min(inst.start);
-                max_end[a] = max_end[a].max(inst.end);
-            }
-            for &u in &present {
-                for &v in &present {
-                    if u == v {
-                        continue;
+                match slot[a] {
+                    ABSENT => {
+                        slot[a] = activities.len();
+                        activities.push(a as u32);
+                        starts.push(inst.start);
+                        ends.push(inst.end);
                     }
-                    cooccur[u * n + v] += 1;
-                    if max_end[u] < min_start[v] {
-                        ordered[u * n + v] += 1;
-                    }
+                    p => ends[p] = ends[p].max(inst.end),
                 }
             }
-            for &a in &present {
-                min_start[a] = u64::MAX;
-                max_end[a] = 0;
+            let lowered = ExecColumns {
+                activities: &activities,
+                starts: &starts,
+                ends: &ends,
+            };
+            count_one_execution(n, lowered, &mut obs);
+            for &a in &activities {
+                slot[a as usize] = ABSENT;
+            }
+            activities.clear();
+            starts.clear();
+            ends.clear();
+        }
+        let OrderObservations {
+            ordered,
+            overlap: mut cooccur,
+        } = obs;
+        for u in 0..n {
+            for v in 0..n {
+                cooccur[u * n + v] += ordered[u * n + v] + ordered[v * n + u];
             }
         }
         OrderCounts {

@@ -16,11 +16,19 @@
 //! This classification complements §7 conditions mining (an XOR split's
 //! learned conditions partition the output space; an AND split's are
 //! all constantly true) and is required to *execute* a mined model.
+//!
+//! Only an execution's activity *set* matters here, so one pass over the
+//! log reduces it to its distinct sets — bit rows over the model's
+//! nodes — each with the number of executions that have it. Every
+//! gateway is then classified from those rows alone: a center-bit test
+//! and a popcount of `row ∧ branches` per distinct set, with `support`
+//! weighted by the set's execution count.
 
 use crate::MinedModel;
-use procmine_graph::NodeId;
-use procmine_log::{ActivityId, WorkflowLog};
+use procmine_graph::{words, NodeId};
+use procmine_log::WorkflowLog;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// The behavioural class of a split or join point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -83,12 +91,13 @@ impl GatewayAnalysis {
 /// log's activity table (true for models mined from that log).
 pub fn analyze_gateways(model: &MinedModel, log: &WorkflowLog) -> GatewayAnalysis {
     let g = model.graph();
+    let sets = ActivitySets::of(log, g.node_count());
     let mut analysis = GatewayAnalysis::default();
 
     for v in g.node_ids() {
-        let succs: Vec<NodeId> = g.successors(v).to_vec();
+        let succs = g.successors(v);
         if succs.len() >= 2 {
-            let (kind, support) = classify(log, v, &succs);
+            let (kind, support) = sets.classify(v, succs);
             analysis.splits.push(Gateway {
                 activity: g.node(v).clone(),
                 branches: succs.iter().map(|&s| g.node(s).clone()).collect(),
@@ -96,9 +105,9 @@ pub fn analyze_gateways(model: &MinedModel, log: &WorkflowLog) -> GatewayAnalysi
                 support,
             });
         }
-        let preds: Vec<NodeId> = g.predecessors(v).to_vec();
+        let preds = g.predecessors(v);
         if preds.len() >= 2 {
-            let (kind, support) = classify(log, v, &preds);
+            let (kind, support) = sets.classify(v, preds);
             analysis.joins.push(Gateway {
                 activity: g.node(v).clone(),
                 branches: preds.iter().map(|&p| g.node(p).clone()).collect(),
@@ -110,43 +119,85 @@ pub fn analyze_gateways(model: &MinedModel, log: &WorkflowLog) -> GatewayAnalysi
     analysis
 }
 
-/// Classifies the branches adjacent to `center` by their co-occurrence
-/// pattern across executions containing `center`.
-fn classify(log: &WorkflowLog, center: NodeId, branches: &[NodeId]) -> (GatewayKind, usize) {
-    let center_id = ActivityId::from_index(center.index());
-    let ids: Vec<ActivityId> = branches
-        .iter()
-        .map(|&b| ActivityId::from_index(b.index()))
-        .collect();
+/// A log's distinct activity sets as bit rows over a model's nodes, each
+/// with the number of executions that have it. Activity ids the model
+/// has no node for are left out: they can be neither a gateway's center
+/// nor one of its branches.
+struct ActivitySets {
+    /// Words per row.
+    width: usize,
+    /// The distinct rows and their execution counts. Their order cannot
+    /// change a classification: support is a sum and the two flags are
+    /// conjunctions.
+    rows: Vec<(Box<[u64]>, usize)>,
+}
 
-    let mut support = 0usize;
-    let mut always_all = true;
-    let mut never_two = true;
-    for exec in log.executions() {
-        if !exec.contains(center_id) {
-            continue;
+impl ActivitySets {
+    fn of(log: &WorkflowLog, n: usize) -> Self {
+        let width = n.div_ceil(u64::BITS as usize);
+        let mut counts: HashMap<Box<[u64]>, usize> = HashMap::new();
+        let mut row = vec![0u64; width];
+        for exec in log.executions() {
+            row.fill(0);
+            for inst in exec.instances() {
+                let a = inst.activity.index();
+                if a < n {
+                    words::insert(&mut row, a);
+                }
+            }
+            if let Some(count) = counts.get_mut(row.as_slice()) {
+                *count += 1;
+            } else {
+                counts.insert(row.as_slice().into(), 1);
+            }
         }
-        support += 1;
-        let present = ids.iter().filter(|&&a| exec.contains(a)).count();
-        if present < ids.len() {
-            always_all = false;
-        }
-        if present >= 2 {
-            never_two = false;
+        ActivitySets {
+            width,
+            rows: counts.into_iter().collect(),
         }
     }
 
-    let kind = if support == 0 {
-        // No evidence at all: report OR (the weakest claim).
-        GatewayKind::Or
-    } else if always_all {
-        GatewayKind::And
-    } else if never_two {
-        GatewayKind::Xor
-    } else {
-        GatewayKind::Or
-    };
-    (kind, support)
+    /// Classifies the branches adjacent to `center` by their
+    /// co-occurrence pattern across executions containing `center`.
+    fn classify(&self, center: NodeId, branches: &[NodeId]) -> (GatewayKind, usize) {
+        let mut mask = vec![0u64; self.width];
+        for b in branches {
+            words::insert(&mut mask, b.index());
+        }
+
+        let mut support = 0usize;
+        let mut always_all = true;
+        let mut never_two = true;
+        for (row, count) in &self.rows {
+            if !words::contains(row, center.index()) {
+                continue;
+            }
+            support += count;
+            let present: usize = row
+                .iter()
+                .zip(&mask)
+                .map(|(r, m)| (r & m).count_ones() as usize)
+                .sum();
+            if present < branches.len() {
+                always_all = false;
+            }
+            if present >= 2 {
+                never_two = false;
+            }
+        }
+
+        let kind = if support == 0 {
+            // No evidence at all: report OR (the weakest claim).
+            GatewayKind::Or
+        } else if always_all {
+            GatewayKind::And
+        } else if never_two {
+            GatewayKind::Xor
+        } else {
+            GatewayKind::Or
+        };
+        (kind, support)
+    }
 }
 
 #[cfg(test)]
