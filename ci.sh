@@ -21,7 +21,8 @@ cargo clippy -p procmine-log -p procmine-core -p procmine-graph --lib --no-deps 
 # The `*_instrumented` twin API is gone (its one-release grace period
 # ended with the compat modules' removal) and must not regrow. The CLI
 # must likewise build its telemetry through `MineSession` rather than
-# wiring sinks and tracers by hand.
+# wiring sinks and tracers by hand (`Tracer::default()` is the disabled
+# tracer under another name).
 echo "==> deprecation lane: no *_instrumented identifiers anywhere"
 bad_shims=$(grep -rn --include='*.rs' '_instrumented' crates src tests || true)
 if [ -n "$bad_shims" ]; then
@@ -29,7 +30,7 @@ if [ -n "$bad_shims" ]; then
   echo "$bad_shims" >&2
   exit 1
 fi
-cli_raw_telemetry=$(grep -rn --include='*.rs' -E 'NullSink|Tracer::disabled\(\)' crates/cli/src || true)
+cli_raw_telemetry=$(grep -rn --include='*.rs' -E 'NullSink|Tracer::(disabled|default)\(\)' crates/cli/src || true)
 if [ -n "$cli_raw_telemetry" ]; then
   echo "CLI constructs sinks/tracers directly instead of using MineSession:" >&2
   echo "$cli_raw_telemetry" >&2
@@ -42,21 +43,23 @@ echo "==> deprecation lane: retired ingestion/wrapper APIs, one Flowmark decoder
 # over `MineSession::with_threads`, the `WallStage` barrier timer
 # (`run_stage` frames fanned-out stages too), the two env knobs
 # that overrode the parallel thresholds (tune the constants instead),
-# and `locate_diagnostic`, which guessed a diagnostic's record by
-# kind, activity and time (`assemble_case` returns the exact index).
+# `locate_diagnostic`, which guessed a diagnostic's record by kind,
+# activity and time (`assemble_case` returns the exact index), and the
+# codecs' `read_log_with_stats` wrappers (call `read_log_with`).
 retired=$(grep -rnw --include='*.rs' \
-  -E 'ExecutionStream|ReopenedCase|mine_general_dag_parallel|WallStage|PROCMINE_PARALLEL_MIN_VERTICES|PROCMINE_PARALLEL_XES_MIN_BYTES|locate_diagnostic' \
+  -E 'ExecutionStream|ReopenedCase|mine_general_dag_parallel|WallStage|PROCMINE_PARALLEL_MIN_VERTICES|PROCMINE_PARALLEL_XES_MIN_BYTES|locate_diagnostic|read_log_with_stats' \
   crates src tests || true)
 if [ -n "$retired" ]; then
   echo "retired APIs reappeared:" >&2
   echo "$retired" >&2
   exit 1
 fi
-# Stage functions take the session, not its parts: no argument tuple
-# long enough to need clippy's `too_many_arguments` allowance.
-long_args=$(grep -rn --include='*.rs' 'too_many_arguments' crates/core/src || true)
+# Stage functions take the session, and CLI commands their frame, not
+# their parts: no argument tuple long enough to need clippy's
+# `too_many_arguments` allowance.
+long_args=$(grep -rn --include='*.rs' 'too_many_arguments' crates/core/src crates/cli/src || true)
 if [ -n "$long_args" ]; then
-  echo "crates/core/src regrew a too_many_arguments allowance (pass the session instead):" >&2
+  echo "a too_many_arguments allowance regrew (pass the session or command frame instead):" >&2
   echo "$long_args" >&2
   exit 1
 fi

@@ -3,7 +3,7 @@
 
 use crate::args::{parse, ArgError, Parsed};
 use crate::metrics::{record_ingest, registry_from_args, write_metrics, write_metrics_atomic};
-use crate::output::{errln, out, outln};
+use crate::output::{errln, file_error, out, outln, read_to_string, write_file};
 use procmine_classify::{ClassifyMetrics, TreeConfig};
 use procmine_core::{
     conformance, mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, Algorithm,
@@ -11,7 +11,7 @@ use procmine_core::{
     Tracer,
 };
 use procmine_log::codec::{CodecStats, IngestReport, RecoveryPolicy};
-use procmine_log::{codec, WorkflowLog};
+use procmine_log::{codec, LogError, WorkflowLog};
 use procmine_sim::{engine, presets, randdag, walk, ProcessModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -211,7 +211,7 @@ fn convert(argv: &[String]) -> CliResult {
         .get("from")
         .unwrap_or_else(|| format_from_extension(input));
     let to = p.get("to").unwrap_or_else(|| format_from_extension(output));
-    let log = read_log(input, from)?;
+    let log = Frame::new(&p)?.read_log(input, from, 1)?;
     write_log(&log, Some(output), to)?;
     errln!(
         "converted {} executions: {input} ({from}) -> {output} ({to})",
@@ -220,161 +220,216 @@ fn convert(argv: &[String]) -> CliResult {
     Ok(())
 }
 
-fn read_log(path: &str, format: &str) -> Result<WorkflowLog, Box<dyn Error>> {
-    // An un-configured session supplies the no-op tracer and registry.
-    let session = MineSession::new();
-    read_log_with(
-        path,
-        format,
-        RecoveryPolicy::Strict,
-        &mut CodecStats::default(),
-        &mut IngestReport::default(),
-        session.tracer(),
-        session.obs(),
-        1,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn read_log_with(
-    path: &str,
-    format: &str,
+/// What every log-reading command shares: the recovery policy, the
+/// tracer and registry its flags enable, and the codec and ingest
+/// tallies of the log it reads. The frame reads the log, summarizes a
+/// recovering ingest, writes `--stats` / `--stats-json`, and at exit
+/// writes `--trace` then `--metrics`.
+struct Frame<'a> {
+    p: &'a Parsed,
     policy: RecoveryPolicy,
-    stats: &mut CodecStats,
-    report: &mut IngestReport,
-    tracer: &Tracer,
-    reg: &Registry,
-    threads: usize,
-) -> Result<WorkflowLog, Box<dyn Error>> {
-    // Span names are static, so map the format up front (codecs live in
-    // `procmine-log`, which cannot depend on core — the ingest spans
-    // and per-format metrics are recorded here at the CLI layer
-    // instead).
-    let span_name = match format {
-        "flowmark" => "ingest.flowmark",
-        "seqs" => "ingest.seqs",
-        "jsonl" => "ingest.jsonl",
-        "xes" => "ingest.xes",
-        other => return Err(format!("unknown log format `{other}`").into()),
-    };
-    let _span = tracer.span_cat(span_name, "codec");
-    let (bytes_before, events_before) = (stats.bytes_read, stats.events_parsed);
-    let reg_started = reg.start();
-    let reader = BufReader::new(File::open(path)?);
-    let log = match format {
-        "flowmark" => codec::flowmark::read_log_with(reader, policy, stats, report)?,
-        "seqs" => codec::seqs::read_log_with(reader, policy, stats, report)?,
-        "jsonl" => codec::jsonl::read_log_with(reader, policy, stats, report)?,
-        // The XES decoder can split the document at trace boundaries
-        // and parse chunks in parallel; the session's thread count is
-        // threaded through here like the ingest spans.
-        "xes" if threads > 1 => {
-            codec::xes::read_log_with_threads(reader, policy, threads, stats, report)?
+    /// The serial session implied by `--trace FILE` / `--metrics FILE`;
+    /// its tracer and registry are shared by every session the command
+    /// runs.
+    base: MineSession,
+    codec: CodecStats,
+    ingest: IngestReport,
+}
+
+impl<'a> Frame<'a> {
+    fn new(p: &'a Parsed) -> Result<Self, ArgError> {
+        // `--max-errors` bounds the decode-error budget (and implies
+        // recovery on its own); bare `--recover` skips without limit.
+        let policy = if p.get("max-errors").is_some() {
+            let max_errors = p.get_parse("max-errors", 0, "error budget (integer)")?;
+            RecoveryPolicy::Skip { max_errors }
+        } else if p.has("recover") {
+            RecoveryPolicy::BestEffort
+        } else {
+            RecoveryPolicy::Strict
+        };
+        let base = MineSession::new().with_obs(registry_from_args(p));
+        let base = if p.get("trace").is_some() {
+            base.with_tracer(Tracer::new())
+        } else {
+            base
+        };
+        Ok(Frame {
+            p,
+            policy,
+            base,
+            codec: CodecStats::default(),
+            ingest: IngestReport::default(),
+        })
+    }
+
+    /// A fresh serial session sharing the frame's tracer and registry.
+    /// Commands attach their metrics sink (and thread count) to it.
+    fn session(&self) -> MineSession {
+        MineSession::new()
+            .with_tracer(self.base.tracer().clone())
+            .with_obs(self.base.obs().clone())
+    }
+
+    /// Decodes the log at `path` under the frame's policy into its
+    /// tallies, inside an `ingest.<format>` span, and records the
+    /// per-format ingest counters and decode-time histogram. With
+    /// `threads > 1` an XES log is decoded in parallel chunks.
+    fn read_log(
+        &mut self,
+        path: &str,
+        format: &str,
+        threads: usize,
+    ) -> Result<WorkflowLog, Box<dyn Error>> {
+        // Span names are static, so map the format up front (codecs live in
+        // `procmine-log`, which cannot depend on core — the ingest spans
+        // and per-format metrics are recorded here at the CLI layer
+        // instead).
+        let span_name = match format {
+            "flowmark" => "ingest.flowmark",
+            "seqs" => "ingest.seqs",
+            "jsonl" => "ingest.jsonl",
+            "xes" => "ingest.xes",
+            other => return Err(format!("unknown log format `{other}`").into()),
+        };
+        let _span = self.base.tracer().span_cat(span_name, "codec");
+        let reg = self.base.obs();
+        let reg_started = reg.start();
+        let reader = BufReader::new(File::open(path).map_err(file_error(path))?);
+        let (policy, report) = (self.policy, &mut self.ingest);
+        let mut stats = CodecStats::default();
+        let log = match format {
+            "flowmark" => codec::flowmark::read_log_with(reader, policy, &mut stats, report),
+            "seqs" => codec::seqs::read_log_with(reader, policy, &mut stats, report),
+            "jsonl" => codec::jsonl::read_log_with(reader, policy, &mut stats, report),
+            // XES, the one format left; one thread decodes serially.
+            _ => codec::xes::read_log_with_threads(reader, policy, threads, &mut stats, report),
         }
-        "xes" => codec::xes::read_log_with(reader, policy, stats, report)?,
-        other => return Err(format!("unknown log format `{other}`").into()),
-    };
-    if reg.is_enabled() {
-        record_ingest(
-            reg,
-            format,
-            stats.bytes_read - bytes_before,
-            stats.events_parsed - events_before,
+        .map_err(|e| log_error(path, e))?;
+        self.codec.merge(&stats);
+        if reg.is_enabled() {
+            record_ingest(reg, format, stats.bytes_read, stats.events_parsed);
+            reg.histogram(
+                "procmine_ingest_duration_ns",
+                "Wall-clock time spent decoding one input log, in nanoseconds.",
+                &[("format", format)],
+            )
+            .observe_since(reg_started);
+        }
+        Ok(log)
+    }
+
+    /// Summarizes a recovering ingest on stderr (silent under `Strict`,
+    /// where any decode error already aborted the command).
+    fn report_ingest(&self) {
+        if self.policy.is_strict() {
+            return;
+        }
+        let report = &self.ingest;
+        errln!(
+            "ingest: {} records parsed, {} skipped, {} decode errors",
+            report.records_parsed,
+            report.records_skipped,
+            report.errors_total
         );
-        reg.histogram(
-            "procmine_ingest_duration_ns",
-            "Wall-clock time spent decoding one input log, in nanoseconds.",
-            &[("format", format)],
-        )
-        .observe_since(reg_started);
+        for e in &report.errors {
+            errln!("  byte {} (line {}): {}", e.byte_offset, e.line, e.message);
+        }
+        // `errors` can exceed `errors_total` — located assembly diagnostics
+        // are retained without counting as decode errors.
+        let unrecorded = (report.errors_total as usize).saturating_sub(report.errors.len());
+        if unrecorded > 0 {
+            errln!("  ... {unrecorded} more not recorded");
+        }
     }
-    Ok(log)
+
+    /// The one `--stats` / `--stats-json` writer. `--stats` prints the
+    /// codec line, the command's `table`, then the dropped-span count —
+    /// silence there would read as "the trace is complete" when the ring
+    /// buffer wrapped. `--stats-json` writes
+    /// `{"codec":…,"ingest":…,<fields>,"trace":{"dropped_spans":N}}`.
+    fn write_stats(
+        &self,
+        table: impl FnOnce() -> String,
+        fields: impl FnOnce(&mut String),
+    ) -> CliResult {
+        let dropped_spans = self.base.tracer().dropped_spans();
+        if self.p.has("stats") {
+            outln!(
+                "codec: {} bytes read, {} events parsed, {} executions parsed",
+                self.codec.bytes_read,
+                self.codec.events_parsed,
+                self.codec.executions_parsed
+            );
+            out!("{}", table());
+            if dropped_spans > 0 {
+                outln!(
+                    "trace: {dropped_spans} span(s) dropped at capacity (raise the tracer \
+                     buffer or trace less)"
+                );
+            }
+        }
+        if let Some(stats_path) = self.p.get("stats-json") {
+            let mut out = format!(
+                "{{\"codec\":{},\"ingest\":{},",
+                self.codec.to_json(),
+                self.ingest.to_json()
+            );
+            fields(&mut out);
+            out.push_str(&format!(
+                ",\"trace\":{{\"dropped_spans\":{dropped_spans}}}}}\n"
+            ));
+            write_file(stats_path, out)?;
+        }
+        Ok(())
+    }
+
+    /// Writes `--trace FILE` as a Chrome Trace Event file, then
+    /// `--metrics FILE`. Call after the traced work finishes (and before
+    /// any verdict-driven early return, so failing runs still leave both
+    /// behind).
+    fn finish(&self) -> CliResult {
+        if let Some(path) = self.p.get("trace") {
+            let mut f = BufWriter::new(File::create(path).map_err(file_error(path))?);
+            self.base
+                .tracer()
+                .write_chrome_json(&mut f)
+                .and_then(|()| f.flush())
+                .map_err(file_error(path))?;
+            errln!("wrote {path}");
+        }
+        write_metrics(self.base.obs(), self.p)
+    }
 }
 
-/// The serial session implied by `--trace FILE` / `--metrics FILE`:
-/// tracing enabled when the first flag is present, the caller's
-/// registry handle (from [`registry_from_args`]) shared in either way.
-/// Commands attach their metrics sink (and thread count) before
-/// mining.
-fn session_from_args(p: &Parsed, reg: &Registry) -> MineSession {
-    let session = MineSession::new().with_obs(reg.clone());
-    if p.get("trace").is_some() {
-        session.with_tracer(Tracer::new())
-    } else {
-        session
-    }
-}
-
-/// Writes the collected trace as a Chrome Trace Event file when
-/// `--trace FILE` was given. Call after the traced work finishes (and
-/// before any verdict-driven early return, so failing runs still leave
-/// a trace behind).
-fn write_trace(tracer: &Tracer, p: &Parsed) -> CliResult {
-    if let Some(path) = p.get("trace") {
-        let mut f = BufWriter::new(File::create(path)?);
-        tracer.write_chrome_json(&mut f)?;
-        f.flush()?;
-        errln!("wrote {path}");
-    }
-    Ok(())
-}
-
-/// The recovery policy implied by `--recover` / `--max-errors N`:
-/// `--max-errors` bounds the decode-error budget (and implies recovery
-/// on its own); bare `--recover` skips without limit.
-fn ingest_policy(p: &Parsed) -> Result<RecoveryPolicy, ArgError> {
-    let max_errors: Option<u64> = match p.get("max-errors") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|_| ArgError::BadValue {
-            flag: "max-errors".to_string(),
-            value: v.to_string(),
-            expected: "error budget (integer)",
-        })?),
-    };
-    Ok(match (p.has("recover"), max_errors) {
-        (_, Some(max_errors)) => RecoveryPolicy::Skip { max_errors },
-        (true, None) => RecoveryPolicy::BestEffort,
-        (false, None) => RecoveryPolicy::Strict,
-    })
-}
-
-/// Summarizes a recovering ingest on stderr (silent under `Strict`,
-/// where any decode error already aborted the command).
-fn report_ingest(report: &IngestReport, policy: RecoveryPolicy) {
-    if policy.is_strict() {
-        return;
-    }
-    errln!(
-        "ingest: {} records parsed, {} skipped, {} decode errors",
-        report.records_parsed,
-        report.records_skipped,
-        report.errors_total
-    );
-    for e in &report.errors {
-        errln!("  byte {} (line {}): {}", e.byte_offset, e.line, e.message);
-    }
-    // `errors` can exceed `errors_total` — located assembly diagnostics
-    // are retained without counting as decode errors.
-    let unrecorded = (report.errors_total as usize).saturating_sub(report.errors.len());
-    if unrecorded > 0 {
-        errln!("  ... {unrecorded} more not recorded");
+/// Names `path` in a codec's I/O error; decode errors already locate
+/// themselves by line and byte.
+fn log_error(path: &str, e: LogError) -> Box<dyn Error> {
+    match e {
+        LogError::Io(_) => file_error(path)(e).into(),
+        e => e.into(),
     }
 }
 
 fn write_log(log: &WorkflowLog, out: Option<&str>, format: &str) -> CliResult {
     let mut sink: Box<dyn Write> = match out {
-        Some(path) => Box::new(BufWriter::new(File::create(path)?)),
+        Some(path) => Box::new(BufWriter::new(
+            File::create(path).map_err(file_error(path))?,
+        )),
         None => Box::new(std::io::stdout().lock()),
     };
-    match format {
-        "flowmark" => codec::flowmark::write_log(log, &mut sink)?,
-        "seqs" => codec::seqs::write_log(log, &mut sink)?,
-        "jsonl" => codec::jsonl::write_log(log, &mut sink)?,
-        "xes" => codec::xes::write_log(log, &mut sink)?,
+    let written = match format {
+        "flowmark" => codec::flowmark::write_log(log, &mut sink),
+        "seqs" => codec::seqs::write_log(log, &mut sink),
+        "jsonl" => codec::jsonl::write_log(log, &mut sink),
+        "xes" => codec::xes::write_log(log, &mut sink),
         other => return Err(format!("unknown log format `{other}`").into()),
     }
-    sink.flush()?;
-    Ok(())
+    .and_then(|()| Ok(sink.flush()?));
+    written.map_err(|e| match out {
+        Some(path) => log_error(path, e),
+        None => e.into(),
+    })
 }
 
 fn preset_model(name: &str) -> Result<ProcessModel, Box<dyn Error>> {
@@ -424,7 +479,7 @@ fn generate(argv: &[String]) -> CliResult {
     let model = if let Some(name) = p.get("preset") {
         preset_model(name)?
     } else if let Some(path) = p.get("model") {
-        procmine_sim::textfmt::read_model(BufReader::new(File::open(path)?))?
+        procmine_sim::textfmt::read_model(read_to_string(path)?.as_bytes())?
     } else if let Some(n) = p.get("random-dag") {
         let vertices: usize = n
             .parse()
@@ -524,8 +579,7 @@ fn mine_with<S: MetricsSink>(
 /// stays batch-only).
 fn write_model_artifacts(p: &Parsed, model: &MinedModel) -> CliResult {
     if let Some(dot_path) = p.get("dot") {
-        std::fs::write(dot_path, model.to_dot("mined"))?;
-        errln!("wrote {dot_path}");
+        write_file(dot_path, model.to_dot("mined"))?;
     }
     if let Some(graphml_path) = p.get("graphml") {
         let support: std::collections::HashMap<(usize, usize), u32> = model
@@ -539,69 +593,34 @@ fn write_model_artifacts(p: &Parsed, model: &MinedModel) -> CliResult {
             |_, name| name.clone(),
             |u, v| support.get(&(u.index(), v.index())).map(|&c| f64::from(c)),
         );
-        std::fs::write(graphml_path, xml)?;
-        errln!("wrote {graphml_path}");
+        write_file(graphml_path, xml)?;
     }
     if let Some(json_path) = p.get("json") {
-        let f = BufWriter::new(File::create(json_path)?);
-        serde_json::to_writer_pretty(f, model)?;
-        errln!("wrote {json_path}");
+        write_file(json_path, serde_json::to_string_pretty(model)?)?;
     }
     Ok(())
 }
 
-/// Prints the tracer's dropped-span count under `--stats` — silence
-/// here would read as "the trace is complete" when the ring buffer
-/// wrapped.
-fn report_dropped_spans(tracer: &Tracer) {
-    if tracer.dropped_spans() > 0 {
-        outln!(
-            "trace: {} span(s) dropped at capacity (raise the tracer buffer or trace less)",
-            tracer.dropped_spans()
-        );
+/// Prints a mined model in the one shape batch and follow mining share,
+/// so their outputs diff cleanly: a header line, then one `  u -> v`
+/// line per edge.
+fn print_model(
+    path: &str,
+    algorithm: Algorithm,
+    model: &MinedModel,
+    executions: usize,
+    elapsed: std::time::Duration,
+) {
+    outln!(
+        "mined `{path}` with {algorithm:?}: {} activities, {} edges ({executions} executions, \
+         {:.3}s)",
+        model.activity_count(),
+        model.edge_count(),
+        elapsed.as_secs_f64()
+    );
+    for (u, v) in model.edges_named() {
+        outln!("  {u} -> {v}");
     }
-}
-
-/// The `"trace":{"dropped_spans":N}` fragment every `--stats-json`
-/// report carries (0 when tracing is disabled).
-fn trace_json_fragment(tracer: &Tracer) -> String {
-    format!("\"trace\":{{\"dropped_spans\":{}}}", tracer.dropped_spans())
-}
-
-/// The `--stats` / `--stats-json` telemetry reporting shared by batch
-/// and follow mining (same shape and key order for both paths).
-fn report_mine_stats(
-    p: &Parsed,
-    codec_stats: &CodecStats,
-    ingest: &IngestReport,
-    metrics: &MinerMetrics,
-    tracer: &Tracer,
-) -> CliResult {
-    if p.has("stats") {
-        outln!(
-            "codec: {} bytes read, {} events parsed, {} executions parsed",
-            codec_stats.bytes_read,
-            codec_stats.events_parsed,
-            codec_stats.executions_parsed
-        );
-        out!("{}", metrics.render_table());
-        report_dropped_spans(tracer);
-    }
-    if let Some(stats_path) = p.get("stats-json") {
-        let mut out = String::from("{\"codec\":");
-        out.push_str(&codec_stats.to_json());
-        out.push_str(",\"ingest\":");
-        out.push_str(&ingest.to_json());
-        out.push(',');
-        metrics.write_json_fields(&mut out);
-        out.push(',');
-        out.push_str(&trace_json_fragment(tracer));
-        out.push('}');
-        out.push('\n');
-        std::fs::write(stats_path, out)?;
-        errln!("wrote {stats_path}");
-    }
-    Ok(())
 }
 
 /// The consumer end of a `mine --follow` pipeline: absorbs completed
@@ -709,7 +728,9 @@ fn load_follow_checkpoint(
         )
         .into());
     }
-    let current_len = std::fs::metadata(log_path)?.len();
+    let current_len = std::fs::metadata(log_path)
+        .map_err(file_error(log_path))?
+        .len();
     if current_len < ck.source.source_len {
         return degrade(format!(
             "cannot resume from `{ck_path}`: log `{log_path}` shrank from {} to \
@@ -731,134 +752,159 @@ fn load_follow_checkpoint(
     Ok(Some((miner, ck.assembler, ck.source)))
 }
 
-/// Saves the full pipeline state to `ck_path` atomically. `base` is
-/// the source-side accounting carried over from the checkpoint this
-/// session resumed from (zeroed on a cold start); the session's own
-/// tallies are merged on top so the saved state is cumulative over the
-/// whole stream.
-#[allow(clippy::too_many_arguments)]
-fn save_follow_checkpoint(
-    ck_path: &str,
-    log_path: &str,
+/// The follow loop's work between events — checkpoint saves and health
+/// exports — and the tallies both read.
+struct FollowLoop<'a> {
+    reg: &'a Registry,
+    log_path: &'a str,
+    checkpoint: Option<&'a str>,
     fingerprint: procmine_core::OptionsFingerprint,
-    miner: &procmine_core::OnlineMiner,
-    assembler_state: procmine_log::stream::AssemblerState,
-    position: (u64, usize),
-    base: &procmine_core::SourceState,
-    session_stats: &CodecStats,
-    session_report: &IngestReport,
-) -> CliResult {
-    let mut stats = base.stats;
-    stats.merge(session_stats);
-    let mut report = base.report.clone();
-    report.merge(session_report);
-    let ck = procmine_core::FollowCheckpoint {
-        fingerprint,
-        miner: miner.export_state(),
-        assembler: assembler_state,
-        source: procmine_core::SourceState {
-            byte_offset: position.0,
-            line: position.1 as u64,
-            // The file can only have grown since the bytes at
-            // `position` were read; clamp defensively so the invariant
-            // `source_len >= byte_offset` holds even mid-rotation.
-            source_len: std::fs::metadata(log_path)?.len().max(position.0),
-            stats,
-            report,
-        },
-    };
-    ck.save(std::path::Path::new(ck_path))?;
-    Ok(())
-}
-
-/// Live-following health state sampled into the registry right before
-/// each metrics export (cadenced and final). Totals accumulated
-/// outside the registry (evictions, tail supervision) are synced into
-/// their counters by delta so scrape-over-scrape values stay monotone.
-struct FollowHealth<'a> {
-    open_cases: usize,
+    /// Source-side accounting carried over from the checkpoint this
+    /// session resumed from (zeroed on a cold start).
+    base: &'a procmine_core::SourceState,
     max_open_cases: usize,
-    cases_evicted: u64,
-    events_absorbed: u64,
-    snapshots_taken: u64,
-    snapshot_age_events: u64,
-    checkpoint_age_events: Option<u64>,
-    tail: Option<&'a procmine_log::stream::TailStats>,
-    elapsed: std::time::Duration,
-    events_total: u64,
+    tail: Option<std::sync::Arc<procmine_log::stream::TailStats>>,
+    started: std::time::Instant,
+    /// `procmine_follow_events_total`: events consumed this session.
+    events: procmine_core::Counter,
+    /// Consumed events since the last cadenced checkpoint save.
+    events_since_save: u64,
+    /// (snapshots_taken, events_absorbed at that point) — tracks the
+    /// snapshot-age gauge across exports.
+    snap_seen: (u64, u64),
+    ck_write_ns: procmine_core::Histogram,
+    ck_writes: procmine_core::Counter,
 }
 
-fn update_follow_health(reg: &Registry, h: &FollowHealth<'_>) {
-    if !reg.is_enabled() {
-        return;
+type FollowAssembler<'a, S> = procmine_log::stream::CaseAssembler<FollowDriver<'a, S>>;
+
+impl FollowLoop<'_> {
+    /// Saves the full pipeline state to `ck_path` atomically and times
+    /// the save into the registry. The session's source tallies are
+    /// merged over `base`, so the saved state is cumulative over the
+    /// whole stream.
+    fn save<S: MetricsSink>(
+        &self,
+        ck_path: &str,
+        assembler: &FollowAssembler<'_, S>,
+        source: &procmine_log::stream::FlowmarkSource<impl std::io::BufRead>,
+    ) -> CliResult {
+        let ck_started = self.reg.start();
+        let (byte_offset, line) = source.position();
+        let mut stats = self.base.stats;
+        stats.merge(&source.stats());
+        let mut report = self.base.report.clone();
+        report.merge(source.report());
+        let log_len = std::fs::metadata(self.log_path)
+            .map_err(file_error(self.log_path))?
+            .len();
+        let ck = procmine_core::FollowCheckpoint {
+            fingerprint: self.fingerprint,
+            miner: assembler.observer().miner.export_state(),
+            assembler: assembler.export_state(),
+            source: procmine_core::SourceState {
+                byte_offset,
+                line: line as u64,
+                // The file can only have grown since the bytes at
+                // `byte_offset` were read; clamp defensively so the
+                // invariant `source_len >= byte_offset` holds even
+                // mid-rotation.
+                source_len: log_len.max(byte_offset),
+                stats,
+                report,
+            },
+        };
+        ck.save(std::path::Path::new(ck_path))
+            .map_err(file_error(ck_path))?;
+        if ck_started.is_some() {
+            self.ck_write_ns.observe_since(ck_started);
+            self.ck_writes.inc();
+        }
+        Ok(())
     }
-    let sync = |name: &'static str, help: &'static str, total: u64| {
-        let c = reg.counter(name, help, &[]);
-        c.add(total.saturating_sub(c.value()));
-    };
-    reg.gauge(
-        "procmine_follow_open_cases",
-        "Concurrently open (incomplete) cases in the assembler window.",
-        &[],
-    )
-    .set_u64(h.open_cases as u64);
-    reg.gauge(
-        "procmine_follow_open_cases_limit",
-        "The --max-open-cases bound (0: unbounded).",
-        &[],
-    )
-    .set_u64(h.max_open_cases as u64);
-    reg.gauge(
-        "procmine_follow_events_per_second",
-        "Consumed events per wall-clock second since the session started.",
-        &[],
-    )
-    .set(h.events_total as f64 / h.elapsed.as_secs_f64().max(1e-9));
-    reg.gauge(
-        "procmine_follow_snapshot_age_events",
-        "Absorbed events since the last interim model snapshot.",
-        &[],
-    )
-    .set_u64(h.snapshot_age_events);
-    sync(
-        "procmine_follow_cases_evicted_total",
-        "Incomplete open cases evicted by the --max-open-cases window.",
-        h.cases_evicted,
-    );
-    sync(
-        "procmine_follow_events_absorbed_total",
-        "Events absorbed into the online miner (completed cases only).",
-        h.events_absorbed,
-    );
-    sync(
-        "procmine_follow_snapshots_total",
-        "Interim model snapshots taken.",
-        h.snapshots_taken,
-    );
-    if let Some(age) = h.checkpoint_age_events {
+
+    /// Samples live-following health into the registry right before a
+    /// metrics export (cadenced and final). Totals accumulated outside
+    /// the registry (evictions, tail supervision) are synced into their
+    /// counters by delta so scrape-over-scrape values stay monotone.
+    fn export<S: MetricsSink>(&mut self, assembler: &FollowAssembler<'_, S>, cases_evicted: u64) {
+        let reg = self.reg;
+        if !reg.is_enabled() {
+            return;
+        }
+        let miner = &*assembler.observer().miner;
+        let (taken, absorbed) = (miner.snapshots_taken(), miner.events_absorbed());
+        if taken > self.snap_seen.0 {
+            self.snap_seen = (taken, absorbed);
+        }
+        let sync = |name: &'static str, help: &'static str, total: u64| {
+            let c = reg.counter(name, help, &[]);
+            c.add(total.saturating_sub(c.value()));
+        };
         reg.gauge(
-            "procmine_checkpoint_age_events",
-            "Consumed events since the last checkpoint save.",
+            "procmine_follow_open_cases",
+            "Concurrently open (incomplete) cases in the assembler window.",
             &[],
         )
-        .set_u64(age);
-    }
-    if let Some(tail) = h.tail {
+        .set_u64(assembler.open_cases() as u64);
+        reg.gauge(
+            "procmine_follow_open_cases_limit",
+            "The --max-open-cases bound (0: unbounded).",
+            &[],
+        )
+        .set_u64(self.max_open_cases as u64);
+        reg.gauge(
+            "procmine_follow_events_per_second",
+            "Consumed events per wall-clock second since the session started.",
+            &[],
+        )
+        .set(self.events.value() as f64 / self.started.elapsed().as_secs_f64().max(1e-9));
+        reg.gauge(
+            "procmine_follow_snapshot_age_events",
+            "Absorbed events since the last interim model snapshot.",
+            &[],
+        )
+        .set_u64(absorbed - self.snap_seen.1);
         sync(
-            "procmine_tail_retries_total",
-            "Transient read errors retried by the supervised tail reader.",
-            tail.retries(),
+            "procmine_follow_cases_evicted_total",
+            "Incomplete open cases evicted by the --max-open-cases window.",
+            cases_evicted,
         );
         sync(
-            "procmine_tail_backoff_ns_total",
-            "Nanoseconds slept in tail-retry exponential backoff.",
-            tail.backoff_ns(),
+            "procmine_follow_events_absorbed_total",
+            "Events absorbed into the online miner (completed cases only).",
+            absorbed,
         );
         sync(
-            "procmine_tail_empty_polls_total",
-            "Empty tail polls (EOF-for-now) observed while following.",
-            tail.empty_polls(),
+            "procmine_follow_snapshots_total",
+            "Interim model snapshots taken.",
+            taken,
         );
+        if self.checkpoint.is_some() {
+            reg.gauge(
+                "procmine_checkpoint_age_events",
+                "Consumed events since the last checkpoint save.",
+                &[],
+            )
+            .set_u64(self.events_since_save);
+        }
+        if let Some(tail) = &self.tail {
+            sync(
+                "procmine_tail_retries_total",
+                "Transient read errors retried by the supervised tail reader.",
+                tail.retries(),
+            );
+            sync(
+                "procmine_tail_backoff_ns_total",
+                "Nanoseconds slept in tail-retry exponential backoff.",
+                tail.backoff_ns(),
+            );
+            sync(
+                "procmine_tail_empty_polls_total",
+                "Empty tail polls (EOF-for-now) observed while following.",
+                tail.empty_polls(),
+            );
+        }
     }
 }
 
@@ -908,7 +954,8 @@ fn mine_follow(p: &Parsed) -> CliResult {
         }
     }
 
-    let policy = ingest_policy(p)?;
+    let mut frame = Frame::new(p)?;
+    let policy = frame.policy;
     let snapshot_every: u64 = p.get_parse("snapshot-every", 0, "integer")?;
     let max_open_cases: usize = p.get_parse(
         "max-open-cases",
@@ -991,11 +1038,8 @@ fn mine_follow(p: &Parsed) -> CliResult {
     let start_offset = base_source.byte_offset;
     let start_line = base_source.line as usize;
 
-    let reg = registry_from_args(p);
-    let base = session_from_args(p, &reg);
-    let tracer = base.tracer().clone();
     let mut metrics = MinerMetrics::new();
-    let mut session = base.with_sink(&mut metrics);
+    let mut session = frame.session().with_sink(&mut metrics);
     let started = std::time::Instant::now();
 
     let mut tail_stats = None;
@@ -1006,9 +1050,10 @@ fn mine_follow(p: &Parsed) -> CliResult {
         // --idle-ms 0 the idle budget is zero (EOF stays immediate),
         // but transient-error retry and truncation detection still
         // protect the session.
-        let mut f = File::open(path)?;
+        let mut f = File::open(path).map_err(file_error(path))?;
         if start_offset > 0 {
-            f.seek(std::io::SeekFrom::Start(start_offset))?;
+            f.seek(std::io::SeekFrom::Start(start_offset))
+                .map_err(file_error(path))?;
         }
         let tail = TailReader::new(
             f,
@@ -1022,7 +1067,7 @@ fn mine_follow(p: &Parsed) -> CliResult {
     };
 
     let mut skipped = 0usize;
-    let follow_span = tracer.span_cat("stream.follow", "codec");
+    let follow_span = frame.base.tracer().span_cat("stream.follow", "codec");
     let mut source = FlowmarkSource::with_origin(reader, policy, start_offset, start_line);
     let driver = FollowDriver {
         miner: &mut miner,
@@ -1034,6 +1079,38 @@ fn mine_follow(p: &Parsed) -> CliResult {
         None => CaseAssembler::new(config, driver),
     };
 
+    let reg = frame.base.obs();
+    let mut follow = FollowLoop {
+        reg,
+        log_path: path,
+        checkpoint: checkpoint_path,
+        fingerprint,
+        base: &base_source,
+        max_open_cases,
+        tail: tail_stats,
+        started,
+        events: reg.counter(
+            "procmine_follow_events_total",
+            "Events consumed from the live stream (open cases included).",
+            &[],
+        ),
+        events_since_save: 0,
+        snap_seen: (0, 0),
+        // Registered up front: every follow export lists the checkpoint
+        // families, with or without --checkpoint.
+        ck_write_ns: reg.histogram(
+            "procmine_checkpoint_write_duration_ns",
+            "Wall-clock duration of one atomic checkpoint save, in nanoseconds.",
+            &[],
+        ),
+        ck_writes: reg.counter(
+            "procmine_checkpoint_writes_total",
+            "Atomic checkpoint saves performed.",
+            &[],
+        ),
+    };
+    let metrics_export = metrics_path.filter(|_| metrics_every > 0);
+    let mut events_since_export: u64 = 0;
     // Manual pump (rather than `source.pump`) so checkpoint saves can
     // run between events, where miner counts, open cases, and the
     // source position are mutually consistent. The cadence counts
@@ -1041,84 +1118,24 @@ fn mine_follow(p: &Parsed) -> CliResult {
     // executions: an assembler window that never overflows delivers
     // executions only at the final flush, which would mean no
     // mid-stream saves at all.
-    let cadence = checkpoint_every.max(1);
-    let mut events_since_save: u64 = 0;
-    let mut events_total: u64 = 0;
-    let mut events_since_export: u64 = 0;
-    // (snapshots_taken, events_absorbed at that point) — tracks the
-    // snapshot-age gauge across exports.
-    let mut snap_seen = (0u64, 0u64);
-    let follow_events = reg.counter(
-        "procmine_follow_events_total",
-        "Events consumed from the live stream (open cases included).",
-        &[],
-    );
-    let ck_write_ns = reg.histogram(
-        "procmine_checkpoint_write_duration_ns",
-        "Wall-clock duration of one atomic checkpoint save, in nanoseconds.",
-        &[],
-    );
-    let ck_writes = reg.counter(
-        "procmine_checkpoint_writes_total",
-        "Atomic checkpoint saves performed.",
-        &[],
-    );
-    let pumped = (|| -> Result<(), Box<dyn Error>> {
-        while let Some((event, at)) = source.next_event()? {
+    let checkpoint_cadence = checkpoint_every.max(1);
+    let pumped = (|| -> CliResult {
+        while let Some((event, at)) = source.next_event().map_err(|e| log_error(path, e))? {
             assembler.on_event(event, at)?;
-            follow_events.inc();
-            events_total += 1;
+            follow.events.inc();
             if let Some(ck_path) = checkpoint_path {
-                events_since_save += 1;
-                if events_since_save >= cadence {
-                    let ck_started = reg.start();
-                    save_follow_checkpoint(
-                        ck_path,
-                        path,
-                        fingerprint,
-                        assembler.observer().miner,
-                        assembler.export_state(),
-                        source.position(),
-                        &base_source,
-                        &source.stats(),
-                        source.report(),
-                    )?;
-                    if ck_started.is_some() {
-                        ck_write_ns.observe_since(ck_started);
-                        ck_writes.inc();
-                    }
+                follow.events_since_save += 1;
+                if follow.events_since_save >= checkpoint_cadence {
+                    follow.save(ck_path, &assembler, &source)?;
                     errln!("checkpoint @ byte {} -> {ck_path}", source.position().0);
-                    events_since_save = 0;
+                    follow.events_since_save = 0;
                 }
             }
-            if metrics_every > 0 {
+            if let Some(mp) = metrics_export {
                 events_since_export += 1;
                 if events_since_export >= metrics_every {
-                    if let Some(mp) = metrics_path {
-                        let miner = &*assembler.observer().miner;
-                        let (taken, absorbed) = (miner.snapshots_taken(), miner.events_absorbed());
-                        if taken > snap_seen.0 {
-                            snap_seen = (taken, absorbed);
-                        }
-                        update_follow_health(
-                            &reg,
-                            &FollowHealth {
-                                open_cases: assembler.open_cases(),
-                                max_open_cases,
-                                cases_evicted: assembler.report().cases_evicted,
-                                events_absorbed: absorbed,
-                                snapshots_taken: taken,
-                                snapshot_age_events: absorbed - snap_seen.1,
-                                checkpoint_age_events: checkpoint_path
-                                    .is_some()
-                                    .then_some(events_since_save),
-                                tail: tail_stats.as_deref(),
-                                elapsed: started.elapsed(),
-                                events_total,
-                            },
-                        );
-                        write_metrics_atomic(&reg, mp)?;
-                    }
+                    follow.export(&assembler, assembler.report().cases_evicted);
+                    write_metrics_atomic(reg, mp)?;
                     events_since_export = 0;
                 }
             }
@@ -1129,22 +1146,7 @@ fn mine_follow(p: &Parsed) -> CliResult {
         // assembled by the flush, so a case spanning this boundary
         // opens fresh on resume (same split the memory bound forces).
         if let Some(ck_path) = checkpoint_path {
-            let ck_started = reg.start();
-            save_follow_checkpoint(
-                ck_path,
-                path,
-                fingerprint,
-                assembler.observer().miner,
-                assembler.export_state(),
-                source.position(),
-                &base_source,
-                &source.stats(),
-                source.report(),
-            )?;
-            if ck_started.is_some() {
-                ck_write_ns.observe_since(ck_started);
-                ck_writes.inc();
-            }
+            follow.save(ck_path, &assembler, &source)?;
             errln!(
                 "checkpoint @ {} events -> {ck_path} (end of stream)",
                 assembler.observer().miner.events_absorbed()
@@ -1152,48 +1154,27 @@ fn mine_follow(p: &Parsed) -> CliResult {
         }
         Ok(())
     })();
-    let mut codec_stats = base_source.stats;
-    codec_stats.merge(&source.stats());
-    let mut ingest = base_source.report.clone();
-    ingest.merge(source.report());
-    ingest.merge(assembler.report());
-    codec_stats.executions_parsed = assembler.executions_emitted();
+    frame.codec = base_source.stats;
+    frame.codec.merge(&source.stats());
+    frame.codec.executions_parsed = assembler.executions_emitted();
+    frame.ingest = base_source.report.clone();
+    frame.ingest.merge(source.report());
+    frame.ingest.merge(assembler.report());
     // Final health refresh so the exit export reflects the end state.
-    if reg.is_enabled() {
-        let miner = &*assembler.observer().miner;
-        let (taken, absorbed) = (miner.snapshots_taken(), miner.events_absorbed());
-        if taken > snap_seen.0 {
-            snap_seen = (taken, absorbed);
-        }
-        update_follow_health(
-            &reg,
-            &FollowHealth {
-                open_cases: assembler.open_cases(),
-                max_open_cases,
-                cases_evicted: ingest.cases_evicted,
-                events_absorbed: absorbed,
-                snapshots_taken: taken,
-                snapshot_age_events: absorbed - snap_seen.1,
-                checkpoint_age_events: checkpoint_path.is_some().then_some(events_since_save),
-                tail: tail_stats.as_deref(),
-                elapsed: started.elapsed(),
-                events_total,
-            },
-        );
-    }
+    follow.export(&assembler, frame.ingest.cases_evicted);
     drop(assembler);
     drop(follow_span);
     if let Err(e) = pumped {
-        report_ingest(&ingest, policy);
+        frame.report_ingest();
         return Err(e);
     }
     if skipped > 0 {
         errln!("followed with {skipped} case(s) skipped");
     }
-    if ingest.cases_evicted > 0 {
+    if frame.ingest.cases_evicted > 0 {
         errln!(
             "warning: {} incomplete open case(s) evicted by the --max-open-cases {} window",
-            ingest.cases_evicted,
+            frame.ingest.cases_evicted,
             max_open_cases
         );
     }
@@ -1201,26 +1182,20 @@ fn mine_follow(p: &Parsed) -> CliResult {
     let executions = miner.executions();
     let model = miner.snapshot_in(&mut session)?;
     drop(session);
-    report_ingest(&ingest, policy);
-    let elapsed = started.elapsed();
-
-    outln!(
-        "mined `{path}` with {:?}: {} activities, {} edges ({} executions, {:.3}s)",
+    frame.report_ingest();
+    print_model(
+        path,
         Algorithm::GeneralDag,
-        model.activity_count(),
-        model.edge_count(),
+        &model,
         executions,
-        elapsed.as_secs_f64()
+        started.elapsed(),
     );
-    for (u, v) in model.edges_named() {
-        outln!("  {u} -> {v}");
-    }
-
     write_model_artifacts(p, &model)?;
-    report_mine_stats(p, &codec_stats, &ingest, &metrics, &tracer)?;
-    write_trace(&tracer, p)?;
-    write_metrics(&reg, p)?;
-    Ok(())
+    frame.write_stats(
+        || metrics.render_table(),
+        |out| metrics.write_json_fields(out),
+    )?;
+    frame.finish()
 }
 
 fn mine(argv: &[String]) -> CliResult {
@@ -1272,41 +1247,19 @@ fn mine(argv: &[String]) -> CliResult {
         .positional()
         .first()
         .ok_or(ArgError::Required("log file"))?;
-    let policy = ingest_policy(&p)?;
+    let mut frame = Frame::new(&p)?;
     let threads: usize = p.get_parse("threads", 0, "integer")?;
-    let reg = registry_from_args(&p);
-    let base = session_from_args(&p, &reg).with_threads(threads.max(1));
-    let tracer = base.tracer().clone();
-    let mut codec_stats = CodecStats::default();
-    let mut ingest = IngestReport::default();
     let mut metrics = MinerMetrics::new();
-    let mut session = base.with_sink(&mut metrics);
+    let mut session = frame
+        .session()
+        .with_threads(threads.max(1))
+        .with_sink(&mut metrics);
     let started = std::time::Instant::now();
-    let log = read_log_with(
-        path,
-        p.get("format").unwrap_or("flowmark"),
-        policy,
-        &mut codec_stats,
-        &mut ingest,
-        &tracer,
-        &reg,
-        threads.max(1),
-    )?;
+    let log = frame.read_log(path, p.get("format").unwrap_or("flowmark"), threads.max(1))?;
     let (model, algorithm) = mine_with(&p, &mut session, &log)?;
     drop(session);
-    report_ingest(&ingest, policy);
-    let elapsed = started.elapsed();
-
-    outln!(
-        "mined `{path}` with {algorithm:?}: {} activities, {} edges ({} executions, {:.3}s)",
-        model.activity_count(),
-        model.edge_count(),
-        log.len(),
-        elapsed.as_secs_f64()
-    );
-    for (u, v) in model.edges_named() {
-        outln!("  {u} -> {v}");
-    }
+    frame.report_ingest();
+    print_model(path, algorithm, &model, log.len(), started.elapsed());
 
     // Route analytics (acyclic models with a unique source and sink).
     let g = model.graph();
@@ -1344,19 +1297,18 @@ fn mine(argv: &[String]) -> CliResult {
 
     write_model_artifacts(&p, &model)?;
     if let Some(bpmn_path) = p.get("bpmn") {
-        std::fs::write(
+        write_file(
             bpmn_path,
             procmine_core::bpmn::to_bpmn_xml(&model, &gateways, "mined_process"),
         )?;
-        errln!("wrote {bpmn_path}");
     }
-    report_mine_stats(&p, &codec_stats, &ingest, &metrics, &tracer)?;
+    frame.write_stats(
+        || metrics.render_table(),
+        |out| metrics.write_json_fields(out),
+    )?;
     let mut check_failed = false;
     if p.has("check") {
-        let mut session = MineSession::new()
-            .with_tracer(tracer.clone())
-            .with_obs(reg.clone());
-        let report = conformance::check_conformance_in(&mut session, &model, &log);
+        let report = conformance::check_conformance_in(&mut frame.session(), &model, &log);
         if report.is_conformal() {
             outln!("conformance: OK (dependency-complete, irredundant, execution-complete)");
         } else {
@@ -1376,8 +1328,7 @@ fn mine(argv: &[String]) -> CliResult {
             check_failed = true;
         }
     }
-    write_trace(&tracer, &p)?;
-    write_metrics(&reg, &p)?;
+    frame.finish()?;
     if check_failed {
         return Err("mined model is not conformal".into());
     }
@@ -1393,55 +1344,21 @@ fn check(argv: &[String]) -> CliResult {
     let [model_path, log_path] = p.positional() else {
         return Err(ArgError::Required("MODEL.json and LOG arguments").into());
     };
-    let model: MinedModel = serde_json::from_reader(BufReader::new(File::open(model_path)?))?;
-    let format = p.get("format").unwrap_or("flowmark");
-    let policy = ingest_policy(&p)?;
-    let reg = registry_from_args(&p);
-    let base = session_from_args(&p, &reg);
-    let tracer = base.tracer().clone();
-    let mut codec_stats = CodecStats::default();
-    let mut ingest = IngestReport::default();
-    let log = read_log_with(
-        log_path,
-        format,
-        policy,
-        &mut codec_stats,
-        &mut ingest,
-        &tracer,
-        &reg,
-        1,
-    )?;
-    report_ingest(&ingest, policy);
+    let model: MinedModel = serde_json::from_str(&read_to_string(model_path)?)?;
+    let mut frame = Frame::new(&p)?;
+    let log = frame.read_log(log_path, p.get("format").unwrap_or("flowmark"), 1)?;
+    frame.report_ingest();
     let mut metrics = ConformanceMetrics::new();
-    let mut session = base.with_sink(&mut metrics);
-    let report = conformance::check_conformance_in(&mut session, &model, &log);
-    drop(session);
-    if p.has("stats") {
-        outln!(
-            "codec: {} bytes read, {} events parsed, {} executions parsed",
-            codec_stats.bytes_read,
-            codec_stats.events_parsed,
-            codec_stats.executions_parsed
-        );
-        out!("{}", metrics.render_table());
-        report_dropped_spans(&tracer);
-    }
-    if let Some(stats_path) = p.get("stats-json") {
-        let mut out = String::from("{\"codec\":");
-        out.push_str(&codec_stats.to_json());
-        out.push_str(",\"ingest\":");
-        out.push_str(&ingest.to_json());
-        out.push(',');
-        metrics.write_json_fields(&mut out);
-        out.push(',');
-        out.push_str(&trace_json_fragment(&tracer));
-        out.push('}');
-        out.push('\n');
-        std::fs::write(stats_path, out)?;
-        errln!("wrote {stats_path}");
-    }
-    write_trace(&tracer, &p)?;
-    write_metrics(&reg, &p)?;
+    let report = conformance::check_conformance_in(
+        &mut frame.session().with_sink(&mut metrics),
+        &model,
+        &log,
+    );
+    frame.write_stats(
+        || metrics.render_table(),
+        |out| metrics.write_json_fields(out),
+    )?;
+    frame.finish()?;
     if p.has("json") {
         // Machine-readable verdict on stdout; the exit status still
         // reflects conformality so scripts can branch either way.
@@ -1489,66 +1406,28 @@ fn conditions(argv: &[String]) -> CliResult {
         .positional()
         .first()
         .ok_or(ArgError::Required("log file"))?;
-    let policy = ingest_policy(&p)?;
-    let reg = registry_from_args(&p);
-    let base = session_from_args(&p, &reg);
-    let tracer = base.tracer().clone();
-    let mut codec_stats = CodecStats::default();
-    let mut ingest = IngestReport::default();
-    let format = p.get("format").unwrap_or("flowmark");
-    let log = read_log_with(
-        path,
-        format,
-        policy,
-        &mut codec_stats,
-        &mut ingest,
-        &tracer,
-        &reg,
-        1,
-    )?;
-    report_ingest(&ingest, policy);
+    let mut frame = Frame::new(&p)?;
+    let log = frame.read_log(path, p.get("format").unwrap_or("flowmark"), 1)?;
+    frame.report_ingest();
     let mut miner_metrics = MinerMetrics::new();
-    let mut session = base.with_sink(&mut miner_metrics);
-    let (model, _) = mine_with(&p, &mut session, &log)?;
-    drop(session);
+    let (model, _) = mine_with(&p, &mut frame.session().with_sink(&mut miner_metrics), &log)?;
     let cfg = TreeConfig {
         max_depth: p.get_parse("max-depth", 8, "integer")?,
         ..TreeConfig::default()
     };
     let mut classify_metrics = ClassifyMetrics::new();
-    let mut session = MineSession::new()
-        .with_tracer(tracer.clone())
-        .with_obs(reg.clone())
-        .with_sink(&mut classify_metrics);
-    let learned = procmine_classify::learn_edge_conditions_in(&mut session, &model, &log, &cfg);
-    drop(session);
-    if p.has("stats") {
-        outln!(
-            "codec: {} bytes read, {} events parsed, {} executions parsed",
-            codec_stats.bytes_read,
-            codec_stats.events_parsed,
-            codec_stats.executions_parsed
-        );
-        out!("{}", miner_metrics.render_table());
-        out!("{}", classify_metrics.render_table());
-        report_dropped_spans(&tracer);
-    }
-    if let Some(stats_path) = p.get("stats-json") {
-        let mut out = String::from("{\"codec\":");
-        out.push_str(&codec_stats.to_json());
-        out.push_str(",\"ingest\":");
-        out.push_str(&ingest.to_json());
-        out.push(',');
-        miner_metrics.write_json_fields(&mut out);
+    let learned = procmine_classify::learn_edge_conditions_in(
+        &mut frame.session().with_sink(&mut classify_metrics),
+        &model,
+        &log,
+        &cfg,
+    );
+    let table = || miner_metrics.render_table() + &classify_metrics.render_table();
+    frame.write_stats(table, |out| {
+        miner_metrics.write_json_fields(out);
         out.push_str(",\"classify\":");
         out.push_str(&classify_metrics.to_json());
-        out.push(',');
-        out.push_str(&trace_json_fragment(&tracer));
-        out.push('}');
-        out.push('\n');
-        std::fs::write(stats_path, out)?;
-        errln!("wrote {stats_path}");
-    }
+    })?;
     for c in &learned {
         outln!(
             "{} -> {}   [{} taken / {} not, accuracy {:.2}]",
@@ -1568,8 +1447,7 @@ fn conditions(argv: &[String]) -> CliResult {
             }
         }
     }
-    write_trace(&tracer, &p)?;
-    write_metrics(&reg, &p)
+    frame.finish()
 }
 
 fn info(argv: &[String]) -> CliResult {
@@ -1578,7 +1456,7 @@ fn info(argv: &[String]) -> CliResult {
         .positional()
         .first()
         .ok_or(ArgError::Required("log file"))?;
-    let log = read_log(path, p.get("format").unwrap_or("flowmark"))?;
+    let log = Frame::new(&p)?.read_log(path, p.get("format").unwrap_or("flowmark"), 1)?;
     let stats = procmine_log::stats::log_stats(&log);
 
     outln!("executions:  {}", stats.executions);

@@ -10,7 +10,7 @@
 //! snapshot (`procmine-metrics/v1`).
 
 use crate::args::{parse, ArgError, Parsed};
-use crate::output::{errln, outln};
+use crate::output::{file_error, outln, read_to_string, write_file};
 use procmine_core::Registry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
@@ -56,8 +56,7 @@ fn render_for_path(reg: &Registry, path: &str) -> String {
 /// without the flag.
 pub fn write_metrics(reg: &Registry, p: &Parsed) -> CliResult {
     if let Some(path) = p.get("metrics") {
-        std::fs::write(path, render_for_path(reg, path))?;
-        errln!("wrote {path}");
+        write_file(path, render_for_path(reg, path))?;
     }
     Ok(())
 }
@@ -71,13 +70,13 @@ pub fn write_metrics_atomic(reg: &Registry, path: &str) -> CliResult {
     procmine_log::stream::checkpoint::write_atomic_raw(
         std::path::Path::new(path),
         render_for_path(reg, path).as_bytes(),
-    )?;
+    )
+    .map_err(file_error(path))?;
     Ok(())
 }
 
-/// Records one ingest pass into the per-format codec counters. The
-/// deltas are the codec-stat increments this decode contributed (the
-/// caller's stat structs are cumulative across sources).
+/// Records one ingest pass — the bytes and events this decode read —
+/// into the per-format codec counters.
 pub fn record_ingest(reg: &Registry, format: &str, bytes: u64, events: u64) {
     if !reg.is_enabled() {
         return;
@@ -109,12 +108,11 @@ pub fn report(argv: &[String]) -> CliResult {
     let [path] = p.positional() else {
         return Err(ArgError::Required("metrics snapshot file").into());
     };
-    let text = std::fs::read_to_string(path)?;
+    let text = read_to_string(path)?;
     let prev = p
         .get("prev")
-        .map(std::fs::read_to_string)
-        .transpose()?
-        .map(|t| (p.get("prev").unwrap_or_default().to_string(), t));
+        .map(|prev| read_to_string(prev).map(|text| (prev, text)))
+        .transpose()?;
 
     if is_prometheus_path(path) {
         let scrape = ExpositionScrape::parse(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -569,7 +567,7 @@ fn render_exposition(scrape: &ExpositionScrape) {
 /// format).
 fn render_trace_summary(path: &str) -> CliResult {
     use serde_json::Value;
-    let text = std::fs::read_to_string(path)?;
+    let text = read_to_string(path)?;
     let value: Value = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
     let Some(Value::Seq(events)) = value.get("traceEvents") else {
         return Err(format!("{path}: missing `traceEvents` array").into());

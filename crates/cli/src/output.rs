@@ -7,7 +7,12 @@
 //! instead of panicking; [`errln!`] writes diagnostics to stderr on a
 //! best-effort basis (a closed stderr silently drops them — there is
 //! nowhere left to complain to).
+//!
+//! Errors on named files go through [`FileError`], which names the path
+//! and keeps the I/O error beneath it for [`error_is_broken_pipe`].
 
+use std::error::Error;
+use std::fmt;
 use std::io::Write;
 
 /// Exit status for a closed stdout: `128 + SIGPIPE`, the status a
@@ -89,3 +94,59 @@ macro_rules! errln {
 }
 
 pub(crate) use {errln, out, outln};
+
+/// An error on a named file: the message leads with the path, and the
+/// underlying error stays the [`source`](Error::source), so a closed
+/// FIFO still exits quietly through [`error_is_broken_pipe`].
+#[derive(Debug)]
+pub struct FileError {
+    path: String,
+    source: Box<dyn Error + Send + Sync>,
+}
+
+impl fmt::Display for FileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.path, self.source)
+    }
+}
+
+impl Error for FileError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        Some(&*self.source)
+    }
+}
+
+/// Names `path` in an error from that file: `.map_err(file_error(path))`.
+pub fn file_error<E: Into<Box<dyn Error + Send + Sync>>>(
+    path: &str,
+) -> impl FnOnce(E) -> FileError + '_ {
+    move |e| FileError {
+        path: path.to_string(),
+        source: e.into(),
+    }
+}
+
+/// Reads `path` into a string.
+pub fn read_to_string(path: &str) -> Result<String, FileError> {
+    std::fs::read_to_string(path).map_err(file_error(path))
+}
+
+/// Writes `contents` to `path` and notes the file on stderr.
+pub fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), FileError> {
+    std::fs::write(path, contents).map_err(file_error(path))?;
+    errln!("wrote {path}");
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn file_errors_name_the_path_and_keep_the_io_error_as_source() {
+        let closed = std::io::Error::from(std::io::ErrorKind::BrokenPipe);
+        let e: Box<dyn Error> = file_error("out.fifo")(closed).into();
+        assert!(e.to_string().starts_with("out.fifo: "), "{e}");
+        assert!(error_is_broken_pipe(e.as_ref()));
+    }
+}

@@ -140,10 +140,36 @@ fn conditions_on_engine_log() {
 }
 
 #[test]
-fn mine_missing_file_fails_cleanly() {
-    let out = procmine(&["mine", "/nonexistent/nope.fm"]);
-    assert!(!out.status.success());
-    assert!(!String::from_utf8_lossy(&out.stderr).is_empty());
+fn file_errors_name_the_file() {
+    let dir = tmpdir("file-errors");
+    let log = dir.join("log.fm");
+    generate_log(&log, "20", "41");
+    let log = log.to_str().unwrap();
+    // Each command fails on one missing file; the error names it.
+    let cases: [(&[&str], &str); 4] = [
+        (&["mine", "/nonexistent/in.fm"], "/nonexistent/in.fm"),
+        (
+            &["mine", log, "--stats-json", "/nonexistent/s.json"],
+            "/nonexistent/s.json",
+        ),
+        (
+            &["mine", "--follow", log, "--checkpoint", "/nonexistent/ck"],
+            "/nonexistent/ck",
+        ),
+        (
+            &["check", "/nonexistent/m.json", log],
+            "/nonexistent/m.json",
+        ),
+    ];
+    for (args, path) in cases {
+        let out = procmine(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("procmine: {path}: ")),
+            "{args:?}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -338,6 +364,85 @@ fn stats_json_matches_mined_model() {
     );
     assert!(arena.get("bytes").unwrap().as_u64().unwrap() > 0);
     assert!(arena.get("high_water_bytes").unwrap().as_u64().unwrap() > 0);
+}
+
+#[test]
+fn stats_json_top_level_keys_keep_their_order() {
+    let dir = tmpdir("stats-key-order");
+    let log = dir.join("log.fm");
+    generate_log(&log, "30", "43");
+    let orders = dir.join("orders.fm");
+    let out = procmine(&[
+        "generate",
+        "--preset",
+        "order",
+        "--engine",
+        "conditions",
+        "--executions",
+        "60",
+        "-o",
+        orders.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let model = dir.join("model.json");
+    let log = log.to_str().unwrap();
+    let out = procmine(&["mine", log, "--json", model.to_str().unwrap()]);
+    assert!(out.status.success());
+
+    let mine_keys: &[&str] = &[
+        "codec",
+        "ingest",
+        "counters",
+        "stages_ns",
+        "stages_wall_ns",
+        "arena",
+        "trace",
+    ];
+    let cases: [(&[&str], &[&str]); 4] = [
+        (&["mine", log], mine_keys),
+        (&["mine", "--follow", log], mine_keys),
+        (
+            &["check", model.to_str().unwrap(), log],
+            &["codec", "ingest", "counters", "timers_ns", "trace"],
+        ),
+        (
+            &["conditions", orders.to_str().unwrap()],
+            &[
+                "codec",
+                "ingest",
+                "counters",
+                "stages_ns",
+                "stages_wall_ns",
+                "arena",
+                "classify",
+                "trace",
+            ],
+        ),
+    ];
+    let stats = dir.join("stats.json");
+    for (args, keys) in cases {
+        let mut args = args.to_vec();
+        args.extend(["--stats-json", stats.to_str().unwrap()]);
+        let out = procmine(&args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let json: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&stats).unwrap()).unwrap();
+        let serde_json::Value::Map(pairs) = json else {
+            panic!("{args:?}: stats are not a JSON object");
+        };
+        let in_file_order: Vec<String> = pairs
+            .iter()
+            .map(|(k, _)| match k {
+                serde_json::Value::Str(k) => k.clone(),
+                other => panic!("non-string key {other:?}"),
+            })
+            .collect();
+        assert_eq!(in_file_order, keys, "{args:?}");
+    }
 }
 
 #[test]

@@ -16,36 +16,28 @@
 //! Lines are decoded by [`FlowmarkSource`], the one Flowmark decoder;
 //! [`read_log_with`] drains it and assembles the records into a log.
 
-use super::{CodecStats, IngestReport, RecoveryPolicy};
+use super::{assemble_records, CodecStats, IngestReport, RecoveryPolicy};
 use crate::stream::FlowmarkSource;
-use crate::validate::{assemble_executions_with, AssemblyPolicy};
-use crate::{ActivityTable, EventKind, EventRecord, LogError, WorkflowLog};
+use crate::{EventKind, EventRecord, LogError, WorkflowLog};
 use std::io::{BufRead, Write};
 
 /// Parses a Flowmark-style event stream and assembles it into a
 /// [`WorkflowLog`] (strict START/END pairing).
 pub fn read_log<R: BufRead>(reader: R) -> Result<WorkflowLog, LogError> {
-    read_log_with_stats(reader, &mut CodecStats::default())
-}
-
-/// [`read_log`] with telemetry: bytes consumed, event lines parsed, and
-/// executions assembled accumulate into `stats`.
-pub fn read_log_with_stats<R: BufRead>(
-    reader: R,
-    stats: &mut CodecStats,
-) -> Result<WorkflowLog, LogError> {
     read_log_with(
         reader,
         RecoveryPolicy::Strict,
-        stats,
+        &mut CodecStats::default(),
         &mut IngestReport::default(),
     )
 }
 
-/// [`read_log_with_stats`] with a [`RecoveryPolicy`]: under `Strict`
-/// the first bad line aborts (it is still recorded in `report`, with
-/// its byte offset); under `Skip`/`BestEffort` bad lines are counted
-/// and skipped and START/END pairing falls back to lenient assembly.
+/// [`read_log`] with telemetry and a [`RecoveryPolicy`]: bytes
+/// consumed, event lines parsed, and executions assembled accumulate
+/// into `stats`. Under `Strict` the first bad line aborts (it is still
+/// recorded in `report`, with its byte offset); under `Skip`/`BestEffort`
+/// bad lines are counted and skipped and START/END pairing falls back
+/// to lenient assembly.
 /// An unparsable final line with no trailing newline is reported as
 /// [`LogError::UnexpectedEof`] — a truncated file, not a garbage line.
 /// An I/O error is fatal under every policy and is recorded in
@@ -70,27 +62,7 @@ pub fn read_log_with<R: BufRead>(
     report.merge(source.report());
     drained?;
     stats.events_parsed += records.len() as u64;
-    let log = if policy.is_strict() {
-        WorkflowLog::from_events(&records).map_err(|e| {
-            report.record_error(bytes, 0, e.to_string());
-            e
-        })?
-    } else {
-        let mut table = ActivityTable::new();
-        let assembled = assemble_executions_with(&records, &mut table, AssemblyPolicy::Lenient)
-            .map_err(|e| {
-                report.record_error(bytes, 0, e.to_string());
-                e
-            })?;
-        report.records_skipped += assembled.diagnostics.len() as u64;
-        let mut log = WorkflowLog::with_activities(table);
-        for exec in assembled.executions {
-            log.push(exec);
-        }
-        log
-    };
-    stats.executions_parsed += log.len() as u64;
-    Ok(log)
+    assemble_records(&records, policy, bytes, stats, report)
 }
 
 /// Writes a log as a Flowmark-style event stream. Instances are emitted

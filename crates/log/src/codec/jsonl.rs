@@ -51,29 +51,22 @@ pub fn write_log<W: Write>(log: &WorkflowLog, mut writer: W) -> Result<(), LogEr
 
 /// Reads a JSON-lines log. Blank lines are skipped.
 pub fn read_log<R: BufRead>(reader: R) -> Result<WorkflowLog, LogError> {
-    read_log_with_stats(reader, &mut CodecStats::default())
-}
-
-/// [`read_log`] with telemetry: bytes consumed, activity instances
-/// parsed, and executions assembled accumulate into `stats`.
-pub fn read_log_with_stats<R: BufRead>(
-    reader: R,
-    stats: &mut CodecStats,
-) -> Result<WorkflowLog, LogError> {
     read_log_with(
         reader,
         RecoveryPolicy::Strict,
-        stats,
+        &mut CodecStats::default(),
         &mut IngestReport::default(),
     )
 }
 
-/// [`read_log_with_stats`] with a [`RecoveryPolicy`]: a line that is
-/// not valid JSON, or whose execution is structurally invalid (no
-/// instances, an interval ending before it starts), aborts under
-/// `Strict` and is counted and skipped otherwise. An unparsable final
-/// line with no trailing newline is reported as
-/// [`LogError::UnexpectedEof`] — a truncated file, not a garbage line.
+/// [`read_log`] with telemetry and a [`RecoveryPolicy`]: bytes
+/// consumed, activity instances parsed, and executions assembled
+/// accumulate into `stats`. A line that is not valid JSON, or whose
+/// execution is structurally invalid (no instances, an interval ending
+/// before it starts), aborts under `Strict` and is counted and skipped
+/// otherwise. An unparsable final line with no trailing newline is
+/// reported as [`LogError::UnexpectedEof`] — a truncated file, not a
+/// garbage line.
 pub fn read_log_with<R: BufRead>(
     reader: R,
     policy: RecoveryPolicy,

@@ -20,13 +20,13 @@ pub mod seqs;
 pub mod xes;
 pub mod xes_reference;
 
-use crate::LogError;
+use crate::validate::{assemble_executions_with, AssemblyPolicy};
+use crate::{ActivityTable, EventRecord, LogError, WorkflowLog};
 use std::io::{BufRead, Read};
 
 /// How a codec treats decode errors (bad lines, truncated tails,
 /// malformed XML). Every codec's `read_log_with` entry point takes one;
-/// the plain `read_log` / `read_log_with_stats` entry points use
-/// [`RecoveryPolicy::Strict`].
+/// the plain `read_log` entry points use [`RecoveryPolicy::Strict`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryPolicy {
     /// The first decode error aborts the read (it is still recorded in
@@ -190,6 +190,40 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// Assembles the event records of one read into a [`WorkflowLog`]:
+/// strict START/END pairing under [`RecoveryPolicy::Strict`], lenient
+/// pairing otherwise (dropped events count as skipped records). An
+/// assembly error is recorded at `bytes`, this read's input length, so
+/// its offset stays inside the input when `stats` tallies several
+/// reads. Shared by the Flowmark and XES readers.
+pub(crate) fn assemble_records(
+    records: &[EventRecord],
+    policy: RecoveryPolicy,
+    bytes: u64,
+    stats: &mut CodecStats,
+    report: &mut IngestReport,
+) -> Result<WorkflowLog, LogError> {
+    let assembled = if policy.is_strict() {
+        WorkflowLog::from_events(records)
+    } else {
+        let mut table = ActivityTable::new();
+        assemble_executions_with(records, &mut table, AssemblyPolicy::Lenient).map(|assembled| {
+            report.records_skipped += assembled.diagnostics.len() as u64;
+            let mut log = WorkflowLog::with_activities(table);
+            for exec in assembled.executions {
+                log.push(exec);
+            }
+            log
+        })
+    };
+    let log = assembled.map_err(|e| {
+        report.record_error(bytes, 0, e.to_string());
+        e
+    })?;
+    stats.executions_parsed += log.len() as u64;
+    Ok(log)
+}
+
 /// Byte-level line reader for the recovering decode paths: unlike
 /// [`BufRead::lines`], it survives invalid UTF-8 (a bit flip must not
 /// abort the whole read as an I/O error), reports each line's starting
@@ -253,9 +287,9 @@ impl<R: BufRead> ByteLines<R> {
 
 /// Byte and event tallies from one codec read.
 ///
-/// Every codec has a `read_log_with_stats` twin that fills one of
-/// these; the plain `read_log` entry points discard the stats. Fields
-/// accumulate, so one `CodecStats` can tally several reads.
+/// Every codec's `read_log_with` fills one of these; the plain
+/// `read_log` entry points discard the stats. Fields accumulate, so one
+/// `CodecStats` can tally several reads.
 ///
 /// `events_parsed` counts the format's natural unit: event lines for
 /// [`flowmark`], activity names for [`seqs`], activity instances for
@@ -333,13 +367,31 @@ impl<R: BufRead> BufRead for CountingReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WorkflowLog;
+
+    /// A strict read into `stats`, discarding the ingest report.
+    fn strict<R>(
+        read: fn(
+            R,
+            RecoveryPolicy,
+            &mut CodecStats,
+            &mut IngestReport,
+        ) -> Result<WorkflowLog, LogError>,
+        reader: R,
+        stats: &mut CodecStats,
+    ) -> Result<WorkflowLog, LogError> {
+        read(
+            reader,
+            RecoveryPolicy::Strict,
+            stats,
+            &mut IngestReport::default(),
+        )
+    }
 
     #[test]
     fn seqs_stats_count_bytes_names_and_executions() {
         let text = "# log\nA B C E\nA C D E\n";
         let mut stats = CodecStats::default();
-        let log = seqs::read_log_with_stats(text.as_bytes(), &mut stats).unwrap();
+        let log = strict(seqs::read_log_with, text.as_bytes(), &mut stats).unwrap();
         assert_eq!(log.len(), 2);
         assert_eq!(stats.bytes_read, text.len() as u64);
         assert_eq!(stats.events_parsed, 8);
@@ -350,7 +402,7 @@ mod tests {
     fn flowmark_stats_count_event_lines() {
         let text = "p1,A,START,0\np1,A,END,1\np1,B,START,2\np1,B,END,3\n";
         let mut stats = CodecStats::default();
-        let log = flowmark::read_log_with_stats(text.as_bytes(), &mut stats).unwrap();
+        let log = strict(flowmark::read_log_with, text.as_bytes(), &mut stats).unwrap();
         assert_eq!(log.len(), 1);
         assert_eq!(stats.bytes_read, text.len() as u64);
         assert_eq!(stats.events_parsed, 4);
@@ -363,7 +415,7 @@ mod tests {
         let mut buf = Vec::new();
         jsonl::write_log(&log, &mut buf).unwrap();
         let mut stats = CodecStats::default();
-        let back = jsonl::read_log_with_stats(buf.as_slice(), &mut stats).unwrap();
+        let back = strict(jsonl::read_log_with, buf.as_slice(), &mut stats).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(stats.bytes_read, buf.len() as u64);
         assert_eq!(stats.events_parsed, 5);
@@ -376,7 +428,7 @@ mod tests {
         let mut buf = Vec::new();
         xes::write_log(&log, &mut buf).unwrap();
         let mut stats = CodecStats::default();
-        let back = xes::read_log_with_stats(buf.as_slice(), &mut stats).unwrap();
+        let back = strict(xes::read_log_with, buf.as_slice(), &mut stats).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(stats.bytes_read, buf.len() as u64);
         // Instantaneous instances write one `complete` element each.
@@ -388,11 +440,57 @@ mod tests {
     fn stats_accumulate_across_reads() {
         let text = "A B\n";
         let mut stats = CodecStats::default();
-        seqs::read_log_with_stats(text.as_bytes(), &mut stats).unwrap();
-        seqs::read_log_with_stats(text.as_bytes(), &mut stats).unwrap();
+        strict(seqs::read_log_with, text.as_bytes(), &mut stats).unwrap();
+        strict(seqs::read_log_with, text.as_bytes(), &mut stats).unwrap();
         assert_eq!(stats.bytes_read, 2 * text.len() as u64);
         assert_eq!(stats.events_parsed, 4);
         assert_eq!(stats.executions_parsed, 2);
+    }
+
+    #[test]
+    fn assembly_errors_are_located_within_this_read() {
+        // A START never followed by an END fails strict assembly, which
+        // records the error at the end of this read's input — also when
+        // the stats already tally an earlier read.
+        let flowmark = "p1,A,START,0\np1,A,END,1\np1,B,START,2\n";
+        let xes = "<log><trace><string key=\"concept:name\" value=\"p1\"/>\
+                   <event><string key=\"concept:name\" value=\"A\"/>\
+                   <string key=\"lifecycle:transition\" value=\"start\"/></event>\
+                   </trace></log>";
+        type Read = fn(
+            &'static [u8],
+            RecoveryPolicy,
+            &mut CodecStats,
+            &mut IngestReport,
+        ) -> Result<WorkflowLog, LogError>;
+        let readers: [(&str, Read); 2] = [
+            (flowmark, flowmark::read_log_with),
+            (xes, xes::read_log_with),
+        ];
+        for (input, read) in readers {
+            for earlier_bytes in [0, 1000] {
+                let mut stats = CodecStats {
+                    bytes_read: earlier_bytes,
+                    ..CodecStats::default()
+                };
+                let mut report = IngestReport::default();
+                let err = read(
+                    input.as_bytes(),
+                    RecoveryPolicy::Strict,
+                    &mut stats,
+                    &mut report,
+                )
+                .unwrap_err();
+                assert!(matches!(err, LogError::UnmatchedStart { .. }), "{err}");
+                assert_eq!(report.errors.len(), 1, "{input}");
+                assert_eq!(
+                    report.errors[0].byte_offset,
+                    input.len() as u64,
+                    "{input} read after {earlier_bytes} bytes"
+                );
+                assert_eq!(stats.bytes_read, earlier_bytes + input.len() as u64);
+            }
+        }
     }
 
     #[test]

@@ -16,29 +16,21 @@ use std::io::{BufRead, Write};
 
 /// Reads a sequence-format log.
 pub fn read_log<R: BufRead>(reader: R) -> Result<WorkflowLog, LogError> {
-    read_log_with_stats(reader, &mut CodecStats::default())
-}
-
-/// [`read_log`] with telemetry: bytes consumed, activity names parsed,
-/// and executions assembled accumulate into `stats`.
-pub fn read_log_with_stats<R: BufRead>(
-    reader: R,
-    stats: &mut CodecStats,
-) -> Result<WorkflowLog, LogError> {
     read_log_with(
         reader,
         RecoveryPolicy::Strict,
-        stats,
+        &mut CodecStats::default(),
         &mut IngestReport::default(),
     )
 }
 
-/// [`read_log_with_stats`] with a [`RecoveryPolicy`]: bad lines abort
-/// (`Strict`) or are counted and skipped. Note that truncation is mostly
-/// *undetectable* in this format — any prefix of a line is itself a
-/// valid sequence — so a cut-off tail silently drops activities; only an
-/// unparsable unterminated tail (e.g. split multi-byte UTF-8) surfaces
-/// as [`LogError::UnexpectedEof`].
+/// [`read_log`] with telemetry and a [`RecoveryPolicy`]: bytes
+/// consumed, activity names parsed, and executions assembled accumulate
+/// into `stats`. Bad lines abort (`Strict`) or are counted and skipped.
+/// Note that truncation is mostly *undetectable* in this format — any
+/// prefix of a line is itself a valid sequence — so a cut-off tail
+/// silently drops activities; only an unparsable unterminated tail
+/// (e.g. split multi-byte UTF-8) surfaces as [`LogError::UnexpectedEof`].
 pub fn read_log_with<R: BufRead>(
     reader: R,
     policy: RecoveryPolicy,

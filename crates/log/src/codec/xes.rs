@@ -42,7 +42,7 @@
 //! [`xes_reference`](super::xes_reference) and pinned to this one by
 //! differential tests.
 
-use super::{CodecStats, IngestReport, RecoveryPolicy};
+use super::{assemble_records, CodecStats, IngestReport, RecoveryPolicy};
 use crate::{EventKind, EventRecord, LogError, WorkflowLog};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -586,41 +586,29 @@ pub fn write_log<W: Write>(log: &WorkflowLog, mut w: W) -> Result<(), LogError> 
 /// as `complete`; a lone `complete` without a preceding `start` becomes
 /// an instantaneous instance.
 pub fn read_log<R: BufRead>(reader: R) -> Result<WorkflowLog, LogError> {
-    read_log_with_stats(reader, &mut super::CodecStats::default())
-}
-
-/// [`read_log`] with telemetry: bytes consumed, `<event>` elements
-/// parsed, and executions assembled accumulate into `stats`.
-pub fn read_log_with_stats<R: BufRead>(
-    reader: R,
-    stats: &mut super::CodecStats,
-) -> Result<WorkflowLog, LogError> {
     read_log_with(
         reader,
         RecoveryPolicy::Strict,
-        stats,
+        &mut CodecStats::default(),
         &mut IngestReport::default(),
     )
 }
 
-/// [`read_log_with_stats`] with a [`RecoveryPolicy`]. Under `Strict`
-/// the first XML syntax error, undecodable event, or invalid timestamp
-/// aborts (recorded in `report` with its byte offset; truncation
-/// surfaces as [`LogError::UnexpectedEof`]). Under `Skip`/`BestEffort`
-/// bad events are dropped, XML syntax errors re-sync at the next tag,
-/// and START/END pairing falls back to lenient assembly.
+/// [`read_log`] with telemetry and a [`RecoveryPolicy`]: bytes
+/// consumed, `<event>` elements parsed, and executions assembled
+/// accumulate into `stats`. Under `Strict` the first XML syntax error,
+/// undecodable event, or invalid timestamp aborts (recorded in `report`
+/// with its byte offset; truncation surfaces as
+/// [`LogError::UnexpectedEof`]). Under `Skip`/`BestEffort` bad events
+/// are dropped, XML syntax errors re-sync at the next tag, and
+/// START/END pairing falls back to lenient assembly.
 pub fn read_log_with<R: BufRead>(
-    mut reader: R,
+    reader: R,
     policy: RecoveryPolicy,
     stats: &mut CodecStats,
     report: &mut IngestReport,
 ) -> Result<WorkflowLog, LogError> {
-    let mut raw = Vec::new();
-    let read_result = reader.read_to_end(&mut raw);
-    stats.bytes_read += raw.len() as u64;
-    read_result?;
-    let text = decode_utf8(&raw, policy, report)?;
-    read_text(&text, policy, stats, report)
+    read_log_with_threads(reader, policy, 1, stats, report)
 }
 
 /// Minimum input size for the chunked parallel decode. Below this the
@@ -674,10 +662,12 @@ pub fn read_log_with_threads_min_bytes<R: BufRead>(
         if let Some((records, events)) = parallel_parse(&text, threads) {
             stats.events_parsed += events;
             report.records_parsed += events;
-            return assemble(records, policy, stats, report);
+            return assemble_records(&records, policy, raw.len() as u64, stats, report);
         }
     }
-    read_text(&text, policy, stats, report)
+    let mut scanner = Scanner::new(&text);
+    let outcome = parse_records(&mut scanner, policy, stats, report, true)?;
+    assemble_records(&outcome.records, policy, raw.len() as u64, stats, report)
 }
 
 /// Validates `raw` as UTF-8 without copying; under a recovery policy an
@@ -705,53 +695,6 @@ fn decode_utf8<'a>(
             Ok(String::from_utf8_lossy(raw))
         }
     }
-}
-
-/// Serial parse + assembly of a decoded document.
-fn read_text(
-    text: &str,
-    policy: RecoveryPolicy,
-    stats: &mut CodecStats,
-    report: &mut IngestReport,
-) -> Result<WorkflowLog, LogError> {
-    let mut scanner = Scanner::new(text);
-    let outcome = parse_records(&mut scanner, policy, stats, report, true)?;
-    assemble(outcome.records, policy, stats, report)
-}
-
-/// Builds the final [`WorkflowLog`] from parsed event records: strict
-/// assembly under `Strict`, lenient START/END pairing otherwise.
-fn assemble(
-    records: Vec<EventRecord>,
-    policy: RecoveryPolicy,
-    stats: &mut CodecStats,
-    report: &mut IngestReport,
-) -> Result<WorkflowLog, LogError> {
-    let log = if policy.is_strict() {
-        WorkflowLog::from_events(&records).map_err(|e| {
-            report.record_error(stats.bytes_read, 0, e.to_string());
-            e
-        })?
-    } else {
-        let mut table = crate::ActivityTable::new();
-        let assembled = crate::validate::assemble_executions_with(
-            &records,
-            &mut table,
-            crate::validate::AssemblyPolicy::Lenient,
-        )
-        .map_err(|e| {
-            report.record_error(stats.bytes_read, 0, e.to_string());
-            e
-        })?;
-        report.records_skipped += assembled.diagnostics.len() as u64;
-        let mut log = WorkflowLog::with_activities(table);
-        for exec in assembled.executions {
-            log.push(exec);
-        }
-        log
-    };
-    stats.executions_parsed += log.len() as u64;
-    Ok(log)
 }
 
 /// Per-case, per-activity count of START events not yet closed by an
@@ -1547,7 +1490,13 @@ mod tests {
         let mut buf = Vec::new();
         write_log(&log, &mut buf).unwrap();
         let mut stats = CodecStats::default();
-        let back = read_log_with_stats(buf.as_slice(), &mut stats).unwrap();
+        let back = read_log_with(
+            buf.as_slice(),
+            RecoveryPolicy::Strict,
+            &mut stats,
+            &mut IngestReport::default(),
+        )
+        .unwrap();
         assert_eq!(stats.bytes_read, buf.len() as u64);
         assert_eq!(stats.events_parsed, 8, "4 instantaneous events per trace");
         assert_eq!(stats.executions_parsed, back.len() as u64);
