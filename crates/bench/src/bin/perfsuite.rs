@@ -2,7 +2,8 @@
 //!
 //! Runs a fixed matrix of (workload × pipeline stage) timings — the
 //! §8.1 random-walk workloads through every miner, conformance
-//! checking, and the four codec round-trips, plus micro-benchmarks of
+//! checking, the four codec round-trips and the Flowmark and XES
+//! decodes on their own (`ingest.*`), plus micro-benchmarks of
 //! the transitive-reduction and SCC graph phases — and writes
 //! median/p95 wall times to a schema-stable JSON report
 //! (`BENCH_perfsuite.json` by default). With `--compare old.json` it
@@ -409,6 +410,24 @@ fn workload_cells(scenario: &str, log: &WorkflowLog, repeats: usize, cells: &mut
     codec_cell!("codec.seqs", seqs);
     codec_cell!("codec.jsonl", jsonl);
     codec_cell!("codec.xes", xes);
+
+    // Decode only: `read_log` over a buffer encoded once, outside the
+    // timed runs — the half of a codec cell a batch `mine` waits for.
+    macro_rules! ingest_cell {
+        ($stage:literal, $module:ident) => {
+            let mut encoded = Vec::new();
+            codec::$module::write_log(log, &mut encoded).expect("write succeeds");
+            cells.push(summarize(
+                scenario,
+                $stage,
+                time_runs(repeats, || {
+                    codec::$module::read_log(&encoded[..]).expect("read succeeds");
+                }),
+            ));
+        };
+    }
+    ingest_cell!("ingest.flowmark", flowmark);
+    ingest_cell!("ingest.xes", xes);
 
     // XES chunked-parallel decode at the micro thread count (on a
     // single-core runner this measures the serial-fallback dispatch).

@@ -20,8 +20,8 @@ pub mod seqs;
 pub mod xes;
 pub mod xes_reference;
 
-use crate::validate::{assemble_executions_with, AssemblyPolicy};
-use crate::{ActivityTable, EventRecord, LogError, WorkflowLog};
+use crate::validate::{assemble_events, AssemblyPolicy, EventTable};
+use crate::{ActivityTable, LogError, WorkflowLog};
 use std::io::{BufRead, Read};
 
 /// How a codec treats decode errors (bad lines, truncated tails,
@@ -190,36 +190,34 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Assembles the event records of one read into a [`WorkflowLog`]:
-/// strict START/END pairing under [`RecoveryPolicy::Strict`], lenient
-/// pairing otherwise (dropped events count as skipped records). An
-/// assembly error is recorded at `bytes`, this read's input length, so
-/// its offset stays inside the input when `stats` tallies several
-/// reads. Shared by the Flowmark and XES readers.
-pub(crate) fn assemble_records(
-    records: &[EventRecord],
+/// Assembles the events of one read into a [`WorkflowLog`]: strict
+/// START/END pairing under [`RecoveryPolicy::Strict`], lenient pairing
+/// otherwise (dropped events count as skipped records). An assembly
+/// error is recorded at `bytes`, this read's input length, so its
+/// offset stays inside the input when `stats` tallies several reads.
+/// Shared by the Flowmark and XES readers.
+pub(crate) fn assemble(
+    events: EventTable,
     policy: RecoveryPolicy,
     bytes: u64,
     stats: &mut CodecStats,
     report: &mut IngestReport,
 ) -> Result<WorkflowLog, LogError> {
-    let assembled = if policy.is_strict() {
-        WorkflowLog::from_events(records)
+    let assembly = if policy.is_strict() {
+        AssemblyPolicy::Strict
     } else {
-        let mut table = ActivityTable::new();
-        assemble_executions_with(records, &mut table, AssemblyPolicy::Lenient).map(|assembled| {
-            report.records_skipped += assembled.diagnostics.len() as u64;
-            let mut log = WorkflowLog::with_activities(table);
-            for exec in assembled.executions {
-                log.push(exec);
-            }
-            log
-        })
+        AssemblyPolicy::Lenient
     };
-    let log = assembled.map_err(|e| {
+    let mut table = ActivityTable::new();
+    let (executions, diagnostics) = assemble_events(events, &mut table, assembly).map_err(|e| {
         report.record_error(bytes, 0, e.to_string());
         e
     })?;
+    report.records_skipped += diagnostics.len() as u64;
+    let mut log = WorkflowLog::with_activities(table);
+    for exec in executions {
+        log.push(exec);
+    }
     stats.executions_parsed += log.len() as u64;
     Ok(log)
 }

@@ -42,7 +42,8 @@
 //! [`xes_reference`](super::xes_reference) and pinned to this one by
 //! differential tests.
 
-use super::{assemble_records, CodecStats, IngestReport, RecoveryPolicy};
+use super::{assemble, CodecStats, IngestReport, RecoveryPolicy};
+use crate::validate::EventTable;
 use crate::{EventKind, EventRecord, LogError, WorkflowLog};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -662,12 +663,14 @@ pub fn read_log_with_threads_min_bytes<R: BufRead>(
         if let Some((records, events)) = parallel_parse(&text, threads) {
             stats.events_parsed += events;
             report.records_parsed += events;
-            return assemble_records(&records, policy, raw.len() as u64, stats, report);
+            let events = EventTable::from_records(&records);
+            return assemble(events, policy, raw.len() as u64, stats, report);
         }
     }
     let mut scanner = Scanner::new(&text);
     let outcome = parse_records(&mut scanner, policy, stats, report, true)?;
-    assemble_records(&outcome.records, policy, raw.len() as u64, stats, report)
+    let events = EventTable::from_records(&outcome.records);
+    assemble(events, policy, raw.len() as u64, stats, report)
 }
 
 /// Validates `raw` as UTF-8 without copying; under a recovery policy an

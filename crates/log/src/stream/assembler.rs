@@ -30,7 +30,7 @@
 
 use super::checkpoint::{self, CheckpointError, WireError, WireReader, WireWriter};
 use super::{Observer, SourceLocation, StreamError, StreamSink};
-use crate::validate::{assemble_case, AssemblyPolicy, CaseWork};
+use crate::validate::{assemble_case, AssemblyPolicy, CaseWork, EventTable};
 use crate::{ActivityTable, EventRecord, IngestReport};
 use std::collections::HashMap;
 
@@ -198,6 +198,9 @@ pub struct CaseAssembler<O: Observer> {
     /// Least and most recently touched open cases, or `NIL`.
     lru: usize,
     mru: usize,
+    /// The closing case's events; keeps the activity ids it has mapped
+    /// into `table`.
+    events: EventTable,
     work: CaseWork,
     /// Logical clock: one tick per event, orders `opened`/`last_touch`.
     clock: u64,
@@ -219,6 +222,7 @@ impl<O: Observer> CaseAssembler<O> {
             free: Vec::new(),
             lru: NIL,
             mru: NIL,
+            events: EventTable::default(),
             work: CaseWork::default(),
             clock: 0,
             executions_emitted: 0,
@@ -381,6 +385,7 @@ impl<O: Observer> CaseAssembler<O> {
             free: Vec::new(),
             lru: NIL,
             mru: NIL,
+            events: EventTable::default(),
             work: CaseWork::default(),
             clock: state.clock,
             executions_emitted: state.executions_emitted,
@@ -426,8 +431,9 @@ impl<O: Observer> CaseAssembler<O> {
         }
     }
 
-    /// Closes the case in `slot`: assemble, account diagnostics,
-    /// deliver, and free the slot.
+    /// Closes the case in `slot`: frees the slot, moves the case's
+    /// events into the event table, assembles them, accounts their
+    /// dropped events and hands the execution to the observer.
     fn close_case(
         &mut self,
         slot: usize,
@@ -435,30 +441,22 @@ impl<O: Observer> CaseAssembler<O> {
         eviction: bool,
     ) -> Result<(), StreamError> {
         self.unlink(slot);
-        let result = self.deliver(slot, assembly, eviction);
-        let case = &mut self.slots[slot];
-        self.index.remove(case.records[0].process.as_str());
-        case.records.clear();
-        case.locations.clear();
         self.free.push(slot);
-        result
-    }
-
-    /// Assembles the case in `slot`, accounts its dropped events and
-    /// hands its execution to the observer.
-    fn deliver(
-        &mut self,
-        slot: usize,
-        assembly: AssemblyPolicy,
-        eviction: bool,
-    ) -> Result<(), StreamError> {
-        let case = &self.slots[slot];
-        let name = &case.records[0].process;
+        let case = &mut self.slots[slot];
+        let buffered = case.records.len();
+        let name = std::mem::take(&mut case.records[0].process);
+        self.index.remove(name.as_str());
+        let events = &mut self.events;
+        events.clear();
+        let id = events.case_id(&name);
+        for r in case.records.drain(..) {
+            events.push(id, &r.activity, r.kind, r.time, r.output);
+        }
         let work = &mut self.work;
         let exec = assemble_case(
-            name,
-            &case.records,
-            0..case.records.len(),
+            events,
+            id as usize,
+            0..buffered,
             &mut self.table,
             assembly,
             work,
@@ -470,9 +468,10 @@ impl<O: Observer> CaseAssembler<O> {
             self.report
                 .record_diagnostic(at.byte_offset, at.line, diag.to_string());
         }
+        case.locations.clear();
         if eviction && dropped > 0 {
             self.report.cases_evicted += 1;
-            self.observer.on_eviction(name, case.records.len());
+            self.observer.on_eviction(&name, buffered);
         }
         if let Some(exec) = exec? {
             self.observer.on_execution(&exec, &self.table)?;

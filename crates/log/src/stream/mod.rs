@@ -20,7 +20,7 @@
 //!   [`IngestReport`](crate::IngestReport) semantics as the other
 //!   codecs. It is the only Flowmark decoder: the batch reader
 //!   [`flowmark::read_log_with`](crate::codec::flowmark::read_log_with)
-//!   drains one;
+//!   runs its line loop too, taking each line's fields borrowed;
 //! * [`TailReader`] — a [`std::io::Read`] adapter that follows a
 //!   growing file (`procmine mine --follow`) with bounded retry
 //!   ([`RetryPolicy`]) and truncation detection;

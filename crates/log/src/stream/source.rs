@@ -9,13 +9,14 @@
 //! [`RecoveryPolicy::Skip`] budget overrun ends the stream with
 //! [`LogError::TooManyErrors`](crate::LogError::TooManyErrors). It
 //! emits raw *events* and leaves case assembly to the consumer: the
-//! batch reader [`flowmark::read_log_with`] collects them into a
-//! [`WorkflowLog`](crate::WorkflowLog), and a streaming pipeline pumps
-//! them into a [`StreamSink`] such as a
+//! batch reader [`flowmark::read_log_with`] interns each line's
+//! borrowed fields into its table of events, and a streaming pipeline
+//! pumps [`EventRecord`]s into a [`StreamSink`] such as a
 //! [`CaseAssembler`](super::CaseAssembler).
 
 use super::{SourceLocation, StreamError, StreamSink};
-use crate::codec::{flowmark, ByteLines, CodecStats, IngestReport, RecoveryPolicy};
+use crate::codec::flowmark::{self, EventFields};
+use crate::codec::{ByteLines, CodecStats, IngestReport, RecoveryPolicy};
 use crate::{EventRecord, LogError};
 use std::io::BufRead;
 
@@ -89,6 +90,26 @@ impl<R: BufRead> FlowmarkSource<R> {
     /// Reads the next event. `Ok(None)` at end of input; any `Err`
     /// also ends the stream. Blank lines and `#` comments are skipped.
     pub fn next_event(&mut self) -> Result<Option<(EventRecord, SourceLocation)>, LogError> {
+        self.next_fields(|fields, at| {
+            let record = EventRecord {
+                process: fields.process.to_string(),
+                activity: fields.activity.to_string(),
+                kind: fields.kind,
+                time: fields.time,
+                output: fields.output,
+            };
+            (record, at)
+        })
+    }
+
+    /// The Flowmark line loop behind [`FlowmarkSource::next_event`] and
+    /// the batch reader: decodes the next event line and hands its
+    /// fields, borrowed from the line buffer, to `emit`, returning what
+    /// `emit` returns. Errors, skips and accounting are `next_event`'s.
+    pub(crate) fn next_fields<T>(
+        &mut self,
+        emit: impl FnOnce(EventFields<'_>, SourceLocation) -> T,
+    ) -> Result<Option<T>, LogError> {
         if self.done {
             return Ok(None);
         }
@@ -130,16 +151,14 @@ impl<R: BufRead> FlowmarkSource<R> {
                 }),
             };
             match parsed {
-                Ok(record) => {
+                Ok(fields) => {
                     self.stats.events_parsed += 1;
                     self.report.records_parsed += 1;
-                    return Ok(Some((
-                        record,
-                        SourceLocation {
-                            byte_offset: offset,
-                            line: lineno,
-                        },
-                    )));
+                    let at = SourceLocation {
+                        byte_offset: offset,
+                        line: lineno,
+                    };
+                    return Ok(Some(emit(fields, at)));
                 }
                 Err(e) => {
                     // A bad final line with no newline is a truncated tail.

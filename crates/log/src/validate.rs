@@ -7,7 +7,9 @@
 //! error) or leniently (problems are dropped and reported as
 //! diagnostics, letting the noise-tolerant miner see the rest).
 
-use crate::{ActivityInstance, ActivityTable, EventKind, EventRecord, Execution, LogError};
+use crate::{
+    ActivityId, ActivityInstance, ActivityTable, EventKind, EventRecord, Execution, LogError,
+};
 use std::collections::HashMap;
 
 /// How [`assemble_executions_with`] treats structural problems.
@@ -82,7 +84,11 @@ pub fn assemble_executions(
     records: &[EventRecord],
     table: &mut ActivityTable,
 ) -> Result<Vec<Execution>, LogError> {
-    let (execs, _) = assemble_impl(records, table, AssemblyPolicy::Strict)?;
+    let (execs, _) = assemble_events(
+        EventTable::from_records(records),
+        table,
+        AssemblyPolicy::Strict,
+    )?;
     Ok(execs)
 }
 
@@ -98,38 +104,171 @@ pub fn assemble_executions_with(
     table: &mut ActivityTable,
     policy: AssemblyPolicy,
 ) -> Result<AssemblyReport, LogError> {
-    let (executions, diagnostics) = assemble_impl(records, table, policy)?;
+    let (executions, diagnostics) =
+        assemble_events(EventTable::from_records(records), table, policy)?;
     Ok(AssemblyReport {
         executions,
         diagnostics,
     })
 }
 
-fn assemble_impl(
-    records: &[EventRecord],
+/// A table id as stored in an [`EventTable`] row.
+// Reaching 2^32 names or outputs takes more than 2^32 rows, hundreds of
+// GiB of table, so the conversion cannot fail on a table that fits in
+// memory.
+#[allow(clippy::expect_used)]
+fn id32(index: usize) -> u32 {
+    u32::try_from(index).expect("event table ids fit in u32")
+}
+
+/// Names interned to dense ids in first-seen order.
+#[derive(Debug, Default)]
+struct Names {
+    names: Vec<String>,
+    index: HashMap<String, u32>,
+}
+
+impl Names {
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.index.get(name) {
+            return id;
+        }
+        let id = id32(self.names.len());
+        self.names.push(name.to_string());
+        self.index.insert(name.to_string(), id);
+        id
+    }
+
+    fn clear(&mut self) {
+        self.names.clear();
+        self.index.clear();
+    }
+}
+
+/// `EventRow::output` of an event without an output vector.
+const NO_OUTPUT: u32 = u32::MAX;
+
+/// One event of an [`EventTable`], its names replaced by table ids.
+#[derive(Debug, Clone, Copy)]
+struct EventRow {
+    time: u64,
+    case: u32,
+    activity: u32,
+    /// Index into [`EventTable::outputs`], or [`NO_OUTPUT`].
+    output: u32,
+    kind: EventKind,
+}
+
+/// Decoded events with their case and activity names interned as they
+/// arrive, one row per event: the input of the one grouping
+/// ([`assemble_events`]) and the one pairing ([`assemble_case`]).
+///
+/// A table's activity ids are its own. [`assemble_case`] maps each to
+/// an id of the [`ActivityTable`] it assembles into at the activity's
+/// first START, and keeps the mapping, so a table must always be
+/// assembled into the same activity table.
+#[derive(Debug, Default)]
+pub(crate) struct EventTable {
+    cases: Names,
+    activities: Names,
+    /// Per table activity id: its id in the activity table, once a
+    /// START has interned it there.
+    log_ids: Vec<Option<ActivityId>>,
+    rows: Vec<EventRow>,
+    /// Output vectors, taken by the END that closes an instance.
+    outputs: Vec<Vec<i64>>,
+}
+
+impl EventTable {
+    /// A table holding `records`, in order.
+    pub(crate) fn from_records(records: &[EventRecord]) -> Self {
+        let mut events = EventTable::default();
+        events.rows.reserve(records.len());
+        for r in records {
+            let case = events.case_id(&r.process);
+            events.push(case, &r.activity, r.kind, r.time, r.output.clone());
+        }
+        events
+    }
+
+    /// The id of case `name`, interning it if unseen.
+    pub(crate) fn case_id(&mut self, name: &str) -> u32 {
+        self.cases.intern(name)
+    }
+
+    /// Appends one event of case `case` (an id from
+    /// [`EventTable::case_id`]).
+    pub(crate) fn push(
+        &mut self,
+        case: u32,
+        activity: &str,
+        kind: EventKind,
+        time: u64,
+        output: Option<Vec<i64>>,
+    ) {
+        let activity = self.activities.intern(activity);
+        let output = match output {
+            Some(o) => {
+                self.outputs.push(o);
+                id32(self.outputs.len() - 1)
+            }
+            None => NO_OUTPUT,
+        };
+        self.rows.push(EventRow {
+            time,
+            case,
+            activity,
+            output,
+            kind,
+        });
+    }
+
+    /// Drops every case and event, keeping the activities and their
+    /// activity-table ids.
+    pub(crate) fn clear(&mut self) {
+        self.cases.clear();
+        self.rows.clear();
+        self.outputs.clear();
+    }
+
+    /// Row indices grouped by case with one counting sort: cases in id
+    /// (first-seen) order, log order within a case. Case `c` owns
+    /// `order[offsets[c]..offsets[c + 1]]`.
+    fn group_by_case(&self) -> (Vec<usize>, Vec<usize>) {
+        let mut offsets = vec![0usize; self.cases.names.len() + 1];
+        for row in &self.rows {
+            offsets[row.case as usize + 1] += 1;
+        }
+        for c in 1..offsets.len() {
+            offsets[c] += offsets[c - 1];
+        }
+        let mut next = offsets.clone();
+        let mut order = vec![0usize; self.rows.len()];
+        for (i, row) in self.rows.iter().enumerate() {
+            let slot = &mut next[row.case as usize];
+            order[*slot] = i;
+            *slot += 1;
+        }
+        (offsets, order)
+    }
+}
+
+/// Groups `events` by case and pairs each case into an execution,
+/// interning activity names into `table`: the one batch assembly,
+/// behind every codec read and [`assemble_executions_with`].
+/// Executions keep the order of their case's first event; returns them
+/// with the diagnostics of dropped events (lenient only).
+pub(crate) fn assemble_events(
+    mut events: EventTable,
     table: &mut ActivityTable,
     policy: AssemblyPolicy,
 ) -> Result<(Vec<Execution>, Vec<Diagnostic>), LogError> {
-    // Group by process name, preserving first-seen order.
-    let mut order: Vec<&str> = Vec::new();
-    let mut groups: HashMap<&str, Vec<usize>> = HashMap::new();
-    for (i, r) in records.iter().enumerate() {
-        groups
-            .entry(&r.process)
-            .or_insert_with(|| {
-                order.push(&r.process);
-                Vec::new()
-            })
-            .push(i);
-    }
-
+    let (offsets, order) = events.group_by_case();
     let mut work = CaseWork::default();
-    let mut executions = Vec::new();
-    for name in order {
-        let Some(members) = groups.remove(name) else {
-            continue; // unreachable: `order` mirrors `groups` keys
-        };
-        if let Some(exec) = assemble_case(name, records, members, table, policy, &mut work)? {
+    let mut executions = Vec::with_capacity(offsets.len() - 1);
+    for (case, span) in offsets.windows(2).enumerate() {
+        let members = order[span[0]..span[1]].iter().copied();
+        if let Some(exec) = assemble_case(&mut events, case, members, table, policy, &mut work)? {
             executions.push(exec);
         }
     }
@@ -143,18 +282,17 @@ const NONE: usize = usize::MAX;
 /// about dropped events.
 #[derive(Debug, Default)]
 pub(crate) struct CaseWork {
-    /// Record indices of the case being paired, sorted by time.
+    /// Row indices of the case being paired, sorted by time.
     order: Vec<usize>,
-    /// Per activity id: the oldest and newest open START, as instance
-    /// indices (`NONE` when the activity has no open START). Every
-    /// entry is back to empty between calls.
+    /// Per event-table activity id: the oldest and newest open START,
+    /// as instance indices (`NONE` when the activity has no open
+    /// START). Every entry is back to empty between calls.
     chains: Vec<(usize, usize)>,
     /// Per instance of the case being paired.
     starts: Vec<OpenStart>,
     /// One diagnostic per dropped event, across calls (lenient only).
     pub(crate) diagnostics: Vec<Diagnostic>,
-    /// The record index of each dropped event, parallel to
-    /// `diagnostics`.
+    /// The row index of each dropped event, parallel to `diagnostics`.
     pub(crate) dropped: Vec<usize>,
 }
 
@@ -163,33 +301,42 @@ pub(crate) struct CaseWork {
 struct OpenStart {
     /// Next open START of the same activity, or `NONE`.
     next: usize,
-    /// Index of the START record.
-    record: usize,
+    /// Row index of the START.
+    row: usize,
     /// Not yet closed by an END.
     open: bool,
 }
 
-/// Assembles the case `name` from `records[i]` for each `i` in
-/// `members` (in log order) — the one per-case pairing behind batch
-/// reads and [`CaseAssembler`](crate::stream::CaseAssembler).
+/// Assembles case `case` of `events` from the rows in `members` (in
+/// log order) — the one per-case pairing behind batch reads and
+/// [`CaseAssembler`](crate::stream::CaseAssembler).
 ///
 /// Events are sorted by timestamp (stable, so equal timestamps keep log
 /// order) and each END closes the earliest open START of its activity,
-/// through a FIFO chain per activity id: O(1) amortized per event,
-/// whatever the number of open STARTs. STARTs intern their activity
-/// into `table` in that order. Under [`AssemblyPolicy::Lenient`] every
-/// dropped event appends a diagnostic to `work.diagnostics` and its
-/// record index to `work.dropped` — dangling ENDs in time order, then
-/// never-ended STARTs in instance order. Returns `None` when nothing
-/// survives.
+/// through a FIFO chain per event-table activity id: O(1) amortized per
+/// event, whatever the number of open STARTs. STARTs intern their
+/// activity into `table` in that order, so ids match a pass that
+/// interned every START's name. The execution takes the case name and
+/// the closing ENDs' outputs out of `events`. Under
+/// [`AssemblyPolicy::Lenient`] every dropped event appends a diagnostic
+/// to `work.diagnostics` and its row index to `work.dropped` — dangling
+/// ENDs in time order, then never-ended STARTs in instance order.
+/// Returns `None` when nothing survives.
 pub(crate) fn assemble_case(
-    name: &str,
-    records: &[EventRecord],
+    events: &mut EventTable,
+    case: usize,
     members: impl IntoIterator<Item = usize>,
     table: &mut ActivityTable,
     policy: AssemblyPolicy,
     work: &mut CaseWork,
 ) -> Result<Option<Execution>, LogError> {
+    let EventTable {
+        cases,
+        activities,
+        log_ids,
+        rows,
+        outputs,
+    } = events;
     let CaseWork {
         order,
         chains,
@@ -197,37 +344,40 @@ pub(crate) fn assemble_case(
         diagnostics,
         dropped,
     } = work;
+    let name = cases.names[case].as_str();
+    let names = &activities.names;
     order.clear();
     order.extend(members);
-    if order
-        .windows(2)
-        .any(|w| records[w[0]].time > records[w[1]].time)
-    {
-        order.sort_by_key(|&i| records[i].time); // stable: log order breaks ties
+    if order.windows(2).any(|w| rows[w[0]].time > rows[w[1]].time) {
+        order.sort_by_key(|&i| rows[i].time); // stable: log order breaks ties
+    }
+    if chains.len() < names.len() {
+        chains.resize(names.len(), (NONE, NONE));
+    }
+    if log_ids.len() < names.len() {
+        log_ids.resize(names.len(), None);
     }
 
     starts.clear();
-    let mut instances: Vec<ActivityInstance> = Vec::new();
+    let mut instances: Vec<ActivityInstance> = Vec::with_capacity(order.len() / 2);
     let mut unmatched_end = None;
     for &i in order.iter() {
-        let r = &records[i];
-        match r.kind {
+        let row = rows[i];
+        let a = row.activity as usize;
+        match row.kind {
             EventKind::Start => {
-                let activity = table.intern(&r.activity);
-                let a = activity.index();
-                if chains.len() <= a {
-                    chains.resize(a + 1, (NONE, NONE));
-                }
+                let activity = *log_ids[a].get_or_insert_with(|| table.intern(&names[a]));
+                debug_assert_eq!(table.name(activity), names[a]);
                 let idx = instances.len();
                 instances.push(ActivityInstance {
                     activity,
-                    start: r.time,
+                    start: row.time,
                     end: u64::MAX, // patched on END
                     output: None,
                 });
                 starts.push(OpenStart {
                     next: NONE,
-                    record: i,
+                    row: i,
                     open: true,
                 });
                 let chain = &mut chains[a];
@@ -239,62 +389,57 @@ pub(crate) fn assemble_case(
                 chain.1 = idx;
             }
             EventKind::End => {
-                let chain = table
-                    .id(&r.activity)
-                    .and_then(|a| chains.get_mut(a.index()))
-                    .filter(|chain| chain.0 != NONE);
-                match chain {
-                    Some(chain) => {
-                        let idx = chain.0;
-                        chain.0 = starts[idx].next;
-                        starts[idx].open = false;
-                        instances[idx].end = r.time;
-                        instances[idx].output = r.output.clone();
-                    }
-                    None if policy == AssemblyPolicy::Strict => {
-                        unmatched_end = Some(r);
-                        break;
-                    }
-                    None => {
-                        diagnostics.push(Diagnostic::DanglingEnd {
-                            execution: name.to_string(),
-                            activity: r.activity.clone(),
-                            time: r.time,
-                        });
-                        dropped.push(i);
-                    }
+                let chain = &mut chains[a];
+                if chain.0 != NONE {
+                    let idx = chain.0;
+                    chain.0 = starts[idx].next;
+                    starts[idx].open = false;
+                    instances[idx].end = row.time;
+                    instances[idx].output = (row.output != NO_OUTPUT)
+                        .then(|| std::mem::take(&mut outputs[row.output as usize]));
+                } else if policy == AssemblyPolicy::Strict {
+                    unmatched_end = Some(row);
+                    break;
+                } else {
+                    diagnostics.push(Diagnostic::DanglingEnd {
+                        execution: name.to_string(),
+                        activity: names[a].clone(),
+                        time: row.time,
+                    });
+                    dropped.push(i);
                 }
             }
         }
     }
-    for inst in &instances {
-        chains[inst.activity.index()] = (NONE, NONE);
+    for start in starts.iter() {
+        chains[rows[start.row].activity as usize] = (NONE, NONE);
     }
-    if let Some(r) = unmatched_end {
+    if let Some(row) = unmatched_end {
         return Err(LogError::UnmatchedEnd {
             execution: name.to_string(),
-            activity: r.activity.clone(),
-            time: r.time,
+            activity: names[row.activity as usize].clone(),
+            time: row.time,
         });
     }
 
     // Any still-open STARTs are unmatched; report them in instance order.
     let mut any_open = false;
     for start in starts.iter().filter(|s| s.open) {
-        let r = &records[start.record];
+        let row = rows[start.row];
+        let activity = names[row.activity as usize].clone();
         if policy == AssemblyPolicy::Strict {
             return Err(LogError::UnmatchedStart {
                 execution: name.to_string(),
-                activity: r.activity.clone(),
-                time: r.time,
+                activity,
+                time: row.time,
             });
         }
         diagnostics.push(Diagnostic::DanglingStart {
             execution: name.to_string(),
-            activity: r.activity.clone(),
-            time: r.time,
+            activity,
+            time: row.time,
         });
-        dropped.push(start.record);
+        dropped.push(start.row);
         any_open = true;
     }
     if any_open {
@@ -306,11 +451,120 @@ pub(crate) fn assemble_case(
         // A lenient pass may have dropped everything; skip the case.
         return Ok(None);
     }
-    Execution::new(name, instances).map(Some)
+    Execution::new(std::mem::take(&mut cases.names[case]), instances).map(Some)
+}
+
+/// The record-keyed assembly, kept as the reference the id-keyed
+/// kernel and the batch readers are tested against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// Reference grouping and pairing: a hash map of FIFO vectors per
+    /// activity, `Vec::remove(0)` per END.
+    pub(crate) fn reference_assemble(
+        records: &[EventRecord],
+        table: &mut ActivityTable,
+        policy: AssemblyPolicy,
+    ) -> Result<(Vec<Execution>, Vec<Diagnostic>), LogError> {
+        let mut order: Vec<&str> = Vec::new();
+        let mut groups: HashMap<&str, Vec<&EventRecord>> = HashMap::new();
+        for r in records {
+            groups
+                .entry(&r.process)
+                .or_insert_with(|| {
+                    order.push(&r.process);
+                    Vec::new()
+                })
+                .push(r);
+        }
+        let mut diagnostics = Vec::new();
+        let mut executions = Vec::new();
+        for name in order {
+            let mut events = groups.remove(name).unwrap();
+            events.sort_by_key(|r| r.time);
+            let mut open: HashMap<&str, Vec<(u64, usize)>> = HashMap::new();
+            let mut instances: Vec<ActivityInstance> = Vec::new();
+            for r in &events {
+                match r.kind {
+                    EventKind::Start => {
+                        let idx = instances.len();
+                        instances.push(ActivityInstance {
+                            activity: table.intern(&r.activity),
+                            start: r.time,
+                            end: u64::MAX,
+                            output: None,
+                        });
+                        open.entry(&r.activity).or_default().push((r.time, idx));
+                    }
+                    EventKind::End => {
+                        let slot = open
+                            .get_mut(r.activity.as_str())
+                            .and_then(|v| (!v.is_empty()).then(|| v.remove(0)));
+                        match slot {
+                            Some((_, idx)) => {
+                                instances[idx].end = r.time;
+                                instances[idx].output = r.output.clone();
+                            }
+                            None => match policy {
+                                AssemblyPolicy::Strict => {
+                                    return Err(LogError::UnmatchedEnd {
+                                        execution: name.to_string(),
+                                        activity: r.activity.clone(),
+                                        time: r.time,
+                                    })
+                                }
+                                AssemblyPolicy::Lenient => {
+                                    diagnostics.push(Diagnostic::DanglingEnd {
+                                        execution: name.to_string(),
+                                        activity: r.activity.clone(),
+                                        time: r.time,
+                                    })
+                                }
+                            },
+                        }
+                    }
+                }
+            }
+            let mut dangling: Vec<(usize, &str, u64)> = open
+                .into_iter()
+                .flat_map(|(activity, starts)| {
+                    starts
+                        .into_iter()
+                        .map(move |(time, idx)| (idx, activity, time))
+                })
+                .collect();
+            dangling.sort_unstable_by_key(|&(idx, ..)| idx);
+            for &(_, activity, time) in &dangling {
+                match policy {
+                    AssemblyPolicy::Strict => {
+                        return Err(LogError::UnmatchedStart {
+                            execution: name.to_string(),
+                            activity: activity.to_string(),
+                            time,
+                        })
+                    }
+                    AssemblyPolicy::Lenient => diagnostics.push(Diagnostic::DanglingStart {
+                        execution: name.to_string(),
+                        activity: activity.to_string(),
+                        time,
+                    }),
+                }
+            }
+            for &(idx, ..) in dangling.iter().rev() {
+                instances.remove(idx);
+            }
+            if !instances.is_empty() {
+                executions.push(Execution::new(name, instances)?);
+            }
+        }
+        Ok((executions, diagnostics))
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::reference_assemble;
     use super::*;
     use proptest::prelude::*;
 
@@ -442,107 +696,6 @@ mod tests {
             .all(|(i, t)| (i.start, i.end) == (t, N + t)));
     }
 
-    /// Reference grouping and pairing: a hash map of FIFO vectors per
-    /// activity, `Vec::remove(0)` per END.
-    fn reference_assemble(
-        records: &[EventRecord],
-        table: &mut ActivityTable,
-        policy: AssemblyPolicy,
-    ) -> Result<(Vec<Execution>, Vec<Diagnostic>), LogError> {
-        let mut order: Vec<&str> = Vec::new();
-        let mut groups: HashMap<&str, Vec<&EventRecord>> = HashMap::new();
-        for r in records {
-            groups
-                .entry(&r.process)
-                .or_insert_with(|| {
-                    order.push(&r.process);
-                    Vec::new()
-                })
-                .push(r);
-        }
-        let mut diagnostics = Vec::new();
-        let mut executions = Vec::new();
-        for name in order {
-            let mut events = groups.remove(name).unwrap();
-            events.sort_by_key(|r| r.time);
-            let mut open: HashMap<&str, Vec<(u64, usize)>> = HashMap::new();
-            let mut instances: Vec<ActivityInstance> = Vec::new();
-            for r in &events {
-                match r.kind {
-                    EventKind::Start => {
-                        let idx = instances.len();
-                        instances.push(ActivityInstance {
-                            activity: table.intern(&r.activity),
-                            start: r.time,
-                            end: u64::MAX,
-                            output: None,
-                        });
-                        open.entry(&r.activity).or_default().push((r.time, idx));
-                    }
-                    EventKind::End => {
-                        let slot = open
-                            .get_mut(r.activity.as_str())
-                            .and_then(|v| (!v.is_empty()).then(|| v.remove(0)));
-                        match slot {
-                            Some((_, idx)) => {
-                                instances[idx].end = r.time;
-                                instances[idx].output = r.output.clone();
-                            }
-                            None => match policy {
-                                AssemblyPolicy::Strict => {
-                                    return Err(LogError::UnmatchedEnd {
-                                        execution: name.to_string(),
-                                        activity: r.activity.clone(),
-                                        time: r.time,
-                                    })
-                                }
-                                AssemblyPolicy::Lenient => {
-                                    diagnostics.push(Diagnostic::DanglingEnd {
-                                        execution: name.to_string(),
-                                        activity: r.activity.clone(),
-                                        time: r.time,
-                                    })
-                                }
-                            },
-                        }
-                    }
-                }
-            }
-            let mut dangling: Vec<(usize, &str, u64)> = open
-                .into_iter()
-                .flat_map(|(activity, starts)| {
-                    starts
-                        .into_iter()
-                        .map(move |(time, idx)| (idx, activity, time))
-                })
-                .collect();
-            dangling.sort_unstable_by_key(|&(idx, ..)| idx);
-            for &(_, activity, time) in &dangling {
-                match policy {
-                    AssemblyPolicy::Strict => {
-                        return Err(LogError::UnmatchedStart {
-                            execution: name.to_string(),
-                            activity: activity.to_string(),
-                            time,
-                        })
-                    }
-                    AssemblyPolicy::Lenient => diagnostics.push(Diagnostic::DanglingStart {
-                        execution: name.to_string(),
-                        activity: activity.to_string(),
-                        time,
-                    }),
-                }
-            }
-            for &(idx, ..) in dangling.iter().rev() {
-                instances.remove(idx);
-            }
-            if !instances.is_empty() {
-                executions.push(Execution::new(name, instances)?);
-            }
-        }
-        Ok((executions, diagnostics))
-    }
-
     /// Random events over `cases` case ids, four activities and a few
     /// timestamps, so dangling, duplicated and same-time events abound.
     fn arb_records(cases: u8) -> impl Strategy<Value = Vec<EventRecord>> {
@@ -583,7 +736,9 @@ mod tests {
             let mut work = CaseWork::default();
             for policy in [AssemblyPolicy::Strict, AssemblyPolicy::Lenient, AssemblyPolicy::Strict] {
                 let mut table = seeded_table(seed);
-                let got = assemble_case("p0", &records, 0..records.len(), &mut table, policy, &mut work);
+                let mut events = EventTable::from_records(&records);
+                let case = events.case_id("p0") as usize;
+                let got = assemble_case(&mut events, case, 0..records.len(), &mut table, policy, &mut work);
                 let mut ref_table = seeded_table(seed);
                 let want = reference_assemble(&records, &mut ref_table, policy);
                 prop_assert_eq!(table.names(), ref_table.names());
