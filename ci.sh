@@ -45,12 +45,14 @@ echo "==> deprecation lane: retired ingestion/wrapper APIs, one Flowmark decoder
 # that overrode the parallel thresholds (tune the constants instead),
 # `locate_diagnostic`, which guessed a diagnostic's record by kind,
 # activity and time (`assemble_case` returns the exact index), the
-# codecs' `read_log_with_stats` wrappers (call `read_log_with`), and
+# codecs' `read_log_with_stats` wrappers (call `read_log_with`),
 # `assemble_records`, the record-keyed batch assembly (every reader
-# assembles through the one event table).
+# assembles through the one event table), and `IncrementalMiner` with
+# its `MinerState` (`OnlineMiner` is the one absorbing miner and
+# `OnlineMinerState` its one checkpoint state).
 retired=$(grep -rnw --include='*.rs' \
-  -E 'ExecutionStream|ReopenedCase|mine_general_dag_parallel|WallStage|PROCMINE_PARALLEL_MIN_VERTICES|PROCMINE_PARALLEL_XES_MIN_BYTES|locate_diagnostic|read_log_with_stats|assemble_records' \
-  crates src tests || true)
+  -E 'ExecutionStream|ReopenedCase|mine_general_dag_parallel|WallStage|PROCMINE_PARALLEL_MIN_VERTICES|PROCMINE_PARALLEL_XES_MIN_BYTES|locate_diagnostic|read_log_with_stats|assemble_records|IncrementalMiner|MinerState' \
+  crates src tests examples || true)
 if [ -n "$retired" ]; then
   echo "retired APIs reappeared:" >&2
   echo "$retired" >&2
@@ -83,6 +85,11 @@ if [ -n "$extra_decoders" ]; then
   echo "$extra_decoders" >&2
   exit 1
 fi
+
+# Public docs must build without warnings: no links to private items,
+# no broken or redundant link targets.
+echo "==> docs: RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps"
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release

@@ -3,13 +3,13 @@
 //!
 //! A monitoring deployment re-mines after every batch of fresh
 //! executions. The batch miner recounts all `m` executions each time
-//! (`O(B·m)` total counting over `B` batches); the incremental miner
+//! (`O(B·m)` total counting over `B` batches); the online miner
 //! counts each execution once and re-runs only the finishing steps.
 //! This binary streams the same workload through both and compares
 //! total time and outputs. Run with `--release`.
 
 use procmine_bench::{synthetic_workload, TextTable};
-use procmine_core::{mine_general_dag, IncrementalMiner, MinerOptions};
+use procmine_core::{mine_general_dag, MinerOptions, OnlineMiner, SnapshotPolicy};
 use procmine_log::WorkflowLog;
 use std::time::Instant;
 
@@ -46,14 +46,13 @@ fn main() {
 
         // Incremental: absorb each batch, refresh the model.
         let started = Instant::now();
-        let mut inc = IncrementalMiner::new(MinerOptions::default());
+        let mut inc = OnlineMiner::new(MinerOptions::default(), SnapshotPolicy::on_demand());
         let mut inc_model = None;
         for b in 0..batches {
             for e in &execs[b * batch_size..(b + 1) * batch_size] {
-                inc.absorb_execution(e, full_log.activities())
-                    .expect("absorb");
+                inc.absorb(e, full_log.activities()).expect("absorb");
             }
-            inc_model = Some(inc.model().expect("model"));
+            inc_model = Some(inc.snapshot().expect("snapshot"));
         }
         let inc_t = started.elapsed().as_secs_f64();
 

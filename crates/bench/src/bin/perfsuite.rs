@@ -60,9 +60,9 @@ use procmine_bench::synthetic_workload;
 use procmine_core::conformance::check_conformance;
 use procmine_core::reference::mine_general_reference;
 use procmine_core::{
-    mine_auto, mine_cyclic, mine_general_dag, mine_general_dag_in, FollowCheckpoint,
-    IncrementalMiner, MineSession, MinerOptions, OnlineMiner, OptionsFingerprint, Registry,
-    SnapshotPolicy, SourceState, DEFAULT_CHECKPOINT_EVERY,
+    mine_auto, mine_cyclic, mine_general_dag, mine_general_dag_in, FollowCheckpoint, MineSession,
+    MinerOptions, OnlineMiner, OptionsFingerprint, Registry, SnapshotPolicy, SourceState,
+    DEFAULT_CHECKPOINT_EVERY,
 };
 use procmine_graph::reduction::{
     transitive_reduction_matrix, transitive_reduction_matrix_parallel_budgeted,
@@ -201,7 +201,7 @@ fn time_runs<F: FnMut()>(repeats: usize, mut op: F) -> Vec<u64> {
 }
 
 /// The names of a log's executions, for replaying through the
-/// incremental miner's absorb path.
+/// online miner's `absorb_sequence`.
 fn sequences(log: &WorkflowLog) -> Vec<Vec<String>> {
     log.executions()
         .iter()
@@ -280,11 +280,11 @@ fn workload_cells(scenario: &str, log: &WorkflowLog, repeats: usize, cells: &mut
         scenario,
         "mine.incremental",
         time_runs(repeats, || {
-            let mut miner = IncrementalMiner::new(options.clone());
+            let mut miner = OnlineMiner::new(options.clone(), SnapshotPolicy::on_demand());
             for seq in &seqs {
                 miner.absorb_sequence(seq).expect("absorb succeeds");
             }
-            miner.model().expect("model succeeds");
+            miner.snapshot().expect("snapshot succeeds");
         }),
     ));
 

@@ -45,7 +45,8 @@ COMMANDS:
 
   mine        Mine a process model from a log
       <LOG>                input log file
-      --format F           flowmark (default) | seqs | jsonl | xes
+      --format F           flowmark | seqs | jsonl | xes (default: by
+                           file extension; --follow reads flowmark only)
       --algorithm A        auto (default) | special | general | cyclic
       --threshold T        noise threshold (default 1)
       --dot FILE           write the mined graph as Graphviz DOT
@@ -54,7 +55,8 @@ COMMANDS:
       --bpmn FILE          write the mined model as BPMN 2.0 XML
       --check              verify conformance (Definition 7) after mining
       --follow             online mining over a live event stream
-                           (flowmark format; cases may interleave).
+                           (flowmark whatever the extension; cases may
+                           interleave).
                            <LOG> may be `-` for stdin; final model
                            prints in the same shape as batch mining
       --snapshot-every N   with --follow: print an interim model
@@ -110,7 +112,7 @@ COMMANDS:
 
   check       Check a mined model (JSON) against a log
       <MODEL.json> <LOG>
-      --format F           log format (default flowmark)
+      --format F           log format (default: by file extension)
       --recover            skip undecodable records instead of aborting
       --max-errors N       like --recover but abort after N decode errors
       --json               print the conformance report as JSON on
@@ -126,7 +128,7 @@ COMMANDS:
 
   conditions  Mine a model and learn Boolean edge conditions (§7)
       <LOG>
-      --format F           log format (default flowmark)
+      --format F           log format (default: by file extension)
       --threshold T        noise threshold (default 1)
       --max-depth D        decision-tree depth limit (default 8)
       --recover            skip undecodable records instead of aborting
@@ -154,7 +156,7 @@ COMMANDS:
 
   info        Show log statistics
       <LOG>
-      --format F           log format (default flowmark)
+      --format F           log format (default: by file extension)
 
   convert     Convert a log between formats
       <IN> <OUT>
@@ -184,6 +186,13 @@ pub fn run(argv: &[String]) -> CliResult {
         Some("report") => crate::metrics::report(&argv[1..]),
         Some(other) => Err(format!("unknown command `{other}`; see `procmine help`").into()),
     }
+}
+
+/// The format of the log at `path`: `--format` if given, else guessed
+/// from the file extension.
+fn log_format<'p>(p: &'p Parsed, path: &str) -> &'p str {
+    p.get("format")
+        .unwrap_or_else(|| format_from_extension(path))
 }
 
 /// Guesses a log format from a file extension; unknown extensions fall
@@ -1255,7 +1264,7 @@ fn mine(argv: &[String]) -> CliResult {
         .with_threads(threads.max(1))
         .with_sink(&mut metrics);
     let started = std::time::Instant::now();
-    let log = frame.read_log(path, p.get("format").unwrap_or("flowmark"), threads.max(1))?;
+    let log = frame.read_log(path, log_format(&p, path), threads.max(1))?;
     let (model, algorithm) = mine_with(&p, &mut session, &log)?;
     drop(session);
     frame.report_ingest();
@@ -1346,7 +1355,7 @@ fn check(argv: &[String]) -> CliResult {
     };
     let model: MinedModel = serde_json::from_str(&read_to_string(model_path)?)?;
     let mut frame = Frame::new(&p)?;
-    let log = frame.read_log(log_path, p.get("format").unwrap_or("flowmark"), 1)?;
+    let log = frame.read_log(log_path, log_format(&p, log_path), 1)?;
     frame.report_ingest();
     let mut metrics = ConformanceMetrics::new();
     let report = conformance::check_conformance_in(
@@ -1407,7 +1416,7 @@ fn conditions(argv: &[String]) -> CliResult {
         .first()
         .ok_or(ArgError::Required("log file"))?;
     let mut frame = Frame::new(&p)?;
-    let log = frame.read_log(path, p.get("format").unwrap_or("flowmark"), 1)?;
+    let log = frame.read_log(path, log_format(&p, path), 1)?;
     frame.report_ingest();
     let mut miner_metrics = MinerMetrics::new();
     let (model, _) = mine_with(&p, &mut frame.session().with_sink(&mut miner_metrics), &log)?;
@@ -1456,7 +1465,7 @@ fn info(argv: &[String]) -> CliResult {
         .positional()
         .first()
         .ok_or(ArgError::Required("log file"))?;
-    let log = Frame::new(&p)?.read_log(path, p.get("format").unwrap_or("flowmark"), 1)?;
+    let log = Frame::new(&p)?.read_log(path, log_format(&p, path), 1)?;
     let stats = procmine_log::stats::log_stats(&log);
 
     outln!("executions:  {}", stats.executions);

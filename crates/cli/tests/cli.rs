@@ -276,6 +276,39 @@ fn convert_between_formats_by_extension() {
 }
 
 #[test]
+fn log_readers_default_their_format_from_the_extension() {
+    // Every command that reads a log reads what `convert` wrote by
+    // extension; `mine --follow` reads Flowmark whatever the extension.
+    let dir = tmpdir("format-default");
+    let (fm, seqs) = (dir.join("x.fm"), dir.join("x.seqs"));
+    let text = "c1,A,START,1\nc1,A,END,2\nc1,B,START,3\nc1,B,END,4\n";
+    std::fs::write(&fm, format!("{text}{}", text.replace("c1", "c2"))).unwrap();
+    let seqs = seqs.to_str().unwrap();
+    assert!(procmine(&["convert", fm.to_str().unwrap(), seqs])
+        .status
+        .success());
+    for (args, expect) in [
+        (vec!["info", seqs], Ok("executions:  2")),
+        (vec!["mine", seqs], Ok("(2 executions,")),
+        (
+            vec!["info", seqs, "--format", "flowmark"],
+            Err("comma-separated"),
+        ),
+        (vec!["mine", "--follow", seqs], Err("comma-separated")),
+    ] {
+        let out = procmine(&args);
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        match expect {
+            Ok(needle) => assert!(out.status.success() && stdout.contains(needle), "{stderr}"),
+            Err(needle) => assert!(!out.status.success() && stderr.contains(needle), "{stderr}"),
+        }
+    }
+}
+
+#[test]
 fn stats_json_matches_mined_model() {
     let dir = tmpdir("stats");
     let log = dir.join("log.fm");

@@ -2,7 +2,7 @@
 //!
 //! A `procmine mine --follow --checkpoint FILE` pipeline owns three
 //! pieces of state that are expensive or impossible to reconstruct
-//! after a crash: the [`IncrementalMiner`]'s ordering counts and
+//! after a crash: the [`OnlineMiner`]'s ordering counts and
 //! retained executions, the
 //! [`CaseAssembler`](procmine_log::stream::CaseAssembler)'s open cases,
 //! and the byte position in the source log. This module defines the
@@ -26,11 +26,11 @@
 //!   mismatch always refuses — `--recover` does not override it.
 
 use crate::general_dag::OrderObservations;
-use crate::{IncrementalMiner, MinerOptions, OnlineMiner, SnapshotPolicy};
+use crate::{MinerOptions, OnlineMiner, SnapshotPolicy};
 use procmine_log::codec::CodecStats;
 use procmine_log::stream::checkpoint::{read_payload, write_atomic};
 use procmine_log::stream::{AssemblerState, CheckpointError, WireError, WireReader, WireWriter};
-use procmine_log::{ActivityTable, IngestReport};
+use procmine_log::{ActivityTable, EventColumns, IngestReport};
 use std::path::Path;
 
 /// Default `--checkpoint-every` cadence (consumed stream events
@@ -114,48 +114,59 @@ impl OptionsFingerprint {
     }
 }
 
-/// The full resumable state of an [`IncrementalMiner`]: activity
-/// universe, step-2 count matrices, and the lowered executions the
-/// marking pass needs. Produced by [`IncrementalMiner::export_state`],
-/// consumed by [`IncrementalMiner::from_state`].
+/// The resumable state of an [`OnlineMiner`]: activity universe,
+/// step-2 count matrices, the lowered executions the marking pass
+/// needs, and the cadence counters that survive a restart. Produced by
+/// [`OnlineMiner::export_state`], consumed by
+/// [`OnlineMiner::from_state`]. The *checkpoint* cadence counter is
+/// deliberately absent — the resume point is by definition a
+/// checkpoint, so it restarts at zero.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MinerState {
+pub struct OnlineMinerState {
     /// Interned activity names, in id order.
     pub activities: Vec<String>,
     /// Row-major `n × n` ordered-pair counts.
     pub ordered: Vec<u32>,
     /// Row-major `n × n` overlap counts.
     pub overlap: Vec<u32>,
-    /// Lowered executions: `(dense vertex, start, end)` per instance.
-    pub execs: Vec<Vec<(usize, u64, u64)>>,
-    /// Total activity instances absorbed.
-    pub events: u64,
+    /// Retained executions: `(dense vertex, start, end)` per instance.
+    pub execs: EventColumns,
+    /// Activity instances absorbed over the miner's whole life.
+    pub events_absorbed: u64,
+    /// Events absorbed since the last model snapshot.
+    pub events_since_snapshot: u64,
+    /// Model snapshots materialized so far.
+    pub snapshots_taken: u64,
 }
 
-impl MinerState {
+impl OnlineMinerState {
     fn encode_into(&self, w: &mut WireWriter) {
         w.put_usize(self.activities.len());
         for name in &self.activities {
             w.put_str(name);
         }
-        w.put_usize(self.ordered.len());
-        for &c in &self.ordered {
-            w.put_u32(c);
-        }
-        w.put_usize(self.overlap.len());
-        for &c in &self.overlap {
-            w.put_u32(c);
-        }
-        w.put_usize(self.execs.len());
-        for exec in &self.execs {
-            w.put_usize(exec.len());
-            for &(v, start, end) in exec {
-                w.put_usize(v);
-                w.put_u64(start);
-                w.put_u64(end);
+        for matrix in [&self.ordered, &self.overlap] {
+            w.put_usize(matrix.len());
+            for &c in matrix {
+                w.put_u32(c);
             }
         }
-        w.put_u64(self.events);
+        w.put_usize(self.execs.exec_count());
+        for i in 0..self.execs.exec_count() {
+            let exec = self.execs.exec(i);
+            w.put_usize(exec.len());
+            for j in 0..exec.len() {
+                w.put_usize(exec.activities[j] as usize);
+                w.put_u64(exec.starts[j]);
+                w.put_u64(exec.ends[j]);
+            }
+        }
+        // Version 1 holds the event total twice: once after the
+        // executions, once with the cadence counters.
+        w.put_u64(self.events_absorbed);
+        w.put_u64(self.events_absorbed);
+        w.put_u64(self.events_since_snapshot);
+        w.put_u64(self.snapshots_taken);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -175,58 +186,41 @@ impl MinerState {
         let ordered = matrix("miner.ordered")?;
         let overlap = matrix("miner.overlap")?;
         let count = r.get_len("miner.execs.len", 8)?;
-        let mut execs = Vec::with_capacity(count);
+        // Each instance takes 24 bytes, so the remaining payload bounds
+        // the event count.
+        let mut execs = EventColumns::with_capacity(count, r.remaining() / 24);
+        let mut exec = Vec::new();
         for _ in 0..count {
             let len = r.get_len("miner.exec.len", 24)?;
-            let mut exec = Vec::with_capacity(len);
+            exec.clear();
             for _ in 0..len {
+                let vertex = r.get_u64("miner.exec.vertex")?;
+                let vertex = u32::try_from(vertex).map_err(|_| WireError {
+                    message: format!("miner.exec.vertex: value {vertex} exceeds u32"),
+                })?;
                 exec.push((
-                    r.get_usize("miner.exec.vertex")?,
+                    vertex,
                     r.get_u64("miner.exec.start")?,
                     r.get_u64("miner.exec.end")?,
                 ));
             }
-            execs.push(exec);
+            execs.push_exec(exec.iter().copied());
         }
         let events = r.get_u64("miner.events")?;
-        Ok(MinerState {
+        let events_absorbed = r.get_u64("online.events_absorbed")?;
+        if events != events_absorbed {
+            return Err(WireError {
+                message: format!(
+                    "miner event total {events} differs from the online event total {events_absorbed}"
+                ),
+            });
+        }
+        Ok(OnlineMinerState {
             activities,
             ordered,
             overlap,
             execs,
-            events,
-        })
-    }
-}
-
-/// The resumable state of an [`OnlineMiner`]: the inner miner plus the
-/// cadence counters that survive a restart. The *checkpoint* cadence
-/// counter is deliberately absent — the resume point is by definition
-/// a checkpoint, so it restarts at zero.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OnlineMinerState {
-    /// The wrapped incremental miner's state.
-    pub miner: MinerState,
-    /// Activity instances absorbed over the miner's whole life.
-    pub events_absorbed: u64,
-    /// Events absorbed since the last model snapshot.
-    pub events_since_snapshot: u64,
-    /// Model snapshots materialized so far.
-    pub snapshots_taken: u64,
-}
-
-impl OnlineMinerState {
-    fn encode_into(&self, w: &mut WireWriter) {
-        self.miner.encode_into(w);
-        w.put_u64(self.events_absorbed);
-        w.put_u64(self.events_since_snapshot);
-        w.put_u64(self.snapshots_taken);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(OnlineMinerState {
-            miner: MinerState::decode(r)?,
-            events_absorbed: r.get_u64("online.events_absorbed")?,
+            events_absorbed,
             events_since_snapshot: r.get_u64("online.events_since_snapshot")?,
             snapshots_taken: r.get_u64("online.snapshots_taken")?,
         })
@@ -333,35 +327,37 @@ impl FollowCheckpoint {
     }
 }
 
-impl IncrementalMiner {
-    /// Exports the miner's full resumable state.
-    pub fn export_state(&self) -> MinerState {
-        // The wire format keeps the original nested (per-execution)
-        // layout, so checkpoints written before the columnar refactor
-        // stay readable; the columns are re-nested here and re-flattened
-        // in `from_state`.
-        let execs = (0..self.execs.exec_count())
-            .map(|i| {
-                let e = self.execs.exec(i);
-                (0..e.len())
-                    .map(|j| (e.activities[j] as usize, e.starts[j], e.ends[j]))
-                    .collect()
-            })
-            .collect();
-        MinerState {
+impl OnlineMiner {
+    /// Exports the miner's full resumable state (the checkpoint cadence
+    /// counter resets on resume and is not part of it).
+    pub fn export_state(&self) -> OnlineMinerState {
+        OnlineMinerState {
             activities: self.table.names().to_vec(),
             ordered: self.obs.ordered.clone(),
             overlap: self.obs.overlap.clone(),
-            execs,
-            events: self.events,
+            execs: self.execs.clone(),
+            events_absorbed: self.events_absorbed,
+            events_since_snapshot: self.events_since_snapshot,
+            snapshots_taken: self.snapshots_taken,
         }
     }
 
-    /// Rebuilds a miner from an exported [`MinerState`]. Structural
-    /// invariants are re-validated — matrix shapes, vertex ranges, the
-    /// event total, per-execution repeat-freedom — so a corrupt or
+    /// Rebuilds a miner from an exported [`OnlineMinerState`] under the
+    /// given options and snapshot policy. Structural invariants are
+    /// re-validated — cadence counters, matrix shapes, vertex ranges,
+    /// per-execution repeat-freedom, the event total — so a corrupt or
     /// hand-forged state is refused instead of mined from.
-    pub fn from_state(options: MinerOptions, state: MinerState) -> Result<Self, CheckpointError> {
+    pub fn from_state(
+        options: MinerOptions,
+        policy: SnapshotPolicy,
+        state: OnlineMinerState,
+    ) -> Result<Self, CheckpointError> {
+        if state.events_since_snapshot > state.events_absorbed {
+            return Err(invalid(format!(
+                "online miner counters are inconsistent: {} events since snapshot, {} absorbed",
+                state.events_since_snapshot, state.events_absorbed
+            )));
+        }
         let n = state.activities.len();
         let table = ActivityTable::from_names(state.activities.iter().map(String::as_str));
         if table.len() != n {
@@ -378,84 +374,48 @@ impl IncrementalMiner {
                 n * n
             )));
         }
-        let mut events: u64 = 0;
-        let mut seen = vec![false; n];
-        for (i, exec) in state.execs.iter().enumerate() {
-            if exec.is_empty() {
+        // `last_seen[v]`: the last execution that contained vertex `v`.
+        let mut last_seen = vec![usize::MAX; n];
+        for i in 0..state.execs.exec_count() {
+            let vertices = state.execs.exec(i).activities;
+            if vertices.is_empty() {
                 return Err(invalid(format!("miner execution {i} is empty")));
             }
-            seen.iter_mut().for_each(|s| *s = false);
-            for &(v, _, _) in exec {
+            for &v in vertices {
+                let v = v as usize;
                 if v >= n {
                     return Err(invalid(format!(
                         "miner execution {i} references vertex {v}, table has {n} activities"
                     )));
                 }
-                if seen[v] {
+                if last_seen[v] == i {
                     return Err(invalid(format!(
                         "miner execution {i} repeats vertex {v} (acyclic miner state)"
                     )));
                 }
-                seen[v] = true;
+                last_seen[v] = i;
             }
-            events += exec.len() as u64;
         }
-        if events != state.events {
+        let events = state.execs.event_count() as u64;
+        if events != state.events_absorbed {
             return Err(invalid(format!(
                 "miner event total {} does not match the {events} instances in its executions",
-                state.events
+                state.events_absorbed
             )));
         }
-        let mut execs =
-            procmine_log::EventColumns::with_capacity(state.execs.len(), events as usize);
-        for exec in &state.execs {
-            execs.push_exec(exec.iter().map(|&(v, s, e)| (v as u32, s, e)));
-        }
-        Ok(IncrementalMiner {
+        Ok(OnlineMiner {
             options,
+            policy,
             table,
             obs: OrderObservations {
                 ordered: state.ordered,
                 overlap: state.overlap,
             },
-            execs,
-            events,
+            execs: state.execs,
+            events_absorbed: events,
+            events_since_snapshot: state.events_since_snapshot,
+            snapshots_taken: state.snapshots_taken,
         })
-    }
-}
-
-impl OnlineMiner {
-    /// Exports the online miner's full resumable state (the checkpoint
-    /// cadence counter resets on resume and is not part of it).
-    pub fn export_state(&self) -> OnlineMinerState {
-        OnlineMinerState {
-            miner: self.inner.export_state(),
-            events_absorbed: self.events_absorbed,
-            events_since_snapshot: self.events_since_snapshot,
-            snapshots_taken: self.snapshots_taken,
-        }
-    }
-
-    /// Rebuilds an online miner from an exported [`OnlineMinerState`]
-    /// under the given options and snapshot policy.
-    pub fn from_state(
-        options: MinerOptions,
-        policy: SnapshotPolicy,
-        state: OnlineMinerState,
-    ) -> Result<Self, CheckpointError> {
-        if state.events_since_snapshot > state.events_absorbed {
-            return Err(invalid(format!(
-                "online miner counters are inconsistent: {} events since snapshot, {} absorbed",
-                state.events_since_snapshot, state.events_absorbed
-            )));
-        }
-        Ok(OnlineMiner::resume_parts(
-            IncrementalMiner::from_state(options, state.miner)?,
-            policy,
-            state.events_absorbed,
-            state.events_since_snapshot,
-            state.snapshots_taken,
-        ))
     }
 }
 
@@ -464,101 +424,35 @@ mod tests {
     use super::*;
     use procmine_log::WorkflowLog;
 
+    /// Example 7's log: 4 executions, 16 events, no snapshot yet. The
+    /// payload round trips are in `tests/checkpoint_v1.rs`.
     fn seeded_miner() -> OnlineMiner {
         let log = WorkflowLog::from_strings(["ABCF", "ACDF", "ADEF", "AECF"]).unwrap();
         let mut miner = OnlineMiner::new(MinerOptions::default(), SnapshotPolicy::every(6));
-        for exec in log.executions() {
-            miner.absorb(exec, log.activities()).unwrap();
-        }
+        miner.absorb_log(&log).unwrap();
         miner
-    }
-
-    fn checkpoint() -> FollowCheckpoint {
-        let mut report = IngestReport {
-            records_parsed: 31,
-            ..IngestReport::default()
-        };
-        report.record_error(100, 7, "garbage line");
-        FollowCheckpoint {
-            fingerprint: OptionsFingerprint {
-                noise_threshold: 2,
-                max_open_cases: 512,
-                strict_assembly: false,
-            },
-            miner: seeded_miner().export_state(),
-            assembler: AssemblerState {
-                activities: vec!["A".to_string(), "B".to_string()],
-                open: Vec::new(),
-                clock: 9,
-                executions_emitted: 4,
-                report: IngestReport::default(),
-            },
-            source: SourceState {
-                byte_offset: 4096,
-                line: 128,
-                source_len: 8192,
-                stats: CodecStats {
-                    bytes_read: 4096,
-                    events_parsed: 32,
-                    executions_parsed: 0,
-                },
-                report,
-            },
-        }
-    }
-
-    #[test]
-    fn follow_checkpoint_roundtrips_through_bytes_and_disk() {
-        let ck = checkpoint();
-        assert_eq!(FollowCheckpoint::decode(&ck.encode()).unwrap(), ck);
-
-        let path = std::env::temp_dir().join(format!(
-            "procmine-follow-ckpt-test-{}.ckpt",
-            std::process::id()
-        ));
-        ck.save(&path).unwrap();
-        assert_eq!(FollowCheckpoint::load(&path).unwrap(), ck);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn resumed_miner_snapshot_matches_original() {
-        // Satellite invariant: export → resume → snapshot equals the
-        // uninterrupted miner's snapshot, support counts included.
-        let mut original = seeded_miner();
-        let state = original.export_state();
-        let mut resumed =
-            OnlineMiner::from_state(MinerOptions::default(), SnapshotPolicy::every(6), state)
-                .unwrap();
-        assert_eq!(resumed.events_absorbed(), original.events_absorbed());
-        assert_eq!(resumed.executions(), original.executions());
-
-        let a = original.snapshot().unwrap();
-        let b = resumed.snapshot().unwrap();
-        assert_eq!(a.edges_named(), b.edges_named());
-        assert_eq!(a.edge_support(), b.edge_support());
-
-        // Both keep absorbing after the fork and stay in lockstep.
-        let more = WorkflowLog::from_strings(["ABDF"]).unwrap();
-        for exec in more.executions() {
-            original.absorb(exec, more.activities()).unwrap();
-            resumed.absorb(exec, more.activities()).unwrap();
-        }
-        assert_eq!(
-            original.snapshot().unwrap().edge_support(),
-            resumed.snapshot().unwrap().edge_support()
-        );
     }
 
     #[test]
     fn corrupt_miner_states_are_refused() {
-        let good = seeded_miner().export_state().miner;
-        let reject = |state: MinerState, needle: &str| {
-            let err = IncrementalMiner::from_state(MinerOptions::default(), state)
-                .map(|_| ())
-                .expect_err(needle)
-                .to_string();
+        let good = seeded_miner().export_state();
+        let reject = |state: OnlineMinerState, needle: &str| {
+            let err = OnlineMiner::from_state(
+                MinerOptions::default(),
+                SnapshotPolicy::on_demand(),
+                state,
+            )
+            .map(|_| ())
+            .expect_err(needle)
+            .to_string();
             assert!(err.contains(needle), "got: {err}");
+        };
+        // `good` plus one forged execution, the event total kept in step.
+        let with_exec = |events: &[(u32, u64, u64)]| {
+            let mut state = good.clone();
+            state.execs.push_exec(events.iter().copied());
+            state.events_absorbed += events.len() as u64;
+            state
         };
 
         let mut dup = good.clone();
@@ -569,46 +463,44 @@ mod tests {
         short.ordered.pop();
         reject(short, "count matrices");
 
-        let mut out_of_range = good.clone();
-        out_of_range.execs[0][0].0 = good.activities.len();
-        reject(out_of_range, "references vertex");
-
-        let mut repeated = good.clone();
-        let first = repeated.execs[0][0];
-        repeated.execs[0].push(first);
-        reject(repeated, "repeats vertex");
+        let n = good.activities.len() as u32;
+        reject(with_exec(&[(0, 0, 0), (n, 1, 1)]), "references vertex");
+        reject(with_exec(&[(0, 0, 0), (0, 1, 1)]), "repeats vertex");
+        reject(with_exec(&[]), "is empty");
 
         let mut miscounted = good.clone();
-        miscounted.events += 1;
+        miscounted.events_absorbed += 1;
         reject(miscounted, "event total");
 
-        let mut empty = good.clone();
-        empty.execs.push(Vec::new());
-        reject(empty, "is empty");
-
-        let mut counters = OnlineMinerState {
-            miner: good,
-            events_absorbed: 5,
-            events_since_snapshot: 6,
-            snapshots_taken: 0,
-        };
-        let err = OnlineMiner::from_state(
-            MinerOptions::default(),
-            SnapshotPolicy::on_demand(),
-            counters.clone(),
-        )
-        .map(|_| ())
-        .expect_err("inconsistent counters accepted")
-        .to_string();
-        assert!(err.contains("inconsistent"), "got: {err}");
-        counters.events_since_snapshot = 5;
-        counters.events_absorbed = 16;
+        let mut counters = good.clone();
+        counters.events_since_snapshot = counters.events_absorbed + 1;
+        reject(counters.clone(), "inconsistent");
+        counters.events_since_snapshot = counters.events_absorbed;
         assert!(OnlineMiner::from_state(
             MinerOptions::default(),
             SnapshotPolicy::on_demand(),
             counters
         )
         .is_ok());
+    }
+
+    #[test]
+    fn unequal_event_total_slots_are_refused() {
+        // Version 1 writes the event total twice; a payload whose two
+        // copies disagree is corrupt, whichever copy is wrong.
+        let mut w = WireWriter::new();
+        seeded_miner().export_state().encode_into(&mut w);
+        let good = w.into_bytes();
+        // The two slots precede the last two counters.
+        let first = good.len() - 32;
+        for slot in [first, first + 8] {
+            let mut bytes = good.clone();
+            bytes[slot] ^= 1;
+            let err = OnlineMinerState::decode(&mut WireReader::new(&bytes))
+                .expect_err("unequal slots accepted");
+            assert!(err.message.contains("differs"), "got: {err}");
+        }
+        assert!(OnlineMinerState::decode(&mut WireReader::new(&good)).is_ok());
     }
 
     #[test]
@@ -628,20 +520,5 @@ mod tests {
         assert!(diff.contains("noise threshold 3"));
         assert!(diff.contains("open-case window 8"));
         assert!(diff.contains("strict assembly true"));
-    }
-
-    #[test]
-    fn truncated_or_flipped_payload_is_refused() {
-        let payload = checkpoint().encode();
-        for cut in [0, 1, payload.len() / 2, payload.len() - 1] {
-            assert!(
-                FollowCheckpoint::decode(&payload[..cut]).is_err(),
-                "cut at {cut} accepted"
-            );
-        }
-        // Trailing garbage is a skew, not slack.
-        let mut padded = payload.clone();
-        padded.push(0);
-        assert!(FollowCheckpoint::decode(&padded).is_err());
     }
 }

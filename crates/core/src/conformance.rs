@@ -23,9 +23,8 @@
 //! [`ConformanceReport::unknown_activities`]; [`check_execution`]
 //! reports out-of-range activity ids as
 //! [`Violation::UnknownActivity`]. Neither panics. Both have `*_in`
-//! forms that run inside a [`MineSession`](crate::MineSession) and feed
-//! its [`ConformanceMetrics`](crate::telemetry::ConformanceMetrics)
-//! sink.
+//! forms that run inside a [`MineSession`] and feed its
+//! [`ConformanceMetrics`] sink.
 //!
 //! **Replay cost.** Checking one execution of `k` activities costs
 //! O(k + |E_S|) (plus the model degrees of its activities), where `E_S`

@@ -26,7 +26,7 @@ use procmine_log::{ExecColumns, WorkflowLog};
 /// 1 to each counter.
 ///
 /// The counts come from the miners' own step-2 kernel
-/// ([`count_one_execution`]): each execution is lowered to one
+/// (`count_one_execution`): each execution is lowered to one
 /// whole-activity interval per activity (its first start, its latest
 /// end), and then every co-occurring pair is either ordered one way or
 /// overlapping, so `cooccur = ordered + orderedᵀ + overlap`.

@@ -40,12 +40,12 @@
 //! [`VertexLog`]/[`mine_vertex_log`] are the shared implementation.
 
 use crate::limits::Deadline;
-use crate::model::graph_skeleton;
+use crate::model::assemble;
 use crate::parallel::{self, PARALLEL_GRAPH_MIN_VERTICES};
 use crate::session::{run_stage, MineSession};
 use crate::telemetry::{MetricsSink, Stage};
 use crate::{MineError, MinedModel, MinerOptions};
-use procmine_graph::{scc, words, AdjMatrix, Arena, ArenaStats, NodeId};
+use procmine_graph::{scc, words, AdjMatrix, Arena, ArenaStats};
 use procmine_log::{EventColumns, ExecColumns, WorkflowLog};
 use std::collections::HashSet;
 
@@ -56,7 +56,7 @@ use std::collections::HashSet;
 /// are activity *instances*. Each vertex occurs at most once per
 /// execution.
 ///
-/// Borrows the lowered columns so long-lived owners (the incremental
+/// Borrows the lowered columns so long-lived owners (the online
 /// miner retains them across batches) can run the finishing steps
 /// without cloning the whole log per snapshot.
 #[derive(Clone, Copy)]
@@ -532,7 +532,6 @@ pub fn mine_general_dag_in<S: MetricsSink>(
         }
     }
 
-    let n = log.activities().len();
     let cols = run_stage(session, Stage::Lower, deadline, |_, _| {
         let events = log.executions().iter().map(|e| e.len()).sum();
         let mut cols = EventColumns::with_capacity(log.len(), events);
@@ -547,17 +546,14 @@ pub fn mine_general_dag_in<S: MetricsSink>(
         Ok(cols)
     })?;
 
-    let vlog = VertexLog { n, cols: &cols };
+    let vlog = VertexLog {
+        n: log.activities().len(),
+        cols: &cols,
+    };
     let result = mine_vertex_log(session, &vlog, options.noise_threshold, deadline)?;
 
     run_stage(session, Stage::Assemble, deadline, |_, _| {
-        let mut graph = graph_skeleton(log.activities());
-        let mut support = Vec::with_capacity(result.graph.edge_count());
-        for (u, v) in result.graph.edges() {
-            graph.add_edge(NodeId::new(u), NodeId::new(v));
-            support.push((u, v, result.counts[u * n + v]));
-        }
-        Ok(MinedModel::new(graph, support))
+        Ok(assemble(log.activities(), &result.graph, &result.counts))
     })
 }
 

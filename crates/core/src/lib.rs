@@ -56,7 +56,6 @@
 mod cyclic;
 mod error;
 mod general_dag;
-mod incremental;
 mod limits;
 mod miner;
 mod model;
@@ -79,13 +78,11 @@ pub mod telemetry;
 pub mod trace;
 
 pub use checkpoint::{
-    FollowCheckpoint, MinerState, OnlineMinerState, OptionsFingerprint, SourceState,
-    DEFAULT_CHECKPOINT_EVERY,
+    FollowCheckpoint, OnlineMinerState, OptionsFingerprint, SourceState, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use cyclic::{mine_cyclic, mine_cyclic_in};
 pub use error::MineError;
 pub use general_dag::{mine_general_dag, mine_general_dag_in};
-pub use incremental::IncrementalMiner;
 pub use limits::{LimitKind, Limits};
 pub use miner::{mine_auto, mine_auto_in, Algorithm, MinerOptions};
 pub use model::MinedModel;

@@ -1,7 +1,7 @@
 //! The mined process model: a directed graph over named activities.
 
 use procmine_graph::dot::{self, DotOptions};
-use procmine_graph::{DiGraph, NodeId};
+use procmine_graph::{AdjMatrix, DiGraph, NodeId};
 use procmine_log::{ActivityId, ActivityTable};
 use serde::{Deserialize, Serialize};
 
@@ -163,6 +163,21 @@ pub(crate) fn graph_skeleton(table: &ActivityTable) -> DiGraph<String> {
         g.add_node(name.to_string());
     }
     g
+}
+
+/// The [`Stage::Assemble`](crate::Stage::Assemble) body of the acyclic
+/// miners: the node-per-activity skeleton plus every edge of the final
+/// `graph`, each with its step-2 support from the row-major `n × n`
+/// `counts`.
+pub(crate) fn assemble(table: &ActivityTable, graph: &AdjMatrix, counts: &[u32]) -> MinedModel {
+    let n = table.len();
+    let mut model = graph_skeleton(table);
+    let mut support = Vec::with_capacity(graph.edge_count());
+    for (u, v) in graph.edges() {
+        model.add_edge(NodeId::new(u), NodeId::new(v));
+        support.push((u, v, counts[u * n + v]));
+    }
+    MinedModel::new(model, support)
 }
 
 #[cfg(test)]

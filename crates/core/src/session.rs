@@ -42,9 +42,13 @@ use crate::MineError;
 use std::time::Instant;
 
 /// A configured pipeline run: metrics sink, tracer, registry, and
-/// thread count. See the [module docs](self) for the builder idiom; `S`
-/// defaults to [`NullSink`], so `MineSession::new()` is the fully
-/// disabled (zero-cost) session.
+/// thread count, set with the builder methods
+/// ([`with_sink`](MineSession::with_sink),
+/// [`with_tracer`](MineSession::with_tracer),
+/// [`with_obs`](MineSession::with_obs),
+/// [`with_threads`](MineSession::with_threads)). `S` defaults to
+/// [`NullSink`], so `MineSession::new()` is the fully disabled
+/// (zero-cost) session.
 ///
 /// The sink is held by value. To record into caller-owned metrics,
 /// pass a mutable reference — `&mut M` is itself a

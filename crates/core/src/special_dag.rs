@@ -13,7 +13,7 @@
 //! Complexity O(n²m): step 1 dominates since `m ≫ n`.
 
 use crate::limits::Deadline;
-use crate::model::graph_skeleton;
+use crate::model::assemble;
 use crate::parallel::PARALLEL_GRAPH_MIN_VERTICES;
 use crate::session::{run_stage, MineSession};
 use crate::telemetry::{MetricsSink, Stage};
@@ -21,7 +21,7 @@ use crate::{MineError, MinedModel, MinerOptions};
 use procmine_graph::reduction::{
     transitive_reduction_matrix_budgeted, transitive_reduction_matrix_parallel_budgeted,
 };
-use procmine_graph::{AdjMatrix, GraphError, NodeId};
+use procmine_graph::{AdjMatrix, GraphError};
 use procmine_log::WorkflowLog;
 
 /// Mines the unique minimal conformal graph of a log in which every
@@ -178,13 +178,7 @@ pub fn mine_special_dag_in<S: MetricsSink>(
     })?;
 
     run_stage(session, Stage::Assemble, deadline, |_, _| {
-        let mut graph = graph_skeleton(log.activities());
-        let mut support = Vec::with_capacity(reduced.edge_count());
-        for (u, v) in reduced.edges() {
-            graph.add_edge(NodeId::new(u), NodeId::new(v));
-            support.push((u, v, counts[u * n + v]));
-        }
-        Ok(MinedModel::new(graph, support))
+        Ok(assemble(log.activities(), &reduced, &counts))
     })
 }
 

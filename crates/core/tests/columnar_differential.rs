@@ -13,15 +13,15 @@
 //!
 //! Covered miners: special (Algorithm 1), general (Algorithm 2), cyclic
 //! (Algorithm 3), auto dispatch, the parallel strategy, and the
-//! incremental miner — plus conformance replay of both models.
+//! online miner — plus conformance replay of both models.
 
 use procmine_core::conformance::check_conformance;
 use procmine_core::reference::{
     mine_auto_reference, mine_cyclic_reference, mine_general_reference, mine_special_reference,
 };
 use procmine_core::{
-    mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, IncrementalMiner,
-    MineSession, MinedModel, MinerMetrics, MinerOptions,
+    mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, MineSession,
+    MinedModel, MinerMetrics, MinerOptions, OnlineMiner, SnapshotPolicy,
 };
 use procmine_graph::NodeId;
 use procmine_log::WorkflowLog;
@@ -167,17 +167,18 @@ proptest! {
     #[test]
     fn incremental_miner_matches_reference(log in general_log(5)) {
         let options = MinerOptions::default();
-        let mut inc = IncrementalMiner::new(options.clone());
+        let mut inc = OnlineMiner::new(options.clone(), SnapshotPolicy::on_demand());
         inc.absorb_log(&log).unwrap();
-        let model = inc.model().unwrap();
+        let model = inc.snapshot().unwrap();
         let (expected, _) = mine_general_reference(&log, &options).unwrap();
         assert_models_identical(&model, &expected, "incremental");
 
-        // A checkpoint round trip through the (unchanged) nested wire
-        // format must preserve the columns exactly.
-        let resumed =
-            IncrementalMiner::from_state(options, inc.export_state()).unwrap();
-        let remodel = resumed.model().unwrap();
+        // An exported state resumes to the same model: the columns
+        // survive export and validation exactly.
+        let mut resumed =
+            OnlineMiner::from_state(options, SnapshotPolicy::on_demand(), inc.export_state())
+                .unwrap();
+        let remodel = resumed.snapshot().unwrap();
         assert_models_identical(&remodel, &expected, "incremental resume");
     }
 
@@ -218,9 +219,9 @@ proptest! {
             // Snapshot after every absorb against the reference over the
             // same prefix. The miner interns names as they arrive, so
             // supports are compared by name.
-            let mut inc = IncrementalMiner::new(options.clone());
+            let mut inc = OnlineMiner::new(options.clone(), SnapshotPolicy::on_demand());
             for (j, exec) in log.executions().iter().enumerate() {
-                inc.absorb_execution(exec, log.activities()).unwrap();
+                inc.absorb(exec, log.activities()).unwrap();
                 let mut prefix = WorkflowLog::new();
                 for name in NAMES.iter().take(log.activities().len()) {
                     prefix.intern_activity(name);
@@ -228,7 +229,7 @@ proptest! {
                 for e in &log.executions()[..=j] {
                     prefix.push(e.clone());
                 }
-                let (model, metrics) = with_metrics(|s| inc.model_in(s).unwrap());
+                let (model, metrics) = with_metrics(|s| inc.snapshot_in(s).unwrap());
                 let (expected, ref_metrics) = mine_general_reference(&prefix, &options).unwrap();
                 let what = format!("set reuse incremental T={threshold} after {}", j + 1);
                 let mut edges = model.edges_named();

@@ -34,7 +34,7 @@ pub enum RecoveryPolicy {
     #[default]
     Strict,
     /// Skip bad records, but give up with
-    /// [`LogError::TooManyErrors`](crate::LogError::TooManyErrors) once
+    /// [`LogError::TooManyErrors`] once
     /// more than `max_errors` decode errors accumulate.
     Skip {
         /// Decode-error budget; `Skip { max_errors: 0 }` behaves like

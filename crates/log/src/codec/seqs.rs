@@ -105,6 +105,8 @@ fn read_impl<R: BufRead>(
 
 /// Writes a log in sequence format (activity names in start-time order,
 /// one execution per line). Interval overlap and outputs are lost.
+/// An execution whose line would start with `#` is refused: the reader
+/// would skip it as a comment.
 pub fn write_log<W: Write>(log: &WorkflowLog, mut writer: W) -> Result<(), LogError> {
     for exec in log.executions() {
         let line = exec.display(log.activities());
@@ -114,6 +116,16 @@ pub fn write_log<W: Write>(log: &WorkflowLog, mut writer: W) -> Result<(), LogEr
                 message:
                     "activity names containing whitespace cannot be written in sequence format"
                         .to_string(),
+            });
+        }
+        if line.trim_start().starts_with('#') {
+            return Err(LogError::Parse {
+                line: 0,
+                message: format!(
+                    "execution `{}` starts with an activity name beginning with `#`, which the \
+                     reader takes for a comment line, and cannot be written in sequence format",
+                    exec.id
+                ),
             });
         }
         writeln!(writer, "{line}")?;
@@ -145,6 +157,25 @@ mod tests {
         let log = read_log("Receive Approve Ship\nReceive Reject\n".as_bytes()).unwrap();
         assert_eq!(log.activities().len(), 4);
         assert!(log.activities().id("Approve").is_some());
+    }
+
+    #[test]
+    fn executions_starting_with_a_hash_name_are_unwritable() {
+        // Written, `#A B` would read back as a comment line: one of the
+        // two executions lost without an error.
+        let mut log = WorkflowLog::new();
+        log.push_sequence(&["#A", "B"]).unwrap();
+        log.push_sequence(&["C"]).unwrap();
+        let err = write_log(&log, &mut Vec::new()).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("`{}`", log.executions()[0].id)),
+            "{err}"
+        );
+        // Later in a line, `#` is an ordinary name character.
+        let log = read_log("A #B\n".as_bytes()).unwrap();
+        let mut buf = Vec::new();
+        write_log(&log, &mut buf).unwrap();
+        assert_eq!(buf, b"A #B\n");
     }
 
     #[test]

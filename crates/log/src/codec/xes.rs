@@ -22,7 +22,7 @@
 //! # Fast path
 //!
 //! The parser is zero-copy: the whole document is validated as UTF-8
-//! once up front, then a byte-offset [`Scanner`] slices names and
+//! once up front, then a byte-offset `Scanner` slices names and
 //! attribute values straight out of the input. All XML delimiters are
 //! ASCII, so byte search never lands inside a multi-byte character;
 //! values are borrowed (`Cow::Borrowed`) unless they contain an entity

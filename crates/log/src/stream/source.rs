@@ -5,9 +5,9 @@
 //! under [`RecoveryPolicy::Strict`] the first bad line is fatal; under
 //! a recovering policy bad lines are skipped and counted, a truncated
 //! unterminated tail surfaces as
-//! [`LogError::UnexpectedEof`](crate::LogError::UnexpectedEof), and a
+//! [`LogError::UnexpectedEof`], and a
 //! [`RecoveryPolicy::Skip`] budget overrun ends the stream with
-//! [`LogError::TooManyErrors`](crate::LogError::TooManyErrors). It
+//! [`LogError::TooManyErrors`]. It
 //! emits raw *events* and leaves case assembly to the consumer: the
 //! batch reader [`flowmark::read_log_with`] interns each line's
 //! borrowed fields into its table of events, and a streaming pipeline

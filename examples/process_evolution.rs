@@ -1,10 +1,10 @@
-//! Process evolution with the incremental miner.
+//! Process evolution with the online miner.
 //!
 //! The paper motivates mining as a way "to allow the evolution of the
 //! current process model into future versions of the model by
 //! incorporating feedback from successful process executions". This
-//! example streams executions into an [`IncrementalMiner`] in three
-//! eras of a purchasing process and shows the model evolving:
+//! example streams executions into an [`OnlineMiner`] in three eras
+//! of a purchasing process and snapshots the model after each:
 //!
 //! 1. a strict sequential approval chain;
 //! 2. a reorganization makes two checks parallel;
@@ -15,10 +15,10 @@
 //! ```
 
 use procmine::mine::metrics::compare_dependencies;
-use procmine::mine::{IncrementalMiner, MinerOptions};
+use procmine::mine::{MinerOptions, OnlineMiner, SnapshotPolicy};
 
-fn show(title: &str, miner: &IncrementalMiner) -> procmine::mine::MinedModel {
-    let model = miner.model().expect("model available");
+fn show(title: &str, miner: &mut OnlineMiner) -> procmine::mine::MinedModel {
+    let model = miner.snapshot().expect("model available");
     println!("{title} ({} executions absorbed):", miner.executions());
     for (u, v) in model.edges_named() {
         println!("  {u} -> {v}");
@@ -28,7 +28,7 @@ fn show(title: &str, miner: &IncrementalMiner) -> procmine::mine::MinedModel {
 }
 
 fn main() {
-    let mut miner = IncrementalMiner::new(MinerOptions::default());
+    let mut miner = OnlineMiner::new(MinerOptions::default(), SnapshotPolicy::on_demand());
 
     // Era 1: Request → LegalCheck → BudgetCheck → Approve → Order.
     for _ in 0..20 {
@@ -36,7 +36,7 @@ fn main() {
             .absorb_sequence(&["Request", "LegalCheck", "BudgetCheck", "Approve", "Order"])
             .unwrap();
     }
-    let era1 = show("Era 1 — sequential chain", &miner);
+    let era1 = show("Era 1 — sequential chain", &mut miner);
     assert!(era1.has_edge("LegalCheck", "BudgetCheck"));
 
     // Era 2: the two checks now run in parallel — both interleavings
@@ -49,7 +49,7 @@ fn main() {
         };
         miner.absorb_sequence(seq).unwrap();
     }
-    let era2 = show("Era 2 — checks run in parallel", &miner);
+    let era2 = show("Era 2 — checks run in parallel", &mut miner);
     assert!(!era2.has_edge("LegalCheck", "BudgetCheck"));
     assert!(!era2.has_edge("BudgetCheck", "LegalCheck"));
 
@@ -59,7 +59,7 @@ fn main() {
             .absorb_sequence(&["Request", "ExpressOk", "Order"])
             .unwrap();
     }
-    let era3 = show("Era 3 — express path added", &miner);
+    let era3 = show("Era 3 — express path added", &mut miner);
     assert!(era3.has_edge("Request", "ExpressOk"));
     assert!(era3.has_edge("ExpressOk", "Order"));
 

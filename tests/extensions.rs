@@ -9,7 +9,8 @@ use procmine::log::WorkflowLog;
 use procmine::mine::conformance::fitness;
 use procmine::mine::splits::{analyze_gateways, GatewayKind};
 use procmine::mine::{
-    mine_auto, mine_general_dag, mine_general_dag_in, IncrementalMiner, MineSession, MinerOptions,
+    mine_auto, mine_general_dag, mine_general_dag_in, MineSession, MinerOptions, OnlineMiner,
+    SnapshotPolicy,
 };
 use procmine::sim::{engine, presets, textfmt, walk};
 use rand::rngs::StdRng;
@@ -82,9 +83,9 @@ fn parallel_and_incremental_match_batch_on_real_workload() {
         &MinerOptions::default(),
     )
     .unwrap();
-    let mut inc = IncrementalMiner::new(MinerOptions::default());
+    let mut inc = OnlineMiner::new(MinerOptions::default(), SnapshotPolicy::on_demand());
     inc.absorb_log(&log).unwrap();
-    let incremental = inc.model().unwrap();
+    let incremental = inc.snapshot().unwrap();
 
     let mut a = batch.edges_named();
     let mut b = parallel.edges_named();

@@ -4,8 +4,8 @@
 
 use procmine::log::WorkflowLog;
 use procmine::mine::{
-    mine_auto, mine_cyclic, mine_general_dag, mine_general_dag_in, mine_special_dag,
-    IncrementalMiner, LimitKind, Limits, MineError, MineSession, MinerOptions,
+    mine_auto, mine_cyclic, mine_general_dag, mine_general_dag_in, mine_special_dag, LimitKind,
+    Limits, MineError, MineSession, MinerOptions, OnlineMiner, SnapshotPolicy,
 };
 use std::time::{Duration, Instant};
 
@@ -188,11 +188,14 @@ fn generous_limits_do_not_change_the_model() {
 
 #[test]
 fn incremental_miner_enforces_limits_at_absorb_time() {
-    let mut inc = IncrementalMiner::new(MinerOptions::default().with_limits(Limits {
-        max_events: Some(5),
-        max_activities: Some(3),
-        ..Limits::default()
-    }));
+    let mut inc = OnlineMiner::new(
+        MinerOptions::default().with_limits(Limits {
+            max_events: Some(5),
+            max_activities: Some(3),
+            ..Limits::default()
+        }),
+        SnapshotPolicy::on_demand(),
+    );
     inc.absorb_sequence(&["A", "B", "C"]).unwrap();
 
     // A fourth distinct activity would exceed max_activities — and must
@@ -216,5 +219,5 @@ fn incremental_miner_enforces_limits_at_absorb_time() {
     ));
     // A two-event execution still fits, and the miner remains usable.
     inc.absorb_sequence(&["A", "B"]).unwrap();
-    assert!(inc.model().is_ok());
+    assert!(inc.snapshot().is_ok());
 }

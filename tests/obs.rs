@@ -5,8 +5,8 @@
 
 use procmine::log::WorkflowLog;
 use procmine::mine::{
-    mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, IncrementalMiner,
-    MineSession, MinerOptions, Registry, Stage,
+    mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, MineSession,
+    MinerOptions, OnlineMiner, Registry, SnapshotPolicy, Stage,
 };
 
 /// The paper's Example 6 log — accepted by every miner, including the
@@ -69,9 +69,9 @@ fn every_miner_populates_stage_latency_histograms() {
         mine_auto_in(s, &log, &options).unwrap();
     });
     run("incremental", &|s| {
-        let mut inc = IncrementalMiner::new(options.clone());
+        let mut inc = OnlineMiner::new(options.clone(), SnapshotPolicy::on_demand());
         inc.absorb_log(&log).unwrap();
-        inc.model_in(s).unwrap();
+        inc.snapshot_in(s).unwrap();
     });
 }
 

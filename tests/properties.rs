@@ -63,9 +63,9 @@ fn edges_via_plain(
 ) -> Vec<Result<Vec<(String, String)>, String>> {
     use procmine::mine::{
         mine_auto, mine_cyclic, mine_general_dag, mine_general_dag_in, mine_special_dag,
-        IncrementalMiner, MineSession,
+        MineSession, OnlineMiner, SnapshotPolicy,
     };
-    let mut inc = IncrementalMiner::new(options.clone());
+    let mut inc = OnlineMiner::new(options.clone(), SnapshotPolicy::on_demand());
     inc.absorb_log(log).expect("logs here have no repeats");
     [
         mine_special_dag(log, options),
@@ -73,7 +73,7 @@ fn edges_via_plain(
         mine_cyclic(log, options),
         mine_auto(log, options).map(|(m, _)| m),
         mine_general_dag_in(&mut MineSession::new().with_threads(threads), log, options),
-        inc.model(),
+        inc.snapshot(),
     ]
     .into_iter()
     .map(|r| {
@@ -91,10 +91,10 @@ fn edges_via_sessions(
     threads: usize,
 ) -> Vec<Result<Vec<(String, String)>, String>> {
     use procmine::mine::{
-        mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, IncrementalMiner,
-        MineSession,
+        mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, MineSession,
+        OnlineMiner, SnapshotPolicy,
     };
-    let mut inc = IncrementalMiner::new(options.clone());
+    let mut inc = OnlineMiner::new(options.clone(), SnapshotPolicy::on_demand());
     inc.absorb_log(log).expect("logs here have no repeats");
     [
         mine_special_dag_in(&mut MineSession::new(), log, options),
@@ -102,7 +102,7 @@ fn edges_via_sessions(
         mine_cyclic_in(&mut MineSession::new(), log, options),
         mine_auto_in(&mut MineSession::new(), log, options).map(|(m, _)| m),
         mine_general_dag_in(&mut MineSession::new().with_threads(threads), log, options),
-        inc.model_in(&mut MineSession::new()),
+        inc.snapshot_in(&mut MineSession::new()),
     ]
     .into_iter()
     .map(|r| {
@@ -124,12 +124,12 @@ fn edges_via_metered_sessions(
     threads: usize,
 ) -> (MinerEdges, procmine::mine::Registry) {
     use procmine::mine::{
-        mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, IncrementalMiner,
-        MineSession, Registry,
+        mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, MineSession,
+        OnlineMiner, Registry, SnapshotPolicy,
     };
     let reg = Registry::new();
     let session = || MineSession::new().with_obs(reg.clone());
-    let mut inc = IncrementalMiner::new(options.clone());
+    let mut inc = OnlineMiner::new(options.clone(), SnapshotPolicy::on_demand());
     inc.absorb_log(log).expect("logs here have no repeats");
     let edges = [
         mine_special_dag_in(&mut session(), log, options),
@@ -137,7 +137,7 @@ fn edges_via_metered_sessions(
         mine_cyclic_in(&mut session(), log, options),
         mine_auto_in(&mut session(), log, options).map(|(m, _)| m),
         mine_general_dag_in(&mut session().with_threads(threads), log, options),
-        inc.model_in(&mut session()),
+        inc.snapshot_in(&mut session()),
     ]
     .into_iter()
     .map(|r| {
@@ -467,10 +467,10 @@ proptest! {
 
     #[test]
     fn incremental_matches_batch_on_arbitrary_logs(log in arb_log(10)) {
-        use procmine::mine::IncrementalMiner;
-        let mut inc = IncrementalMiner::new(MinerOptions::default());
+        use procmine::mine::{OnlineMiner, SnapshotPolicy};
+        let mut inc = OnlineMiner::new(MinerOptions::default(), SnapshotPolicy::on_demand());
         inc.absorb_log(&log).unwrap();
-        let incremental = inc.model().unwrap();
+        let incremental = inc.snapshot().unwrap();
         let batch = procmine::mine::mine_general_dag(&log, &MinerOptions::default()).unwrap();
         let mut a = incremental.edges_named(); a.sort();
         let mut b = batch.edges_named(); b.sort();
@@ -550,7 +550,7 @@ proptest! {
         // The plain convenience miners build a default session
         // internally: on §8.1 random-walk logs every miner — special,
         // general, cyclic, auto, the `threads`-wide parallel strategy,
-        // and the incremental miner — must produce the exact result (or
+        // and the online miner — must produce the exact result (or
         // the exact error) of its explicit session spelling.
         use procmine::sim::randdag::{random_dag, RandomDagConfig};
         use procmine::sim::walk::random_walk_log;
