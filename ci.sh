@@ -36,7 +36,7 @@ if [ -n "$cli_raw_telemetry" ]; then
   echo "$cli_raw_telemetry" >&2
   exit 1
 fi
-echo "==> deprecation lane: retired ingestion/wrapper APIs, one Flowmark decoder"
+echo "==> deprecation lane: retired ingestion/wrapper APIs, one Flowmark and one XES decoder"
 # Retired ingestion and wrapper APIs must not regrow: the contiguous
 # `ExecutionStream` reader (and its `ReopenedCase` error) behind the
 # removed `mine --stream`, the `mine_general_dag_parallel` wrapper
@@ -47,11 +47,13 @@ echo "==> deprecation lane: retired ingestion/wrapper APIs, one Flowmark decoder
 # activity and time (`assemble_case` returns the exact index), the
 # codecs' `read_log_with_stats` wrappers (call `read_log_with`),
 # `assemble_records`, the record-keyed batch assembly (every reader
-# assembles through the one event table), and `IncrementalMiner` with
+# assembles through the one event table), `IncrementalMiner` with
 # its `MinerState` (`OnlineMiner` is the one absorbing miner and
-# `OnlineMinerState` its one checkpoint state).
+# `OnlineMinerState` its one checkpoint state), and the chunked
+# parallel XES decode with its threshold (`xes::read_log_with` is the
+# one XES decoder).
 retired=$(grep -rnw --include='*.rs' \
-  -E 'ExecutionStream|ReopenedCase|mine_general_dag_parallel|WallStage|PROCMINE_PARALLEL_MIN_VERTICES|PROCMINE_PARALLEL_XES_MIN_BYTES|locate_diagnostic|read_log_with_stats|assemble_records|IncrementalMiner|MinerState' \
+  -E 'ExecutionStream|ReopenedCase|mine_general_dag_parallel|WallStage|PROCMINE_PARALLEL_MIN_VERTICES|PROCMINE_PARALLEL_XES_MIN_BYTES|locate_diagnostic|read_log_with_stats|assemble_records|IncrementalMiner|MinerState|read_log_with_threads|read_log_with_threads_min_bytes|PARALLEL_XES_MIN_BYTES|parallel_parse|merge_chunks' \
   crates src tests examples || true)
 if [ -n "$retired" ]; then
   echo "retired APIs reappeared:" >&2
@@ -71,7 +73,9 @@ fi
 # `FlowmarkSource` and the flowmark unit tests (below `#[cfg(test)]`).
 # The batch reader takes borrowed fields from the source: outside its
 # tests, flowmark.rs neither calls `next_event` nor builds an
-# `EventRecord` (owned records are for `--follow`).
+# `EventRecord` (owned records are for `--follow`). Likewise the XES
+# reader interns each event into the event table as it closes: outside
+# its tests, xes.rs names no `EventRecord`.
 extra_decoders=$(
   grep -rn --include='*.rs' 'parse_event_line' crates src tests \
     | grep -v -e '^crates/log/src/stream/source.rs:' -e '^crates/log/src/codec/flowmark.rs:' || true
@@ -79,9 +83,12 @@ extra_decoders=$(
        (/parse_event_line\(/ && !/fn parse_event_line/) || /next_event|EventRecord/ {
          print FILENAME ":" FNR ": " $0 }' \
     crates/log/src/codec/flowmark.rs
+  awk '/^#\[cfg\(test\)\]/ { exit }
+       /EventRecord/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/log/src/codec/xes.rs
 )
 if [ -n "$extra_decoders" ]; then
-  echo "a second Flowmark decode path (parse_event_line outside FlowmarkSource, or records in the batch reader):" >&2
+  echo "a second Flowmark decode path (parse_event_line outside FlowmarkSource, or records in the batch reader), or records in the XES reader:" >&2
   echo "$extra_decoders" >&2
   exit 1
 fi

@@ -69,8 +69,8 @@ use procmine_graph::reduction::{
 };
 use procmine_graph::scc::{tarjan_scc, tarjan_scc_parallel_budgeted};
 use procmine_graph::{AdjMatrix, Budget, DiGraph};
-use procmine_log::codec::{self, CodecStats};
-use procmine_log::{IngestReport, RecoveryPolicy, WorkflowLog};
+use procmine_log::codec;
+use procmine_log::{RecoveryPolicy, WorkflowLog};
 use std::fs;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -428,25 +428,6 @@ fn workload_cells(scenario: &str, log: &WorkflowLog, repeats: usize, cells: &mut
     }
     ingest_cell!("ingest.flowmark", flowmark);
     ingest_cell!("ingest.xes", xes);
-
-    // XES chunked-parallel decode at the micro thread count (on a
-    // single-core runner this measures the serial-fallback dispatch).
-    cells.push(summarize(
-        scenario,
-        "codec.xes_parallel",
-        time_runs(repeats, || {
-            let mut buf = Vec::new();
-            codec::xes::write_log(log, &mut buf).expect("write succeeds");
-            codec::xes::read_log_with_threads(
-                &buf[..],
-                RecoveryPolicy::Strict,
-                micro_threads(),
-                &mut CodecStats::default(),
-                &mut IngestReport::default(),
-            )
-            .expect("read succeeds");
-        }),
-    ));
 
     // Read→write round-trip from a pre-encoded buffer: isolates the
     // decode+encode cost from the initial materialization above.

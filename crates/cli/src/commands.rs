@@ -55,8 +55,7 @@ COMMANDS:
       --bpmn FILE          write the mined model as BPMN 2.0 XML
       --check              verify conformance (Definition 7) after mining
       --follow             online mining over a live event stream
-                           (flowmark whatever the extension; cases may
-                           interleave).
+                           (flowmark only; cases may interleave).
                            <LOG> may be `-` for stdin; final model
                            prints in the same shape as batch mining
       --snapshot-every N   with --follow: print an interim model
@@ -84,9 +83,7 @@ COMMANDS:
                            errors are retried with exponential backoff
                            up to N times before failing (default 3)
       --threads N          mine with the parallel general miner on N
-                           threads (requires --algorithm auto|general);
-                           with --format xes the log is also decoded in
-                           parallel chunks
+                           threads (requires --algorithm auto|general)
       --stats              print pipeline telemetry (stage timings,
                            counters, codec byte/event tallies; with
                            --threads also per-stage wall time and
@@ -220,7 +217,7 @@ fn convert(argv: &[String]) -> CliResult {
         .get("from")
         .unwrap_or_else(|| format_from_extension(input));
     let to = p.get("to").unwrap_or_else(|| format_from_extension(output));
-    let log = Frame::new(&p)?.read_log(input, from, 1)?;
+    let log = Frame::new(&p)?.read_log(input, from)?;
     write_log(&log, Some(output), to)?;
     errln!(
         "converted {} executions: {input} ({from}) -> {output} ({to})",
@@ -282,14 +279,8 @@ impl<'a> Frame<'a> {
 
     /// Decodes the log at `path` under the frame's policy into its
     /// tallies, inside an `ingest.<format>` span, and records the
-    /// per-format ingest counters and decode-time histogram. With
-    /// `threads > 1` an XES log is decoded in parallel chunks.
-    fn read_log(
-        &mut self,
-        path: &str,
-        format: &str,
-        threads: usize,
-    ) -> Result<WorkflowLog, Box<dyn Error>> {
+    /// per-format ingest counters and decode-time histogram.
+    fn read_log(&mut self, path: &str, format: &str) -> Result<WorkflowLog, Box<dyn Error>> {
         // Span names are static, so map the format up front (codecs live in
         // `procmine-log`, which cannot depend on core — the ingest spans
         // and per-format metrics are recorded here at the CLI layer
@@ -311,8 +302,8 @@ impl<'a> Frame<'a> {
             "flowmark" => codec::flowmark::read_log_with(reader, policy, &mut stats, report),
             "seqs" => codec::seqs::read_log_with(reader, policy, &mut stats, report),
             "jsonl" => codec::jsonl::read_log_with(reader, policy, &mut stats, report),
-            // XES, the one format left; one thread decodes serially.
-            _ => codec::xes::read_log_with_threads(reader, policy, threads, &mut stats, report),
+            // XES, the one format left.
+            _ => codec::xes::read_log_with(reader, policy, &mut stats, report),
         }
         .map_err(|e| log_error(path, e))?;
         self.codec.merge(&stats);
@@ -950,8 +941,18 @@ fn mine_follow(p: &Parsed) -> CliResult {
     if p.get("threads").is_some() {
         return Err("--threads cannot be combined with --follow".into());
     }
-    if p.get("format").is_some_and(|f| f != "flowmark") {
-        return Err("--follow supports the flowmark format only".into());
+    let format = log_format(p, path);
+    if format != "flowmark" {
+        let by = if p.get("format").is_some() {
+            "--format"
+        } else {
+            "its extension"
+        };
+        return Err(format!(
+            "{path}: --follow reads flowmark only, and this log is {format} by {by} \
+             (pass --format flowmark to read it as flowmark)"
+        )
+        .into());
     }
     match p.get("algorithm").unwrap_or("auto") {
         "auto" | "general" => {}
@@ -1264,7 +1265,7 @@ fn mine(argv: &[String]) -> CliResult {
         .with_threads(threads.max(1))
         .with_sink(&mut metrics);
     let started = std::time::Instant::now();
-    let log = frame.read_log(path, log_format(&p, path), threads.max(1))?;
+    let log = frame.read_log(path, log_format(&p, path))?;
     let (model, algorithm) = mine_with(&p, &mut session, &log)?;
     drop(session);
     frame.report_ingest();
@@ -1355,7 +1356,7 @@ fn check(argv: &[String]) -> CliResult {
     };
     let model: MinedModel = serde_json::from_str(&read_to_string(model_path)?)?;
     let mut frame = Frame::new(&p)?;
-    let log = frame.read_log(log_path, log_format(&p, log_path), 1)?;
+    let log = frame.read_log(log_path, log_format(&p, log_path))?;
     frame.report_ingest();
     let mut metrics = ConformanceMetrics::new();
     let report = conformance::check_conformance_in(
@@ -1416,7 +1417,7 @@ fn conditions(argv: &[String]) -> CliResult {
         .first()
         .ok_or(ArgError::Required("log file"))?;
     let mut frame = Frame::new(&p)?;
-    let log = frame.read_log(path, log_format(&p, path), 1)?;
+    let log = frame.read_log(path, log_format(&p, path))?;
     frame.report_ingest();
     let mut miner_metrics = MinerMetrics::new();
     let (model, _) = mine_with(&p, &mut frame.session().with_sink(&mut miner_metrics), &log)?;
@@ -1465,7 +1466,7 @@ fn info(argv: &[String]) -> CliResult {
         .positional()
         .first()
         .ok_or(ArgError::Required("log file"))?;
-    let log = Frame::new(&p)?.read_log(path, log_format(&p, path), 1)?;
+    let log = Frame::new(&p)?.read_log(path, log_format(&p, path))?;
     let stats = procmine_log::stats::log_stats(&log);
 
     outln!("executions:  {}", stats.executions);

@@ -278,7 +278,9 @@ fn convert_between_formats_by_extension() {
 #[test]
 fn log_readers_default_their_format_from_the_extension() {
     // Every command that reads a log reads what `convert` wrote by
-    // extension; `mine --follow` reads Flowmark whatever the extension.
+    // extension; `mine --follow` reads Flowmark only, so it refuses a
+    // log whose extension names another format unless `--format
+    // flowmark` overrides it.
     let dir = tmpdir("format-default");
     let (fm, seqs) = (dir.join("x.fm"), dir.join("x.seqs"));
     let text = "c1,A,START,1\nc1,A,END,2\nc1,B,START,3\nc1,B,END,4\n";
@@ -287,14 +289,36 @@ fn log_readers_default_their_format_from_the_extension() {
     assert!(procmine(&["convert", fm.to_str().unwrap(), seqs])
         .status
         .success());
+    let refusal = |path: &str, format: &str| {
+        format!(
+            "{path}: --follow reads flowmark only, and this log is {format} by its \
+             extension (pass --format flowmark to read it as flowmark)"
+        )
+    };
+    let (txt, jsonl, xes) = (dir.join("x.txt"), dir.join("x.jsonl"), dir.join("x.xes"));
+    let (txt, jsonl, xes) = (
+        txt.to_str().unwrap(),
+        jsonl.to_str().unwrap(),
+        xes.to_str().unwrap(),
+    );
     for (args, expect) in [
-        (vec!["info", seqs], Ok("executions:  2")),
-        (vec!["mine", seqs], Ok("(2 executions,")),
+        (vec!["info", seqs], Ok("executions:  2".to_string())),
+        (vec!["mine", seqs], Ok("(2 executions,".to_string())),
         (
             vec!["info", seqs, "--format", "flowmark"],
-            Err("comma-separated"),
+            Err("comma-separated".to_string()),
         ),
-        (vec!["mine", "--follow", seqs], Err("comma-separated")),
+        (vec!["mine", "--follow", seqs], Err(refusal(seqs, "seqs"))),
+        (vec!["mine", "--follow", txt], Err(refusal(txt, "seqs"))),
+        (
+            vec!["mine", "--follow", jsonl],
+            Err(refusal(jsonl, "jsonl")),
+        ),
+        (vec!["mine", "--follow", xes], Err(refusal(xes, "xes"))),
+        (
+            vec!["mine", "--follow", seqs, "--format", "flowmark"],
+            Err("comma-separated".to_string()),
+        ),
     ] {
         let out = procmine(&args);
         let (stdout, stderr) = (
@@ -302,8 +326,11 @@ fn log_readers_default_their_format_from_the_extension() {
             String::from_utf8_lossy(&out.stderr),
         );
         match expect {
-            Ok(needle) => assert!(out.status.success() && stdout.contains(needle), "{stderr}"),
-            Err(needle) => assert!(!out.status.success() && stderr.contains(needle), "{stderr}"),
+            Ok(needle) => assert!(out.status.success() && stdout.contains(&needle), "{stderr}"),
+            Err(needle) => assert!(
+                !out.status.success() && stderr.contains(&needle),
+                "{stderr}"
+            ),
         }
     }
 }

@@ -56,13 +56,8 @@ pub fn read_log_with<R: BufRead>(
     let drained = loop {
         let next = source.next_fields(|fields, _| {
             let case = events.case_id(fields.process);
-            events.push(
-                case,
-                fields.activity,
-                fields.kind,
-                fields.time,
-                fields.output,
-            );
+            let activity = events.activity_id(fields.activity);
+            events.push(case, activity, fields.kind, fields.time, fields.output);
         });
         match next {
             Ok(Some(())) => {}

@@ -105,19 +105,25 @@ fn read_impl<R: BufRead>(
 
 /// Writes a log in sequence format (activity names in start-time order,
 /// one execution per line). Interval overlap and outputs are lost.
-/// An execution whose line would start with `#` is refused: the reader
-/// would skip it as a comment.
+/// What the reader would read back differently is refused: an activity
+/// name that is empty or contains whitespace, and an execution whose
+/// line would start with `#` (the reader would skip it as a comment).
 pub fn write_log<W: Write>(log: &WorkflowLog, mut writer: W) -> Result<(), LogError> {
+    let activities = log.activities();
     for exec in log.executions() {
-        let line = exec.display(log.activities());
-        if line.split_whitespace().count() != exec.len() {
-            return Err(LogError::Parse {
-                line: 0,
-                message:
-                    "activity names containing whitespace cannot be written in sequence format"
-                        .to_string(),
-            });
+        for inst in exec.instances() {
+            let name = activities.name(inst.activity);
+            if name.is_empty() || name.contains(char::is_whitespace) {
+                return Err(LogError::Parse {
+                    line: 0,
+                    message: format!(
+                        "activity name `{name}` is empty or contains whitespace, and cannot \
+                         be written in sequence format"
+                    ),
+                });
+            }
         }
+        let line = exec.display(activities);
         if line.trim_start().starts_with('#') {
             return Err(LogError::Parse {
                 line: 0,
@@ -180,8 +186,13 @@ mod tests {
 
     #[test]
     fn whitespace_names_unwritable() {
-        let mut log = WorkflowLog::new();
-        log.push_sequence(&["bad name", "B"]).unwrap();
-        assert!(write_log(&log, &mut Vec::new()).is_err());
+        // Whitespace at a name's edge would merge into the separator, and
+        // the reader would read ` A` back as `A`.
+        for bad in ["bad name", " A", "A ", "A\tB"] {
+            let mut log = WorkflowLog::new();
+            log.push_sequence(&[bad, "B"]).unwrap();
+            let err = write_log(&log, &mut Vec::new()).unwrap_err().to_string();
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+        }
     }
 }

@@ -31,20 +31,17 @@
 //! characters), [`LogError::UnexpectedEof`] at clean truncation — by
 //! computing positions lazily on the error paths only.
 //!
-//! [`read_log_with_threads`] adds a chunked parallel mode: the input is
-//! split at top-level-looking `<trace` boundaries and chunks are parsed
-//! on scoped threads. The merge step re-validates every assumption the
-//! split makes (no chunk errors, no state leaking across boundaries, no
-//! case names shared between chunks) and falls back to the serial
-//! parser whenever anything is off, so error reports and recovery
-//! behaviour are byte-for-byte identical to a serial read. The previous
-//! character-based implementation is preserved as
+//! Each `<event>` is interned into the same table of events the
+//! Flowmark reader fills, as the event closes and only once it has
+//! validated: its case and activity names become ids, START/END balance
+//! is kept per (case id, activity id), and no string is owned per
+//! event. The previous character-based implementation is preserved as
 //! [`xes_reference`](super::xes_reference) and pinned to this one by
 //! differential tests.
 
 use super::{assemble, CodecStats, IngestReport, RecoveryPolicy};
 use crate::validate::EventTable;
-use crate::{EventKind, EventRecord, LogError, WorkflowLog};
+use crate::{EventKind, LogError, WorkflowLog};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
@@ -110,8 +107,11 @@ pub fn millis_to_iso8601(millis: u64) -> String {
 /// Parses an ISO 8601 timestamp to milliseconds since the Unix epoch.
 /// Accepts `YYYY-MM-DDThh:mm:ss[.fff][Z|±hh:mm]`; the `T` separator may
 /// also be lowercase `t` or a space, and the zone designator may be
-/// lowercase `z`. Offsets are applied. Timestamps before the epoch are
-/// rejected (the log model's clock is unsigned).
+/// lowercase `z`. The year may have more than four digits, but then no
+/// leading zero (the `xs:dateTime` expanded year), so every tick of the
+/// log clock that [`millis_to_iso8601`] formats parses back. Offsets are
+/// applied. Timestamps before the epoch or after the clock's last tick
+/// (`u64::MAX` ms) are rejected.
 ///
 /// The leap-second spelling `:60` is **clamped to `:59`** (fractional
 /// part preserved): the log clock is POSIX-like and has no leap
@@ -119,21 +119,35 @@ pub fn millis_to_iso8601(millis: u64) -> String {
 /// `parse ∘ format` is the identity and `format ∘ parse` is idempotent
 /// — XES round-trips are byte-stable.
 pub fn iso8601_to_millis(text: &str) -> Result<u64, String> {
-    let bytes = text.as_bytes();
     let fail = || format!("invalid ISO 8601 timestamp `{text}`");
-    if bytes.len() < 19
-        || bytes[4] != b'-'
-        || bytes[7] != b'-'
-        || !matches!(bytes[10], b'T' | b't' | b' ')
+    let year_len = text.find('-').ok_or_else(fail)?;
+    let year = &text[..year_len];
+    if year_len < 4
+        || (year_len > 4 && year.starts_with('0'))
+        || !year.bytes().all(|b| b.is_ascii_digit())
     {
         return Err(fail());
     }
+    // Nine digits already reach past the clock's last tick (year
+    // 584556019); longer years would overflow the day count.
+    if year_len > 9 {
+        return Err(format!(
+            "timestamp `{text}` is past the end of the log clock"
+        ));
+    }
+    let y: i64 = year.parse().map_err(|_| fail())?;
+    // The fixed-width rest, indexed as if the year had four digits.
+    let rest = &text[year_len - 4..];
+    let bytes = rest.as_bytes();
+    if bytes.len() < 19 || bytes[7] != b'-' || !matches!(bytes[10], b'T' | b't' | b' ') {
+        return Err(fail());
+    }
     let num = |range: std::ops::Range<usize>| -> Result<i64, String> {
-        text.get(range)
+        rest.get(range)
             .and_then(|s| s.parse().ok())
             .ok_or_else(fail)
     };
-    let (y, mo, d) = (num(0..4)?, num(5..7)? as u32, num(8..10)? as u32);
+    let (mo, d) = (num(5..7)? as u32, num(8..10)? as u32);
     if !(1..=12).contains(&mo) {
         return Err(fail());
     }
@@ -168,7 +182,7 @@ pub fn iso8601_to_millis(text: &str) -> Result<u64, String> {
             return Err(fail());
         }
         // Truncate or pad fractional seconds to milliseconds.
-        let frac = &text[start..end.min(start + 3)];
+        let frac = &rest[start..end.min(start + 3)];
         ms = frac.parse::<i64>().map_err(|_| fail())?;
         for _ in frac.len()..3 {
             ms *= 10;
@@ -194,9 +208,17 @@ pub fn iso8601_to_millis(text: &str) -> Result<u64, String> {
         Some(_) => return Err(fail()),
     }
 
-    let days = days_from_civil(y, mo, d);
-    let total = (days * 86_400 + h * 3600 + mi * 60 + s + offset_minutes * 60) * 1000 + ms;
-    u64::try_from(total).map_err(|_| format!("timestamp `{text}` is before the Unix epoch"))
+    // Past `i64::MAX` ms the total needs more than 64 signed bits.
+    let days = i128::from(days_from_civil(y, mo, d));
+    let secs = days * 86_400 + i128::from(h * 3600 + mi * 60 + s + offset_minutes * 60);
+    let total = secs * 1000 + i128::from(ms);
+    u64::try_from(total).map_err(|_| {
+        if total < 0 {
+            format!("timestamp `{text}` is before the Unix epoch")
+        } else {
+            format!("timestamp `{text}` is past the end of the log clock")
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -604,53 +626,8 @@ pub fn read_log<R: BufRead>(reader: R) -> Result<WorkflowLog, LogError> {
 /// are dropped, XML syntax errors re-sync at the next tag, and
 /// START/END pairing falls back to lenient assembly.
 pub fn read_log_with<R: BufRead>(
-    reader: R,
-    policy: RecoveryPolicy,
-    stats: &mut CodecStats,
-    report: &mut IngestReport,
-) -> Result<WorkflowLog, LogError> {
-    read_log_with_threads(reader, policy, 1, stats, report)
-}
-
-/// Minimum input size for the chunked parallel decode. Below this the
-/// serial parser wins: spawning scoped threads costs tens of
-/// microseconds, which dwarfs the parse itself. Tune it by editing this
-/// constant.
-pub const PARALLEL_XES_MIN_BYTES: usize = 64 * 1024;
-
-/// [`read_log_with`] with a chunked parallel decode. With `threads > 1`
-/// and at least [`PARALLEL_XES_MIN_BYTES`] of input the document is
-/// split at top-level `<trace` boundaries and chunks are parsed on
-/// scoped threads. The fast path engages only when every chunk parses
-/// cleanly and no parser state crosses a chunk boundary; otherwise the
-/// input is re-parsed serially, so results — including error offsets,
-/// recovery behaviour and truncation detection — are identical to
-/// [`read_log_with`] in all cases.
-pub fn read_log_with_threads<R: BufRead>(
-    reader: R,
-    policy: RecoveryPolicy,
-    threads: usize,
-    stats: &mut CodecStats,
-    report: &mut IngestReport,
-) -> Result<WorkflowLog, LogError> {
-    read_log_with_threads_min_bytes(
-        reader,
-        policy,
-        threads,
-        PARALLEL_XES_MIN_BYTES,
-        stats,
-        report,
-    )
-}
-
-/// [`read_log_with_threads`] with an explicit parallel threshold.
-/// Exposed for tests and tuning; most callers want the default.
-#[doc(hidden)]
-pub fn read_log_with_threads_min_bytes<R: BufRead>(
     mut reader: R,
     policy: RecoveryPolicy,
-    threads: usize,
-    min_bytes: usize,
     stats: &mut CodecStats,
     report: &mut IngestReport,
 ) -> Result<WorkflowLog, LogError> {
@@ -659,17 +636,7 @@ pub fn read_log_with_threads_min_bytes<R: BufRead>(
     stats.bytes_read += raw.len() as u64;
     read_result?;
     let text = decode_utf8(&raw, policy, report)?;
-    if threads > 1 && text.len() >= min_bytes {
-        if let Some((records, events)) = parallel_parse(&text, threads) {
-            stats.events_parsed += events;
-            report.records_parsed += events;
-            let events = EventTable::from_records(&records);
-            return assemble(events, policy, raw.len() as u64, stats, report);
-        }
-    }
-    let mut scanner = Scanner::new(&text);
-    let outcome = parse_records(&mut scanner, policy, stats, report, true)?;
-    let events = EventTable::from_records(&outcome.records);
+    let events = parse_events(&mut Scanner::new(&text), policy, stats, report)?;
     assemble(events, policy, raw.len() as u64, stats, report)
 }
 
@@ -700,55 +667,23 @@ fn decode_utf8<'a>(
     }
 }
 
-/// Per-case, per-activity count of START events not yet closed by an
-/// END — an O(1) replacement for the reference parser's linear scans,
-/// with provably identical outcomes.
-type BalanceMap = HashMap<String, HashMap<String, usize>>;
+/// Per (case id, activity id) of an [`EventTable`]: the STARTs not yet
+/// closed by an END.
+type Balance = HashMap<(u32, u32), usize>;
 
-/// Everything one `parse_records` pass produces. The serial path only
-/// uses `records`; the rest lets the parallel coordinator prove that a
-/// chunked parse is equivalent to a serial one (or fall back).
-struct ParseOutcome<'a> {
-    records: Vec<EventRecord>,
-    /// `(record index, local trace ordinal)` for records whose case is
-    /// an auto-generated `trace-N` name; the parallel merge rewrites
-    /// these with the chunk's global trace base.
-    default_named: Vec<(usize, usize)>,
-    /// `<trace>` opens seen.
-    traces: usize,
-    /// Successfully closed `<event>` elements.
-    events: u64,
-    /// Elements still open at EOF, innermost last.
-    open_at_eof: Vec<&'a str>,
-    /// Close tags that matched no open element, in input order.
-    unmatched_closes: Vec<&'a str>,
-    /// An `<event>` scope was still active at EOF (a self-closing
-    /// `<event/>` sets this without a stack entry).
-    in_event_at_eof: bool,
-    /// Some event had no `time:timestamp` and fell back to its ordinal,
-    /// which depends on global record count — poison for chunking.
-    used_ordinal_fallback: bool,
-}
-
-/// The pull loop: tags in, event records out. With `check_truncation`
-/// an open element at EOF is reported as [`LogError::UnexpectedEof`]
-/// (the document was cut off); chunk parses disable that check and let
-/// the coordinator judge the residual stack instead.
-fn parse_records<'a>(
-    scanner: &mut Scanner<'a>,
+/// The pull loop: tags in, rows of an [`EventTable`] out, one closed
+/// `<event>` at a time. An element still open at EOF is reported as
+/// [`LogError::UnexpectedEof`]: the document was cut off.
+fn parse_events(
+    scanner: &mut Scanner<'_>,
     policy: RecoveryPolicy,
     stats: &mut CodecStats,
     report: &mut IngestReport,
-    check_truncation: bool,
-) -> Result<ParseOutcome<'a>, LogError> {
-    let mut records: Vec<EventRecord> = Vec::new();
-    let mut default_named: Vec<(usize, usize)> = Vec::new();
-    let mut balance = BalanceMap::new();
-    let mut events = 0u64;
-    let mut used_ordinal_fallback = false;
+) -> Result<EventTable, LogError> {
+    let mut events = EventTable::default();
+    let mut balance = Balance::new();
     // Parse state.
-    let mut trace_name: Option<Cow<'a, str>> = None;
-    let mut trace_default = false;
+    let mut trace_name: Option<Cow<'_, str>> = None;
     let mut trace_counter = 0usize;
     let mut in_event = false;
     let mut attrs = EventAttrs::default();
@@ -756,24 +691,21 @@ fn parse_records<'a>(
     // Open (non-self-closing) elements, innermost last. A non-empty
     // stack at EOF means the document was cut off between records —
     // truncation that clean XML-level parsing would otherwise miss.
-    let mut open_elements: Vec<&'a str> = Vec::new();
-    let mut unmatched_closes: Vec<&'a str> = Vec::new();
+    let mut open_elements: Vec<&str> = Vec::new();
     loop {
         let tag = match scanner.next(&mut kv) {
             Ok(None) => {
-                if check_truncation {
-                    if let Some(innermost) = open_elements.last() {
-                        let (line, _, byte_offset) = scanner.position();
-                        let err = LogError::UnexpectedEof {
-                            byte_offset,
-                            message: format!("input ends inside an open <{innermost}> element"),
-                        };
-                        report.record_error(byte_offset, line, err.to_string());
-                        if policy.is_strict() {
-                            return Err(err);
-                        }
-                        report.over_budget(policy)?;
+                if let Some(innermost) = open_elements.last() {
+                    let (line, _, byte_offset) = scanner.position();
+                    let err = LogError::UnexpectedEof {
+                        byte_offset,
+                        message: format!("input ends inside an open <{innermost}> element"),
+                    };
+                    report.record_error(byte_offset, line, err.to_string());
+                    if policy.is_strict() {
+                        return Err(err);
                     }
+                    report.over_budget(policy)?;
                 }
                 break;
             }
@@ -801,8 +733,6 @@ fn parse_records<'a>(
                 // tolerated (recovery resync can drop close tags).
                 if let Some(i) = open_elements.iter().rposition(|n| *n == name) {
                     open_elements.truncate(i);
-                } else {
-                    unmatched_closes.push(name);
                 }
             }
             _ => {}
@@ -811,7 +741,6 @@ fn parse_records<'a>(
             Tag::Open { name: "trace", .. } => {
                 trace_counter += 1;
                 trace_name = Some(Cow::Owned(format!("trace-{trace_counter}")));
-                trace_default = true;
             }
             Tag::Open { name: "event", .. } => {
                 in_event = true;
@@ -829,29 +758,15 @@ fn parse_records<'a>(
                     attrs.set(&key, value);
                 } else if key == "concept:name" && trace_name.is_some() {
                     trace_name = Some(value);
-                    trace_default = false;
                 }
             }
             Tag::Close("event") => {
                 in_event = false;
-                let len_before = records.len();
-                match close_event(
-                    &attrs,
-                    trace_name.as_deref(),
-                    &mut records,
-                    &mut balance,
-                    scanner,
-                    &mut used_ordinal_fallback,
-                ) {
+                let case = trace_name.as_deref().unwrap_or("trace-0");
+                match close_event(&attrs, case, &mut events, &mut balance, scanner) {
                     Ok(()) => {
                         stats.events_parsed += 1;
                         report.records_parsed += 1;
-                        events += 1;
-                        if trace_default && trace_name.is_some() {
-                            for i in len_before..records.len() {
-                                default_named.push((i, trace_counter));
-                            }
-                        }
                     }
                     Err(e) => {
                         let (line, _, byte_offset) = scanner.position();
@@ -870,16 +785,7 @@ fn parse_records<'a>(
             _ => {}
         }
     }
-    Ok(ParseOutcome {
-        records,
-        default_named,
-        traces: trace_counter,
-        events,
-        open_at_eof: open_elements,
-        unmatched_closes,
-        in_event_at_eof: in_event,
-        used_ordinal_fallback,
-    })
+    Ok(events)
 }
 
 /// The four event attributes the log model reads. Last write wins,
@@ -908,273 +814,57 @@ impl<'a> EventAttrs<'a> {
     }
 }
 
-/// Turns one closed `<event>` into START/END records. Validates before
-/// pushing, so a failed event leaves `records` untouched.
+/// Turns one closed `<event>` of case `case` into rows of `events`: a
+/// START, or an END after an instantaneous START when none is open.
+/// Validates before interning, so a refused event leaves `events`
+/// untouched.
 fn close_event(
     attrs: &EventAttrs<'_>,
-    trace_name: Option<&str>,
-    records: &mut Vec<EventRecord>,
-    balance: &mut BalanceMap,
+    case: &str,
+    events: &mut EventTable,
+    balance: &mut Balance,
     scanner: &Scanner<'_>,
-    used_ordinal_fallback: &mut bool,
 ) -> Result<(), LogError> {
-    let case = trace_name.unwrap_or("trace-0");
     let activity = attrs
         .name
         .as_deref()
         .ok_or_else(|| scanner.error("event without concept:name"))?;
     let stamp = match attrs.timestamp.as_deref() {
         Some(ts) => iso8601_to_millis(ts).map_err(|message| scanner.error(message))?,
-        None => {
-            *used_ordinal_fallback = true;
-            records.len() as u64 // ordinal fallback
-        }
+        None => events.len() as u64, // ordinal fallback
     };
-    let transition: Cow<'_, str> = match attrs.transition.as_deref() {
-        Some(s) => Cow::Owned(s.to_ascii_lowercase()),
-        None => Cow::Borrowed("complete"),
-    };
+    let case = events.case_id(case);
+    let activity = events.activity_id(activity);
+    let is_start = attrs
+        .transition
+        .as_deref()
+        .is_some_and(|t| t.eq_ignore_ascii_case("start"));
+    if is_start {
+        *balance.entry((case, activity)).or_insert(0) += 1;
+        events.push(case, activity, EventKind::Start, stamp, None);
+        return Ok(());
+    }
+    // Everything else — complete, a missing transition, and coarse
+    // lifecycles like "ate_abort" — closes the instance. If no START is
+    // open for this activity in this case, synthesize an instantaneous
+    // one.
+    match balance.get_mut(&(case, activity)) {
+        Some(open) if *open > 0 => *open -= 1,
+        _ => events.push(case, activity, EventKind::Start, stamp, None),
+    }
     let output = attrs.output.as_deref().map(|v| {
         v.split(';')
             .filter_map(|x| x.trim().parse::<i64>().ok())
             .collect::<Vec<i64>>()
     });
-    if transition == "start" {
-        records.push(EventRecord {
-            process: case.to_string(),
-            activity: activity.to_string(),
-            kind: EventKind::Start,
-            time: stamp,
-            output: None,
-        });
-        let open = balance
-            .entry(case.to_string())
-            .or_default()
-            .entry(activity.to_string())
-            .or_insert(0);
-        *open += 1;
-    } else {
-        // Everything else — complete, and coarse lifecycles like
-        // "ate_abort" — closes the instance. If no START is open for
-        // this activity in this case, synthesize an instantaneous one.
-        let open = balance
-            .get_mut(case)
-            .and_then(|acts| acts.get_mut(activity));
-        match open {
-            Some(n) if *n > 0 => *n -= 1,
-            _ => records.push(EventRecord {
-                process: case.to_string(),
-                activity: activity.to_string(),
-                kind: EventKind::Start,
-                time: stamp,
-                output: None,
-            }),
-        }
-        records.push(EventRecord {
-            process: case.to_string(),
-            activity: activity.to_string(),
-            kind: EventKind::End,
-            time: stamp,
-            output,
-        });
-    }
+    events.push(case, activity, EventKind::End, stamp, output);
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Chunked parallel decode.
-// ---------------------------------------------------------------------------
-
-/// Byte offsets of `<trace` tokens whose next byte cannot continue an
-/// XML name — candidate top-level trace boundaries. Deliberately
-/// conservative in both directions: a token inside a comment or
-/// attribute value still becomes a split point (the resulting broken
-/// chunk fails validation and forces the serial fallback), and a
-/// Unicode-delimited `<trace…>` is missed (its chunk simply contains
-/// more than one trace, which the merge handles via per-chunk counts).
-fn trace_splits(bytes: &[u8]) -> Vec<usize> {
-    let mut splits = Vec::new();
-    let mut i = 0usize;
-    while i + 6 < bytes.len() {
-        match find_byte(b'<', &bytes[i..]) {
-            Some(k) => i += k,
-            None => break,
-        }
-        if i + 6 >= bytes.len() {
-            break;
-        }
-        if &bytes[i + 1..i + 6] == b"trace" {
-            let d = bytes[i + 6];
-            let name_cont = d.is_ascii_alphanumeric()
-                || matches!(d, b':' | b'_' | b'-' | b'.')
-                || !d.is_ascii();
-            if !name_cont {
-                splits.push(i);
-                i += 6;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    splits
-}
-
-/// Parses one chunk in isolation. Any error at all disqualifies the
-/// chunk (`None`): errors must be produced by the serial parser so
-/// their offsets and recovery interplay are exact.
-fn parse_chunk(chunk: &str) -> Option<ParseOutcome<'_>> {
-    let mut stats = CodecStats::default();
-    let mut report = IngestReport::default();
-    let mut scanner = Scanner::new(chunk);
-    let outcome = parse_records(
-        &mut scanner,
-        RecoveryPolicy::Strict,
-        &mut stats,
-        &mut report,
-        false,
-    )
-    .ok()?;
-    if report.errors_total != 0 {
-        return None;
-    }
-    Some(outcome)
-}
-
-/// Splits at trace boundaries, parses chunks on scoped threads, and
-/// merges — or returns `None` when a serial parse is required for
-/// exactness.
-fn parallel_parse(text: &str, threads: usize) -> Option<(Vec<EventRecord>, u64)> {
-    let mut bounds = vec![0usize];
-    bounds.extend(trace_splits(text.as_bytes()));
-    bounds.dedup();
-    bounds.push(text.len());
-    let nchunks = bounds.len() - 1;
-    if nchunks < 2 {
-        return None;
-    }
-    let workers = threads.min(nchunks);
-    let outcomes: Vec<Option<ParseOutcome<'_>>> = std::thread::scope(|scope| {
-        let bounds = &bounds;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let lo = w * nchunks / workers;
-                let hi = (w + 1) * nchunks / workers;
-                scope.spawn(move || {
-                    (lo..hi)
-                        .map(|c| parse_chunk(&text[bounds[c]..bounds[c + 1]]))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut all = Vec::with_capacity(nchunks);
-        for h in handles {
-            match h.join() {
-                Ok(v) => all.extend(v),
-                Err(_) => all.push(None), // worker panicked → serial fallback
-            }
-        }
-        all
-    });
-    if outcomes.len() != nchunks {
-        return None;
-    }
-    merge_chunks(outcomes)
-}
-
-/// Validates that the chunked parse is equivalent to a serial one and
-/// concatenates the per-chunk records. Every rule here exists because
-/// the serial parser carries state across what is now a chunk
-/// boundary; violating any of them returns `None` (serial fallback).
-fn merge_chunks(outcomes: Vec<Option<ParseOutcome<'_>>>) -> Option<(Vec<EventRecord>, u64)> {
-    let n = outcomes.len();
-    let mut chunks: Vec<ParseOutcome<'_>> = Vec::with_capacity(n);
-    for o in outcomes {
-        chunks.push(o?);
-    }
-    for (i, c) in chunks.iter().enumerate() {
-        let last = i + 1 == n;
-        // Ordinal timestamps depend on the global record count.
-        if c.used_ordinal_fallback {
-            return None;
-        }
-        // An `<event>` scope crossing a boundary would attach the next
-        // chunk's attributes to it.
-        if !last && c.in_event_at_eof {
-            return None;
-        }
-        if i == 0 {
-            // The prefix may leave `<log>` (and stray elements) open,
-            // but an open `<event>` means records could straddle.
-            if !c.unmatched_closes.is_empty() || c.open_at_eof.contains(&"event") {
-                return None;
-            }
-        } else if !last {
-            // Interior chunks must be fully self-contained.
-            if !c.open_at_eof.is_empty() || !c.unmatched_closes.is_empty() {
-                return None;
-            }
-        } else if !c.open_at_eof.is_empty() {
-            // A serial parse would flag truncation here.
-            return None;
-        }
-    }
-    // Replay the last chunk's unmatched closes (typically `</log>`)
-    // against the prefix's residual stack exactly like the parser
-    // (rposition + truncate); anything left means a serial parse would
-    // report truncation.
-    let mut stack: Vec<&str> = chunks[0].open_at_eof.clone();
-    for name in &chunks[n - 1].unmatched_closes {
-        if let Some(i) = stack.iter().rposition(|s| s == name) {
-            stack.truncate(i);
-        }
-    }
-    if !stack.is_empty() {
-        return None;
-    }
-    // Rewrite auto-generated trace names with global ordinals.
-    let mut base = 0usize;
-    for c in &mut chunks {
-        for &(idx, ord) in &c.default_named {
-            c.records[idx].process = format!("trace-{}", base + ord);
-        }
-        base += c.traces;
-    }
-    // Case names must be disjoint across chunks: START/END balance (and
-    // hence instantaneous-event synthesis) is tracked per case.
-    {
-        let mut seen: HashMap<&str, usize> = HashMap::new();
-        for (ci, c) in chunks.iter().enumerate() {
-            let mut prev_case: Option<&str> = None;
-            for r in &c.records {
-                let case = r.process.as_str();
-                if prev_case == Some(case) {
-                    continue; // consecutive records share their case
-                }
-                prev_case = Some(case);
-                match seen.get(case) {
-                    Some(&owner) if owner != ci => return None,
-                    _ => {
-                        seen.insert(case, ci);
-                    }
-                }
-            }
-        }
-    }
-    let total: usize = chunks.iter().map(|c| c.records.len()).sum();
-    let mut records = Vec::with_capacity(total);
-    let mut events = 0u64;
-    for c in chunks {
-        events += c.events;
-        records.extend(c.records);
-    }
-    Some((records, events))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ActivityInstance;
-    use crate::Execution;
+    use crate::{ActivityInstance, Execution};
 
     #[test]
     fn civil_date_round_trip() {
@@ -1189,7 +879,20 @@ mod tests {
 
     #[test]
     fn iso8601_round_trip() {
-        for millis in [0u64, 1, 999, 1000, 86_400_000, 1_700_000_000_123] {
+        for millis in [
+            0u64,
+            1,
+            999,
+            1000,
+            86_400_000,
+            1_700_000_000_123,
+            // The last millisecond of year 9999, the first of 10000, and
+            // the ends of the signed and unsigned 64-bit ranges.
+            253_402_300_799_999,
+            253_402_300_800_000,
+            i64::MAX as u64,
+            u64::MAX,
+        ] {
             let iso = millis_to_iso8601(millis);
             assert_eq!(iso8601_to_millis(&iso).unwrap(), millis, "{iso}");
         }
@@ -1217,6 +920,12 @@ mod tests {
             "1970-01-01T00:00",
             "1969-01-01T00:00:00Z",
             "1970-01-01T00:00:61Z",
+            // Expanded years: no leading zero or sign, and not past the
+            // clock's last tick.
+            "02024-01-01T00:00:00Z",
+            "+2024-01-01T00:00:00Z",
+            "584556020-01-01T00:00:00Z",
+            "1000000000-01-01T00:00:00Z",
         ] {
             assert!(iso8601_to_millis(bad).is_err(), "{bad}");
         }
@@ -1377,62 +1086,98 @@ mod tests {
         assert_eq!(back.activities().len(), log.activities().len());
     }
 
-    /// Parses `buf` both serially and with the chunked mode forced on
-    /// (threshold 0) and asserts identical logs and reports.
-    fn assert_parallel_matches_serial(buf: &[u8], policy: RecoveryPolicy) {
-        let mut serial_stats = CodecStats::default();
-        let mut serial_report = IngestReport::default();
-        let serial = read_log_with(buf, policy, &mut serial_stats, &mut serial_report);
-        let mut par_stats = CodecStats::default();
-        let mut par_report = IngestReport::default();
-        let par =
-            read_log_with_threads_min_bytes(buf, policy, 4, 0, &mut par_stats, &mut par_report);
-        assert_eq!(serial_report, par_report);
-        assert_eq!(serial_stats, par_stats);
-        match (serial, par) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.display_sequences(), b.display_sequences());
-                assert_eq!(a.executions(), b.executions());
-            }
-            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-            (a, b) => panic!("serial {a:?} vs parallel {b:?}"),
-        }
+    /// Everything observable about one read: the log's activity names
+    /// and executions (or the rendered error), stats and report.
+    type Observed = (
+        Result<(Vec<String>, Vec<Execution>), String>,
+        CodecStats,
+        IngestReport,
+    );
+
+    type ReadWith<'d> = fn(
+        &'d [u8],
+        RecoveryPolicy,
+        &mut CodecStats,
+        &mut IngestReport,
+    ) -> Result<WorkflowLog, LogError>;
+
+    fn observe<'d>(read: ReadWith<'d>, doc: &'d [u8], policy: RecoveryPolicy) -> Observed {
+        let mut stats = CodecStats::default();
+        let mut report = IngestReport::default();
+        let log = read(doc, policy, &mut stats, &mut report)
+            .map(|log| (log.activities().names().to_vec(), log.executions().to_vec()))
+            .map_err(|e| e.to_string());
+        (log, stats, report)
     }
 
-    #[test]
-    fn parallel_read_matches_serial_on_clean_log() {
-        let log = WorkflowLog::from_strings(["ABCF", "ACDF", "ADEF", "AECF"]).unwrap();
-        let mut buf = Vec::new();
-        write_log(&log, &mut buf).unwrap();
-        assert_parallel_matches_serial(&buf, RecoveryPolicy::Strict);
-        assert_parallel_matches_serial(&buf, RecoveryPolicy::BestEffort);
-    }
-
-    #[test]
-    fn parallel_read_renumbers_unnamed_traces() {
-        // Traces without concept:name get trace-1, trace-2, … ordinals
-        // that must be global, not per-chunk.
-        let mut doc = String::from("<log>\n");
-        for i in 0..6 {
-            doc.push_str("<trace>\n<event>\n");
-            doc.push_str(&format!(
-                "<string key=\"concept:name\" value=\"act{i}\"/>\n"
-            ));
-            doc.push_str(
-                "<date key=\"time:timestamp\" value=\"2024-01-01T10:00:00Z\"/>\n</event>\n</trace>\n",
+    /// Reads `doc` with this parser and with
+    /// [`xes_reference`](super::super::xes_reference) under every
+    /// recovery policy, asserts identical observations, and returns
+    /// this parser's log under `policy`.
+    fn read_like_reference(doc: &[u8], policy: RecoveryPolicy) -> Result<WorkflowLog, LogError> {
+        for p in [
+            RecoveryPolicy::Strict,
+            RecoveryPolicy::Skip { max_errors: 4 },
+            RecoveryPolicy::BestEffort,
+        ] {
+            assert_eq!(
+                observe(read_log_with, doc, p),
+                observe(super::super::xes_reference::read_log_with, doc, p),
+                "policy {p:?}"
             );
         }
-        doc.push_str("</log>\n");
-        assert_parallel_matches_serial(doc.as_bytes(), RecoveryPolicy::Strict);
-        let log = read_log_with_threads_min_bytes(
-            doc.as_bytes(),
-            RecoveryPolicy::Strict,
-            4,
-            0,
+        read_log_with(
+            doc,
+            policy,
             &mut CodecStats::default(),
             &mut IngestReport::default(),
         )
-        .unwrap();
+    }
+
+    /// One `<event>` with a name and, when given, a transition and a
+    /// timestamp.
+    fn event(name: &str, transition: Option<&str>, time: Option<&str>) -> String {
+        let mut e = format!("<event><string key=\"concept:name\" value=\"{name}\"/>");
+        if let Some(t) = transition {
+            e += &format!("<string key=\"lifecycle:transition\" value=\"{t}\"/>");
+        }
+        if let Some(t) = time {
+            e += &format!("<date key=\"time:timestamp\" value=\"{t}\"/>");
+        }
+        e + "</event>"
+    }
+
+    /// A `<trace>` named `name` holding `events`.
+    fn trace(name: &str, events: &[String]) -> String {
+        format!(
+            "<trace><string key=\"concept:name\" value=\"{name}\"/>{}</trace>",
+            events.concat()
+        )
+    }
+
+    #[test]
+    fn matches_reference_on_clean_log() {
+        let log = WorkflowLog::from_strings(["ABCF", "ACDF", "ADEF", "AECF"]).unwrap();
+        let mut buf = Vec::new();
+        write_log(&log, &mut buf).unwrap();
+        let back = read_like_reference(&buf, RecoveryPolicy::Strict).unwrap();
+        assert_eq!(back.display_sequences(), log.display_sequences());
+    }
+
+    #[test]
+    fn unnamed_traces_are_numbered_in_document_order() {
+        let mut doc = String::from("<log>\n");
+        for i in 0..6 {
+            doc.push_str("<trace>\n");
+            doc.push_str(&event(
+                &format!("act{i}"),
+                None,
+                Some("2024-01-01T10:00:00Z"),
+            ));
+            doc.push_str("\n</trace>\n");
+        }
+        doc.push_str("</log>\n");
+        let log = read_like_reference(doc.as_bytes(), RecoveryPolicy::Strict).unwrap();
         let ids: Vec<_> = log.executions().iter().map(|e| e.id.as_str()).collect();
         assert_eq!(
             ids,
@@ -1441,50 +1186,138 @@ mod tests {
     }
 
     #[test]
-    fn parallel_read_matches_serial_on_truncated_and_corrupt_input() {
+    fn matches_reference_on_truncated_and_corrupt_input() {
         let log = WorkflowLog::from_strings(["ABCF", "ACDF", "ADEF"]).unwrap();
         let mut buf = Vec::new();
         write_log(&log, &mut buf).unwrap();
         for cut in [buf.len() / 3, buf.len() / 2, buf.len() - 3] {
-            assert_parallel_matches_serial(&buf[..cut], RecoveryPolicy::Strict);
-            assert_parallel_matches_serial(&buf[..cut], RecoveryPolicy::BestEffort);
+            assert!(read_like_reference(&buf[..cut], RecoveryPolicy::Strict).is_err());
         }
         let mut corrupt = buf.clone();
         let mid = corrupt.len() / 2;
         corrupt[mid] = b'<';
-        assert_parallel_matches_serial(&corrupt, RecoveryPolicy::Strict);
-        assert_parallel_matches_serial(&corrupt, RecoveryPolicy::BestEffort);
+        read_like_reference(&corrupt, RecoveryPolicy::BestEffort).unwrap();
     }
 
     #[test]
-    fn parallel_read_falls_back_on_shared_case_names() {
-        // Two explicit traces with the same name: START/END balance
-        // spans chunks, so the chunked mode must detect and fall back.
-        let doc = "<log>\
-<trace><string key=\"concept:name\" value=\"same\"/>\
-<event><string key=\"concept:name\" value=\"A\"/>\
-<string key=\"lifecycle:transition\" value=\"start\"/>\
-<date key=\"time:timestamp\" value=\"2024-01-01T10:00:00Z\"/></event></trace>\
-<trace><string key=\"concept:name\" value=\"same\"/>\
-<event><string key=\"concept:name\" value=\"A\"/>\
-<string key=\"lifecycle:transition\" value=\"complete\"/>\
-<date key=\"time:timestamp\" value=\"2024-01-01T11:00:00Z\"/></event></trace>\
-</log>";
-        assert_parallel_matches_serial(doc.as_bytes(), RecoveryPolicy::BestEffort);
+    fn traces_sharing_a_case_name_form_one_case() {
+        // START/END balance is kept per case, not per trace: the second
+        // trace's `complete` closes the first trace's `start`.
+        let doc = format!(
+            "<log>{}{}</log>",
+            trace(
+                "same",
+                &[event("A", Some("start"), Some("2024-01-01T10:00:00Z"))]
+            ),
+            trace(
+                "same",
+                &[event("A", Some("complete"), Some("2024-01-01T11:00:00Z"))]
+            ),
+        );
+        let log = read_like_reference(doc.as_bytes(), RecoveryPolicy::Strict).unwrap();
+        assert_eq!(log.len(), 1);
+        let inst = &log.executions()[0].instances()[0];
+        assert_eq!(inst.end - inst.start, 3_600_000);
     }
 
     #[test]
-    fn parallel_read_matches_serial_on_ordinal_timestamps() {
-        // Events without time:timestamp use a global ordinal — chunked
-        // mode must fall back rather than restart ordinals per chunk.
+    fn untimed_events_take_their_row_ordinal_as_stamp() {
+        // The stamp counts the rows before the event, synthesized STARTs
+        // included: a0's START and END are rows 0 and 1, so a1 reads 2.
         let mut doc = String::from("<log>");
         for i in 0..4 {
             doc.push_str(&format!(
-                "<trace><event><string key=\"concept:name\" value=\"a{i}\"/></event></trace>"
+                "<trace>{}</trace>",
+                event(&format!("a{i}"), None, None)
             ));
         }
         doc.push_str("</log>");
-        assert_parallel_matches_serial(doc.as_bytes(), RecoveryPolicy::Strict);
+        let log = read_like_reference(doc.as_bytes(), RecoveryPolicy::Strict).unwrap();
+        let stamps: Vec<_> = log
+            .executions()
+            .iter()
+            .map(|e| (e.instances()[0].start, e.instances()[0].end))
+            .collect();
+        assert_eq!(stamps, [(0, 0), (2, 2), (4, 4), (6, 6)]);
+    }
+
+    #[test]
+    fn lifecycles_and_names_match_reference() {
+        let at = |h: u32| format!("2024-01-01T{h:02}:00:00Z");
+        let (one, two, three) = (at(1), at(2), at(3));
+        let at1 = Some(one.as_str());
+        // (document body, expected case, activity, and instance span in
+        // hours after 01:00)
+        let cases = [
+            // A lone `complete` is an instantaneous instance.
+            (
+                trace("c", &[event("A", Some("complete"), at1)]),
+                "c",
+                "A",
+                (0, 0),
+            ),
+            // Any transition but `start` closes the instance.
+            (
+                trace(
+                    "c",
+                    &[
+                        event("A", Some("start"), at1),
+                        event("A", Some("ate_abort"), Some(&two)),
+                    ],
+                ),
+                "c",
+                "A",
+                (0, 1),
+            ),
+            // `start` is matched without regard to case.
+            (
+                trace(
+                    "c",
+                    &[
+                        event("A", Some("START"), at1),
+                        event("A", Some("Complete"), Some(&three)),
+                    ],
+                ),
+                "c",
+                "A",
+                (0, 2),
+            ),
+            // An event outside any trace belongs to case `trace-0`.
+            (event("A", None, at1), "trace-0", "A", (0, 0)),
+            // Entities in a name are resolved.
+            (
+                trace("c", &[event("A&amp;B", None, at1)]),
+                "c",
+                "A&B",
+                (0, 0),
+            ),
+        ];
+        let base = iso8601_to_millis(&one).unwrap();
+        let hours = |t: u64| (t - base) / 3_600_000;
+        for (body, case, activity, span) in cases {
+            let doc = format!("<log>{body}</log>");
+            let log = read_like_reference(doc.as_bytes(), RecoveryPolicy::Strict).unwrap();
+            assert_eq!(log.display_sequences(), [activity], "{doc}");
+            let exec = &log.executions()[0];
+            let inst = &exec.instances()[0];
+            assert_eq!(exec.id, case, "{doc}");
+            assert_eq!((hours(inst.start), hours(inst.end)), span, "{doc}");
+        }
+    }
+
+    #[test]
+    fn a_refused_event_leaves_no_case_behind() {
+        // The only event of `bad` has an invalid timestamp: under
+        // BestEffort it is skipped, and no empty execution is left.
+        let doc = format!(
+            "<log>{}{}</log>",
+            trace("bad", &[event("A", None, Some("2024-13-01T00:00:00Z"))]),
+            trace("good", &[event("B", None, Some("2024-01-01T00:00:00Z"))]),
+        );
+        let log = read_like_reference(doc.as_bytes(), RecoveryPolicy::BestEffort).unwrap();
+        let ids: Vec<_> = log.executions().iter().map(|e| e.id.as_str()).collect();
+        assert_eq!(ids, ["good"]);
+        assert_eq!(log.display_sequences(), ["B"]);
     }
 
     #[test]

@@ -450,7 +450,8 @@ impl<O: Observer> CaseAssembler<O> {
         events.clear();
         let id = events.case_id(&name);
         for r in case.records.drain(..) {
-            events.push(id, &r.activity, r.kind, r.time, r.output);
+            let activity = events.activity_id(&r.activity);
+            events.push(id, activity, r.kind, r.time, r.output);
         }
         let work = &mut self.work;
         let exec = assemble_case(

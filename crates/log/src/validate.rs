@@ -186,7 +186,8 @@ impl EventTable {
         events.rows.reserve(records.len());
         for r in records {
             let case = events.case_id(&r.process);
-            events.push(case, &r.activity, r.kind, r.time, r.output.clone());
+            let activity = events.activity_id(&r.activity);
+            events.push(case, activity, r.kind, r.time, r.output.clone());
         }
         events
     }
@@ -196,17 +197,26 @@ impl EventTable {
         self.cases.intern(name)
     }
 
-    /// Appends one event of case `case` (an id from
-    /// [`EventTable::case_id`]).
+    /// The id of activity `name`, interning it if unseen.
+    pub(crate) fn activity_id(&mut self, name: &str) -> u32 {
+        self.activities.intern(name)
+    }
+
+    /// The number of events (rows) in the table.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Appends one event of case `case` and activity `activity` (ids
+    /// from [`EventTable::case_id`] and [`EventTable::activity_id`]).
     pub(crate) fn push(
         &mut self,
         case: u32,
-        activity: &str,
+        activity: u32,
         kind: EventKind,
         time: u64,
         output: Option<Vec<i64>>,
     ) {
-        let activity = self.activities.intern(activity);
         let output = match output {
             Some(o) => {
                 self.outputs.push(o);

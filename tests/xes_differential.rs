@@ -5,8 +5,9 @@
 //! `WorkflowLog` (activity table, execution ids, sequences, outputs,
 //! timestamps), the *same* `IngestReport` (error offsets, line:column
 //! positions, skip counts), and the *same* rendered error — or it is
-//! not a rewrite but a behavior change. A second family of properties
-//! pins the chunked-parallel decode to the serial one.
+//! not a rewrite but a behavior change. The parser is the one XES
+//! decode path, so this reference is its judge under all three
+//! policies.
 
 use procmine::log::codec::{xes, xes_reference, CodecStats};
 use procmine::log::fault::{corrupt_bytes, FaultConfig};
@@ -63,15 +64,6 @@ fn decode_reference(data: &[u8], policy: RecoveryPolicy) -> Observed {
     observe(result, stats, report)
 }
 
-fn decode_parallel(data: &[u8], policy: RecoveryPolicy, threads: usize) -> Observed {
-    let mut stats = CodecStats::default();
-    let mut report = IngestReport::default();
-    // min_bytes = 0 forces the chunked path even on small inputs.
-    let result =
-        xes::read_log_with_threads_min_bytes(data, policy, threads, 0, &mut stats, &mut report);
-    observe(result, stats, report)
-}
-
 /// The corruption corpus of `tests/corruption.rs`: clean, truncated,
 /// bit-rotted, and garbage-burst variants of one encoded log.
 fn corpus(log: &WorkflowLog, cut: usize, flip_rate: f64, seed: u64) -> Vec<Vec<u8>> {
@@ -122,31 +114,6 @@ proptest! {
             }
         }
     }
-
-    /// Chunked-parallel decode is indistinguishable from serial on the
-    /// same corpus — including the corrupt variants, where the merge
-    /// preconditions fail and the parallel path must fall back to a
-    /// full serial re-parse with identical diagnostics.
-    #[test]
-    fn parallel_decode_matches_serial_on_corrupt_corpus(
-        log in arb_log(8),
-        seed in 0u64..1_000,
-        flips_per_mille in 0u64..50,
-        cut in 0usize..2_048,
-        threads in 2usize..5,
-    ) {
-        for corrupted in corpus(&log, cut, flips_per_mille as f64 / 1_000.0, seed) {
-            for policy in POLICIES {
-                prop_assert_eq!(
-                    decode_parallel(&corrupted, policy, threads),
-                    decode_new(&corrupted, policy),
-                    "policy {:?}, {} threads",
-                    policy,
-                    threads
-                );
-            }
-        }
-    }
 }
 
 /// Deterministic anchor for `ci.sh`-style quick runs: a hand-cut
@@ -166,11 +133,6 @@ fn smoke_new_parser_matches_reference_on_truncated_log() {
             assert_eq!(
                 decode_new(truncated, policy),
                 decode_reference(truncated, policy),
-                "cut {cut}, policy {policy:?}"
-            );
-            assert_eq!(
-                decode_parallel(truncated, policy, 4),
-                decode_new(truncated, policy),
                 "cut {cut}, policy {policy:?}"
             );
         }
