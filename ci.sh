@@ -36,7 +36,7 @@ if [ -n "$cli_raw_telemetry" ]; then
   echo "$cli_raw_telemetry" >&2
   exit 1
 fi
-echo "==> deprecation lane: retired ingestion/wrapper APIs, one Flowmark and one XES decoder"
+echo "==> deprecation lane: retired ingestion/wrapper APIs, one Flowmark and one XES decoder, a copy-free follow loop"
 # Retired ingestion and wrapper APIs must not regrow: the contiguous
 # `ExecutionStream` reader (and its `ReopenedCase` error) behind the
 # removed `mine --stream`, the `mine_general_dag_parallel` wrapper
@@ -73,9 +73,14 @@ fi
 # `FlowmarkSource` and the flowmark unit tests (below `#[cfg(test)]`).
 # The batch reader takes borrowed fields from the source: outside its
 # tests, flowmark.rs neither calls `next_event` nor builds an
-# `EventRecord` (owned records are for `--follow`). Likewise the XES
+# `EventRecord` (owned records are for library callers that hold
+# events; `mine --follow` takes borrowed fields too). Likewise the XES
 # reader interns each event into the event table as it closes: outside
-# its tests, xes.rs names no `EventRecord`.
+# its tests, xes.rs names no `EventRecord`. And the follow loop in the
+# CLI hands each line's fields to the case assembler with
+# `FlowmarkSource::feed` and saves checkpoints from the live miner
+# (`OnlineMiner::state_view`): it calls neither `next_event` nor the
+# miner's `export_state`.
 extra_decoders=$(
   grep -rn --include='*.rs' 'parse_event_line' crates src tests \
     | grep -v -e '^crates/log/src/stream/source.rs:' -e '^crates/log/src/codec/flowmark.rs:' || true
@@ -86,9 +91,10 @@ extra_decoders=$(
   awk '/^#\[cfg\(test\)\]/ { exit }
        /EventRecord/ { print FILENAME ":" FNR ": " $0 }' \
     crates/log/src/codec/xes.rs
+  grep -rnE '\bnext_event\b|\bminer\.export_state\b' crates/cli/src || true
 )
 if [ -n "$extra_decoders" ]; then
-  echo "a second Flowmark decode path (parse_event_line outside FlowmarkSource, or records in the batch reader), or records in the XES reader:" >&2
+  echo "a second Flowmark decode path (parse_event_line outside FlowmarkSource, or records in the batch reader), records in the XES reader, or owned records or a copied miner in the CLI follow loop:" >&2
   echo "$extra_decoders" >&2
   exit 1
 fi

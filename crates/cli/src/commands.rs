@@ -780,9 +780,10 @@ type FollowAssembler<'a, S> = procmine_log::stream::CaseAssembler<FollowDriver<'
 
 impl FollowLoop<'_> {
     /// Saves the full pipeline state to `ck_path` atomically and times
-    /// the save into the registry. The session's source tallies are
-    /// merged over `base`, so the saved state is cumulative over the
-    /// whole stream.
+    /// the save into the registry. The miner's part is encoded straight
+    /// from the live miner. The session's source tallies are merged
+    /// over `base`, so the saved state is cumulative over the whole
+    /// stream.
     fn save<S: MetricsSink>(
         &self,
         ck_path: &str,
@@ -798,24 +799,25 @@ impl FollowLoop<'_> {
         let log_len = std::fs::metadata(self.log_path)
             .map_err(file_error(self.log_path))?
             .len();
-        let ck = procmine_core::FollowCheckpoint {
-            fingerprint: self.fingerprint,
-            miner: assembler.observer().miner.export_state(),
-            assembler: assembler.export_state(),
-            source: procmine_core::SourceState {
-                byte_offset,
-                line: line as u64,
-                // The file can only have grown since the bytes at
-                // `byte_offset` were read; clamp defensively so the
-                // invariant `source_len >= byte_offset` holds even
-                // mid-rotation.
-                source_len: log_len.max(byte_offset),
-                stats,
-                report,
-            },
+        let source = procmine_core::SourceState {
+            byte_offset,
+            line: line as u64,
+            // The file can only have grown since the bytes at
+            // `byte_offset` were read; clamp defensively so the
+            // invariant `source_len >= byte_offset` holds even
+            // mid-rotation.
+            source_len: log_len.max(byte_offset),
+            stats,
+            report,
         };
-        ck.save(std::path::Path::new(ck_path))
-            .map_err(file_error(ck_path))?;
+        procmine_core::FollowCheckpointView {
+            fingerprint: self.fingerprint,
+            miner: assembler.observer().miner.state_view(),
+            assembler: &assembler.export_state(),
+            source: &source,
+        }
+        .save(std::path::Path::new(ck_path))
+        .map_err(file_error(ck_path))?;
         if ck_started.is_some() {
             self.ck_write_ns.observe_since(ck_started);
             self.ck_writes.inc();
@@ -926,7 +928,8 @@ impl FollowLoop<'_> {
 fn mine_follow(p: &Parsed) -> CliResult {
     use procmine_core::{OnlineMiner, OptionsFingerprint, SnapshotPolicy, SourceState};
     use procmine_log::stream::{
-        AssemblerConfig, CaseAssembler, FlowmarkSource, RetryPolicy, StreamSink, TailReader,
+        AssemblerConfig, CaseAssembler, FlowmarkSource, RetryPolicy, StreamError, StreamSink,
+        TailReader,
     };
     use procmine_log::validate::AssemblyPolicy;
     use std::io::Seek;
@@ -1123,15 +1126,19 @@ fn mine_follow(p: &Parsed) -> CliResult {
     let mut events_since_export: u64 = 0;
     // Manual pump (rather than `source.pump`) so checkpoint saves can
     // run between events, where miner counts, open cases, and the
-    // source position are mutually consistent. The cadence counts
-    // *consumed* events — open cases included — not absorbed
-    // executions: an assembler window that never overflows delivers
-    // executions only at the final flush, which would mean no
+    // source position are mutually consistent. `feed` hands each
+    // event's fields to the assembler borrowed from the line buffer.
+    // The cadence counts *consumed* events — open cases included — not
+    // absorbed executions: an assembler window that never overflows
+    // delivers executions only at the final flush, which would mean no
     // mid-stream saves at all.
     let checkpoint_cadence = checkpoint_every.max(1);
     let pumped = (|| -> CliResult {
-        while let Some((event, at)) = source.next_event().map_err(|e| log_error(path, e))? {
-            assembler.on_event(event, at)?;
+        while source.feed(&mut assembler).map_err(|e| match e {
+            // A decode error names the log, as in batch reads.
+            StreamError::Log(e) => log_error(path, e),
+            e => e.into(),
+        })? {
             follow.events.inc();
             if let Some(ck_path) = checkpoint_path {
                 follow.events_since_save += 1;

@@ -26,9 +26,10 @@
 //!   mismatch always refuses — `--recover` does not override it.
 
 use crate::general_dag::OrderObservations;
+use crate::online::set_index;
 use crate::{MinerOptions, OnlineMiner, SnapshotPolicy};
 use procmine_log::codec::CodecStats;
-use procmine_log::stream::checkpoint::{read_payload, write_atomic};
+use procmine_log::stream::checkpoint::{read_payload, write_atomic_raw};
 use procmine_log::stream::{AssemblerState, CheckpointError, WireError, WireReader, WireWriter};
 use procmine_log::{ActivityTable, EventColumns, IngestReport};
 use std::path::Path;
@@ -91,6 +92,9 @@ impl OptionsFingerprint {
         }
     }
 
+    /// Bytes [`OptionsFingerprint::encode_into`] writes.
+    const ENCODED_LEN: usize = 4 + 8 + 1;
+
     fn encode_into(&self, w: &mut WireWriter) {
         w.put_u32(self.noise_threshold);
         w.put_u64(self.max_open_cases);
@@ -139,13 +143,37 @@ pub struct OnlineMinerState {
     pub snapshots_taken: u64,
 }
 
-impl OnlineMinerState {
+/// An online miner's resumable state, borrowed — from the live miner
+/// ([`OnlineMiner::state_view`]) or from an exported
+/// [`OnlineMinerState`] ([`OnlineMinerState::view`]) — and encoded
+/// from there, so a checkpoint of a live miner copies neither its count
+/// matrices nor its retained executions.
+#[derive(Debug, Clone, Copy)]
+pub struct MinerStateView<'a> {
+    activities: &'a [String],
+    ordered: &'a [u32],
+    overlap: &'a [u32],
+    execs: &'a EventColumns,
+    events_absorbed: u64,
+    events_since_snapshot: u64,
+    snapshots_taken: u64,
+}
+
+impl MinerStateView<'_> {
+    /// Bytes [`MinerStateView::encode_into`] writes.
+    fn encoded_len(&self) -> usize {
+        let names: usize = self.activities.iter().map(|a| 8 + a.len()).sum();
+        let matrices = 2 * 8 + 4 * (self.ordered.len() + self.overlap.len());
+        let execs = 8 + 8 * self.execs.exec_count() + 24 * self.execs.event_count();
+        8 + names + matrices + execs + 4 * 8
+    }
+
     fn encode_into(&self, w: &mut WireWriter) {
         w.put_usize(self.activities.len());
-        for name in &self.activities {
+        for name in self.activities {
             w.put_str(name);
         }
-        for matrix in [&self.ordered, &self.overlap] {
+        for matrix in [self.ordered, self.overlap] {
             w.put_usize(matrix.len());
             for &c in matrix {
                 w.put_u32(c);
@@ -167,6 +195,21 @@ impl OnlineMinerState {
         w.put_u64(self.events_absorbed);
         w.put_u64(self.events_since_snapshot);
         w.put_u64(self.snapshots_taken);
+    }
+}
+
+impl OnlineMinerState {
+    /// Borrows the state for encoding.
+    pub fn view(&self) -> MinerStateView<'_> {
+        MinerStateView {
+            activities: &self.activities,
+            ordered: &self.ordered,
+            overlap: &self.overlap,
+            execs: &self.execs,
+            events_absorbed: self.events_absorbed,
+            events_since_snapshot: self.events_since_snapshot,
+            snapshots_taken: self.snapshots_taken,
+        }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -284,15 +327,71 @@ pub struct FollowCheckpoint {
     pub source: SourceState,
 }
 
-impl FollowCheckpoint {
-    /// Encodes the checkpoint payload (envelope not included).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+/// A checkpoint's parts, borrowed: the one checkpoint encoder. The
+/// miner part may be a live [`OnlineMiner`]
+/// ([`OnlineMiner::state_view`]), so a `--follow` save encodes straight
+/// from it; [`FollowCheckpoint`] encodes and saves through
+/// [`FollowCheckpoint::view`]. The bytes are the same either way.
+#[derive(Debug, Clone, Copy)]
+pub struct FollowCheckpointView<'a> {
+    /// The options the state was accumulated under.
+    pub fingerprint: OptionsFingerprint,
+    /// The online miner's resumable state.
+    pub miner: MinerStateView<'a>,
+    /// The case assembler's resumable state.
+    pub assembler: &'a AssemblerState,
+    /// The source position and pre-checkpoint accounting.
+    pub source: &'a SourceState,
+}
+
+impl FollowCheckpointView<'_> {
+    /// The checkpoint encoded into one buffer, sized up front, with the
+    /// envelope header reserved in front of the payload: the miner's
+    /// columns are written once.
+    fn encode_enveloped(&self) -> WireWriter {
+        // The assembler and source parts are small; encoded first, they
+        // complete the exact size of the buffer.
+        let mut tail = WireWriter::new();
+        self.assembler.encode_into(&mut tail);
+        self.source.encode_into(&mut tail);
+        let tail = tail.into_bytes();
+        let mut w = WireWriter::enveloped(
+            OptionsFingerprint::ENCODED_LEN + self.miner.encoded_len() + tail.len(),
+        );
         self.fingerprint.encode_into(&mut w);
         self.miner.encode_into(&mut w);
-        self.assembler.encode_into(&mut w);
-        self.source.encode_into(&mut w);
-        w.into_bytes()
+        w.put_bytes(&tail);
+        w
+    }
+
+    /// Encodes the checkpoint payload (envelope not included).
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_enveloped().into_bytes()
+    }
+
+    /// Writes the checkpoint to `path` atomically (envelope into a tmp
+    /// file, fsync, rename). A crash during the save leaves the
+    /// previous checkpoint intact. The envelope header is sealed in
+    /// place in front of the payload, which is not copied to wrap it.
+    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
+        write_atomic_raw(path, &self.encode_enveloped().into_envelope())
+    }
+}
+
+impl FollowCheckpoint {
+    /// Borrows the checkpoint's parts for encoding.
+    pub fn view(&self) -> FollowCheckpointView<'_> {
+        FollowCheckpointView {
+            fingerprint: self.fingerprint,
+            miner: self.miner.view(),
+            assembler: &self.assembler,
+            source: &self.source,
+        }
+    }
+
+    /// Encodes the checkpoint payload (envelope not included).
+    pub fn encode(&self) -> Vec<u8> {
+        self.view().encode()
     }
 
     /// Decodes a checkpoint payload. Requires full consumption —
@@ -313,11 +412,10 @@ impl FollowCheckpoint {
         })
     }
 
-    /// Writes the checkpoint to `path` atomically (envelope into a tmp
-    /// file, fsync, rename). A crash during the save leaves the
-    /// previous checkpoint intact.
+    /// Writes the checkpoint to `path` atomically; see
+    /// [`FollowCheckpointView::save`].
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        write_atomic(path, &self.encode())
+        self.view().save(path)
     }
 
     /// Reads and fully validates a checkpoint from `path`: envelope
@@ -328,6 +426,21 @@ impl FollowCheckpoint {
 }
 
 impl OnlineMiner {
+    /// Borrows the miner's full resumable state for encoding — what
+    /// [`OnlineMiner::export_state`] copies out (the checkpoint cadence
+    /// counter resets on resume and is not part of it).
+    pub fn state_view(&self) -> MinerStateView<'_> {
+        MinerStateView {
+            activities: self.table.names(),
+            ordered: &self.obs.ordered,
+            overlap: &self.obs.overlap,
+            execs: &self.execs,
+            events_absorbed: self.events_absorbed,
+            events_since_snapshot: self.events_since_snapshot,
+            snapshots_taken: self.snapshots_taken,
+        }
+    }
+
     /// Exports the miner's full resumable state (the checkpoint cadence
     /// counter resets on resume and is not part of it).
     pub fn export_state(&self) -> OnlineMinerState {
@@ -346,7 +459,9 @@ impl OnlineMiner {
     /// given options and snapshot policy. Structural invariants are
     /// re-validated — cadence counters, matrix shapes, vertex ranges,
     /// per-execution repeat-freedom, the event total — so a corrupt or
-    /// hand-forged state is refused instead of mined from.
+    /// hand-forged state is refused instead of mined from. The
+    /// first-of-set list the snapshots mark at T ≤ 1 is not part of the
+    /// state; it is keyed again here.
     pub fn from_state(
         options: MinerOptions,
         policy: SnapshotPolicy,
@@ -404,6 +519,7 @@ impl OnlineMiner {
             )));
         }
         Ok(OnlineMiner {
+            sets: set_index(&options, &state.execs),
             options,
             policy,
             table,
@@ -412,6 +528,7 @@ impl OnlineMiner {
                 overlap: state.overlap,
             },
             execs: state.execs,
+            id_map: Vec::new(),
             events_absorbed: events,
             events_since_snapshot: state.events_since_snapshot,
             snapshots_taken: state.snapshots_taken,
@@ -489,7 +606,7 @@ mod tests {
         // Version 1 writes the event total twice; a payload whose two
         // copies disagree is corrupt, whichever copy is wrong.
         let mut w = WireWriter::new();
-        seeded_miner().export_state().encode_into(&mut w);
+        seeded_miner().state_view().encode_into(&mut w);
         let good = w.into_bytes();
         // The two slots precede the last two counters.
         let first = good.len() - 32;
@@ -501,6 +618,26 @@ mod tests {
             assert!(err.message.contains("differs"), "got: {err}");
         }
         assert!(OnlineMinerState::decode(&mut WireReader::new(&good)).is_ok());
+    }
+
+    /// The save buffer is sized from `encoded_len`, so it must count
+    /// every byte the encoder writes.
+    #[test]
+    fn encoded_lengths_are_exact() {
+        let mut miner = seeded_miner();
+        miner.absorb_sequence(&["A", "Z", "F"]).unwrap();
+        let view = miner.state_view();
+        let mut w = WireWriter::new();
+        view.encode_into(&mut w);
+        assert_eq!(w.into_bytes().len(), view.encoded_len());
+        let fingerprint = OptionsFingerprint {
+            noise_threshold: 1,
+            max_open_cases: 1024,
+            strict_assembly: false,
+        };
+        let mut w = WireWriter::new();
+        fingerprint.encode_into(&mut w);
+        assert_eq!(w.into_bytes().len(), OptionsFingerprint::ENCODED_LEN);
     }
 
     #[test]

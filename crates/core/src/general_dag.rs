@@ -17,17 +17,19 @@
 //!
 //! **Marking once per activity set.** At noise threshold T ≤ 1 the
 //! marking pass reduces only the first execution of each distinct
-//! vertex set ([`executions_to_mark`]). This is exact. For T = 1, every
-//! edge u→v left after pruning and SCC removal has `ordered[u][v] ≥ 1`
-//! and `overlap[u][v] = 0`, and `ordered[v][u] = 0` because otherwise
-//! two-cycle removal would have dropped the pair. So in every execution
-//! that contains both u and v, u ends before v starts, and the induced
-//! subgraph is exactly `g` restricted to the execution's vertex set. A
-//! DAG's transitive reduction is unique, so every execution with that
-//! vertex set marks the same edges. For T = 0 no edge survives pruning
-//! and the claim is trivial. For T ≥ 2 an execution can contradict a
-//! kept edge (`tests::noise_threshold_filters_in_general_miner`), so
-//! every execution is marked.
+//! vertex set ([`executions_to_mark`], keyed by a [`SetIndex`]; the
+//! online miner keeps its index across snapshots). This is exact.
+//! For T = 1, every edge u→v left after pruning and SCC removal has
+//! `ordered[u][v] ≥ 1` and `overlap[u][v] = 0`, and `ordered[v][u] = 0`
+//! because otherwise two-cycle removal would have dropped the pair. So
+//! in every execution that contains both u and v, u ends before v
+//! starts, and the induced subgraph is exactly `g` restricted to the
+//! execution's vertex set. A DAG's transitive reduction is unique, so
+//! every execution with that vertex set marks the same edges. For T = 0
+//! no edge survives pruning and the claim is trivial. For T ≥ 2 an
+//! execution can contradict a kept edge
+//! (`tests::noise_threshold_filters_in_general_miner`), so every
+//! execution is marked.
 //!
 //! The pipeline is expressed as [`Stage`]s run inside a
 //! [`MineSession`]: lower → count_pairs → prune → scc_removal →
@@ -47,6 +49,7 @@ use crate::telemetry::{MetricsSink, Stage};
 use crate::{MineError, MinedModel, MinerOptions};
 use procmine_graph::{scc, words, AdjMatrix, Arena, ArenaStats};
 use procmine_log::{EventColumns, ExecColumns, WorkflowLog};
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// A log lowered to dense vertex ids, in columnar form: each
@@ -84,7 +87,7 @@ pub(crate) fn mine_vertex_log<S: MetricsSink>(
     let obs = run_stage(session, Stage::CountPairs, deadline, |session, busy_ns| {
         count_ordered_pairs(session, vlog, deadline, busy_ns)
     })?;
-    finish_from_counts(session, vlog, obs, threshold, deadline)
+    finish_from_counts(session, vlog, obs, threshold, None, deadline)
 }
 
 /// Step-2 observation counts: `ordered[u*n+v]` executions where `u`
@@ -377,14 +380,14 @@ pub(crate) fn prune_graph<S: MetricsSink>(
 
 /// The executions the marking pass reduces, by position `0..len()`.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum MarkList {
+pub(crate) enum MarkList<'a> {
     /// Every execution `0..m`; no list is built.
     Every(usize),
     /// The first execution of each distinct sorted vertex set.
-    FirstOfSet(Vec<usize>),
+    FirstOfSet(Cow<'a, [usize]>),
 }
 
-impl MarkList {
+impl MarkList<'_> {
     pub(crate) fn len(&self) -> usize {
         match self {
             MarkList::Every(m) => *m,
@@ -401,42 +404,73 @@ impl MarkList {
     }
 }
 
+/// The first execution of each distinct sorted vertex set, keyed one
+/// execution at a time: the marking list at T ≤ 1. A batch run keys
+/// its whole log ([`executions_to_mark`]); the online miner keys each
+/// execution once, as it is absorbed.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SetIndex {
+    seen: HashSet<Box<[u32]>>,
+    /// The first execution of each set, in keying order.
+    first: Vec<usize>,
+    /// The set being keyed, sorted.
+    set: Vec<u32>,
+}
+
+impl SetIndex {
+    /// Keys execution `exec`, whose vertices are `vertices`.
+    pub(crate) fn key(&mut self, exec: usize, vertices: &[u32]) {
+        self.set.clear();
+        self.set.extend_from_slice(vertices);
+        self.set.sort_unstable();
+        // Look up by slice so a set already seen allocates nothing.
+        if !self.seen.contains(self.set.as_slice()) {
+            self.seen.insert(self.set.as_slice().into());
+            self.first.push(exec);
+        }
+    }
+
+    /// The first execution of each set keyed so far, in keying order.
+    pub(crate) fn first(&self) -> &[usize] {
+        &self.first
+    }
+}
+
 /// The executions the marking pass reduces: at `threshold ≤ 1`, the
 /// first execution of each distinct sorted vertex set (exact — see the
-/// module doc); otherwise every execution. The deadline is re-checked
-/// once per execution while keying.
-pub(crate) fn executions_to_mark(
+/// module doc) — `first_of_set` when the caller keeps that list, else
+/// keyed here, re-checking the deadline once per execution; otherwise
+/// every execution.
+pub(crate) fn executions_to_mark<'a>(
     cols: &EventColumns,
     threshold: u32,
+    first_of_set: Option<&'a [usize]>,
     deadline: Deadline,
-) -> Result<MarkList, MineError> {
+) -> Result<MarkList<'a>, MineError> {
     let m = cols.exec_count();
     if threshold > 1 {
         return Ok(MarkList::Every(m));
     }
-    let mut seen: HashSet<Box<[u32]>> = HashSet::new();
-    let mut set: Vec<u32> = Vec::new();
-    let mut keys = Vec::new();
+    if let Some(keys) = first_of_set {
+        return Ok(MarkList::FirstOfSet(Cow::Borrowed(keys)));
+    }
+    let mut sets = SetIndex::default();
     for i in 0..m {
         deadline.check()?;
-        set.clear();
-        set.extend_from_slice(cols.exec(i).activities);
-        set.sort_unstable();
-        // Look up by slice so a set already seen allocates nothing.
-        if !seen.contains(set.as_slice()) {
-            seen.insert(set.as_slice().into());
-            keys.push(i);
-        }
+        sets.key(i, cols.exec(i).activities);
     }
-    Ok(MarkList::FirstOfSet(keys))
+    Ok(MarkList::FirstOfSet(Cow::Owned(sets.first)))
 }
 
-/// Steps 3–7 of Algorithm 2, given precomputed step-2 counts.
+/// Steps 3–7 of Algorithm 2, given precomputed step-2 counts, and the
+/// first execution of each activity set when the caller keeps that
+/// list (see [`executions_to_mark`]).
 pub(crate) fn finish_from_counts<S: MetricsSink>(
     session: &mut MineSession<S>,
     vlog: &VertexLog<'_>,
     obs: OrderObservations,
     threshold: u32,
+    first_of_set: Option<&[usize]>,
     deadline: Deadline,
 ) -> Result<VertexMineResult, MineError> {
     let n = vlog.n;
@@ -446,7 +480,7 @@ pub(crate) fn finish_from_counts<S: MetricsSink>(
     // Steps 5–6: per-execution induced-subgraph transitive reduction;
     // keep only edges some reduction needs.
     let marked = run_stage(session, Stage::Reduce, deadline, |session, busy_ns| {
-        let list = executions_to_mark(vlog.cols, threshold, deadline)?;
+        let list = executions_to_mark(vlog.cols, threshold, first_of_set, deadline)?;
         let (marked, arena) = if session.threads > 1 {
             parallel::mark(session, vlog, &g, &list, deadline, busy_ns)?
         } else {
@@ -736,12 +770,12 @@ mod tests {
         let deadline = Deadline::unlimited();
         for threshold in [0, 1] {
             assert_eq!(
-                executions_to_mark(&cols, threshold, deadline).unwrap(),
-                MarkList::FirstOfSet(vec![0, 2]),
+                executions_to_mark(&cols, threshold, None, deadline).unwrap(),
+                MarkList::FirstOfSet(vec![0, 2].into()),
                 "T={threshold}"
             );
         }
-        let every = executions_to_mark(&cols, 2, deadline).unwrap();
+        let every = executions_to_mark(&cols, 2, None, deadline).unwrap();
         assert_eq!(every, MarkList::Every(5));
         let order: Vec<usize> = (0..every.len()).map(|k| every.get(k)).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);

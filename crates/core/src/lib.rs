@@ -78,7 +78,8 @@ pub mod telemetry;
 pub mod trace;
 
 pub use checkpoint::{
-    FollowCheckpoint, OnlineMinerState, OptionsFingerprint, SourceState, DEFAULT_CHECKPOINT_EVERY,
+    FollowCheckpoint, FollowCheckpointView, MinerStateView, OnlineMinerState, OptionsFingerprint,
+    SourceState, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use cyclic::{mine_cyclic, mine_cyclic_in};
 pub use error::MineError;

@@ -11,7 +11,16 @@
 //! [`snapshot`](OnlineMiner::snapshot) runs only the cheap finishing
 //! steps (threshold → two-cycles → SCC → per-execution reduction) over
 //! the retained executions. The activity universe may grow between
-//! absorbs — count matrices are re-indexed on the fly. What a `--follow`
+//! absorbs — count matrices are re-indexed on the fly.
+//!
+//! Each absorb does only new work. Source-table activity ids map to
+//! the miner's through a cached id map, checked by name, so an absorb
+//! hashes only names the map has not seen. Each execution's sorted
+//! activity set is keyed once, as it is absorbed, into a persistent
+//! first-of-set list; at noise threshold T ≤ 1 a snapshot marks that
+//! list instead of re-keying the whole history (exact — see
+//! [`crate::general_dag`]). The list is rebuilt by
+//! [`OnlineMiner::from_state`], not checkpointed. What a `--follow`
 //! session adds is *when to look*: a [`SnapshotPolicy`] makes a snapshot
 //! due every N absorbed events, or only on demand. Edge-support
 //! frequencies are preserved — a snapshot after k executions equals
@@ -23,7 +32,8 @@
 //! [`crate::mine_cyclic`]).
 
 use crate::general_dag::{
-    count_one_execution, finish_from_counts, pair_observations, OrderObservations, VertexLog,
+    count_one_execution, finish_from_counts, pair_observations, OrderObservations, SetIndex,
+    VertexLog,
 };
 use crate::limits::LimitKind;
 use crate::model::assemble;
@@ -74,6 +84,15 @@ pub struct OnlineMiner {
     /// kept for the marking pass (steps 5–6 need the executions
     /// themselves).
     pub(crate) execs: EventColumns,
+    /// The first execution of each activity set, keyed as executions
+    /// are absorbed: what a snapshot marks at T ≤ 1. `None` at T ≥ 2,
+    /// where every execution is marked.
+    pub(crate) sets: Option<SetIndex>,
+    /// Per activity id of the table last absorbed from: the miner id
+    /// it mapped to (`u32::MAX`: none yet). An entry is used only while
+    /// it names the same activity, so absorbing from another table
+    /// stays correct.
+    pub(crate) id_map: Vec<u32>,
     /// Activity instances absorbed over the miner's whole life —
     /// checked against [`crate::Limits::max_events`] before each absorb.
     pub(crate) events_absorbed: u64,
@@ -85,12 +104,15 @@ pub struct OnlineMiner {
 impl OnlineMiner {
     /// Creates an empty miner.
     pub fn new(options: MinerOptions, policy: SnapshotPolicy) -> Self {
+        let execs = EventColumns::new();
         OnlineMiner {
+            sets: set_index(&options, &execs),
             options,
             policy,
             table: ActivityTable::new(),
             obs: OrderObservations::new(0),
-            execs: EventColumns::new(),
+            execs,
+            id_map: Vec::new(),
             events_absorbed: 0,
             events_since_snapshot: 0,
             snapshots_taken: 0,
@@ -98,8 +120,8 @@ impl OnlineMiner {
     }
 
     /// Absorbs one completed execution from a log that shares this
-    /// miner's activity-name universe (ids are re-interned by name, so
-    /// the source log may use a different table). Returns `true` if the
+    /// miner's activity-name universe (ids are mapped by name, so the
+    /// source log may use a different table). Returns `true` if the
     /// cadence policy now wants a snapshot. Errors leave the miner
     /// untouched.
     pub fn absorb(
@@ -107,11 +129,20 @@ impl OnlineMiner {
         exec: &Execution,
         source_table: &ActivityTable,
     ) -> Result<bool, MineError> {
-        let events = exec
+        let events: Vec<_> = exec
             .instances()
             .iter()
-            .map(|i| (source_table.name(i.activity), i.start, i.end));
-        self.absorb_events(&exec.id, exec.has_repeats(), events)
+            .map(|i| {
+                let name = source_table.name(i.activity);
+                (
+                    name,
+                    self.cached_id(i.activity.index(), name),
+                    i.start,
+                    i.end,
+                )
+            })
+            .collect();
+        self.absorb_events(&exec.id, exec.has_repeats(), &events)
     }
 
     /// Absorbs one execution given as an ordered list of activity
@@ -122,11 +153,33 @@ impl OnlineMiner {
         let id = format!("incremental-{}", self.execs.exec_count());
         let mut seen = HashSet::new();
         let repeats = names.iter().any(|n| !seen.insert(n.as_ref()));
-        let events = names
+        let events: Vec<_> = names
             .iter()
             .enumerate()
-            .map(|(i, s)| (s.as_ref(), i as u64, i as u64));
-        self.absorb_events(&id, repeats, events)
+            .map(|(i, s)| {
+                let known = self.table.id(s.as_ref()).map(|a| a.index() as u32);
+                (s.as_ref(), known, i as u64, i as u64)
+            })
+            .collect();
+        self.absorb_events(&id, repeats, &events)
+    }
+
+    /// The miner id of activity `name`, whose id is `source` in the
+    /// table being absorbed from: the cached entry while it still names
+    /// `name`, else a table lookup, which is cached. `None` for a name
+    /// the miner has not seen.
+    fn cached_id(&mut self, source: usize, name: &str) -> Option<u32> {
+        let names = self.table.names();
+        let cached = self.id_map.get(source).copied();
+        if let Some(id) = cached.filter(|&id| names.get(id as usize).is_some_and(|n| n == name)) {
+            return Some(id);
+        }
+        let id = self.table.id(name)?.index() as u32;
+        if self.id_map.len() <= source {
+            self.id_map.resize(source + 1, u32::MAX);
+        }
+        self.id_map[source] = id;
+        Some(id)
     }
 
     /// Absorbs every execution of a log, stopping at the first error.
@@ -138,14 +191,15 @@ impl OnlineMiner {
     }
 
     /// The one absorb path. `events` are one execution's `(activity
-    /// name, start, end)` triples in start order. Every check runs
-    /// before any state changes, so a refused execution leaves the
-    /// miner — its activity table included — untouched.
-    fn absorb_events<'a>(
+    /// name, miner id, start, end)` in start order, the id `None` for a
+    /// name the miner has not seen. Every check runs before any state
+    /// changes, so a refused execution leaves the miner — its activity
+    /// table included — untouched.
+    fn absorb_events(
         &mut self,
         id: &str,
         repeats: bool,
-        events: impl ExactSizeIterator<Item = (&'a str, u64, u64)> + Clone,
+        events: &[(&str, Option<u32>, u64, u64)],
     ) -> Result<bool, MineError> {
         let len = events.len();
         if len == 0 {
@@ -158,19 +212,26 @@ impl OnlineMiner {
                 execution: id.to_string(),
             });
         }
-        let new_names = events
-            .clone()
-            .filter(|&(name, _, _)| self.table.id(name).is_none())
-            .count();
+        // Without repeats, the unseen names are distinct.
+        let new_names = events.iter().filter(|e| e.1.is_none()).count();
         self.check_limits(id, len, new_names)?;
         let old_n = self.table.len();
         let table = &mut self.table;
-        self.execs.push_exec(
-            events.map(|(name, start, end)| (table.intern(name).index() as u32, start, end)),
-        );
+        self.execs
+            .push_exec(events.iter().map(|&(name, known, start, end)| {
+                (
+                    known.unwrap_or_else(|| table.intern(name).index() as u32),
+                    start,
+                    end,
+                )
+            }));
         self.grow_to(self.table.len(), old_n);
         let last = self.execs.exec_count() - 1;
-        count_one_execution(self.table.len(), self.execs.exec(last), &mut self.obs);
+        let exec = self.execs.exec(last);
+        count_one_execution(self.table.len(), exec, &mut self.obs);
+        if let Some(sets) = &mut self.sets {
+            sets.key(last, exec.activities);
+        }
         self.events_absorbed += len as u64;
         self.events_since_snapshot += len as u64;
         Ok(self.snapshot_due())
@@ -244,12 +305,15 @@ impl OnlineMiner {
     /// pair totals are still reported so the counters describe the
     /// whole mining effort behind the snapshot.
     ///
+    /// At T ≤ 1 the marking pass reduces the first execution of each
+    /// activity set, from the list kept as executions were absorbed;
+    /// at T ≥ 2 it reduces every retained execution.
+    ///
     /// The deadline (`options.limits.deadline`, measured from this
     /// call) starts *before* any work and is re-checked once per
-    /// retained execution during the marking pass (while keying
-    /// executions by activity set at T ≤ 1), so an expired deadline
-    /// aborts the snapshot promptly even on large histories. A failed
-    /// snapshot leaves the cadence as it was.
+    /// marked execution, so an expired deadline aborts the snapshot
+    /// promptly even on large histories. A failed snapshot leaves the
+    /// cadence as it was.
     pub fn snapshot_in<S: MetricsSink>(
         &mut self,
         session: &mut MineSession<S>,
@@ -278,6 +342,7 @@ impl OnlineMiner {
             &vlog,
             self.obs.clone(),
             self.options.noise_threshold,
+            self.sets.as_ref().map(SetIndex::first),
             deadline,
         )?;
         let model = run_stage(session, Stage::Assemble, deadline, |_, _| {
@@ -309,10 +374,23 @@ impl OnlineMiner {
     }
 }
 
+/// The set index a miner under `options` keeps over its retained
+/// executions `execs`, every one keyed; `None` at T ≥ 2.
+pub(crate) fn set_index(options: &MinerOptions, execs: &EventColumns) -> Option<SetIndex> {
+    (options.noise_threshold <= 1).then(|| {
+        let mut sets = SetIndex::default();
+        for i in 0..execs.exec_count() {
+            sets.key(i, execs.exec(i).activities);
+        }
+        sets
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Limits;
+    use procmine_log::ActivityId;
     use std::time::Duration;
 
     fn on_demand() -> OnlineMiner {
@@ -465,6 +543,109 @@ mod tests {
             .snapshot_in(&mut MineSession::new().with_threads(4))
             .unwrap();
         assert_eq!(serial.edge_support(), threaded.edge_support());
+    }
+
+    /// The names of every retained execution, in absorb order.
+    fn retained(miner: &OnlineMiner) -> Vec<Vec<&str>> {
+        (0..miner.execs.exec_count())
+            .map(|i| {
+                let vertices = miner.execs.exec(i).activities;
+                vertices
+                    .iter()
+                    .map(|&v| miner.table.name(ActivityId::from_index(v as usize)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn id_map_follows_names_across_alternating_tables() {
+        // The same ids name different activities in the two tables:
+        // id 0 is A in one and D in the other.
+        let one = WorkflowLog::from_strings(["ABC", "BD"]).unwrap();
+        let two = WorkflowLog::from_strings(["DCB", "AD", "E"]).unwrap();
+        let mut miner = on_demand();
+        let mut want = Vec::new();
+        for round in 0..3 {
+            for (log, k) in [(&one, round % 2), (&two, round % 3), (&one, 1 - round % 2)] {
+                let exec = &log.executions()[k];
+                miner.absorb(exec, log.activities()).unwrap();
+                want.push(exec.display(log.activities()));
+            }
+        }
+        let got: Vec<String> = retained(&miner).iter().map(|e| e.join(" ")).collect();
+        assert_eq!(got, want);
+        assert_eq!(miner.activities().len(), 5);
+    }
+
+    #[test]
+    fn absorb_refused_for_a_new_name_changes_nothing() {
+        let mut miner = OnlineMiner::new(
+            MinerOptions::default().with_limits(Limits {
+                max_activities: Some(3),
+                ..Limits::default()
+            }),
+            SnapshotPolicy::on_demand(),
+        );
+        let log = WorkflowLog::from_strings(["ABC", "ABD", "BA", "CB"]).unwrap();
+        let (execs, table) = (log.executions(), log.activities());
+        miner.absorb(&execs[0], table).unwrap();
+        // `ABD` would grow the universe to four activities.
+        assert!(matches!(
+            miner.absorb(&execs[1], table),
+            Err(MineError::LimitExceeded {
+                kind: LimitKind::Activities,
+                ..
+            })
+        ));
+        assert_eq!(miner.activities().names(), ["A", "B", "C"]);
+        assert_eq!((miner.executions(), miner.events_absorbed()), (1, 3));
+        // The next absorbs, from the same table and from one whose id 2
+        // names another activity, land on their activities by name.
+        miner.absorb(&execs[2], table).unwrap();
+        miner.absorb(&execs[3], table).unwrap();
+        let other = WorkflowLog::from_strings(["CAB"]).unwrap();
+        miner.absorb_log(&other).unwrap();
+        assert_eq!(
+            retained(&miner),
+            [
+                vec!["A", "B", "C"],
+                vec!["B", "A"],
+                vec!["C", "B"],
+                vec!["C", "A", "B"]
+            ]
+        );
+        let batch = WorkflowLog::from_strings(["ABC", "BA", "CB", "CAB"]).unwrap();
+        let want = crate::mine_general_dag(&batch, &MinerOptions::default()).unwrap();
+        assert_eq!(miner.snapshot().unwrap().edges_named(), want.edges_named());
+    }
+
+    #[test]
+    fn snapshot_survives_a_state_round_trip() {
+        // Repeated activity sets, so the first-of-set list is shorter
+        // than the history and must be rebuilt to the same list.
+        let log = WorkflowLog::from_strings(["ABCF", "ACBF", "ADEF", "AEDF", "ABCF", "ADF", "AF"])
+            .unwrap();
+        for threshold in 0..=3 {
+            let options = MinerOptions::with_threshold(threshold);
+            let mut miner = OnlineMiner::new(options.clone(), SnapshotPolicy::on_demand());
+            miner.absorb_log(&log).unwrap();
+            let before = miner.snapshot().unwrap();
+            let mut restored =
+                OnlineMiner::from_state(options, SnapshotPolicy::on_demand(), miner.export_state())
+                    .unwrap();
+            let after = restored.snapshot().unwrap();
+            assert_eq!(after.edge_support(), before.edge_support(), "T={threshold}");
+            assert_eq!(after.edges_named(), before.edges_named(), "T={threshold}");
+            // Both go on to absorb the same execution and still agree.
+            miner.absorb_sequence(&["A", "D", "B", "F"]).unwrap();
+            restored.absorb_sequence(&["A", "D", "B", "F"]).unwrap();
+            assert_eq!(
+                restored.snapshot().unwrap().edge_support(),
+                miner.snapshot().unwrap().edge_support(),
+                "T={threshold}"
+            );
+        }
     }
 
     #[test]

@@ -138,7 +138,7 @@ pub(crate) fn mark<S: MetricsSink>(
     session: &MineSession<S>,
     vlog: &VertexLog<'_>,
     g: &AdjMatrix,
-    list: &MarkList,
+    list: &MarkList<'_>,
     deadline: Deadline,
     busy_ns: &mut Option<u64>,
 ) -> Result<(AdjMatrix, ArenaStats), MineError> {

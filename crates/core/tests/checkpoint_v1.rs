@@ -9,7 +9,8 @@
 //! a newer one.
 
 use procmine_core::{
-    FollowCheckpoint, MinerOptions, OnlineMiner, OptionsFingerprint, SnapshotPolicy, SourceState,
+    FollowCheckpoint, FollowCheckpointView, MinerOptions, OnlineMiner, OptionsFingerprint,
+    SnapshotPolicy, SourceState,
 };
 use procmine_log::codec::CodecStats;
 use procmine_log::stream::{AssemblerState, OpenCaseState, SourceLocation};
@@ -162,6 +163,33 @@ fn checkpoint_round_trips_through_disk() {
     ck.save(&path).unwrap();
     assert_eq!(FollowCheckpoint::load(&path).unwrap(), ck);
     let _ = std::fs::remove_file(&path);
+}
+
+/// A `--follow` save encodes straight from the live miner into one
+/// buffer that already holds the envelope header; the file it writes is
+/// the pinned payload in its envelope, byte for byte.
+#[test]
+fn save_from_the_live_miner_writes_the_pinned_file() {
+    let ck = pinned_checkpoint();
+    let miner = seeded_miner();
+    let view = FollowCheckpointView {
+        fingerprint: ck.fingerprint,
+        miner: miner.state_view(),
+        assembler: &ck.assembler,
+        source: &ck.source,
+    };
+    assert_eq!(view.encode(), PINNED);
+    let path = std::env::temp_dir().join(format!(
+        "procmine-checkpoint-v1-live-{}.ckpt",
+        std::process::id()
+    ));
+    view.save(&path).unwrap();
+    let written = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        written,
+        procmine_log::stream::checkpoint::encode_envelope(PINNED)
+    );
 }
 
 #[test]

@@ -174,9 +174,12 @@ fn check_field(s: &str, field: Field) -> Result<(), LogError> {
     })
 }
 
-/// The fields of one Flowmark event line, names borrowed from the line.
+/// The fields of one Flowmark event line, names borrowed from the line:
+/// what [`FlowmarkSource`] hands a
+/// [`StreamSink`](crate::stream::StreamSink) through
+/// [`StreamSink::on_fields`](crate::stream::StreamSink::on_fields).
 #[derive(Debug)]
-pub(crate) struct EventFields<'a> {
+pub struct EventFields<'a> {
     /// Process-execution (case) name.
     pub process: &'a str,
     /// Activity name.

@@ -142,10 +142,15 @@ pub fn iso8601_to_millis(text: &str) -> Result<u64, String> {
     if bytes.len() < 19 || bytes[7] != b'-' || !matches!(bytes[10], b'T' | b't' | b' ') {
         return Err(fail());
     }
+    // Every fixed-width field is exactly two ASCII digits: no sign, no
+    // space.
     let num = |range: std::ops::Range<usize>| -> Result<i64, String> {
-        rest.get(range)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(fail)
+        match bytes.get(range) {
+            Some(&[hi, lo]) if hi.is_ascii_digit() && lo.is_ascii_digit() => {
+                Ok(i64::from(hi - b'0') * 10 + i64::from(lo - b'0'))
+            }
+            _ => Err(fail()),
+        }
     };
     let (mo, d) = (num(5..7)? as u32, num(8..10)? as u32);
     if !(1..=12).contains(&mo) {
@@ -926,6 +931,17 @@ mod tests {
             "+2024-01-01T00:00:00Z",
             "584556020-01-01T00:00:00Z",
             "1000000000-01-01T00:00:00Z",
+            // Month, day, hour, minute, second and offset fields are
+            // two digits each, with no sign.
+            "2024-+1-01T00:00:+1Z",
+            "2024-01-+1T00:00:00Z",
+            "2024-01-01T-1:00:00Z",
+            "2024-01-01T00:-1:00Z",
+            "2024-01-01T00:00:-1Z",
+            "2024-01-01T00:00:00+-1:00",
+            "2024-01-01T00:00:00-+1:00",
+            "2024-01-01T00:00:00+01:-1",
+            "2024-01-01T 1:00:00Z",
         ] {
             assert!(iso8601_to_millis(bad).is_err(), "{bad}");
         }

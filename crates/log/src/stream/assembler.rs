@@ -30,7 +30,8 @@
 
 use super::checkpoint::{self, CheckpointError, WireError, WireReader, WireWriter};
 use super::{Observer, SourceLocation, StreamError, StreamSink};
-use crate::validate::{assemble_case, AssemblyPolicy, CaseWork, EventTable};
+use crate::codec::flowmark::EventFields;
+use crate::validate::{assemble_case, AssemblyPolicy, CaseWork, EventRows, EventTable};
 use crate::{ActivityTable, EventRecord, IngestReport};
 use std::collections::HashMap;
 
@@ -64,10 +65,15 @@ impl Default for AssemblerConfig {
 const NIL: usize = usize::MAX;
 
 /// Buffered state of one open case: a slot of the assembler's slab,
-/// linked into the recency list while the case is open.
+/// linked into the recency list while the case is open. A freed slot
+/// keeps its buffers for the next case it holds.
 struct OpenCase {
-    /// Buffered events, in arrival order (empty while the slot is free).
-    records: Vec<EventRecord>,
+    /// Case id.
+    case: String,
+    /// Buffered events as rows of the assembler's event table, in
+    /// arrival order (empty while the slot is free).
+    rows: EventRows,
+    /// Source location of each buffered event.
     locations: Vec<SourceLocation>,
     /// Sequence number of the first event (flush order at finish).
     opened: u64,
@@ -186,11 +192,22 @@ impl AssemblerState {
 /// `index` and threaded oldest-to-newest touch on a doubly linked
 /// recency list, so touching a case and evicting the least recently
 /// touched one are both O(1).
+///
+/// Each event takes one path, [`StreamSink::on_fields`], with its names
+/// borrowed: the case is found by name, and the activity is interned
+/// into the assembler's event table as the event arrives, so the case
+/// buffers an id row and no string. Closing a case moves its rows into
+/// the event table and pairs them with
+/// [`assemble_case`](crate::validate) — no string and no hash per
+/// event. [`StreamSink::on_event`] lends an owned record's names to the
+/// same path.
 pub struct CaseAssembler<O: Observer> {
     config: AssemblerConfig,
     observer: O,
     table: ActivityTable,
-    /// Open case id → its slot in `slots`.
+    /// Open case id → its slot in `slots`. A closing case's key becomes
+    /// its execution's id; the slot keeps its own copy of the id, whose
+    /// buffer the next case in the slot reuses.
     index: HashMap<String, usize>,
     slots: Vec<OpenCase>,
     /// Slots not holding an open case (their buffers keep capacity).
@@ -198,8 +215,9 @@ pub struct CaseAssembler<O: Observer> {
     /// Least and most recently touched open cases, or `NIL`.
     lru: usize,
     mru: usize,
-    /// The closing case's events; keeps the activity ids it has mapped
-    /// into `table`.
+    /// Every activity seen so far, interned as events arrive, with the
+    /// activity ids it has mapped into `table`; holds the closing
+    /// case's events while it is paired.
     events: EventTable,
     work: CaseWork,
     /// Logical clock: one tick per event, orders `opened`/`last_touch`.
@@ -280,9 +298,20 @@ impl<O: Observer> CaseAssembler<O> {
             .open_slots()
             .map(|slot| {
                 let c = &self.slots[slot];
+                let records = c
+                    .rows
+                    .iter()
+                    .map(|(activity, kind, time, output)| EventRecord {
+                        process: c.case.clone(),
+                        activity: self.events.activity_name(activity).to_string(),
+                        kind,
+                        time,
+                        output: output.map(<[i64]>::to_vec),
+                    })
+                    .collect();
                 OpenCaseState {
-                    case: c.records[0].process.clone(),
-                    records: c.records.clone(),
+                    case: c.case.clone(),
+                    records,
                     locations: c.locations.clone(),
                     opened: c.opened,
                     last_touch: c.last_touch,
@@ -321,6 +350,7 @@ impl<O: Observer> CaseAssembler<O> {
                 state.activities.len()
             )));
         }
+        let mut events = EventTable::default();
         let mut index = HashMap::with_capacity(state.open.len());
         let mut slots = Vec::with_capacity(state.open.len());
         for case in state.open {
@@ -350,8 +380,14 @@ impl<O: Observer> CaseAssembler<O> {
             if index.insert(case.case.clone(), slots.len()).is_some() {
                 return Err(invalid(format!("open case `{}` appears twice", case.case)));
             }
+            let mut rows = EventRows::default();
+            for r in case.records {
+                let activity = events.activity_id(&r.activity);
+                rows.push(0, activity, r.kind, r.time, r.output);
+            }
             slots.push(OpenCase {
-                records: case.records,
+                case: case.case,
+                rows,
                 locations: case.locations,
                 opened: case.opened,
                 last_touch: case.last_touch,
@@ -385,7 +421,7 @@ impl<O: Observer> CaseAssembler<O> {
             free: Vec::new(),
             lru: NIL,
             mru: NIL,
-            events: EventTable::default(),
+            events,
             work: CaseWork::default(),
             clock: state.clock,
             executions_emitted: state.executions_emitted,
@@ -432,7 +468,7 @@ impl<O: Observer> CaseAssembler<O> {
     }
 
     /// Closes the case in `slot`: frees the slot, moves the case's
-    /// events into the event table, assembles them, accounts their
+    /// rows into the event table, assembles them, accounts their
     /// dropped events and hands the execution to the observer.
     fn close_case(
         &mut self,
@@ -443,20 +479,18 @@ impl<O: Observer> CaseAssembler<O> {
         self.unlink(slot);
         self.free.push(slot);
         let case = &mut self.slots[slot];
-        let buffered = case.records.len();
-        let name = std::mem::take(&mut case.records[0].process);
-        self.index.remove(name.as_str());
-        let events = &mut self.events;
-        events.clear();
-        let id = events.case_id(&name);
-        for r in case.records.drain(..) {
-            let activity = events.activity_id(&r.activity);
-            events.push(id, activity, r.kind, r.time, r.output);
-        }
+        let buffered = case.rows.len();
+        // The map key becomes the execution's id. Every open case is
+        // indexed; the copy only keeps this total.
+        let name = match self.index.remove_entry(case.case.as_str()) {
+            Some((key, _)) => key,
+            None => case.case.clone(),
+        };
+        self.events.load_case(name, &mut case.rows);
         let work = &mut self.work;
         let exec = assemble_case(
-            events,
-            id as usize,
+            &mut self.events,
+            0,
             0..buffered,
             &mut self.table,
             assembly,
@@ -472,7 +506,7 @@ impl<O: Observer> CaseAssembler<O> {
         case.locations.clear();
         if eviction && dropped > 0 {
             self.report.cases_evicted += 1;
-            self.observer.on_eviction(&name, buffered);
+            self.observer.on_eviction(&case.case, buffered);
         }
         if let Some(exec) = exec? {
             self.observer.on_execution(&exec, &self.table)?;
@@ -484,10 +518,7 @@ impl<O: Observer> CaseAssembler<O> {
 
 /// Two open cases that share a `tick`, with the tick, if any.
 fn shared_tick(slots: &[OpenCase], tick: impl Fn(&OpenCase) -> u64) -> Option<(&str, &str, u64)> {
-    let mut ticks: Vec<(u64, &str)> = slots
-        .iter()
-        .map(|c| (tick(c), c.records[0].process.as_str()))
-        .collect();
+    let mut ticks: Vec<(u64, &str)> = slots.iter().map(|c| (tick(c), c.case.as_str())).collect();
     ticks.sort_unstable();
     ticks
         .windows(2)
@@ -496,47 +527,75 @@ fn shared_tick(slots: &[OpenCase], tick: impl Fn(&OpenCase) -> u64) -> Option<(&
 }
 
 impl<O: Observer> StreamSink for CaseAssembler<O> {
+    /// Lends the record's names to [`StreamSink::on_fields`], the one
+    /// event path.
     fn on_event(&mut self, event: EventRecord, at: SourceLocation) -> Result<(), StreamError> {
+        let EventRecord {
+            process,
+            activity,
+            kind,
+            time,
+            output,
+        } = event;
+        let fields = EventFields {
+            process: &process,
+            activity: &activity,
+            kind,
+            time,
+            output,
+        };
+        self.on_fields(fields, at)
+    }
+
+    fn on_fields(&mut self, event: EventFields<'_>, at: SourceLocation) -> Result<(), StreamError> {
         let tick = self.clock;
         self.clock += 1;
-        if let Some(&slot) = self.index.get(event.process.as_str()) {
-            let case = &mut self.slots[slot];
-            case.last_touch = tick;
-            case.records.push(event);
-            case.locations.push(at);
-            if slot != self.mru {
-                self.unlink(slot);
-                self.link_mru(slot);
+        let slot = match self.index.get(event.process) {
+            Some(&slot) => {
+                if slot != self.mru {
+                    self.unlink(slot);
+                    self.link_mru(slot);
+                }
+                slot
             }
-            return Ok(());
-        }
-        if self.config.max_open_cases > 0 && self.index.len() >= self.config.max_open_cases {
-            // Evict the least recently touched case to honor the bound.
-            if self.lru != NIL {
-                self.close_case(self.lru, AssemblyPolicy::Lenient, true)?;
-            }
-        }
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
             None => {
-                self.slots.push(OpenCase {
-                    records: Vec::new(),
-                    locations: Vec::new(),
-                    opened: 0,
-                    last_touch: 0,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slots.len() - 1
+                if self.config.max_open_cases > 0
+                    && self.index.len() >= self.config.max_open_cases
+                    && self.lru != NIL
+                {
+                    // Evict the least recently touched case to honor the bound.
+                    self.close_case(self.lru, AssemblyPolicy::Lenient, true)?;
+                }
+                let slot = match self.free.pop() {
+                    Some(slot) => slot,
+                    None => {
+                        self.slots.push(OpenCase {
+                            case: String::new(),
+                            rows: EventRows::default(),
+                            locations: Vec::new(),
+                            opened: 0,
+                            last_touch: 0,
+                            prev: NIL,
+                            next: NIL,
+                        });
+                        self.slots.len() - 1
+                    }
+                };
+                self.index.insert(event.process.to_string(), slot);
+                let case = &mut self.slots[slot];
+                case.case.clear();
+                case.case.push_str(event.process);
+                case.opened = tick;
+                self.link_mru(slot);
+                slot
             }
         };
-        self.index.insert(event.process.clone(), slot);
+        let activity = self.events.activity_id(event.activity);
         let case = &mut self.slots[slot];
-        case.opened = tick;
         case.last_touch = tick;
-        case.records.push(event);
+        case.rows
+            .push(0, activity, event.kind, event.time, event.output);
         case.locations.push(at);
-        self.link_mru(slot);
         Ok(())
     }
 

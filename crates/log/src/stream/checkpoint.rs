@@ -176,13 +176,21 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
+/// The envelope header of `payload`: magic, version, payload length,
+/// CRC32.
+fn header(payload: &[u8]) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[..7].copy_from_slice(MAGIC);
+    h[7..9].copy_from_slice(&VERSION.to_le_bytes());
+    h[9..17].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    h[17..].copy_from_slice(&crc32(payload).to_le_bytes());
+    h
+}
+
 /// Wraps `payload` in the checkpoint envelope (header + payload).
 pub fn encode_envelope(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&header(payload));
     out.extend_from_slice(payload);
     out
 }
@@ -299,6 +307,9 @@ impl From<WireError> for CheckpointError {
 #[derive(Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
+    /// Bytes reserved in front of the payload for the envelope header:
+    /// `HEADER_LEN` for [`WireWriter::enveloped`], else 0.
+    start: usize,
 }
 
 impl WireWriter {
@@ -307,9 +318,41 @@ impl WireWriter {
         WireWriter::default()
     }
 
+    /// An empty writer with the envelope header reserved in front of
+    /// the payload and room for `capacity` payload bytes, so
+    /// [`WireWriter::into_envelope`] seals the checkpoint file in
+    /// place: a payload encoded into it is never copied.
+    pub fn enveloped(capacity: usize) -> Self {
+        let mut buf = Vec::with_capacity(HEADER_LEN + capacity);
+        buf.resize(HEADER_LEN, 0);
+        WireWriter {
+            buf,
+            start: HEADER_LEN,
+        }
+    }
+
     /// Consumes the writer, returning the encoded payload.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.buf.drain(..self.start);
         self.buf
+    }
+
+    /// Consumes the writer, returning the payload wrapped in the
+    /// checkpoint envelope: the bytes of a checkpoint file. Written in
+    /// place by an [`WireWriter::enveloped`] writer; a plain one copies
+    /// its payload behind the header.
+    pub fn into_envelope(mut self) -> Vec<u8> {
+        if self.start != HEADER_LEN {
+            return encode_envelope(&self.buf);
+        }
+        let h = header(&self.buf[HEADER_LEN..]);
+        self.buf[..HEADER_LEN].copy_from_slice(&h);
+        self.buf
+    }
+
+    /// Appends bytes as they are: a part encoded by another writer.
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Appends one byte.

@@ -8,8 +8,9 @@
 //! to a consumer *as they complete* out of an unbounded event stream.
 //! This module provides that layer:
 //!
-//! * [`StreamSink`] — anything that consumes a stream of parsed
-//!   [`EventRecord`]s (with their source locations);
+//! * [`StreamSink`] — anything that consumes a stream of parsed events
+//!   (with their source locations): borrowed [`EventFields`] straight
+//!   off the source's line buffer, or owned [`EventRecord`]s;
 //! * [`Observer`] — anything that consumes *completed executions*
 //!   (the online miner's side of the contract; closures implement it);
 //! * [`CaseAssembler`] — the interleaved case assembler: a keyed
@@ -20,7 +21,9 @@
 //!   [`IngestReport`](crate::IngestReport) semantics as the other
 //!   codecs. It is the only Flowmark decoder: the batch reader
 //!   [`flowmark::read_log_with`](crate::codec::flowmark::read_log_with)
-//!   runs its line loop too, taking each line's fields borrowed;
+//!   runs its line loop too, and [`FlowmarkSource::feed`] and
+//!   [`FlowmarkSource::pump`] hand each line's fields, borrowed, to a
+//!   sink;
 //! * [`TailReader`] — a [`std::io::Read`] adapter that follows a
 //!   growing file (`procmine mine --follow`) with bounded retry
 //!   ([`RetryPolicy`]) and truncation detection;
@@ -62,6 +65,7 @@ pub use checkpoint::{CheckpointError, WireError, WireReader, WireWriter};
 pub use source::FlowmarkSource;
 pub use tail::{RetryPolicy, TailReader, TailStats};
 
+use crate::codec::flowmark::EventFields;
 use crate::{ActivityTable, EventRecord, Execution, LogError};
 
 /// Where an event sat in the source stream — threaded alongside each
@@ -110,16 +114,38 @@ impl From<LogError> for StreamError {
     }
 }
 
-/// Consumes a stream of parsed event records. [`CaseAssembler`] is the
+/// Consumes a stream of parsed events. [`CaseAssembler`] is the
 /// terminal sink: it turns events into completed executions for an
 /// [`Observer`].
 pub trait StreamSink {
     /// Consumes one event record.
     fn on_event(&mut self, event: EventRecord, at: SourceLocation) -> Result<(), StreamError>;
 
+    /// Consumes one event whose names are borrowed from the source's
+    /// line buffer: what [`FlowmarkSource::feed`] and
+    /// [`FlowmarkSource::pump`] hand over. The default copies the names
+    /// into an [`EventRecord`] for [`StreamSink::on_event`];
+    /// [`CaseAssembler`] takes the fields as they are, and its
+    /// `on_event` lends a record's names to this method instead.
+    fn on_fields(&mut self, event: EventFields<'_>, at: SourceLocation) -> Result<(), StreamError> {
+        self.on_event(event.into(), at)
+    }
+
     /// Signals end of input: flush any buffered state downstream.
-    /// Called exactly once, after the last [`StreamSink::on_event`].
+    /// Called exactly once, after the last event.
     fn finish(&mut self) -> Result<(), StreamError>;
+}
+
+impl From<EventFields<'_>> for EventRecord {
+    fn from(fields: EventFields<'_>) -> Self {
+        EventRecord {
+            process: fields.process.to_string(),
+            activity: fields.activity.to_string(),
+            kind: fields.kind,
+            time: fields.time,
+            output: fields.output,
+        }
+    }
 }
 
 /// Consumes executions as they complete out of an event stream.

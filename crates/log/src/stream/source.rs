@@ -8,11 +8,16 @@
 //! [`LogError::UnexpectedEof`], and a
 //! [`RecoveryPolicy::Skip`] budget overrun ends the stream with
 //! [`LogError::TooManyErrors`]. It
-//! emits raw *events* and leaves case assembly to the consumer: the
-//! batch reader [`flowmark::read_log_with`] interns each line's
-//! borrowed fields into its table of events, and a streaming pipeline
-//! pumps [`EventRecord`]s into a [`StreamSink`] such as a
-//! [`CaseAssembler`](super::CaseAssembler).
+//! emits raw *events* and leaves case assembly to the consumer. Every
+//! consumer takes each line's fields borrowed from the line buffer: the
+//! batch reader [`flowmark::read_log_with`] interns them into its table
+//! of events, and [`FlowmarkSource::feed`] (one event, for a loop with
+//! work between events such as `mine --follow`) and
+//! [`FlowmarkSource::pump`] (the whole stream) hand them to a
+//! [`StreamSink`] such as a [`CaseAssembler`](super::CaseAssembler),
+//! which buffers them without a string per event.
+//! [`FlowmarkSource::next_event`] copies the fields into an owned
+//! [`EventRecord`] for callers that want to hold events.
 
 use super::{SourceLocation, StreamError, StreamSink};
 use crate::codec::flowmark::{self, EventFields};
@@ -20,10 +25,11 @@ use crate::codec::{ByteLines, CodecStats, IngestReport, RecoveryPolicy};
 use crate::{EventRecord, LogError};
 use std::io::BufRead;
 
-/// Streaming Flowmark reader yielding `(EventRecord, SourceLocation)`
-/// pairs. After any `Err` from [`FlowmarkSource::next_event`] the
-/// source is exhausted — fatal errors terminate the stream (they never
-/// repeat, so a retry loop cannot spin).
+/// Streaming Flowmark reader: one event at a time, handed to a
+/// [`StreamSink`] or returned as an `(EventRecord, SourceLocation)`
+/// pair. After any decode error the source is exhausted — fatal errors
+/// terminate the stream (they never repeat, so a retry loop cannot
+/// spin).
 pub struct FlowmarkSource<R: BufRead> {
     lines: ByteLines<R>,
     policy: RecoveryPolicy,
@@ -87,25 +93,30 @@ impl<R: BufRead> FlowmarkSource<R> {
         &self.report
     }
 
-    /// Reads the next event. `Ok(None)` at end of input; any `Err`
-    /// also ends the stream. Blank lines and `#` comments are skipped.
+    /// Reads the next event as an owned record. `Ok(None)` at end of
+    /// input; any `Err` also ends the stream. Blank lines and `#`
+    /// comments are skipped.
     pub fn next_event(&mut self) -> Result<Option<(EventRecord, SourceLocation)>, LogError> {
-        self.next_fields(|fields, at| {
-            let record = EventRecord {
-                process: fields.process.to_string(),
-                activity: fields.activity.to_string(),
-                kind: fields.kind,
-                time: fields.time,
-                output: fields.output,
-            };
-            (record, at)
-        })
+        self.next_fields(|fields, at| (fields.into(), at))
     }
 
-    /// The Flowmark line loop behind [`FlowmarkSource::next_event`] and
-    /// the batch reader: decodes the next event line and hands its
-    /// fields, borrowed from the line buffer, to `emit`, returning what
-    /// `emit` returns. Errors, skips and accounting are `next_event`'s.
+    /// Decodes the next event and hands its fields, borrowed from the
+    /// line buffer, to `sink` through [`StreamSink::on_fields`].
+    /// `Ok(false)` at end of input. A decode error ends the stream as
+    /// in [`FlowmarkSource::next_event`] and comes back as
+    /// [`StreamError::Log`]; the sink's own error comes back as it
+    /// returned it.
+    pub fn feed<S: StreamSink>(&mut self, sink: &mut S) -> Result<bool, StreamError> {
+        match self.next_fields(|fields, at| sink.on_fields(fields, at))? {
+            Some(handed) => handed.map(|()| true),
+            None => Ok(false),
+        }
+    }
+
+    /// The Flowmark line loop behind every consumer: decodes the next
+    /// event line and hands its fields, borrowed from the line buffer,
+    /// to `emit`, returning what `emit` returns. Errors, skips and
+    /// accounting are `next_event`'s.
     pub(crate) fn next_fields<T>(
         &mut self,
         emit: impl FnOnce(EventFields<'_>, SourceLocation) -> T,
@@ -189,9 +200,7 @@ impl<R: BufRead> FlowmarkSource<R> {
     /// [`StreamSink::finish`] at end of input. On error the sink is
     /// *not* finished — partial state would masquerade as a clean read.
     pub fn pump<S: StreamSink>(&mut self, sink: &mut S) -> Result<(), StreamError> {
-        while let Some((event, at)) = self.next_event()? {
-            sink.on_event(event, at)?;
-        }
+        while self.feed(sink)? {}
         sink.finish()
     }
 }
@@ -283,6 +292,45 @@ mod tests {
             "one-shot fault resumes the reader, but the source stays done"
         );
         assert_eq!(source.report().errors.len(), 1);
+    }
+
+    /// `feed` hands one event per call; a sink that implements only
+    /// `on_event` gets owned records through the default `on_fields`.
+    /// A decode error comes back as `StreamError::Log` and ends the
+    /// stream.
+    #[test]
+    fn feed_hands_one_event_per_call_and_ends_on_a_decode_error() {
+        #[derive(Default)]
+        struct Records(Vec<(EventRecord, SourceLocation)>);
+        impl StreamSink for Records {
+            fn on_event(&mut self, e: EventRecord, at: SourceLocation) -> Result<(), StreamError> {
+                self.0.push((e, at));
+                Ok(())
+            }
+            fn finish(&mut self) -> Result<(), StreamError> {
+                Ok(())
+            }
+        }
+        let text = "p1,A,END,1,3;4\ngarbage\np1,B,START,2\n";
+        let mut source = FlowmarkSource::new(text.as_bytes(), RecoveryPolicy::Strict);
+        let mut sink = Records::default();
+        assert!(source.feed(&mut sink).unwrap());
+        assert_eq!(
+            sink.0,
+            [(
+                EventRecord::end("p1", "A", 1, Some(vec![3, 4])),
+                SourceLocation {
+                    byte_offset: 0,
+                    line: 1
+                }
+            )]
+        );
+        assert!(matches!(
+            source.feed(&mut sink),
+            Err(StreamError::Log(LogError::Parse { line: 2, .. }))
+        ));
+        assert!(!source.feed(&mut sink).unwrap(), "stream is done");
+        assert_eq!(sink.0.len(), 1);
     }
 
     #[test]

@@ -159,50 +159,19 @@ struct EventRow {
     kind: EventKind,
 }
 
-/// Decoded events with their case and activity names interned as they
-/// arrive, one row per event: the input of the one grouping
-/// ([`assemble_events`]) and the one pairing ([`assemble_case`]).
-///
-/// A table's activity ids are its own. [`assemble_case`] maps each to
-/// an id of the [`ActivityTable`] it assembles into at the activity's
-/// first START, and keeps the mapping, so a table must always be
-/// assembled into the same activity table.
+/// Events as [`EventTable`] rows, their outputs in a side list: the
+/// events of a table, or the events of one open case that
+/// [`CaseAssembler`](crate::stream::CaseAssembler) buffers until the
+/// case closes and [`EventTable::load_case`] takes them.
 #[derive(Debug, Default)]
-pub(crate) struct EventTable {
-    cases: Names,
-    activities: Names,
-    /// Per table activity id: its id in the activity table, once a
-    /// START has interned it there.
-    log_ids: Vec<Option<ActivityId>>,
+pub(crate) struct EventRows {
     rows: Vec<EventRow>,
     /// Output vectors, taken by the END that closes an instance.
     outputs: Vec<Vec<i64>>,
 }
 
-impl EventTable {
-    /// A table holding `records`, in order.
-    pub(crate) fn from_records(records: &[EventRecord]) -> Self {
-        let mut events = EventTable::default();
-        events.rows.reserve(records.len());
-        for r in records {
-            let case = events.case_id(&r.process);
-            let activity = events.activity_id(&r.activity);
-            events.push(case, activity, r.kind, r.time, r.output.clone());
-        }
-        events
-    }
-
-    /// The id of case `name`, interning it if unseen.
-    pub(crate) fn case_id(&mut self, name: &str) -> u32 {
-        self.cases.intern(name)
-    }
-
-    /// The id of activity `name`, interning it if unseen.
-    pub(crate) fn activity_id(&mut self, name: &str) -> u32 {
-        self.activities.intern(name)
-    }
-
-    /// The number of events (rows) in the table.
+impl EventRows {
+    /// The number of events.
     pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
@@ -233,28 +202,113 @@ impl EventTable {
         });
     }
 
-    /// Drops every case and event, keeping the activities and their
-    /// activity-table ids.
-    pub(crate) fn clear(&mut self) {
-        self.cases.clear();
+    /// The events as `(activity id, kind, time, output)`, in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, EventKind, u64, Option<&[i64]>)> + '_ {
+        self.rows.iter().map(|row| {
+            let output =
+                (row.output != NO_OUTPUT).then(|| self.outputs[row.output as usize].as_slice());
+            (row.activity, row.kind, row.time, output)
+        })
+    }
+
+    fn clear(&mut self) {
         self.rows.clear();
         self.outputs.clear();
+    }
+}
+
+/// Decoded events with their case and activity names interned as they
+/// arrive, one row per event: the input of the one grouping
+/// ([`assemble_events`]) and the one pairing ([`assemble_case`]).
+///
+/// A table's activity ids are its own. [`assemble_case`] maps each to
+/// an id of the [`ActivityTable`] it assembles into at the activity's
+/// first START, and keeps the mapping, so a table must always be
+/// assembled into the same activity table.
+#[derive(Debug, Default)]
+pub(crate) struct EventTable {
+    cases: Names,
+    activities: Names,
+    /// Per table activity id: its id in the activity table, once a
+    /// START has interned it there.
+    log_ids: Vec<Option<ActivityId>>,
+    events: EventRows,
+}
+
+impl EventTable {
+    /// A table holding `records`, in order.
+    pub(crate) fn from_records(records: &[EventRecord]) -> Self {
+        let mut events = EventTable::default();
+        events.events.rows.reserve(records.len());
+        for r in records {
+            let case = events.case_id(&r.process);
+            let activity = events.activity_id(&r.activity);
+            events.push(case, activity, r.kind, r.time, r.output.clone());
+        }
+        events
+    }
+
+    /// The id of case `name`, interning it if unseen.
+    pub(crate) fn case_id(&mut self, name: &str) -> u32 {
+        self.cases.intern(name)
+    }
+
+    /// The id of activity `name`, interning it if unseen.
+    pub(crate) fn activity_id(&mut self, name: &str) -> u32 {
+        self.activities.intern(name)
+    }
+
+    /// The name of activity `id` (from [`EventTable::activity_id`]).
+    pub(crate) fn activity_name(&self, id: u32) -> &str {
+        &self.activities.names[id as usize]
+    }
+
+    /// The number of events (rows) in the table.
+    pub(crate) fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Appends one event of case `case` and activity `activity` (ids
+    /// from [`EventTable::case_id`] and [`EventTable::activity_id`]).
+    pub(crate) fn push(
+        &mut self,
+        case: u32,
+        activity: u32,
+        kind: EventKind,
+        time: u64,
+        output: Option<Vec<i64>>,
+    ) {
+        self.events.push(case, activity, kind, time, output);
+    }
+
+    /// Replaces the table's cases and events with one case named
+    /// `name`, id 0, whose events are `rows` (buffered against this
+    /// table's activity ids). The rows move in without a copy: `rows`
+    /// gets the table's previous buffers back, emptied. Activities and
+    /// their activity-table ids are kept.
+    pub(crate) fn load_case(&mut self, name: String, rows: &mut EventRows) {
+        // Nothing looks the one case up by name, so it is not indexed.
+        self.cases.clear();
+        self.cases.names.push(name);
+        std::mem::swap(&mut self.events, rows);
+        rows.clear();
     }
 
     /// Row indices grouped by case with one counting sort: cases in id
     /// (first-seen) order, log order within a case. Case `c` owns
     /// `order[offsets[c]..offsets[c + 1]]`.
     fn group_by_case(&self) -> (Vec<usize>, Vec<usize>) {
+        let rows = &self.events.rows;
         let mut offsets = vec![0usize; self.cases.names.len() + 1];
-        for row in &self.rows {
+        for row in rows {
             offsets[row.case as usize + 1] += 1;
         }
         for c in 1..offsets.len() {
             offsets[c] += offsets[c - 1];
         }
         let mut next = offsets.clone();
-        let mut order = vec![0usize; self.rows.len()];
-        for (i, row) in self.rows.iter().enumerate() {
+        let mut order = vec![0usize; rows.len()];
+        for (i, row) in rows.iter().enumerate() {
             let slot = &mut next[row.case as usize];
             order[*slot] = i;
             *slot += 1;
@@ -344,8 +398,7 @@ pub(crate) fn assemble_case(
         cases,
         activities,
         log_ids,
-        rows,
-        outputs,
+        events: EventRows { rows, outputs },
     } = events;
     let CaseWork {
         order,

@@ -9,7 +9,10 @@
 //!   streams under all three `RecoveryPolicy` variants;
 //! * eviction: memory stays bounded by the open-case window;
 //! * differential: the recency-list assembler evicts, delivers and
-//!   resumes exactly like a reference that scans every open case.
+//!   resumes exactly like a reference that scans every open case;
+//! * one event path: handing the assembler each line's borrowed fields
+//!   (`FlowmarkSource::feed`) and handing it owned records
+//!   (`next_event` → `on_event`) are observably the same.
 
 use procmine::log::stream::{
     AssemblerConfig, AssemblerState, CaseAssembler, FlowmarkSource, Observer, SourceLocation,
@@ -17,9 +20,9 @@ use procmine::log::stream::{
 };
 use procmine::log::validate::{assemble_executions_with, AssemblyPolicy};
 use procmine::log::{
-    codec::{flowmark, MAX_RECORDED_ERRORS},
-    ActivityInstance, ActivityTable, EventKind, EventRecord, Execution, LogError, RecoveryPolicy,
-    WorkflowLog,
+    codec::{flowmark, CodecStats, MAX_RECORDED_ERRORS},
+    ActivityInstance, ActivityTable, EventKind, EventRecord, Execution, IngestReport, LogError,
+    RecoveryPolicy, WorkflowLog,
 };
 use procmine::mine::{mine_general_dag, MinedModel, MinerOptions, OnlineMiner, SnapshotPolicy};
 use proptest::prelude::*;
@@ -559,5 +562,130 @@ proptest! {
         first.evictions.extend(rest.evictions);
         prop_assert_eq!(&first, &reference.out);
         prop_assert_eq!(resumed_report, report);
+    }
+}
+
+/// Strategy: Flowmark text of interleaved events over up to eight
+/// cases and four activities at a handful of timestamps — unmatched
+/// and duplicate STARTs and ENDs, same-time events, and output vectors
+/// on some ENDs.
+fn arb_flowmark() -> impl Strategy<Value = String> {
+    let event = (0u8..8, 0u8..4, 0u8..4, 0u64..8, -2i64..3);
+    proptest::collection::vec(event, 0..80).prop_map(|events| {
+        events
+            .into_iter()
+            .map(|(case, activity, kind, time, out)| {
+                let activity = (b'A' + activity) as char;
+                match kind {
+                    0 | 1 => format!("c{case},{activity},START,{time}\n"),
+                    2 => format!("c{case},{activity},END,{time}\n"),
+                    _ => format!("c{case},{activity},END,{time},{out};{}\n", out * 7),
+                }
+            })
+            .collect()
+    })
+}
+
+/// Everything an assembler run over a Flowmark text showed.
+#[derive(Debug, PartialEq)]
+struct Followed {
+    out: Delivered,
+    activities: Vec<String>,
+    /// `open_cases()` after every event.
+    open_after: Vec<usize>,
+    finished: Result<(), String>,
+    report: IngestReport,
+    source_report: IngestReport,
+    stats: CodecStats,
+    /// `export_state` after `cut` events, and the same state after the
+    /// wire format and `resume`, exported again.
+    at_cut: AssemblerState,
+    resumed: AssemblerState,
+}
+
+/// Runs `text` through a case assembler, one `step` per event, and
+/// records what it showed.
+fn follow_text(
+    text: &str,
+    config: AssemblerConfig,
+    cut: usize,
+    step: impl Fn(
+        &mut FlowmarkSource<&[u8]>,
+        &mut CaseAssembler<&mut Delivered>,
+    ) -> Result<bool, StreamError>,
+) -> Followed {
+    let mut out = Delivered::default();
+    let mut source = FlowmarkSource::new(text.as_bytes(), RecoveryPolicy::Strict);
+    let mut assembler = CaseAssembler::new(config, &mut out);
+    let mut open_after = Vec::new();
+    let mut at_cut = None;
+    loop {
+        if open_after.len() == cut {
+            at_cut = Some(assembler.export_state());
+        }
+        if !step(&mut source, &mut assembler).unwrap() {
+            break;
+        }
+        open_after.push(assembler.open_cases());
+    }
+    let at_cut = at_cut.unwrap_or_else(|| assembler.export_state());
+    let finished = assembler.finish().map_err(|e| e.to_string());
+    let activities = assembler.activities().names().to_vec();
+    let report = assembler.report().clone();
+    drop(assembler);
+
+    let mut w = WireWriter::new();
+    at_cut.encode_into(&mut w);
+    let bytes = w.into_bytes();
+    let mut r = WireReader::new(&bytes);
+    let restored = AssemblerState::decode(&mut r).unwrap();
+    r.finish().unwrap();
+    let mut ignored = Delivered::default();
+    let resumed = CaseAssembler::resume(config, &mut ignored, restored)
+        .unwrap()
+        .export_state();
+    Followed {
+        out,
+        activities,
+        open_after,
+        finished,
+        report,
+        source_report: source.report().clone(),
+        stats: source.stats(),
+        at_cut,
+        resumed,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// `CaseAssembler` has one event path: the borrowed hand-off
+    /// (`FlowmarkSource::feed`, what `pump` and `mine --follow` use)
+    /// and owned records (`next_event` → `on_event`) deliver the same
+    /// executions, intern the same activity table, evict and report the
+    /// same, hold the same open cases after every event, and export the
+    /// same state at any cut — before and after the wire format and
+    /// `resume`.
+    #[test]
+    fn borrowed_hand_off_matches_owned_records(
+        text in arb_flowmark(),
+        window in 1usize..=8,
+        strict in 0u8..2,
+        cut in 0usize..=80,
+    ) {
+        let config = AssemblerConfig {
+            max_open_cases: window,
+            assembly: if strict == 1 { AssemblyPolicy::Strict } else { AssemblyPolicy::Lenient },
+        };
+        let borrowed = follow_text(&text, config, cut, |source, assembler| source.feed(assembler));
+        let owned = follow_text(&text, config, cut, |source, assembler| {
+            match source.next_event()? {
+                Some((event, at)) => assembler.on_event(event, at).map(|()| true),
+                None => Ok(false),
+            }
+        });
+        prop_assert_eq!(&borrowed.resumed, &borrowed.at_cut);
+        prop_assert_eq!(borrowed, owned);
     }
 }
