@@ -99,6 +99,41 @@ if [ -n "$extra_decoders" ]; then
   exit 1
 fi
 
+# Name-keyed maps hash with the crate's keyed fold hash
+# (`procmine_log::hash`): above their tests, the event table's interner
+# (validate.rs) and the case assembler's open-case index (assembler.rs)
+# declare no `HashMap` with std's default hasher, that is no
+# two-parameter `HashMap<K, V>` and no `HashMap::new()` or
+# `HashMap::with_capacity(`. Generic arguments are counted at the top
+# level, so `HashMap<(u32, u32), V>` has two.
+echo "==> hasher lane: no default-hashed HashMap in the interner or the case assembler"
+default_hashed=$(
+  awk '/^#\[cfg\(test\)\]/ { nextfile }
+       function default_hashed(line,    i, j, c, depth, params) {
+         while ((i = index(line, "HashMap<")) > 0) {
+           line = substr(line, i + 8)
+           depth = 1
+           params = 1
+           for (j = 1; j <= length(line) && depth > 0; j++) {
+             c = substr(line, j, 1)
+             if (c == "<" || c == "(" || c == "[") depth++
+             else if (c == ">" || c == ")" || c == "]") depth--
+             else if (c == "," && depth == 1) params++
+           }
+           if (depth == 0 && params == 2) return 1
+         }
+         return 0
+       }
+       default_hashed($0) || /HashMap::new\(\)|HashMap::with_capacity\(/ {
+         print FILENAME ":" FNR ": " $0 }' \
+    crates/log/src/validate.rs crates/log/src/stream/assembler.rs
+)
+if [ -n "$default_hashed" ]; then
+  echo "a name-keyed map uses std's default hasher (use hash::FoldMap):" >&2
+  echo "$default_hashed" >&2
+  exit 1
+fi
+
 # Public docs must build without warnings: no links to private items,
 # no broken or redundant link targets.
 echo "==> docs: RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps"

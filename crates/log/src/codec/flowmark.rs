@@ -7,16 +7,20 @@
 //! ```
 //!
 //! The output field is present only on END events that recorded an
-//! output vector (semicolon-separated integers). Blank lines and lines
-//! starting with `#` are ignored. Field values may not contain commas;
-//! this mirrors the flat audit-trail files the paper's implementation
+//! output vector (semicolon-separated integers). An END whose fifth
+//! field is empty carries an empty output vector: [`write_log`] writes
+//! `Some(vec![])` as a trailing comma. Blank lines and lines starting
+//! with `#` are ignored. Field values may not contain commas; this
+//! mirrors the flat audit-trail files the paper's implementation
 //! consumed ("lists of event records consisting of the process name, the
 //! activity name, the event type, and the timestamp", §8).
 //!
-//! Lines are decoded by [`FlowmarkSource`], the one Flowmark decoder.
-//! [`read_log_with`] takes each line's fields borrowed from the line,
-//! interns their names into a table of events as lines decode, and
-//! groups and pairs the cases over ids; no string is owned per event.
+//! Lines are decoded by [`FlowmarkSource`], the one Flowmark decoder,
+//! with one byte-level line parser. [`read_log_with`] takes each line's
+//! fields borrowed from the line, interns their names into a table of
+//! events as lines decode, and groups and pairs the cases over ids; no
+//! string is owned per event, and cases whose lines arrive grouped are
+//! paired without a sort.
 
 use super::{assemble, CodecStats, IngestReport, RecoveryPolicy};
 use crate::stream::FlowmarkSource;
@@ -192,10 +196,34 @@ pub struct EventFields<'a> {
     pub output: Option<Vec<i64>>,
 }
 
-/// Parses one trimmed Flowmark-style event line (1-based `lineno` for
-/// error reporting) into fields borrowed from `line`.
-/// [`FlowmarkSource`] is its one caller.
-pub(crate) fn parse_event_line(line: &str, lineno: usize) -> Result<EventFields<'_>, LogError> {
+/// Parses one Flowmark line, its terminator stripped (1-based `lineno`
+/// for error reporting), into fields borrowed from `line`; `Ok(None)`
+/// for a blank or `#` comment line. [`FlowmarkSource`] is its one
+/// caller.
+///
+/// A line that is not UTF-8 is an error, whatever else is wrong with
+/// it. One pass over the line's bytes finds the commas;
+/// the line and each field are trimmed by testing their boundary bytes
+/// ([`trim`]), the kind is matched as bytes and the timestamp is parsed
+/// with checked decimal arithmetic ([`parse_u64`]). What is accepted,
+/// and every error's text, are those of `str::trim`,
+/// `EventKind::from_str` and `str::parse`. An END whose fifth field is
+/// empty carries an empty output vector.
+pub(crate) fn parse_event_line(
+    line: &[u8],
+    lineno: usize,
+) -> Result<Option<EventFields<'_>>, LogError> {
+    let error = |message: String| LogError::Parse {
+        line: lineno,
+        message,
+    };
+    let Ok(line) = std::str::from_utf8(line) else {
+        return Err(error("line is not valid UTF-8".to_string()));
+    };
+    let line = trim(line);
+    if line.is_empty() || line.starts_with('#') {
+        return Ok(None);
+    }
     let mut parts = [""; 5];
     let mut count = 0;
     let mut start = 0;
@@ -213,41 +241,113 @@ pub(crate) fn parse_event_line(line: &str, lineno: usize) -> Result<EventFields<
     }
     count += 1;
     if !(4..=5).contains(&count) {
-        return Err(LogError::Parse {
-            line: lineno,
-            message: format!("expected 4 or 5 comma-separated fields, got {count}"),
-        });
+        return Err(error(format!(
+            "expected 4 or 5 comma-separated fields, got {count}"
+        )));
     }
     let [process, activity, kind, time, output] = parts;
-    let kind: EventKind = kind.trim().parse().map_err(|()| LogError::Parse {
-        line: lineno,
-        message: format!("unknown event type `{kind}`"),
-    })?;
-    let time: u64 = time.trim().parse().map_err(|_| LogError::Parse {
-        line: lineno,
-        message: format!("invalid timestamp `{time}`"),
-    })?;
+    let kind = match trim(kind).as_bytes() {
+        b"START" | b"start" | b"Start" => EventKind::Start,
+        b"END" | b"end" | b"End" => EventKind::End,
+        _ => return Err(error(format!("unknown event type `{kind}`"))),
+    };
+    let Some(time) = parse_u64(trim(time)) else {
+        return Err(error(format!("invalid timestamp `{time}`")));
+    };
     let output = if count == 5 {
         if kind == EventKind::Start {
-            return Err(LogError::Parse {
-                line: lineno,
-                message: "START events cannot carry an output vector".to_string(),
-            });
+            return Err(error(
+                "START events cannot carry an output vector".to_string(),
+            ));
         }
-        let vec: Result<Vec<i64>, _> = output.split(';').map(|v| v.trim().parse::<i64>()).collect();
-        Some(vec.map_err(|_| LogError::Parse {
-            line: lineno,
-            message: format!("invalid output vector `{output}`"),
-        })?)
+        let values = trim(output);
+        let vec: Result<Vec<i64>, _> = if values.is_empty() {
+            Ok(Vec::new())
+        } else {
+            values.split(';').map(|v| trim(v).parse::<i64>()).collect()
+        };
+        Some(vec.map_err(|_| error(format!("invalid output vector `{output}`")))?)
     } else {
         None
     };
-    Ok(EventFields {
-        process: process.trim(),
-        activity: activity.trim(),
+    Ok(Some(EventFields {
+        process: trim(process),
+        activity: trim(activity),
         kind,
         time,
         output,
+    }))
+}
+
+/// `s` without its leading and trailing whitespace: what `str::trim`
+/// returns, found by testing boundary bytes. A field that starts and
+/// ends with a printable, non-space ASCII byte, as nearly every field
+/// does, comes back at once; otherwise [`trim_edges`] strips it.
+#[inline]
+fn trim(s: &str) -> &str {
+    let printable = |b: &u8| (0x21..=0x7E).contains(b);
+    match (s.as_bytes().first(), s.as_bytes().last()) {
+        (Some(first), Some(last)) if printable(first) && printable(last) => s,
+        _ => trim_edges(s),
+    }
+}
+
+/// [`trim`] byte by byte: an ASCII boundary byte is tested against
+/// [`is_ascii_space`]; only a non-ASCII boundary is decoded to a `char`
+/// and tested with [`char::is_whitespace`].
+fn trim_edges(mut s: &str) -> &str {
+    while let Some(&b) = s.as_bytes().first() {
+        let width = if b.is_ascii() {
+            if !is_ascii_space(b) {
+                break;
+            }
+            1
+        } else {
+            match s.chars().next() {
+                Some(c) if c.is_whitespace() => c.len_utf8(),
+                _ => break,
+            }
+        };
+        s = &s[width..];
+    }
+    while let Some(&b) = s.as_bytes().last() {
+        let width = if b.is_ascii() {
+            if !is_ascii_space(b) {
+                break;
+            }
+            1
+        } else {
+            match s.chars().next_back() {
+                Some(c) if c.is_whitespace() => c.len_utf8(),
+                _ => break,
+            }
+        };
+        s = &s[..s.len() - width];
+    }
+    s
+}
+
+/// The ASCII bytes [`char::is_whitespace`] accepts: tab, line feed,
+/// vertical tab, form feed, carriage return and space.
+/// `u8::is_ascii_whitespace` leaves out the vertical tab.
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ')
+}
+
+/// `s` as a decimal `u64` under `str::parse`'s rules: at most one
+/// leading `+`, then one or more ASCII digits, refused on overflow.
+fn parse_u64(s: &str) -> Option<u64> {
+    let digits = s.as_bytes();
+    let digits = digits.strip_prefix(b"+").unwrap_or(digits);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &b| {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        n.checked_mul(10)?.checked_add(u64::from(digit))
     })
 }
 
@@ -308,15 +408,81 @@ p2,A,END,2
             ("p1,A,BEGIN,0", "unknown event type"),
             ("p1,A,START,abc", "bad timestamp"),
             ("p1,A,START,0,1;2", "output on a START"),
+            ("p1,A,START,0,", "an empty output on a START"),
             ("p1,A,END,0,1;x", "bad output vector"),
+            ("p1,A,END,0,;", "a lone `;`"),
         ] {
             assert!(
                 matches!(
-                    parse_event_line(line, 7),
+                    parse_event_line(line.as_bytes(), 7),
                     Err(LogError::Parse { line: 7, .. })
                 ),
                 "{why}: {line:?}"
             );
+        }
+    }
+
+    /// An END whose fifth field is empty, or only whitespace, carries
+    /// an empty output vector: what `write_log` writes for one.
+    #[test]
+    fn empty_output_field_is_an_empty_vector() {
+        for line in [
+            "p1,A,END,1,",
+            "p1,A,END,1, \t",
+            " p1 , A , END , 1 ,\u{3000}",
+        ] {
+            let fields = parse_event_line(line.as_bytes(), 1).unwrap().unwrap();
+            assert_eq!((fields.process, fields.activity), ("p1", "A"));
+            assert_eq!(fields.output, Some(Vec::new()), "{line:?}");
+        }
+    }
+
+    /// The byte tests agree with the `str` functions they stand in for.
+    #[test]
+    fn byte_tests_match_the_str_functions() {
+        for b in 0..=127u8 {
+            assert_eq!(is_ascii_space(b), char::from(b).is_whitespace(), "{b:#x}");
+        }
+        for s in [
+            "",
+            " ",
+            "a",
+            " a ",
+            "\x0Ba\x0C",
+            "\u{85}a\u{A0}",
+            "\u{2003}\u{3000}",
+            "\u{3000}活动\u{2003}",
+            "é",
+            " é ",
+            "a\u{1F600}",
+            "\u{1F600} ",
+            "\x01a\x7F",
+            "~ ",
+            "\t!",
+        ] {
+            assert_eq!(trim(s), s.trim(), "{s:?}");
+            assert_eq!(trim_edges(s), s.trim(), "{s:?}");
+        }
+        for s in [
+            "",
+            "+",
+            "-",
+            "0",
+            "+7",
+            "-7",
+            "++7",
+            "+-7",
+            "007",
+            "7a",
+            " 7",
+            "1_0",
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999",
+            "+18446744073709551615",
+            "٣",
+        ] {
+            assert_eq!(parse_u64(s), s.parse::<u64>().ok(), "{s:?}");
         }
     }
 
@@ -440,6 +606,44 @@ p2,A,END,2
         )
     }
 
+    /// An instance as Flowmark carries it: activity name, start, end,
+    /// output.
+    type Carried = (String, u64, u64, Option<Vec<i64>>);
+
+    /// Each execution as Flowmark carries it: its id and its instances,
+    /// sorted. Lines do not name instances, so the reader closes an
+    /// activity's earliest open START with each of its ENDs: per
+    /// activity, the k-th START in written order pairs with the k-th
+    /// END, whose output it takes.
+    fn carried(log: &WorkflowLog) -> Vec<(String, Vec<Carried>)> {
+        let names = log.activities();
+        log.executions()
+            .iter()
+            .map(|exec| {
+                let instances = exec.instances();
+                let mut activities: Vec<_> = instances.iter().map(|i| i.activity).collect();
+                activities.sort_unstable();
+                activities.dedup();
+                let mut paired = Vec::new();
+                for a in activities {
+                    let of_a = || (0..instances.len()).filter(move |&k| instances[k].activity == a);
+                    let mut starts: Vec<(u64, usize)> =
+                        of_a().map(|k| (instances[k].start, k)).collect();
+                    let mut ends: Vec<(u64, usize)> =
+                        of_a().map(|k| (instances[k].end, k)).collect();
+                    starts.sort_unstable();
+                    ends.sort_unstable();
+                    for (&(start, _), &(end, k)) in starts.iter().zip(&ends) {
+                        let output = instances[k].output.clone();
+                        paired.push((names.name(a).to_string(), start, end, output));
+                    }
+                }
+                paired.sort();
+                (exec.id.clone(), paired)
+            })
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
@@ -453,6 +657,30 @@ p2,A,END,2
             let want_result = reference_write_log(&log, &mut want);
             prop_assert_eq!(format!("{got_result:?}"), format!("{want_result:?}"));
             prop_assert_eq!(String::from_utf8_lossy(&got), String::from_utf8_lossy(&want));
+        }
+
+        /// What `write_log` writes, `read_log` reads back as the log
+        /// says, as far as Flowmark carries it (see `carried`): the
+        /// executions in order with their ids, intervals and outputs,
+        /// empty output vectors included, and an activity table in the
+        /// order the written STARTs name activities. Logs the writer
+        /// refuses are skipped.
+        #[test]
+        fn written_logs_read_back(log in arb_write_log()) {
+            let mut buf = Vec::new();
+            if write_log(&log, &mut buf).is_err() {
+                return;
+            }
+            let back = read_log(buf.as_slice()).unwrap();
+            prop_assert_eq!(carried(&back), carried(&log));
+            let mut first_started: Vec<&str> = Vec::new();
+            for inst in log.executions().iter().flat_map(|e| e.instances()) {
+                let name = log.activities().name(inst.activity);
+                if !first_started.contains(&name) {
+                    first_started.push(name);
+                }
+            }
+            prop_assert_eq!(back.activities().names(), first_started);
         }
     }
 
@@ -536,8 +764,10 @@ p2,A,END,2
         }
     }
 
-    /// The line parser before it borrowed its fields: a `Vec` of the
-    /// split fields, owned strings out.
+    /// The line parser before it borrowed its fields and worked on
+    /// bytes: a `Vec` of the split fields, `str::trim` and `str::parse`,
+    /// owned strings out. It takes the line already trimmed and known
+    /// to be neither blank nor a comment.
     fn reference_parse_event_line(line: &str, lineno: usize) -> Result<EventRecord, LogError> {
         let parts: Vec<&str> = line.split(',').collect();
         if parts.len() < 4 || parts.len() > 5 {
@@ -564,10 +794,16 @@ p2,A,END,2
                     message: "START events cannot carry an output vector".to_string(),
                 });
             }
-            let vec: Result<Vec<i64>, _> = parts[4]
-                .split(';')
-                .map(|v| v.trim().parse::<i64>())
-                .collect();
+            // An empty fifth field is the empty vector `write_log`
+            // writes; the parser once refused it.
+            let vec: Result<Vec<i64>, _> = if parts[4].trim().is_empty() {
+                Ok(Vec::new())
+            } else {
+                parts[4]
+                    .split(';')
+                    .map(|v| v.trim().parse::<i64>())
+                    .collect()
+            };
             Some(vec.map_err(|_| LogError::Parse {
                 line: lineno,
                 message: format!("invalid output vector `{}`", parts[4]),
@@ -584,14 +820,44 @@ p2,A,END,2
         })
     }
 
+    /// Whitespace at field and line edges: what `str::trim` strips,
+    /// ASCII and not (`\x0B`, which `u8::is_ascii_whitespace` leaves
+    /// out, included).
+    const EDGE_SPACES: [&str; 8] = [
+        "", "\u{85}", "\u{A0}", "\u{2003}", "\u{3000}", "\x0B", "\x0C", " \t",
+    ];
+    /// Activity names: non-ASCII ones, and whitespace inside a name.
+    const EDGE_NAMES: [&str; 6] = ["é", "活动", "a\u{A0}b", "a\x0Bb", "x\u{3000}y", "B"];
+    /// Kinds: accepted spellings, padded ones and a refused mixed case.
+    const EDGE_KINDS: [&str; 6] = ["start", "Start", "sTART", " END ", "END", "\u{A0}End\x0C"];
+    /// Timestamps at the edges of `str::parse::<u64>`.
+    const EDGE_STAMPS: [&str; 8] = [
+        "+7",
+        "-7",
+        "007",
+        "+",
+        "",
+        "18446744073709551615",
+        "18446744073709551616",
+        "\u{2003}5\x0B",
+    ];
+    /// Output fields: padded values, an empty value, an empty field and
+    /// a lone `;`.
+    const EDGE_OUTPUTS: [&str; 5] = [" 1 ; -2 ", "1;;2", "", ";", "\u{85}3\u{3000}"];
+
     /// One random line: mostly events of four interleaved cases with
     /// out-of-order times, duplicate STARTs, dangling STARTs and ENDs,
     /// padded fields and outputs; some comments, blank, malformed and
-    /// non-UTF-8 lines. The flag picks a CRLF line end.
+    /// non-UTF-8 lines, and lines built from the `EDGE_*` fields with
+    /// 3 to 6 fields. The flag picks a CRLF line end.
     fn arb_line() -> impl Strategy<Value = (Vec<u8>, bool)> {
-        (0u8..20, 0u8..4, 0u8..4, 0u64..8, 0i64..4, 0u8..4).prop_map(
-            |(shape, case, activity, time, out, crlf)| {
+        let edges = (0usize..8, 0usize..6, 0usize..6, 0usize..8, 0usize..5);
+        ((0u8..26, 0u8..4, 0u8..4, 0u64..8, 0i64..4, 0u8..4), edges).prop_map(
+            |((shape, case, activity, time, out, crlf), (space, name, kind, stamp, output))| {
                 let act = char::from(b'A' + activity);
+                let sp = EDGE_SPACES[space];
+                let (name, kind) = (EDGE_NAMES[name], EDGE_KINDS[kind]);
+                let (stamp, output) = (EDGE_STAMPS[stamp], EDGE_OUTPUTS[output]);
                 let line = match shape {
                     0..=6 => format!("p{case},{act},START,{time}"),
                     7..=12 => match out {
@@ -614,6 +880,10 @@ p2,A,END,2
                         "p1,A,END,-1",
                     ][time as usize]
                         .to_string(),
+                    18 | 19 => format!("{sp}p{case}{sp},{sp}{name}{sp},{kind},{sp}{stamp}"),
+                    20 | 21 => format!("p{case},{name}{sp},{kind},{stamp},{sp}{output}{sp}"),
+                    22 => format!("{sp}p{case},{name},{kind}{sp}"),
+                    23 => format!("p{case},{name},{kind},{stamp},{output},{sp}"),
                     _ => return (vec![b'p', b'0', 0xff, b',', b'A', b',', b'S'], crlf == 0),
                 };
                 (line.into_bytes(), crlf == 0)
@@ -651,22 +921,16 @@ p2,A,END,2
         ) {
             let mut input = Vec::new();
             for (line, crlf) in &lines {
-                if let Ok(text) = std::str::from_utf8(line) {
-                    let text = text.trim();
-                    if !text.is_empty() && !text.starts_with('#') {
-                        let got = parse_event_line(text, 3).map(|fields| {
-                            EventRecord {
-                                process: fields.process.to_string(),
-                                activity: fields.activity.to_string(),
-                                kind: fields.kind,
-                                time: fields.time,
-                                output: fields.output,
-                            }
-                        });
-                        let want = reference_parse_event_line(text, 3);
-                        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
-                    }
-                }
+                let got = parse_event_line(line, 3).map(|fields| fields.map(EventRecord::from));
+                let want = match std::str::from_utf8(line).map(str::trim) {
+                    Err(_) => Err(LogError::Parse {
+                        line: 3,
+                        message: "line is not valid UTF-8".to_string(),
+                    }),
+                    Ok(text) if text.is_empty() || text.starts_with('#') => Ok(None),
+                    Ok(text) => reference_parse_event_line(text, 3).map(Some),
+                };
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
                 input.extend_from_slice(line);
                 input.extend_from_slice(if *crlf { b"\r\n" } else { b"\n" });
             }

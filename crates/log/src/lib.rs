@@ -44,6 +44,7 @@ mod activity;
 mod error;
 mod event;
 mod execution;
+mod hash;
 mod log_impl;
 mod ops;
 

@@ -31,9 +31,9 @@
 use super::checkpoint::{self, CheckpointError, WireError, WireReader, WireWriter};
 use super::{Observer, SourceLocation, StreamError, StreamSink};
 use crate::codec::flowmark::EventFields;
+use crate::hash::{FoldMap, FoldState};
 use crate::validate::{assemble_case, AssemblyPolicy, CaseWork, EventRows, EventTable};
 use crate::{ActivityTable, EventRecord, IngestReport};
-use std::collections::HashMap;
 
 /// Default [`AssemblerConfig::max_open_cases`]: generous for real logs
 /// (the paper's 107 MB trail had far fewer concurrent cases) while
@@ -205,10 +205,11 @@ pub struct CaseAssembler<O: Observer> {
     config: AssemblerConfig,
     observer: O,
     table: ActivityTable,
-    /// Open case id → its slot in `slots`. A closing case's key becomes
-    /// its execution's id; the slot keeps its own copy of the id, whose
-    /// buffer the next case in the slot reuses.
-    index: HashMap<String, usize>,
+    /// Open case id → its slot in `slots`, hashed like the event
+    /// table's names. A closing case's key becomes its execution's id;
+    /// the slot keeps its own copy of the id, whose buffer the next case
+    /// in the slot reuses.
+    index: FoldMap<String, usize>,
     slots: Vec<OpenCase>,
     /// Slots not holding an open case (their buffers keep capacity).
     free: Vec<usize>,
@@ -235,7 +236,7 @@ impl<O: Observer> CaseAssembler<O> {
             config,
             observer,
             table: ActivityTable::new(),
-            index: HashMap::new(),
+            index: FoldMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             lru: NIL,
@@ -351,7 +352,7 @@ impl<O: Observer> CaseAssembler<O> {
             )));
         }
         let mut events = EventTable::default();
-        let mut index = HashMap::with_capacity(state.open.len());
+        let mut index = FoldMap::with_capacity_and_hasher(state.open.len(), FoldState::default());
         let mut slots = Vec::with_capacity(state.open.len());
         for case in state.open {
             if case.records.len() != case.locations.len() {

@@ -148,21 +148,9 @@ impl<R: BufRead> FlowmarkSource<R> {
                     return Err(e);
                 }
             };
-            let parsed = match std::str::from_utf8(self.lines.line()) {
-                Ok(text) => {
-                    let trimmed = text.trim();
-                    if trimmed.is_empty() || trimmed.starts_with('#') {
-                        continue;
-                    }
-                    flowmark::parse_event_line(trimmed, lineno)
-                }
-                Err(_) => Err(LogError::Parse {
-                    line: lineno,
-                    message: "line is not valid UTF-8".to_string(),
-                }),
-            };
-            match parsed {
-                Ok(fields) => {
+            match flowmark::parse_event_line(self.lines.line(), lineno) {
+                Ok(None) => {} // a blank or comment line
+                Ok(Some(fields)) => {
                     self.stats.events_parsed += 1;
                     self.report.records_parsed += 1;
                     let at = SourceLocation {

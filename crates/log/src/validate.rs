@@ -7,10 +7,10 @@
 //! error) or leniently (problems are dropped and reported as
 //! diagnostics, letting the noise-tolerant miner see the rest).
 
+use crate::hash::FoldMap;
 use crate::{
     ActivityId, ActivityInstance, ActivityTable, EventKind, EventRecord, Execution, LogError,
 };
-use std::collections::HashMap;
 
 /// How [`assemble_executions_with`] treats structural problems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -122,26 +122,43 @@ fn id32(index: usize) -> u32 {
 }
 
 /// Names interned to dense ids in first-seen order.
+///
+/// Consecutive events often share a name: most lines of a log whose
+/// cases arrive grouped repeat the previous line's case. So
+/// [`Names::intern`] compares the name with the one it returned last
+/// before it hashes, and hashes with the crate's keyed fold hash.
 #[derive(Debug, Default)]
 struct Names {
     names: Vec<String>,
-    index: HashMap<String, u32>,
+    index: FoldMap<String, u32>,
+    /// The id [`Names::intern`] returned last, `None` after a clear.
+    last: Option<u32>,
 }
 
 impl Names {
     fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.index.get(name) {
-            return id;
+        if let Some(last) = self.last {
+            if self.names[last as usize] == name {
+                return last;
+            }
         }
-        let id = id32(self.names.len());
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), id);
+        let id = match self.index.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = id32(self.names.len());
+                self.names.push(name.to_string());
+                self.index.insert(name.to_string(), id);
+                id
+            }
+        };
+        self.last = Some(id);
         id
     }
 
     fn clear(&mut self) {
         self.names.clear();
         self.index.clear();
+        self.last = None;
     }
 }
 
@@ -233,6 +250,10 @@ pub(crate) struct EventTable {
     /// START has interned it there.
     log_ids: Vec<Option<ActivityId>>,
     events: EventRows,
+    /// Set once a row's case id is below the previous row's. Until
+    /// then every case's rows are contiguous and cases arrive in id
+    /// order, so [`EventTable::group_by_case`] needs no sort.
+    interleaved: bool,
 }
 
 impl EventTable {
@@ -278,6 +299,9 @@ impl EventTable {
         time: u64,
         output: Option<Vec<i64>>,
     ) {
+        if self.events.rows.last().is_some_and(|row| case < row.case) {
+            self.interleaved = true;
+        }
         self.events.push(case, activity, kind, time, output);
     }
 
@@ -292,12 +316,16 @@ impl EventTable {
         self.cases.names.push(name);
         std::mem::swap(&mut self.events, rows);
         rows.clear();
+        self.interleaved = false;
     }
 
-    /// Row indices grouped by case with one counting sort: cases in id
-    /// (first-seen) order, log order within a case. Case `c` owns
-    /// `order[offsets[c]..offsets[c + 1]]`.
-    fn group_by_case(&self) -> (Vec<usize>, Vec<usize>) {
+    /// Row indices grouped by case: cases in id (first-seen) order, log
+    /// order within a case. Case `c` owns
+    /// `order[offsets[c]..offsets[c + 1]]`. When the rows arrived
+    /// grouped, `order` is the identity and comes back as `None`: case
+    /// `c` owns the rows `offsets[c]..offsets[c + 1]`. Otherwise one
+    /// counting sort builds it.
+    fn group_by_case(&self) -> (Vec<usize>, Option<Vec<usize>>) {
         let rows = &self.events.rows;
         let mut offsets = vec![0usize; self.cases.names.len() + 1];
         for row in rows {
@@ -306,6 +334,9 @@ impl EventTable {
         for c in 1..offsets.len() {
             offsets[c] += offsets[c - 1];
         }
+        if !self.interleaved {
+            return (offsets, None);
+        }
         let mut next = offsets.clone();
         let mut order = vec![0usize; rows.len()];
         for (i, row) in rows.iter().enumerate() {
@@ -313,7 +344,7 @@ impl EventTable {
             order[*slot] = i;
             *slot += 1;
         }
-        (offsets, order)
+        (offsets, Some(order))
     }
 }
 
@@ -331,10 +362,21 @@ pub(crate) fn assemble_events(
     let mut work = CaseWork::default();
     let mut executions = Vec::with_capacity(offsets.len() - 1);
     for (case, span) in offsets.windows(2).enumerate() {
-        let members = order[span[0]..span[1]].iter().copied();
-        if let Some(exec) = assemble_case(&mut events, case, members, table, policy, &mut work)? {
-            executions.push(exec);
-        }
+        let exec = match &order {
+            Some(order) => {
+                let members = order[span[0]..span[1]].iter().copied();
+                assemble_case(&mut events, case, members, table, policy, &mut work)?
+            }
+            None => assemble_case(
+                &mut events,
+                case,
+                span[0]..span[1],
+                table,
+                policy,
+                &mut work,
+            )?,
+        };
+        executions.extend(exec);
     }
     Ok((executions, work.diagnostics))
 }
@@ -399,6 +441,7 @@ pub(crate) fn assemble_case(
         activities,
         log_ids,
         events: EventRows { rows, outputs },
+        interleaved: _,
     } = events;
     let CaseWork {
         order,
@@ -522,6 +565,7 @@ pub(crate) fn assemble_case(
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
+    use std::collections::HashMap;
 
     /// Reference grouping and pairing: a hash map of FIFO vectors per
     /// activity, `Vec::remove(0)` per END.
@@ -630,6 +674,7 @@ mod tests {
     use super::reference::reference_assemble;
     use super::*;
     use proptest::prelude::*;
+    use std::hash::BuildHasher;
 
     #[test]
     fn strict_rejects_dangling_end() {
@@ -837,17 +882,35 @@ mod tests {
         }
 
         /// Interleaved cases through the batch entry point equal the
-        /// hash-map grouping and pairing.
+        /// hash-map grouping and pairing; so do the same records
+        /// grouped by case, which skip the counting sort.
         #[test]
         fn batch_assembly_matches_reference(
             records in arb_records(3),
             seed in 0u8..4,
         ) {
-            for policy in [AssemblyPolicy::Strict, AssemblyPolicy::Lenient] {
+            let mut grouped = records.clone();
+            let first_seen = |name: &str| records.iter().position(|r| r.process == name);
+            grouped.sort_by_key(|r| first_seen(&r.process));
+            prop_assert!(!EventTable::from_records(&grouped).interleaved);
+            let case_ids: Vec<u32> = {
+                let mut events = EventTable::default();
+                records.iter().map(|r| events.case_id(&r.process)).collect()
+            };
+            prop_assert_eq!(
+                EventTable::from_records(&records).interleaved,
+                case_ids.windows(2).any(|w| w[1] < w[0])
+            );
+            for (records, policy) in [
+                (&records, AssemblyPolicy::Strict),
+                (&records, AssemblyPolicy::Lenient),
+                (&grouped, AssemblyPolicy::Strict),
+                (&grouped, AssemblyPolicy::Lenient),
+            ] {
                 let mut table = seeded_table(seed);
-                let got = assemble_executions_with(&records, &mut table, policy);
+                let got = assemble_executions_with(records, &mut table, policy);
                 let mut ref_table = seeded_table(seed);
-                let want = reference_assemble(&records, &mut ref_table, policy);
+                let want = reference_assemble(records, &mut ref_table, policy);
                 prop_assert_eq!(table.names(), ref_table.names());
                 match (got, want) {
                     (Ok(report), Ok((execs, diags))) => {
@@ -861,6 +924,82 @@ mod tests {
                 }
             }
         }
+
+        /// The interner assigns the ids of a linear-scan, first-seen
+        /// interner, to cases and activities interned in turn, in two
+        /// tables under two hash keys; `activity_name` gives each name
+        /// back; and after `load_case` the check against the previous
+        /// name cannot hand out an id that now names another case.
+        #[test]
+        fn interned_ids_are_first_seen_ids(
+            cases in arb_names(),
+            activities in arb_names(),
+        ) {
+            let first_seen = |names: &[String]| -> Vec<u32> {
+                let mut seen: Vec<&str> = Vec::new();
+                names
+                    .iter()
+                    .map(|name| match seen.iter().position(|s| s == name) {
+                        Some(id) => id as u32,
+                        None => {
+                            seen.push(name);
+                            seen.len() as u32 - 1
+                        }
+                    })
+                    .collect()
+            };
+            let (want_cases, want_activities) = (first_seen(&cases), first_seen(&activities));
+            let mut tables = [EventTable::default(), EventTable::default()];
+            prop_assert_ne!(
+                tables[0].cases.index.hasher().hash_one("walk-1"),
+                tables[1].cases.index.hasher().hash_one("walk-1")
+            );
+            for events in &mut tables {
+                let (mut got_cases, mut got_activities) = (Vec::new(), Vec::new());
+                for i in 0..cases.len().max(activities.len()) {
+                    if let Some(case) = cases.get(i) {
+                        got_cases.push(events.case_id(case));
+                    }
+                    if let Some(activity) = activities.get(i) {
+                        got_activities.push(events.activity_id(activity));
+                    }
+                }
+                prop_assert_eq!(&got_cases, &want_cases);
+                prop_assert_eq!(&got_activities, &want_activities);
+                for (name, &id) in activities.iter().zip(&got_activities) {
+                    prop_assert_eq!(events.activity_name(id), name.as_str());
+                }
+            }
+            if let Some(last) = cases.last() {
+                // `last` is the previous name; the loaded case takes id 0.
+                let events = &mut tables[0];
+                events.case_id(last);
+                events.load_case("loaded".to_string(), &mut EventRows::default());
+                let after = events.case_id(last);
+                prop_assert_ne!(after, 0);
+                prop_assert_eq!(events.cases.names[after as usize].as_str(), last.as_str());
+            }
+        }
+    }
+
+    /// Name sequences with runs (a name up to four times in a row),
+    /// repeats of earlier names and many distinct names: short ones,
+    /// `walk-N` case names, names longer than a hash word and non-ASCII
+    /// ones.
+    fn arb_names() -> impl Strategy<Value = Vec<String>> {
+        proptest::collection::vec((1usize..5, 0u16..400, 0u8..4), 0..80).prop_map(|runs| {
+            runs.into_iter()
+                .flat_map(|(run, pick, style)| {
+                    let name = match style {
+                        0 => format!("{}", pick % 8),
+                        1 => format!("walk-{pick}"),
+                        2 => format!("a long activity name {pick}"),
+                        _ => format!("活动{pick}"),
+                    };
+                    std::iter::repeat(name).take(run)
+                })
+                .collect()
+        })
     }
 
     #[test]
