@@ -99,14 +99,15 @@ if [ -n "$extra_decoders" ]; then
   exit 1
 fi
 
-# Name-keyed maps hash with the crate's keyed fold hash
+# Maps on the decode paths hash with the crate's keyed fold hash
 # (`procmine_log::hash`): above their tests, the event table's interner
-# (validate.rs) and the case assembler's open-case index (assembler.rs)
-# declare no `HashMap` with std's default hasher, that is no
-# two-parameter `HashMap<K, V>` and no `HashMap::new()` or
-# `HashMap::with_capacity(`. Generic arguments are counted at the top
-# level, so `HashMap<(u32, u32), V>` has two.
-echo "==> hasher lane: no default-hashed HashMap in the interner or the case assembler"
+# (validate.rs), the case assembler's open-case index (assembler.rs)
+# and the XES reader's START/END balance (xes.rs) declare no `HashMap`
+# with std's default hasher, that is no two-parameter `HashMap<K, V>`
+# and no `HashMap::new()` or `HashMap::with_capacity(`. Generic
+# arguments are counted at the top level, so `HashMap<(u32, u32), V>`
+# has two.
+echo "==> hasher lane: no default-hashed HashMap in the interner, the case assembler or the XES balance"
 default_hashed=$(
   awk '/^#\[cfg\(test\)\]/ { nextfile }
        function default_hashed(line,    i, j, c, depth, params) {
@@ -126,10 +127,11 @@ default_hashed=$(
        }
        default_hashed($0) || /HashMap::new\(\)|HashMap::with_capacity\(/ {
          print FILENAME ":" FNR ": " $0 }' \
-    crates/log/src/validate.rs crates/log/src/stream/assembler.rs
+    crates/log/src/validate.rs crates/log/src/stream/assembler.rs \
+    crates/log/src/codec/xes.rs
 )
 if [ -n "$default_hashed" ]; then
-  echo "a name-keyed map uses std's default hasher (use hash::FoldMap):" >&2
+  echo "a decode-path map uses std's default hasher (use hash::FoldMap):" >&2
   echo "$default_hashed" >&2
   exit 1
 fi

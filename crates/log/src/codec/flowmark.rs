@@ -260,13 +260,10 @@ pub(crate) fn parse_event_line(
                 "START events cannot carry an output vector".to_string(),
             ));
         }
-        let values = trim(output);
-        let vec: Result<Vec<i64>, _> = if values.is_empty() {
-            Ok(Vec::new())
-        } else {
-            values.split(';').map(|v| trim(v).parse::<i64>()).collect()
+        let Some(vec) = parse_output_vector(output) else {
+            return Err(error(format!("invalid output vector `{output}`")));
         };
-        Some(vec.map_err(|_| error(format!("invalid output vector `{output}`")))?)
+        Some(vec)
     } else {
         None
     };
@@ -277,6 +274,19 @@ pub(crate) fn parse_event_line(
         time,
         output,
     }))
+}
+
+/// An output vector: integers separated by `;`, each trimmed. A field
+/// that is empty or only whitespace is the empty vector, which is what
+/// [`write_log`] writes for one; `None` if any entry is not an `i64`.
+/// Flowmark's fifth field and XES's `procmine:output` both read
+/// through it.
+pub(crate) fn parse_output_vector(field: &str) -> Option<Vec<i64>> {
+    let values = trim(field);
+    if values.is_empty() {
+        return Some(Vec::new());
+    }
+    values.split(';').map(|v| trim(v).parse().ok()).collect()
 }
 
 /// `s` without its leading and trailing whitespace: what `str::trim`

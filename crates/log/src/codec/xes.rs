@@ -17,7 +17,9 @@
 //!   and read back as `start == end`, matching the paper's list-form
 //!   simplification;
 //! * output vectors ride on `complete` events as a `procmine:output`
-//!   string attribute (`"1;2;3"`), a documented extension.
+//!   string attribute (`"1;2;3"`), a documented extension, read by the
+//!   same parser as Flowmark's fifth field: an event whose output is
+//!   not a list of integers is refused.
 //!
 //! # Fast path
 //!
@@ -26,24 +28,44 @@
 //! attribute values straight out of the input. All XML delimiters are
 //! ASCII, so byte search never lands inside a multi-byte character;
 //! values are borrowed (`Cow::Borrowed`) unless they contain an entity
-//! (`&…;`), which is the only case that allocates. Errors keep the
-//! historical contract — byte offsets, 1-based line:column (column in
-//! characters), [`LogError::UnexpectedEof`] at clean truncation — by
-//! computing positions lazily on the error paths only.
+//! (`&…;`), which is the only case that allocates.
+//!
+//! Each tag costs about what scanning its bytes costs. The scanner
+//! searches for `<`, and for a value's closing quote or its first `&`,
+//! eight bytes at a time (a `u64` per step, in safe code), classifies
+//! name and whitespace bytes with one 256-entry table (a non-ASCII
+//! byte falls back to `char::is_alphanumeric` or
+//! `char::is_whitespace`), and tells comments, declarations,
+//! processing instructions, closing and opening tags apart by the byte
+//! after `<`. Each tag's name is classified once (trace, event, one of
+//! the five attribute elements, or other), and each attribute key once.
+//! Timestamps are parsed by digit arithmetic over their fixed-width
+//! shape.
+//!
+//! Errors keep the historical contract — byte offsets, 1-based
+//! line:column (column in characters), [`LogError::UnexpectedEof`] at
+//! clean truncation — computed on the error paths only. The scanner
+//! keeps the last position it reported and counts lines and columns on
+//! from there, so a recovering read pays one pass over the document
+//! for all its errors together, not one per error.
 //!
 //! Each `<event>` is interned into the same table of events the
 //! Flowmark reader fills, as the event closes and only once it has
 //! validated: its case and activity names become ids, START/END balance
-//! is kept per (case id, activity id), and no string is owned per
-//! event. The previous character-based implementation is preserved as
+//! is kept per (case id, activity id) in a fold-hashed map that holds
+//! only the open pairs, and no string is owned per event. The previous
+//! character-based implementation is preserved as
 //! [`xes_reference`](super::xes_reference) and pinned to this one by
 //! differential tests.
 
+use super::flowmark::parse_output_vector;
 use super::{assemble, CodecStats, IngestReport, RecoveryPolicy};
+use crate::hash::{word64, FoldMap};
 use crate::validate::EventTable;
 use crate::{EventKind, LogError, WorkflowLog};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::io::{BufRead, Write};
 
 // ---------------------------------------------------------------------------
@@ -110,8 +132,9 @@ pub fn millis_to_iso8601(millis: u64) -> String {
 /// lowercase `z`. The year may have more than four digits, but then no
 /// leading zero (the `xs:dateTime` expanded year), so every tick of the
 /// log clock that [`millis_to_iso8601`] formats parses back. Offsets are
-/// applied. Timestamps before the epoch or after the clock's last tick
-/// (`u64::MAX` ms) are rejected.
+/// applied; like `xs:dateTime`'s, their minutes are below 60 and they
+/// reach at most 14:00 either way. Timestamps before the epoch or after
+/// the clock's last tick (`u64::MAX` ms) are rejected.
 ///
 /// The leap-second spelling `:60` is **clamped to `:59`** (fractional
 /// part preserved): the log clock is POSIX-like and has no leap
@@ -120,39 +143,29 @@ pub fn millis_to_iso8601(millis: u64) -> String {
 /// — XES round-trips are byte-stable.
 pub fn iso8601_to_millis(text: &str) -> Result<u64, String> {
     let fail = || format!("invalid ISO 8601 timestamp `{text}`");
-    let year_len = text.find('-').ok_or_else(fail)?;
-    let year = &text[..year_len];
-    if year_len < 4
-        || (year_len > 4 && year.starts_with('0'))
-        || !year.bytes().all(|b| b.is_ascii_digit())
-    {
+    let past_end = || format!("timestamp `{text}` is past the end of the log clock");
+    let bytes = text.as_bytes();
+    // The year: its digits end at the first `-`.
+    let year_len = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
+    if bytes.get(year_len) != Some(&b'-') || year_len < 4 || (year_len > 4 && bytes[0] == b'0') {
         return Err(fail());
     }
     // Nine digits already reach past the clock's last tick (year
     // 584556019); longer years would overflow the day count.
     if year_len > 9 {
-        return Err(format!(
-            "timestamp `{text}` is past the end of the log clock"
-        ));
+        return Err(past_end());
     }
-    let y: i64 = year.parse().map_err(|_| fail())?;
     // The fixed-width rest, indexed as if the year had four digits.
-    let rest = &text[year_len - 4..];
-    let bytes = rest.as_bytes();
-    if bytes.len() < 19 || bytes[7] != b'-' || !matches!(bytes[10], b'T' | b't' | b' ') {
+    let b = &bytes[year_len - 4..];
+    if b.len() < 19 || b[7] != b'-' || !matches!(b[10], b'T' | b't' | b' ') {
         return Err(fail());
     }
-    // Every fixed-width field is exactly two ASCII digits: no sign, no
-    // space.
-    let num = |range: std::ops::Range<usize>| -> Result<i64, String> {
-        match bytes.get(range) {
-            Some(&[hi, lo]) if hi.is_ascii_digit() && lo.is_ascii_digit() => {
-                Ok(i64::from(hi - b'0') * 10 + i64::from(lo - b'0'))
-            }
-            _ => Err(fail()),
-        }
+    let y = bytes[..year_len]
+        .iter()
+        .fold(0i64, |y, d| y * 10 + i64::from(d - b'0'));
+    let (Some(mo), Some(d)) = (two_digits(b, 5), two_digits(b, 8)) else {
+        return Err(fail());
     };
-    let (mo, d) = (num(5..7)? as u32, num(8..10)? as u32);
     if !(1..=12).contains(&mo) {
         return Err(fail());
     }
@@ -168,80 +181,182 @@ pub fn iso8601_to_millis(text: &str) -> Result<u64, String> {
             "invalid ISO 8601 timestamp `{text}`: day {d} out of range for {y:04}-{mo:02}"
         ));
     }
-    let (h, mi, s) = (num(11..13)?, num(14..16)?, num(17..19)?);
-    if bytes[13] != b':' || bytes[16] != b':' || h > 23 || mi > 59 || s > 60 {
+    let (Some(h), Some(mi), Some(s)) = (two_digits(b, 11), two_digits(b, 14), two_digits(b, 17))
+    else {
+        return Err(fail());
+    };
+    if b[13] != b':' || b[16] != b':' || h > 23 || mi > 59 || s > 60 {
         return Err(fail());
     }
     // Leap second: fold into the last ordinary second of the minute.
     let s = s.min(59);
 
     let mut pos = 19;
-    let mut ms: i64 = 0;
-    if bytes.get(pos) == Some(&b'.') {
-        let start = pos + 1;
-        let mut end = start;
-        while end < bytes.len() && bytes[end].is_ascii_digit() {
-            end += 1;
-        }
-        if end == start {
+    let mut ms = 0u64;
+    if b.get(pos) == Some(&b'.') {
+        let digits = b[pos + 1..]
+            .iter()
+            .take_while(|c| c.is_ascii_digit())
+            .count();
+        if digits == 0 {
             return Err(fail());
         }
         // Truncate or pad fractional seconds to milliseconds.
-        let frac = &rest[start..end.min(start + 3)];
-        ms = frac.parse::<i64>().map_err(|_| fail())?;
-        for _ in frac.len()..3 {
-            ms *= 10;
-        }
-        pos = end;
+        let kept = digits.min(3);
+        let frac = b[pos + 1..pos + 1 + kept]
+            .iter()
+            .fold(0, |frac, d| frac * 10 + u64::from(d - b'0'));
+        ms = frac * 10u64.pow(3 - kept as u32);
+        pos += 1 + digits;
     }
 
-    let mut offset_minutes: i64 = 0;
-    match bytes.get(pos) {
-        None => {}
-        Some(b'Z' | b'z') if pos + 1 == bytes.len() => {}
-        Some(sign @ (b'+' | b'-')) => {
-            if bytes.len() != pos + 6 || bytes[pos + 3] != b':' {
+    let offset_minutes = match b.get(pos) {
+        None => 0,
+        Some(b'Z' | b'z') if pos + 1 == b.len() => 0,
+        Some(&sign @ (b'+' | b'-')) => {
+            if b.len() != pos + 6 || b[pos + 3] != b':' {
                 return Err(fail());
             }
-            let oh = num(pos + 1..pos + 3)?;
-            let om = num(pos + 4..pos + 6)?;
-            offset_minutes = oh * 60 + om;
-            if *sign == b'+' {
-                offset_minutes = -offset_minutes; // ahead of UTC → subtract
+            let (Some(oh), Some(om)) = (two_digits(b, pos + 1), two_digits(b, pos + 4)) else {
+                return Err(fail());
+            };
+            // The `xs:dateTime` range: -14:00 to +14:00.
+            let minutes = oh * 60 + om;
+            if om > 59 || minutes > 14 * 60 {
+                return Err(fail());
+            }
+            // Ahead of UTC subtracts.
+            if sign == b'+' {
+                -i64::from(minutes)
+            } else {
+                i64::from(minutes)
             }
         }
         Some(_) => return Err(fail()),
-    }
+    };
 
-    // Past `i64::MAX` ms the total needs more than 64 signed bits.
-    let days = i128::from(days_from_civil(y, mo, d));
-    let secs = days * 86_400 + i128::from(h * 3600 + mi * 60 + s + offset_minutes * 60);
-    let total = secs * 1000 + i128::from(ms);
-    u64::try_from(total).map_err(|_| {
-        if total < 0 {
-            format!("timestamp `{text}` is before the Unix epoch")
-        } else {
-            format!("timestamp `{text}` is past the end of the log clock")
-        }
-    })
+    // A nine-digit year's seconds fit an `i64`; its milliseconds may
+    // not fit a `u64`, which is the end of the clock.
+    let secs = days_from_civil(y, mo, d) * 86_400
+        + i64::from(h * 3600 + mi * 60 + s)
+        + offset_minutes * 60;
+    let Ok(secs) = u64::try_from(secs) else {
+        return Err(format!("timestamp `{text}` is before the Unix epoch"));
+    };
+    secs.checked_mul(1000)
+        .and_then(|t| t.checked_add(ms))
+        .ok_or_else(past_end)
+}
+
+/// The two ASCII digits at `b[i..i + 2]` as a number: no sign, no
+/// space.
+#[inline]
+fn two_digits(b: &[u8], i: usize) -> Option<u32> {
+    let hi = b.get(i)?.wrapping_sub(b'0');
+    let lo = b.get(i + 1)?.wrapping_sub(b'0');
+    (hi < 10 && lo < 10).then(|| u32::from(hi) * 10 + u32::from(lo))
 }
 
 // ---------------------------------------------------------------------------
 // Zero-copy XML pull scanner.
 // ---------------------------------------------------------------------------
 
-/// First position of `needle` in `hay`. `Iterator::position` over bytes
-/// compiles to a vectorized scan, which is all the memchr this needs.
+/// Eight copies of the byte 1.
+const ONES: u64 = u64::from_le_bytes([1; 8]);
+
+/// The high bit of every zero byte of `word`, and perhaps of bytes
+/// above a zero byte: the lowest bit set marks the first zero byte.
 #[inline]
-fn find_byte(needle: u8, hay: &[u8]) -> Option<usize> {
-    hay.iter().position(|&b| b == needle)
+fn zero_bytes(word: u64) -> u64 {
+    word.wrapping_sub(ONES) & !word & (ONES << 7)
+}
+
+/// The first position in `hay` of any of `needles`, tested eight bytes
+/// at a time: a word xored with a needle in every byte has a zero byte
+/// where the needle is.
+#[inline]
+fn find_any<const N: usize>(needles: [u8; N], hay: &[u8]) -> Option<usize> {
+    let mut chunks = hay.chunks_exact(8);
+    let mut at = 0;
+    for chunk in &mut chunks {
+        let word = word64(chunk);
+        let hits = needles.iter().fold(0, |hits, &n| {
+            hits | zero_bytes(word ^ (ONES * u64::from(n)))
+        });
+        if hits != 0 {
+            return Some(at + hits.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    let rest = chunks.remainder();
+    rest.iter()
+        .position(|b| needles.contains(b))
+        .map(|i| at + i)
+}
+
+// Byte classes of the scanner, one table lookup per byte.
+/// An ASCII byte of an XML name: alphanumeric, `:`, `_`, `-` or `.`.
+const NAME: u8 = 1;
+/// ASCII whitespace: what `char::is_whitespace` accepts below 0x80.
+const SPACE: u8 = 2;
+/// A byte of a multi-byte character: tested as a `char`.
+const NON_ASCII: u8 = 4;
+/// The class of every byte value.
+static BYTE_CLASS: [u8; 256] = byte_classes();
+
+const fn byte_classes() -> [u8; 256] {
+    let mut table = [0; 256];
+    let mut i = 0;
+    while i < 256 {
+        let b = i as u8;
+        table[i] = if !b.is_ascii() {
+            NON_ASCII
+        } else if b.is_ascii_alphanumeric() || matches!(b, b':' | b'_' | b'-' | b'.') {
+            NAME
+        } else if matches!(b, b'\t' | b'\n' | 0x0b | 0x0c | b'\r' | b' ') {
+            SPACE
+        } else {
+            0
+        };
+        i += 1;
+    }
+    table
+}
+
+/// The elements the XES subset acts on, classified once per tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Element {
+    Trace,
+    Event,
+    /// `string`, `date`, `int`, `float` or `boolean`: one `key`/`value`
+    /// pair.
+    Attribute,
+    Other,
+}
+
+impl Element {
+    fn of(name: &str) -> Element {
+        match name {
+            "trace" => Element::Trace,
+            "event" => Element::Event,
+            "string" | "date" | "int" | "float" | "boolean" => Element::Attribute,
+            _ => Element::Other,
+        }
+    }
 }
 
 /// An XML tag event. Borrowed from the document text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tag<'a> {
-    Open { name: &'a str, self_closing: bool },
-    Close(&'a str),
+    Open {
+        name: &'a str,
+        element: Element,
+        self_closing: bool,
+    },
+    Close {
+        name: &'a str,
+        element: Element,
+    },
 }
 
 /// The only two attributes the XES subset reads (`key="…"`/`value="…"`
@@ -253,33 +368,81 @@ struct KeyValue<'a> {
     value: Option<Cow<'a, str>>,
 }
 
+/// A byte offset of the document with its 1-based line and its 1-based
+/// column in characters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cursor {
+    offset: usize,
+    line: usize,
+    column: usize,
+}
+
+impl Cursor {
+    const START: Cursor = Cursor {
+        offset: 0,
+        line: 1,
+        column: 1,
+    };
+
+    /// This cursor moved forward to `end` of `text`, a character
+    /// boundary at or after `self.offset`: only the bytes between are
+    /// counted, and the column from the last line start among them.
+    fn advance(self, text: &[u8], end: usize) -> Cursor {
+        let span = &text[self.offset..end];
+        match span.iter().rposition(|&b| b == b'\n') {
+            Some(last) => Cursor {
+                offset: end,
+                line: self.line + span.iter().filter(|&&b| b == b'\n').count(),
+                column: 1 + char_count(&span[last + 1..]),
+            },
+            None => Cursor {
+                offset: end,
+                column: self.column + char_count(span),
+                ..self
+            },
+        }
+    }
+}
+
+/// The characters in UTF-8 `bytes`: the bytes that do not continue a
+/// character.
+fn char_count(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b & 0xC0 != 0x80).count()
+}
+
 /// Byte-offset scanner over a UTF-8 document. `pos` always sits on a
 /// character boundary: every delimiter searched for is ASCII, and the
 /// Unicode-aware paths (names, whitespace) advance by whole `char`s.
 struct Scanner<'a> {
     text: &'a str,
     pos: usize,
+    /// The last position reported, which the next report counts on
+    /// from: `pos` only grows, so the lines and columns of all errors
+    /// together cost one pass over the document.
+    cursor: Cell<Cursor>,
 }
 
 impl<'a> Scanner<'a> {
     fn new(text: &'a str) -> Self {
-        Scanner { text, pos: 0 }
+        Scanner {
+            text,
+            pos: 0,
+            cursor: Cell::new(Cursor::START),
+        }
     }
 
     /// 1-based line, 1-based column (in characters), and byte offset of
-    /// the current position. O(pos), but only paid on the error paths.
+    /// the current position, counted on from the last position reported
+    /// (from the start only if the current one is earlier).
     fn position(&self) -> (usize, usize, u64) {
         let end = self.pos.min(self.text.len());
-        let mut line = 1usize;
-        let mut line_start = 0usize;
-        for (i, &b) in self.text.as_bytes()[..end].iter().enumerate() {
-            if b == b'\n' {
-                line += 1;
-                line_start = i + 1;
-            }
+        let mut cursor = self.cursor.get();
+        if end < cursor.offset {
+            cursor = Cursor::START;
         }
-        let column = 1 + self.text[line_start..end].chars().count();
-        (line, column, end as u64)
+        let cursor = cursor.advance(self.text.as_bytes(), end);
+        self.cursor.set(cursor);
+        (cursor.line, cursor.column, end as u64)
     }
 
     /// An error at the current position: [`LogError::UnexpectedEof`]
@@ -312,12 +475,8 @@ impl<'a> Scanner<'a> {
         self.pos += step;
     }
 
-    fn starts_with(&self, pat: &[u8]) -> bool {
-        self.text.as_bytes()[self.pos.min(self.text.len())..].starts_with(pat)
-    }
-
     fn consume(&mut self, b: u8) -> bool {
-        if self.pos < self.text.len() && self.text.as_bytes()[self.pos] == b {
+        if self.text.as_bytes().get(self.pos) == Some(&b) {
             self.pos += 1;
             true
         } else {
@@ -329,62 +488,62 @@ impl<'a> Scanner<'a> {
         let bytes = self.text.as_bytes();
         let pat = end.as_bytes();
         let mut i = self.pos.min(bytes.len());
-        while i < bytes.len() {
-            match find_byte(pat[0], &bytes[i..]) {
-                Some(k) => {
-                    i += k;
-                    if bytes[i..].starts_with(pat) {
-                        self.pos = i + pat.len();
-                        return Ok(());
-                    }
-                    i += 1;
-                }
-                None => break,
+        while let Some(k) = find_any([pat[0]], &bytes[i..]) {
+            i += k;
+            if bytes[i..].starts_with(pat) {
+                self.pos = i + pat.len();
+                return Ok(());
             }
+            i += 1;
         }
         self.pos = bytes.len();
         Err(self.error(format!("unterminated construct (expected `{end}`)")))
     }
 
-    fn skip_ws(&mut self) {
+    /// Advances over bytes of class `class`, and over non-ASCII
+    /// characters that `unicode` accepts. The byte loop is small enough
+    /// to inline at every call; a non-ASCII byte hands the rest over to
+    /// [`Scanner::skip_class_by_char`].
+    #[inline]
+    fn skip_class(&mut self, class: u8, unicode: fn(char) -> bool) {
         let bytes = self.text.as_bytes();
-        while self.pos < bytes.len() {
-            let b = bytes[self.pos];
-            if b.is_ascii() {
-                if matches!(b, b'\t' | b'\n' | 0x0b | 0x0c | b'\r' | b' ') {
-                    self.pos += 1;
-                } else {
-                    break;
+        let mut pos = self.pos;
+        while let Some(&b) = bytes.get(pos) {
+            match BYTE_CLASS[usize::from(b)] {
+                c if c == class => pos += 1,
+                NON_ASCII => {
+                    self.pos = pos;
+                    return self.skip_class_by_char(class, unicode);
                 }
-            } else {
-                // Unicode whitespace: match `char::is_whitespace`.
-                match self.text[self.pos..].chars().next() {
-                    Some(c) if c.is_whitespace() => self.pos += c.len_utf8(),
-                    _ => break,
-                }
+                _ => break,
             }
+        }
+        self.pos = pos;
+    }
+
+    /// [`Scanner::skip_class`] a whole character at a time.
+    #[inline(never)]
+    fn skip_class_by_char(&mut self, class: u8, unicode: fn(char) -> bool) {
+        while let Some(c) = self.text[self.pos..].chars().next() {
+            let accepted = if c.is_ascii() {
+                BYTE_CLASS[c as usize] == class
+            } else {
+                unicode(c)
+            };
+            if !accepted {
+                break;
+            }
+            self.pos += c.len_utf8();
         }
     }
 
+    fn skip_ws(&mut self) {
+        self.skip_class(SPACE, char::is_whitespace);
+    }
+
     fn read_name(&mut self) -> Result<&'a str, LogError> {
-        let bytes = self.text.as_bytes();
         let start = self.pos;
-        while self.pos < bytes.len() {
-            let b = bytes[self.pos];
-            if b.is_ascii() {
-                if b.is_ascii_alphanumeric() || matches!(b, b':' | b'_' | b'-' | b'.') {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            } else {
-                // Unicode name characters: match `char::is_alphanumeric`.
-                match self.text[self.pos..].chars().next() {
-                    Some(c) if c.is_alphanumeric() => self.pos += c.len_utf8(),
-                    _ => break,
-                }
-            }
-        }
+        self.skip_class(NAME, char::is_alphanumeric);
         if self.pos == start {
             return Err(self.error("expected a name"));
         }
@@ -400,89 +559,103 @@ impl<'a> Scanner<'a> {
         self.pos = self.pos.min(bytes.len());
         loop {
             // Skip character data.
-            match find_byte(b'<', &bytes[self.pos..]) {
+            match find_any([b'<'], &bytes[self.pos..]) {
                 Some(i) => self.pos += i,
                 None => {
                     self.pos = bytes.len();
                     return Ok(None);
                 }
             }
-            // Comment / declaration / PI?
-            if self.starts_with(b"<!--") {
-                self.skip_until("-->")?;
-                continue;
-            }
-            if self.starts_with(b"<?") {
-                self.skip_until("?>")?;
-                continue;
-            }
-            if self.starts_with(b"<!") {
-                self.skip_until(">")?;
-                continue;
-            }
-            if self.starts_with(b"</") {
-                self.pos += 2;
-                let name = self.read_name()?;
-                self.skip_ws();
-                if !self.consume(b'>') {
-                    return Err(self.error("malformed closing tag"));
-                }
-                return Ok(Some(Tag::Close(name)));
-            }
-            // Opening tag.
-            self.pos += 1;
-            let name = self.read_name()?;
-            kv.key = None;
-            kv.value = None;
-            loop {
-                self.skip_ws();
-                if self.consume(b'>') {
-                    return Ok(Some(Tag::Open {
-                        name,
-                        self_closing: false,
-                    }));
-                }
-                if self.starts_with(b"/>") {
+            // The byte after `<` tells a comment or declaration, a
+            // processing instruction, a closing and an opening tag apart.
+            match bytes.get(self.pos + 1) {
+                Some(b'!') if bytes[self.pos + 2..].starts_with(b"--") => self.skip_until("-->")?,
+                Some(b'!') => self.skip_until(">")?,
+                Some(b'?') => self.skip_until("?>")?,
+                Some(b'/') => {
                     self.pos += 2;
-                    return Ok(Some(Tag::Open {
-                        name,
-                        self_closing: true,
-                    }));
-                }
-                let key = self.read_name()?;
-                self.skip_ws();
-                if !self.consume(b'=') {
-                    return Err(self.error(format!("attribute `{key}` missing `=`")));
-                }
-                self.skip_ws();
-                let quote = if self.consume(b'"') {
-                    b'"'
-                } else if self.consume(b'\'') {
-                    b'\''
-                } else {
-                    return Err(self.error(format!("attribute `{key}` missing quote")));
-                };
-                let start = self.pos;
-                match find_byte(quote, &bytes[self.pos..]) {
-                    Some(i) => self.pos += i,
-                    None => {
-                        self.pos = bytes.len();
-                        return Err(self.error("unterminated attribute value"));
+                    let name = self.read_name()?;
+                    self.skip_ws();
+                    if !self.consume(b'>') {
+                        return Err(self.error("malformed closing tag"));
                     }
+                    let element = Element::of(name);
+                    return Ok(Some(Tag::Close { name, element }));
                 }
-                let raw = &self.text[start..self.pos];
-                self.pos += 1; // closing quote
-                let value = if raw.as_bytes().contains(&b'&') {
-                    Cow::Owned(unescape(raw).map_err(|m| self.error(m))?)
-                } else {
-                    Cow::Borrowed(raw)
-                };
-                match key {
-                    "key" => kv.key = Some(value),
-                    "value" => kv.value = Some(value),
-                    _ => {}
+                _ => {
+                    self.pos += 1;
+                    return self.open_tag(kv).map(Some);
                 }
             }
+        }
+    }
+
+    /// The rest of an opening tag, after its `<`.
+    fn open_tag(&mut self, kv: &mut KeyValue<'a>) -> Result<Tag<'a>, LogError> {
+        let bytes = self.text.as_bytes();
+        let name = self.read_name()?;
+        let element = Element::of(name);
+        kv.key = None;
+        kv.value = None;
+        loop {
+            self.skip_ws();
+            let self_closing = match bytes.get(self.pos) {
+                Some(b'>') => Some(false),
+                Some(b'/') if bytes.get(self.pos + 1) == Some(&b'>') => Some(true),
+                _ => None,
+            };
+            if let Some(self_closing) = self_closing {
+                self.pos += 1 + usize::from(self_closing);
+                return Ok(Tag::Open {
+                    name,
+                    element,
+                    self_closing,
+                });
+            }
+            let key = self.read_name()?;
+            self.skip_ws();
+            if !self.consume(b'=') {
+                return Err(self.error(format!("attribute `{key}` missing `=`")));
+            }
+            self.skip_ws();
+            let quote = match bytes.get(self.pos) {
+                Some(&quote @ (b'"' | b'\'')) => quote,
+                _ => return Err(self.error(format!("attribute `{key}` missing quote"))),
+            };
+            self.pos += 1;
+            let value = self.attribute_value(quote)?;
+            match key {
+                "key" => kv.key = Some(value),
+                "value" => kv.value = Some(value),
+                _ => {}
+            }
+        }
+    }
+
+    /// An attribute value up to its closing `quote`, which it steps
+    /// past. The search stops at an entity too: only a value with one
+    /// is searched on and unescaped into an owned string.
+    fn attribute_value(&mut self, quote: u8) -> Result<Cow<'a, str>, LogError> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let (end, escaped) = match find_any([quote, b'&'], &bytes[start..]) {
+            Some(i) if bytes[start + i] == quote => (Some(start + i), false),
+            Some(i) => (
+                find_any([quote], &bytes[start + i..]).map(|k| start + i + k),
+                true,
+            ),
+            None => (None, false),
+        };
+        let Some(end) = end else {
+            self.pos = bytes.len();
+            return Err(self.error("unterminated attribute value"));
+        };
+        let raw = &self.text[start..end];
+        self.pos = end + 1;
+        if escaped {
+            unescape(raw).map(Cow::Owned).map_err(|m| self.error(m))
+        } else {
+            Ok(Cow::Borrowed(raw))
         }
     }
 }
@@ -672,9 +845,11 @@ fn decode_utf8<'a>(
     }
 }
 
-/// Per (case id, activity id) of an [`EventTable`]: the STARTs not yet
-/// closed by an END.
-type Balance = HashMap<(u32, u32), usize>;
+/// Per (case id, activity id) of an [`EventTable`], packed into one
+/// `u64` as `case << 32 | activity`: the STARTs not yet closed by an
+/// END. A pair leaves the map when its last START closes, so the map
+/// holds only the open pairs, not every pair the log has seen.
+type Balance = FoldMap<u64, usize>;
 
 /// The pull loop: tags in, rows of an [`EventTable`] out, one closed
 /// `<event>` at a time. An element still open at EOF is reported as
@@ -686,7 +861,7 @@ fn parse_events(
     report: &mut IngestReport,
 ) -> Result<EventTable, LogError> {
     let mut events = EventTable::default();
-    let mut balance = Balance::new();
+    let mut balance = Balance::default();
     // Parse state.
     let mut trace_name: Option<Cow<'_, str>> = None;
     let mut trace_counter = 0usize;
@@ -731,66 +906,92 @@ fn parse_events(
         match tag {
             Tag::Open {
                 name,
-                self_closing: false,
-            } => open_elements.push(name),
-            Tag::Close(name) => {
+                element,
+                self_closing,
+            } => {
+                if !self_closing {
+                    open_elements.push(name);
+                }
+                match element {
+                    Element::Trace => {
+                        trace_counter += 1;
+                        trace_name = Some(Cow::Owned(format!("trace-{trace_counter}")));
+                    }
+                    Element::Event => {
+                        in_event = true;
+                        attrs = EventAttrs::default();
+                    }
+                    Element::Attribute => {
+                        // Nested attributes are allowed by XES; we only
+                        // need the top-level key/value, children are
+                        // skipped naturally.
+                        let key = Key::of(kv.key.as_deref().unwrap_or(""));
+                        let value = kv.value.take().unwrap_or(Cow::Borrowed(""));
+                        if in_event {
+                            attrs.set(key, value);
+                        } else if key == Key::Name && trace_name.is_some() {
+                            trace_name = Some(value);
+                        }
+                    }
+                    Element::Other => {}
+                }
+            }
+            Tag::Close { name, element } => {
                 // Pop to the innermost matching element; mismatches are
                 // tolerated (recovery resync can drop close tags).
                 if let Some(i) = open_elements.iter().rposition(|n| *n == name) {
                     open_elements.truncate(i);
                 }
-            }
-            _ => {}
-        }
-        match tag {
-            Tag::Open { name: "trace", .. } => {
-                trace_counter += 1;
-                trace_name = Some(Cow::Owned(format!("trace-{trace_counter}")));
-            }
-            Tag::Open { name: "event", .. } => {
-                in_event = true;
-                attrs.clear();
-            }
-            Tag::Open {
-                name: "string" | "date" | "int" | "float" | "boolean",
-                ..
-            } => {
-                // Nested attributes are allowed by XES; we only need the
-                // top-level key/value, children are skipped naturally.
-                let key = kv.key.take().unwrap_or(Cow::Borrowed(""));
-                let value = kv.value.take().unwrap_or(Cow::Borrowed(""));
-                if in_event {
-                    attrs.set(&key, value);
-                } else if key == "concept:name" && trace_name.is_some() {
-                    trace_name = Some(value);
-                }
-            }
-            Tag::Close("event") => {
-                in_event = false;
-                let case = trace_name.as_deref().unwrap_or("trace-0");
-                match close_event(&attrs, case, &mut events, &mut balance, scanner) {
-                    Ok(()) => {
-                        stats.events_parsed += 1;
-                        report.records_parsed += 1;
-                    }
-                    Err(e) => {
-                        let (line, _, byte_offset) = scanner.position();
-                        report.record_error(byte_offset, line, e.to_string());
-                        if policy.is_strict() {
-                            return Err(e);
+                match element {
+                    Element::Event => {
+                        in_event = false;
+                        let case = trace_name.as_deref().unwrap_or("trace-0");
+                        let closed = close_event(&attrs, case, &mut events, &mut balance, scanner);
+                        match closed {
+                            Ok(()) => {
+                                stats.events_parsed += 1;
+                                report.records_parsed += 1;
+                            }
+                            Err(e) => {
+                                let (line, _, byte_offset) = scanner.position();
+                                report.record_error(byte_offset, line, e.to_string());
+                                if policy.is_strict() {
+                                    return Err(e);
+                                }
+                                report.records_skipped += 1;
+                                report.over_budget(policy)?;
+                            }
                         }
-                        report.records_skipped += 1;
-                        report.over_budget(policy)?;
                     }
+                    Element::Trace => trace_name = None,
+                    Element::Attribute | Element::Other => {}
                 }
             }
-            Tag::Close("trace") => {
-                trace_name = None;
-            }
-            _ => {}
         }
     }
     Ok(events)
+}
+
+/// The event attribute keys the log model reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Key {
+    Name,
+    Transition,
+    Timestamp,
+    Output,
+    Other,
+}
+
+impl Key {
+    fn of(key: &str) -> Key {
+        match key {
+            "concept:name" => Key::Name,
+            "lifecycle:transition" => Key::Transition,
+            "time:timestamp" => Key::Timestamp,
+            "procmine:output" => Key::Output,
+            _ => Key::Other,
+        }
+    }
 }
 
 /// The four event attributes the log model reads. Last write wins,
@@ -804,25 +1005,24 @@ struct EventAttrs<'a> {
 }
 
 impl<'a> EventAttrs<'a> {
-    fn clear(&mut self) {
-        *self = EventAttrs::default();
-    }
-
-    fn set(&mut self, key: &str, value: Cow<'a, str>) {
-        match key {
-            "concept:name" => self.name = Some(value),
-            "lifecycle:transition" => self.transition = Some(value),
-            "time:timestamp" => self.timestamp = Some(value),
-            "procmine:output" => self.output = Some(value),
-            _ => {}
-        }
+    fn set(&mut self, key: Key, value: Cow<'a, str>) {
+        let slot = match key {
+            Key::Name => &mut self.name,
+            Key::Transition => &mut self.transition,
+            Key::Timestamp => &mut self.timestamp,
+            Key::Output => &mut self.output,
+            Key::Other => return,
+        };
+        *slot = Some(value);
     }
 }
 
 /// Turns one closed `<event>` of case `case` into rows of `events`: a
 /// START, or an END after an instantaneous START when none is open.
 /// Validates before interning, so a refused event leaves `events`
-/// untouched.
+/// untouched: it needs a name, a timestamp that parses if it has one,
+/// and an output vector that parses if it has one (whatever its
+/// transition; only an END keeps it).
 fn close_event(
     attrs: &EventAttrs<'_>,
     case: &str,
@@ -838,14 +1038,22 @@ fn close_event(
         Some(ts) => iso8601_to_millis(ts).map_err(|message| scanner.error(message))?,
         None => events.len() as u64, // ordinal fallback
     };
+    let output = match attrs.output.as_deref() {
+        Some(v) => Some(
+            parse_output_vector(v)
+                .ok_or_else(|| scanner.error(format!("invalid output vector `{v}`")))?,
+        ),
+        None => None,
+    };
     let case = events.case_id(case);
     let activity = events.activity_id(activity);
+    let key = u64::from(case) << 32 | u64::from(activity);
     let is_start = attrs
         .transition
         .as_deref()
         .is_some_and(|t| t.eq_ignore_ascii_case("start"));
     if is_start {
-        *balance.entry((case, activity)).or_insert(0) += 1;
+        *balance.entry(key).or_insert(0) += 1;
         events.push(case, activity, EventKind::Start, stamp, None);
         return Ok(());
     }
@@ -853,15 +1061,13 @@ fn close_event(
     // lifecycles like "ate_abort" — closes the instance. If no START is
     // open for this activity in this case, synthesize an instantaneous
     // one.
-    match balance.get_mut(&(case, activity)) {
-        Some(open) if *open > 0 => *open -= 1,
-        _ => events.push(case, activity, EventKind::Start, stamp, None),
+    match balance.entry(key) {
+        Entry::Occupied(open) if *open.get() == 1 => {
+            open.remove();
+        }
+        Entry::Occupied(mut open) => *open.get_mut() -= 1,
+        Entry::Vacant(_) => events.push(case, activity, EventKind::Start, stamp, None),
     }
-    let output = attrs.output.as_deref().map(|v| {
-        v.split(';')
-            .filter_map(|x| x.trim().parse::<i64>().ok())
-            .collect::<Vec<i64>>()
-    });
     events.push(case, activity, EventKind::End, stamp, output);
     Ok(())
 }
@@ -919,8 +1125,24 @@ mod tests {
             "offset behind UTC adds"
         );
         assert_eq!(iso8601_to_millis("1970-01-01 00:00:00").unwrap(), 0);
+        // Leap days, and the last second of a day.
+        assert_eq!(
+            iso8601_to_millis("2000-02-29T23:59:59Z").unwrap(),
+            951_868_799_000
+        );
+        assert_eq!(
+            iso8601_to_millis("2024-02-29T00:00:00Z").unwrap(),
+            1_709_164_800_000
+        );
         for bad in [
             "1970-13-01T00:00:00Z",
+            // Hour, minute and day-of-month ranges, and leap years.
+            "2024-01-01T24:00:00Z",
+            "2024-01-01T00:60:00Z",
+            "2024-04-31T00:00:00Z",
+            "2024-11-31T00:00:00Z",
+            "2023-02-29T00:00:00Z",
+            "1900-02-29T00:00:00Z",
             "not a date",
             "1970-01-01T00:00",
             "1969-01-01T00:00:00Z",
@@ -942,8 +1164,27 @@ mod tests {
             "2024-01-01T00:00:00-+1:00",
             "2024-01-01T00:00:00+01:-1",
             "2024-01-01T 1:00:00Z",
+            // Offsets: minutes below 60, and at most 14:00 either way.
+            "2024-01-01T00:00:00.000+99:99",
+            "2024-01-01T00:00:00+01:60",
+            "2024-01-01T00:00:00+14:01",
+            "2024-01-01T00:00:00-15:00",
         ] {
             assert!(iso8601_to_millis(bad).is_err(), "{bad}");
+        }
+        let midnight = iso8601_to_millis("2024-01-01T00:00:00Z").unwrap();
+        for (offset, minutes) in [
+            ("+14:00", -840i64),
+            ("-14:00", 840),
+            ("+05:45", -345),
+            ("-00:30", 30),
+        ] {
+            let text = format!("2024-01-01T00:00:00{offset}");
+            assert_eq!(
+                iso8601_to_millis(&text).unwrap() as i64 - midnight as i64,
+                minutes * 60_000,
+                "{text}"
+            );
         }
     }
 
@@ -987,6 +1228,251 @@ mod tests {
                 formatted,
                 "format is a fixed point for {text}"
             );
+        }
+    }
+
+    /// The timestamp parser this module had before it parsed by digit
+    /// arithmetic (`str::find`, `str::parse`, `i128`), with the offset
+    /// range check added: the judge of [`iso8601_to_millis`].
+    fn reference_iso8601_to_millis(text: &str) -> Result<u64, String> {
+        let fail = || format!("invalid ISO 8601 timestamp `{text}`");
+        let year_len = text.find('-').ok_or_else(fail)?;
+        let year = &text[..year_len];
+        if year_len < 4
+            || (year_len > 4 && year.starts_with('0'))
+            || !year.bytes().all(|b| b.is_ascii_digit())
+        {
+            return Err(fail());
+        }
+        if year_len > 9 {
+            return Err(format!(
+                "timestamp `{text}` is past the end of the log clock"
+            ));
+        }
+        let y: i64 = year.parse().map_err(|_| fail())?;
+        let rest = &text[year_len - 4..];
+        let bytes = rest.as_bytes();
+        if bytes.len() < 19 || bytes[7] != b'-' || !matches!(bytes[10], b'T' | b't' | b' ') {
+            return Err(fail());
+        }
+        let num = |range: std::ops::Range<usize>| -> Result<i64, String> {
+            match bytes.get(range) {
+                Some(&[hi, lo]) if hi.is_ascii_digit() && lo.is_ascii_digit() => {
+                    Ok(i64::from(hi - b'0') * 10 + i64::from(lo - b'0'))
+                }
+                _ => Err(fail()),
+            }
+        };
+        let (mo, d) = (num(5..7)? as u32, num(8..10)? as u32);
+        if !(1..=12).contains(&mo) {
+            return Err(fail());
+        }
+        let leap = (y % 4 == 0 && y % 100 != 0) || y % 400 == 0;
+        let days_in_month = match mo {
+            4 | 6 | 9 | 11 => 30,
+            2 if leap => 29,
+            2 => 28,
+            _ => 31,
+        };
+        if d == 0 || d > days_in_month {
+            return Err(format!(
+                "invalid ISO 8601 timestamp `{text}`: day {d} out of range for {y:04}-{mo:02}"
+            ));
+        }
+        let (h, mi, s) = (num(11..13)?, num(14..16)?, num(17..19)?);
+        if bytes[13] != b':' || bytes[16] != b':' || h > 23 || mi > 59 || s > 60 {
+            return Err(fail());
+        }
+        let s = s.min(59);
+        let mut pos = 19;
+        let mut ms: i64 = 0;
+        if bytes.get(pos) == Some(&b'.') {
+            let start = pos + 1;
+            let mut end = start;
+            while end < bytes.len() && bytes[end].is_ascii_digit() {
+                end += 1;
+            }
+            if end == start {
+                return Err(fail());
+            }
+            let frac = &rest[start..end.min(start + 3)];
+            ms = frac.parse::<i64>().map_err(|_| fail())?;
+            for _ in frac.len()..3 {
+                ms *= 10;
+            }
+            pos = end;
+        }
+        let mut offset_minutes: i64 = 0;
+        match bytes.get(pos) {
+            None => {}
+            Some(b'Z' | b'z') if pos + 1 == bytes.len() => {}
+            Some(sign @ (b'+' | b'-')) => {
+                if bytes.len() != pos + 6 || bytes[pos + 3] != b':' {
+                    return Err(fail());
+                }
+                let oh = num(pos + 1..pos + 3)?;
+                let om = num(pos + 4..pos + 6)?;
+                if om > 59 || oh * 60 + om > 14 * 60 {
+                    return Err(fail());
+                }
+                offset_minutes = oh * 60 + om;
+                if *sign == b'+' {
+                    offset_minutes = -offset_minutes;
+                }
+            }
+            Some(_) => return Err(fail()),
+        }
+        let days = i128::from(days_from_civil(y, mo, d));
+        let secs = days * 86_400 + i128::from(h * 3600 + mi * 60 + s + offset_minutes * 60);
+        let total = secs * 1000 + i128::from(ms);
+        u64::try_from(total).map_err(|_| {
+            if total < 0 {
+                format!("timestamp `{text}` is before the Unix epoch")
+            } else {
+                format!("timestamp `{text}` is past the end of the log clock")
+            }
+        })
+    }
+
+    /// Canonical stamps are formatted from these ticks plus a delta:
+    /// the epoch, 2024, the last second of year 9999, the end of the
+    /// signed range, and the end of the clock.
+    const STAMP_BASES: [u64; 5] = [
+        0,
+        1_710_028_800_000,
+        253_402_300_799_000,
+        i64::MAX as u64,
+        u64::MAX - 100_000,
+    ];
+    /// What a mutation writes into a stamp.
+    const PIECES: [&str; 16] = [
+        "0", "9", "-", ":", "T", "t", " ", "+", "Z", "z", ".", "x", "é", "60", "+14:00", "1",
+    ];
+    const ZONES: [&str; 12] = [
+        "", "Z", "z", "+00:00", "+14:00", "-14:00", "+14:01", "-15:00", "+99:99", "+01:60",
+        "+05:45", "-00:30",
+    ];
+    const FRACTIONS: [&str; 6] = ["", ".", ".5", ".12", ".123456", ".0001"];
+
+    /// `stamp` mutated by `kind`: kept, one character replaced, deleted
+    /// or inserted at `at`, cut at `at`, prefixed (a longer year), the
+    /// seconds made `60`, the zone or the fraction replaced.
+    fn mutate(stamp: &str, kind: usize, at: usize, piece: usize) -> String {
+        let chars: Vec<char> = stamp.chars().collect();
+        let at = at % (chars.len() + 1);
+        let head: String = chars[..at].iter().collect();
+        let tail: String = chars[at..].iter().collect();
+        let after: String = chars[(at + 1).min(chars.len())..].iter().collect();
+        let p = PIECES[piece % PIECES.len()];
+        // Field positions shift with the year's length.
+        let y = stamp.find('-').unwrap() - 4;
+        match kind {
+            0 => stamp.to_string(),
+            1 => head + p + &after,
+            2 => head + &after,
+            3 => head + p + &tail,
+            4 => head,
+            5 => format!("{p}{stamp}"),
+            6 => format!("{}60{}", &stamp[..y + 17], &stamp[y + 19..]),
+            7 => format!("{}{}", &stamp[..y + 23], ZONES[piece % ZONES.len()]),
+            _ => format!(
+                "{}{}{}",
+                &stamp[..y + 19],
+                FRACTIONS[piece % FRACTIONS.len()],
+                &stamp[y + 23..]
+            ),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// A mutated stamp parses to the reference's result or error
+        /// text.
+        #[test]
+        fn stamps_parse_like_the_reference(
+            base in 0usize..STAMP_BASES.len(),
+            delta in 0u64..200_000_000,
+            kind in 0usize..9,
+            at in 0usize..40,
+            piece in 0usize..64,
+        ) {
+            let canonical = millis_to_iso8601(STAMP_BASES[base].saturating_add(delta));
+            let text = mutate(&canonical, kind, at, piece);
+            proptest::prop_assert_eq!(
+                iso8601_to_millis(&text),
+                reference_iso8601_to_millis(&text),
+                "{}",
+                text
+            );
+        }
+    }
+
+    /// The word search finds what a byte loop finds, in every position
+    /// of a word and of the tail after the last whole word, next to
+    /// bytes one bit away from a needle and non-ASCII bytes.
+    #[test]
+    fn find_any_matches_a_byte_loop() {
+        let fillers = [b' ', b'<' ^ 1, b'<' ^ 0x80, b'"' + 1, 0xC3, 0xFF, 0];
+        for len in 0..40 {
+            for filler in fillers {
+                let mut hay = vec![filler; len];
+                assert_eq!(find_any([b'<'], &hay), None);
+                for at in (0..len).rev() {
+                    hay[at] = if at % 2 == 0 { b'"' } else { b'&' };
+                    let expected = hay.iter().position(|&b| b == b'"' || b == b'&');
+                    assert_eq!(find_any([b'"', b'&'], &hay), expected, "{hay:?}");
+                    assert_eq!(
+                        find_any([b'&'], &hay),
+                        hay.iter().position(|&b| b == b'&'),
+                        "{hay:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Line, column and offset of `end` in `text`, counted from the
+    /// start: what the scanner reported before it kept a cursor.
+    fn recount(text: &str, end: usize) -> (usize, usize, u64) {
+        let end = end.min(text.len());
+        let mut line = 1usize;
+        let mut line_start = 0usize;
+        for (i, &b) in text.as_bytes()[..end].iter().enumerate() {
+            if b == b'\n' {
+                line += 1;
+                line_start = i + 1;
+            }
+        }
+        (line, 1 + text[line_start..end].chars().count(), end as u64)
+    }
+
+    #[test]
+    fn position_cursor_matches_a_recount() {
+        let long = "ab".repeat(50_000);
+        let docs = [
+            "<log>\n  <trace>\r\n\t<event/>\r\n</trace>\n</log>\n".to_string(),
+            "<a>Prüfung 審査\nΩ\r\n\u{A0}é</a>\n\n".repeat(20),
+            // One 100 KB line: its columns are counted on from the cursor.
+            format!("<log>{long}é{long}</log>"),
+            format!("\r\n{long}\r\n審{long}"),
+        ];
+        for doc in &docs {
+            let boundaries: Vec<usize> = (0..=doc.len())
+                .filter(|&i| doc.is_char_boundary(i))
+                .collect();
+            let stride = (boundaries.len() / 500).max(1);
+            let forward: Vec<usize> = boundaries.iter().copied().step_by(stride).collect();
+            let mut scanner = Scanner::new(doc);
+            // Increasing offsets, each asked twice; then back to earlier
+            // ones, which count from the start again; then past the end.
+            let back = forward.iter().rev().step_by(97).copied();
+            for pos in forward.iter().copied().chain(back).chain([doc.len() + 1]) {
+                scanner.pos = pos;
+                for _ in 0..2 {
+                    assert_eq!(scanner.position(), recount(doc, pos), "offset {pos}");
+                }
+            }
         }
     }
 
@@ -1334,6 +1820,76 @@ mod tests {
         let ids: Vec<_> = log.executions().iter().map(|e| e.id.as_str()).collect();
         assert_eq!(ids, ["good"]);
         assert_eq!(log.display_sequences(), ["B"]);
+    }
+
+    /// One timed, named event carrying `output` as its
+    /// `procmine:output`.
+    fn event_with_output(name: &str, output: &str) -> String {
+        format!(
+            "<event><string key=\"concept:name\" value=\"{name}\"/>\
+             <date key=\"time:timestamp\" value=\"2024-01-01T00:00:00Z\"/>\
+             <string key=\"procmine:output\" value=\"{output}\"/></event>"
+        )
+    }
+
+    #[test]
+    fn malformed_output_vectors_are_refused_at_the_event() {
+        for bad in ["1;x;3", "7;;8", "1;", "x"] {
+            let doc = format!(
+                "<log>{}</log>",
+                trace(
+                    "c",
+                    &[
+                        event("A", None, Some("2024-01-01T00:00:00Z")),
+                        event_with_output("B", bad),
+                    ]
+                )
+            );
+            let err = read_like_reference(doc.as_bytes(), RecoveryPolicy::Strict).unwrap_err();
+            let end = doc.find("</event></trace>").unwrap() + "</event>".len();
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "XML error at line 1, column {}: invalid output vector `{bad}`",
+                    end + 1
+                ),
+                "{bad}"
+            );
+            // Under recovery the event is skipped and counted.
+            let mut report = IngestReport::default();
+            let log = read_log_with(
+                doc.as_bytes(),
+                RecoveryPolicy::Skip { max_errors: 1 },
+                &mut CodecStats::default(),
+                &mut report,
+            )
+            .unwrap();
+            assert_eq!(log.display_sequences(), ["A"], "{bad}");
+            assert_eq!(
+                (report.records_skipped, report.errors_total),
+                (1, 1),
+                "{bad}"
+            );
+            assert_eq!(report.errors[0].byte_offset, end as u64, "{bad}");
+        }
+    }
+
+    #[test]
+    fn output_vectors_read_like_flowmark() {
+        for (value, expected) in [
+            ("", vec![]),
+            ("  ", vec![]),
+            ("3", vec![3]),
+            (" 1 ; -2 ;+3", vec![1, -2, 3]),
+        ] {
+            let doc = format!(
+                "<log>{}</log>",
+                trace("c", &[event_with_output("A", value)])
+            );
+            let log = read_like_reference(doc.as_bytes(), RecoveryPolicy::Strict).unwrap();
+            let inst = &log.executions()[0].instances()[0];
+            assert_eq!(inst.output.as_deref(), Some(&expected[..]), "{value:?}");
+        }
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Reference XES reader — the original character-based pull parser,
-//! kept verbatim so differential tests can pin the zero-copy parser in
+//! kept as it was (apart from the shared output-vector parser below,
+//! which refuses an output that is not a list of integers instead of
+//! dropping its bad entries) so differential tests can pin the
+//! zero-copy parser in
 //! [`super::xes`] to its exact behaviour: same `WorkflowLog`, same
 //! [`IngestReport`] (error byte offsets, line numbers, messages), same
 //! terminal errors.
@@ -7,10 +10,11 @@
 //! This module is test infrastructure, not API: it has no writer, it is
 //! `O(chars)` in memory and `O(n²)` in START/END balancing, and it will
 //! be removed once the fast parser has survived a few releases. Shared
-//! pieces (timestamp conversion, entity unescaping, assembly) are
-//! imported from [`super::xes`] so the comparison isolates the parsing
-//! itself.
+//! pieces (timestamp conversion, entity unescaping, the output-vector
+//! parser, assembly) are imported from [`super::xes`] and
+//! [`super::flowmark`] so the comparison isolates the parsing itself.
 
+use super::flowmark::parse_output_vector;
 use super::xes::{iso8601_to_millis, unescape};
 use super::{CodecStats, IngestReport, RecoveryPolicy};
 use crate::{EventKind, EventRecord, LogError, WorkflowLog};
@@ -411,11 +415,13 @@ fn close_event(
         .get("lifecycle:transition")
         .map(|s| s.to_ascii_lowercase())
         .unwrap_or_else(|| "complete".to_string());
-    let output = event_attrs.get("procmine:output").map(|v| {
-        v.split(';')
-            .filter_map(|x| x.trim().parse::<i64>().ok())
-            .collect::<Vec<i64>>()
-    });
+    let output = event_attrs
+        .get("procmine:output")
+        .map(|v| {
+            parse_output_vector(v)
+                .ok_or_else(|| parser.error(format!("invalid output vector `{v}`")))
+        })
+        .transpose()?;
     match transition.as_str() {
         "start" => records.push(EventRecord {
             process: case,

@@ -8,7 +8,9 @@
 //! multiply, where std's SipHash-1-3 runs its rounds per word and three
 //! more to finish. The names come from the log, so every map draws its
 //! own key from [`RandomState`]: a crafted log cannot aim collisions at
-//! a key it does not know.
+//! a key it does not know. The XES reader's START/END balance hashes
+//! the same way, keyed by a (case id, activity id) pair packed into one
+//! `u64`, which is one word to fold.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher, RandomState};
@@ -60,7 +62,7 @@ impl FoldHasher {
 
 /// The little-endian `u64` in the first eight bytes of `bytes`.
 #[inline]
-fn word64(bytes: &[u8]) -> u64 {
+pub(crate) fn word64(bytes: &[u8]) -> u64 {
     let mut word = [0; 8];
     word.copy_from_slice(&bytes[..8]);
     u64::from_le_bytes(word)
