@@ -136,6 +136,28 @@ if [ -n "$default_hashed" ]; then
   exit 1
 fi
 
+# Batch `mine` decodes, mines and reports over one columnar log: the
+# command reads a `CompactLog` (`Frame::read_compact`) and names no
+# `WorkflowLog`, and above their tests the batch miners choose and
+# check over a `LogView` (`LogView::repeats`, one stamp pass) instead
+# of the nested log's per-execution `has_repeats()` and
+# `every_activity_in_every_execution()`. The follow path (`online.rs`)
+# and the legacy `reference.rs` keep the nested log and are not read.
+echo "==> one-log lane: batch mine reads columns; the miners check repeats over them"
+nested_in_batch=$(
+  awk '/^fn mine\(/ { in_mine = 1 }
+       in_mine && /read_log\(|WorkflowLog/ { print FILENAME ":" FNR ": " $0 }
+       in_mine && /^}/ { in_mine = 0 }' crates/cli/src/commands.rs
+  awk '/^#\[cfg\(test\)\]/ { nextfile }
+       /has_repeats\(\)|every_activity_in_every_execution\(\)/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/core/src/miner.rs crates/core/src/general_dag.rs crates/core/src/special_dag.rs
+)
+if [ -n "$nested_in_batch" ]; then
+  echo "batch mine reads a nested WorkflowLog, or a batch miner checks repeats on one:" >&2
+  echo "$nested_in_batch" >&2
+  exit 1
+fi
+
 # Public docs must build without warnings: no links to private items,
 # no broken or redundant link targets.
 echo "==> docs: RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps"

@@ -11,7 +11,7 @@ use procmine_core::{
     Tracer,
 };
 use procmine_log::codec::{CodecStats, IngestReport, RecoveryPolicy};
-use procmine_log::{codec, LogError, WorkflowLog};
+use procmine_log::{codec, CompactLog, LogError, LogView, WorkflowLog};
 use procmine_sim::{engine, presets, randdag, walk, ProcessModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -277,10 +277,48 @@ impl<'a> Frame<'a> {
             .with_obs(self.base.obs().clone())
     }
 
-    /// Decodes the log at `path` under the frame's policy into its
-    /// tallies, inside an `ingest.<format>` span, and records the
-    /// per-format ingest counters and decode-time histogram.
+    /// Decodes the log at `path` under the frame's policy into a nested
+    /// log: Flowmark and XES through their columns reads, converted.
     fn read_log(&mut self, path: &str, format: &str) -> Result<WorkflowLog, Box<dyn Error>> {
+        self.read(path, format, |reader, policy, stats, report| match format {
+            "flowmark" => codec::flowmark::read_compact_with(reader, policy, stats, report)
+                .map(CompactLog::into_log),
+            "seqs" => codec::seqs::read_log_with(reader, policy, stats, report),
+            "jsonl" => codec::jsonl::read_log_with(reader, policy, stats, report),
+            // XES, the one format left.
+            _ => codec::xes::read_log_with(reader, policy, stats, report),
+        })
+    }
+
+    /// Decodes the log at `path` under the frame's policy into columns:
+    /// [`Frame::read`] with the Flowmark and XES columns reads, and the
+    /// seqs and JSONL logs converted.
+    fn read_compact(&mut self, path: &str, format: &str) -> Result<CompactLog, Box<dyn Error>> {
+        self.read(path, format, |reader, policy, stats, report| match format {
+            "flowmark" => codec::flowmark::read_compact_with(reader, policy, stats, report),
+            "seqs" => codec::seqs::read_log_with(reader, policy, stats, report)
+                .map(|log| CompactLog::from_log(&log)),
+            "jsonl" => codec::jsonl::read_log_with(reader, policy, stats, report)
+                .map(|log| CompactLog::from_log(&log)),
+            // XES, the one format left.
+            _ => codec::xes::read_compact_with(reader, policy, stats, report),
+        })
+    }
+
+    /// Decodes the log at `path` with `decode` under the frame's policy
+    /// into its tallies, inside an `ingest.<format>` span, and records
+    /// the per-format ingest counters and decode-time histogram.
+    fn read<T>(
+        &mut self,
+        path: &str,
+        format: &str,
+        decode: impl FnOnce(
+            BufReader<File>,
+            RecoveryPolicy,
+            &mut CodecStats,
+            &mut IngestReport,
+        ) -> Result<T, LogError>,
+    ) -> Result<T, Box<dyn Error>> {
         // Span names are static, so map the format up front (codecs live in
         // `procmine-log`, which cannot depend on core — the ingest spans
         // and per-format metrics are recorded here at the CLI layer
@@ -296,16 +334,9 @@ impl<'a> Frame<'a> {
         let reg = self.base.obs();
         let reg_started = reg.start();
         let reader = BufReader::new(File::open(path).map_err(file_error(path))?);
-        let (policy, report) = (self.policy, &mut self.ingest);
         let mut stats = CodecStats::default();
-        let log = match format {
-            "flowmark" => codec::flowmark::read_log_with(reader, policy, &mut stats, report),
-            "seqs" => codec::seqs::read_log_with(reader, policy, &mut stats, report),
-            "jsonl" => codec::jsonl::read_log_with(reader, policy, &mut stats, report),
-            // XES, the one format left.
-            _ => codec::xes::read_log_with(reader, policy, &mut stats, report),
-        }
-        .map_err(|e| log_error(path, e))?;
+        let log = decode(reader, self.policy, &mut stats, &mut self.ingest)
+            .map_err(|e| log_error(path, e))?;
         self.codec.merge(&stats);
         if reg.is_enabled() {
             record_ingest(reg, format, stats.bytes_read, stats.events_parsed);
@@ -539,11 +570,12 @@ fn miner_options(p: &Parsed) -> Result<MinerOptions, ArgError> {
     Ok(opts)
 }
 
-fn mine_with<S: MetricsSink>(
+fn mine_with<'a, S: MetricsSink>(
     p: &Parsed,
     session: &mut MineSession<S>,
-    log: &WorkflowLog,
+    log: impl Into<LogView<'a>>,
 ) -> Result<(MinedModel, Algorithm), Box<dyn Error>> {
+    let log = log.into();
     let opts = miner_options(p)?;
     // `--threads N` was validated and folded into the session by the
     // command; re-read the flag only to reject incompatible algorithms.
@@ -1272,7 +1304,7 @@ fn mine(argv: &[String]) -> CliResult {
         .with_threads(threads.max(1))
         .with_sink(&mut metrics);
     let started = std::time::Instant::now();
-    let log = frame.read_log(path, log_format(&p, path))?;
+    let log = frame.read_compact(path, log_format(&p, path))?;
     let (model, algorithm) = mine_with(&p, &mut session, &log)?;
     drop(session);
     frame.report_ingest();

@@ -2079,3 +2079,132 @@ fn metrics_flag_validation() {
     let out = procmine(&["report"]);
     assert!(!out.status.success());
 }
+
+/// The report lines after the header, which names the path and the
+/// time taken.
+fn after_header(out: &[u8]) -> Vec<String> {
+    String::from_utf8_lossy(out)
+        .lines()
+        .skip(1)
+        .map(str::to_string)
+        .collect()
+}
+
+/// `mine --check` on a log whose mined model is not conformal: at
+/// threshold 2 the one `B A` execution is noise to the miner, but the
+/// replay still sees it. Auto picks the special miner; the general
+/// miner reports the same.
+#[test]
+fn mine_check_reports_a_non_conformal_model() {
+    let dir = tmpdir("check-failed");
+    let log = dir.join("log.fm");
+    std::fs::write(
+        &log,
+        "c1,A,START,0\nc1,A,END,1\nc1,B,START,2\nc1,B,END,3\n\
+         c2,A,START,0\nc2,A,END,1\nc2,B,START,2\nc2,B,END,3\n\
+         c3,B,START,0\nc3,B,END,1\nc3,A,START,2\nc3,A,END,3\n",
+    )
+    .unwrap();
+    for (algorithm, mined) in [("auto", "SpecialDag"), ("general", "GeneralDag")] {
+        let out = procmine(&[
+            "mine",
+            log.to_str().unwrap(),
+            "--threshold",
+            "2",
+            "--check",
+            "--algorithm",
+            algorithm,
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{algorithm}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            text.starts_with(&format!("mined `{}` with {mined}:", log.display())),
+            "{text}"
+        );
+        assert_eq!(
+            after_header(text.as_bytes()),
+            [
+                "  A -> B",
+                "distinct routes: 1",
+                "critical path:   A -> B",
+                "mandatory:       A, B",
+                "conformance: FAILED",
+                "  spurious dependency: A -> B",
+                "  inconsistent execution c3: [WrongInitiating { found: \"B\" }, \
+                 WrongTerminating { found: \"A\" }, Unreachable { activity: \"A\" }, \
+                 DependencyViolated { from: \"A\", to: \"B\" }]",
+            ],
+            "{algorithm}"
+        );
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(
+            err, "procmine: mined model is not conformal\n",
+            "{algorithm}"
+        );
+    }
+}
+
+/// `mine /dev/stdin` reads a pipe, which cannot rewind: the Flowmark
+/// reader groups the interleaved cases through its whole table from
+/// the first line, and mines what `mine FILE` mines.
+#[test]
+fn mine_reads_an_interleaved_log_from_a_pipe() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let dir = tmpdir("mine-pipe");
+    let grouped = dir.join("grouped.fm");
+    generate_log(&grouped, "60", "41");
+    // Deal the cases' lines out three cases at a time, one line of
+    // each in turn.
+    let text = std::fs::read_to_string(&grouped).unwrap();
+    let mut cases: Vec<(String, Vec<&str>)> = Vec::new();
+    for line in text.lines() {
+        let case = line.split(',').next().unwrap().to_string();
+        match cases.last_mut() {
+            Some((name, lines)) if *name == case => lines.push(line),
+            _ => cases.push((case, vec![line])),
+        }
+    }
+    let mut interleaved = String::new();
+    for group in cases.chunks(3) {
+        let longest = group.iter().map(|(_, lines)| lines.len()).max().unwrap();
+        for i in 0..longest {
+            for (_, lines) in group {
+                if let Some(line) = lines.get(i) {
+                    interleaved.push_str(line);
+                    interleaved.push('\n');
+                }
+            }
+        }
+    }
+    let log = dir.join("interleaved.fm");
+    std::fs::write(&log, &interleaved).unwrap();
+
+    let from_file = procmine(&["mine", log.to_str().unwrap()]);
+    assert!(from_file.status.success());
+    let mut child = Command::new(env!("CARGO_BIN_EXE_procmine"))
+        .args(["mine", "/dev/stdin", "--format", "flowmark"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(interleaved.as_bytes())
+        .unwrap();
+    let from_pipe = child.wait_with_output().unwrap();
+    assert!(
+        from_pipe.status.success(),
+        "{}",
+        String::from_utf8_lossy(&from_pipe.stderr)
+    );
+    assert!(after_header(&from_file.stdout).len() > 5);
+    assert_eq!(
+        after_header(&from_pipe.stdout),
+        after_header(&from_file.stdout)
+    );
+    assert_eq!(from_pipe.stderr, from_file.stderr);
+}

@@ -42,12 +42,12 @@
 //! build the induced closure and list every violated pair, in the same
 //! order as the all-pairs definition.
 
-use crate::follows::FollowsAnalysis;
+use crate::follows::{FollowsAnalysis, OrderCounts};
 use crate::session::MineSession;
 use crate::telemetry::{ConformanceMetrics, MetricsSink, NullSink};
 use crate::MinedModel;
 use procmine_graph::{reach, scc, AdjMatrix, NodeId};
-use procmine_log::{ActivityId, ActivityInstance, Execution, WorkflowLog};
+use procmine_log::{EventColumns, ExecColumns, Execution, LogView};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -99,7 +99,25 @@ pub enum Violation {
 /// [`Violation::UnknownActivity`] — never a panic — and the remaining
 /// checks run over the known activities only.
 pub fn check_execution(model: &MinedModel, exec: &Execution) -> Vec<Violation> {
-    Replay::new(model).check(exec)
+    let (activities, starts, ends) = execution_columns(exec);
+    Replay::new(model).check(ExecColumns {
+        activities: &activities,
+        starts: &starts,
+        ends: &ends,
+    })
+}
+
+/// One execution's instances as the three columns [`Replay`] reads.
+fn execution_columns(exec: &Execution) -> (Vec<u32>, Vec<u64>, Vec<u64>) {
+    let instances = exec.instances();
+    (
+        instances
+            .iter()
+            .map(|i| i.activity.index() as u32)
+            .collect(),
+        instances.iter().map(|i| i.start).collect(),
+        instances.iter().map(|i| i.end).collect(),
+    )
 }
 
 /// [`check_execution`] inside a [`MineSession`]: counts the execution,
@@ -113,7 +131,12 @@ pub fn check_execution_in<S: MetricsSink<ConformanceMetrics>>(
 ) -> Vec<Violation> {
     let (sink, _) = session.handles();
     let started = S::ENABLED.then(Instant::now);
-    let violations = Replay::new(model).check(exec);
+    let (activities, starts, ends) = execution_columns(exec);
+    let violations = Replay::new(model).check(ExecColumns {
+        activities: &activities,
+        starts: &starts,
+        ends: &ends,
+    });
     record_execution_check(sink, &violations, elapsed_nanos(started));
     violations
 }
@@ -194,7 +217,7 @@ impl<'m> Replay<'m> {
     }
 
     /// Checks one execution whose activity ids are the model's node ids.
-    fn check(&mut self, exec: &Execution) -> Vec<Violation> {
+    fn check(&mut self, exec: ExecColumns<'_>) -> Vec<Violation> {
         let n = self.pos.len();
         let mut violations = Vec::new();
 
@@ -205,8 +228,8 @@ impl<'m> Replay<'m> {
         // terminating activity.
         let mut unknown: Vec<usize> = Vec::new();
         let mut last = None;
-        for inst in exec.instances() {
-            let a = inst.activity.index();
+        for j in 0..exec.len() {
+            let (a, start, end) = (exec.activities[j] as usize, exec.starts[j], exec.ends[j]);
             if a >= n {
                 if !unknown.contains(&a) {
                     unknown.push(a);
@@ -221,13 +244,13 @@ impl<'m> Replay<'m> {
                 ABSENT => {
                     self.pos[a] = self.present.len() as u32;
                     self.present.push(a);
-                    self.min_start.push(inst.start);
-                    self.max_end.push(inst.end);
+                    self.min_start.push(start);
+                    self.max_end.push(end);
                 }
                 p => {
                     let p = p as usize;
-                    self.min_start[p] = self.min_start[p].min(inst.start);
-                    self.max_end[p] = self.max_end[p].max(inst.end);
+                    self.min_start[p] = self.min_start[p].min(start);
+                    self.max_end[p] = self.max_end[p].max(end);
                 }
             }
         }
@@ -487,7 +510,7 @@ impl Violation {
 /// latter are reported in [`ConformanceReport::unknown_activities`];
 /// executions and dependencies involving them are checked over the
 /// known activities. This never panics.
-pub fn check_conformance(model: &MinedModel, log: &WorkflowLog) -> ConformanceReport {
+pub fn check_conformance<'a>(model: &MinedModel, log: impl Into<LogView<'a>>) -> ConformanceReport {
     check_conformance_in(&mut MineSession::new(), model, log)
 }
 
@@ -496,15 +519,22 @@ pub fn check_conformance(model: &MinedModel, log: &WorkflowLog) -> ConformanceRe
 /// session's sink (see [`ConformanceMetrics`]), and spans for the
 /// closure, SCC and per-execution phases into its tracer (see
 /// [`crate::trace`]). With a default session this is the plain twin.
-pub fn check_conformance_in<S: MetricsSink<ConformanceMetrics>>(
+///
+/// `log` is a [`WorkflowLog`](procmine_log::WorkflowLog) or a
+/// [`CompactLog`](procmine_log::CompactLog): the pair counts and the
+/// replay read its columns, which a nested log is lowered to once.
+pub fn check_conformance_in<'a, S: MetricsSink<ConformanceMetrics>>(
     session: &mut MineSession<S>,
     model: &MinedModel,
-    log: &WorkflowLog,
+    log: impl Into<LogView<'a>>,
 ) -> ConformanceReport {
+    let log = log.into();
     let (sink, tracer) = session.handles();
     let _root = tracer.span_cat("check_conformance", "conformance");
     let g = model.graph();
-    let follows = FollowsAnalysis::analyze(log);
+    let cols = log.columns();
+    let follows =
+        FollowsAnalysis::from_counts(&OrderCounts::of_columns(log.activities().len(), &cols));
     let n_log = follows.activity_count();
     let alignment = Alignment::new(model, log);
     let Alignment { map, log_names, .. } = &alignment;
@@ -569,11 +599,11 @@ pub fn check_conformance_in<S: MetricsSink<ConformanceMetrics>>(
     drop(deps_span);
 
     let _exec_span = tracer.span_cat("execution_checks", "conformance");
-    replay_log(sink, model, log, &alignment, |exec, violations| {
+    replay_log(sink, model, &cols, &alignment, |x, violations| {
         if !violations.is_empty() {
             report
                 .inconsistent_executions
-                .push((exec.id.clone(), violations));
+                .push((log.id(x).to_string(), violations));
         }
     });
 
@@ -603,7 +633,7 @@ struct Alignment<'l> {
 }
 
 impl<'l> Alignment<'l> {
-    fn new(model: &MinedModel, log: &'l WorkflowLog) -> Self {
+    fn new(model: &MinedModel, log: LogView<'l>) -> Self {
         let g = model.graph();
         let node_by_name: HashMap<&str, usize> = g
             .nodes()
@@ -623,52 +653,49 @@ impl<'l> Alignment<'l> {
     }
 }
 
-/// Definition 6 over every execution of `log`, through one replay
-/// context: records each check into `sink` and hands the execution and
-/// its violations to `each`, in log order.
+/// Definition 6 over every execution of a log's columns, through one
+/// replay context: records each check into `sink` and hands the
+/// execution's index and its violations to `each`, in log order.
 fn replay_log<S: MetricsSink<ConformanceMetrics>>(
     sink: &mut S,
     model: &MinedModel,
-    log: &WorkflowLog,
+    cols: &EventColumns,
     alignment: &Alignment<'_>,
-    mut each: impl FnMut(&Execution, Vec<Violation>),
+    mut each: impl FnMut(usize, Vec<Violation>),
 ) {
     let mut replay = Replay::new(model);
-    for exec in log.executions() {
+    for x in 0..cols.exec_count() {
         let started = S::ENABLED.then(Instant::now);
         let violations = if alignment.identity {
-            replay.check(exec)
+            replay.check(cols.exec(x))
         } else {
-            check_foreign_execution(&mut replay, exec, alignment)
+            check_foreign_execution(&mut replay, cols.exec(x), alignment)
         };
         record_execution_check(sink, &violations, elapsed_nanos(started));
-        each(exec, violations);
+        each(x, violations);
     }
 }
 
 /// Definition 6 for an execution whose activity ids live in a foreign
 /// table: remap instances onto model node ids (log activity index →
 /// model node), report unmapped activities by their log name, and run
-/// the plain check over what remains. The remapped execution is
-/// re-sorted, which decides the order of ties and so the activity that
+/// the plain check over what remains. The remapped instances are
+/// re-sorted by `(start, end, node)`, as an [`Execution`] sorts its
+/// instances, which decides the order of ties and so the activity that
 /// counts as initiating.
 fn check_foreign_execution(
     replay: &mut Replay<'_>,
-    exec: &Execution,
+    exec: ExecColumns<'_>,
     alignment: &Alignment<'_>,
 ) -> Vec<Violation> {
     let Alignment { map, log_names, .. } = alignment;
     let mut violations = Vec::new();
     let mut unknown_seen: Vec<usize> = Vec::new();
-    let mut mapped: Vec<ActivityInstance> = Vec::new();
-    for inst in exec.instances() {
-        let idx = inst.activity.index();
+    let mut mapped: Vec<(u64, u64, u32)> = Vec::new();
+    for j in 0..exec.len() {
+        let idx = exec.activities[j] as usize;
         match map.get(idx).copied().flatten() {
-            Some(node) => {
-                let mut remapped = inst.clone();
-                remapped.activity = ActivityId::from_index(node);
-                mapped.push(remapped);
-            }
+            Some(node) => mapped.push((exec.starts[j], exec.ends[j], node as u32)),
             None => {
                 if !unknown_seen.contains(&idx) {
                     unknown_seen.push(idx);
@@ -684,12 +711,15 @@ fn check_foreign_execution(
     if mapped.is_empty() {
         return violations;
     }
-    // Infallible: `mapped` is non-empty (checked above) and remapping
-    // changes only activity ids, never the validated intervals.
-    #[allow(clippy::expect_used)]
-    let remapped = Execution::new(exec.id.clone(), mapped)
-        .expect("remapping preserves the original execution's validated intervals");
-    violations.extend(replay.check(&remapped));
+    mapped.sort_unstable();
+    let activities: Vec<u32> = mapped.iter().map(|m| m.2).collect();
+    let starts: Vec<u64> = mapped.iter().map(|m| m.0).collect();
+    let ends: Vec<u64> = mapped.iter().map(|m| m.1).collect();
+    violations.extend(replay.check(ExecColumns {
+        activities: &activities,
+        starts: &starts,
+        ends: &ends,
+    }));
     violations
 }
 
@@ -731,28 +761,35 @@ impl Fitness {
 /// Computes the replay fitness of `log` against `model`. Like
 /// [`check_conformance`], it aligns the log's activity table to the
 /// model's nodes by name; it skips Definition 7's pair checks.
-pub fn fitness(model: &MinedModel, log: &WorkflowLog) -> Fitness {
+pub fn fitness<'a>(model: &MinedModel, log: impl Into<LogView<'a>>) -> Fitness {
+    let log = log.into();
     let mut f = Fitness {
         executions: log.len(),
         ..Fitness::default()
     };
     let alignment = Alignment::new(model, log);
-    replay_log(&mut NullSink, model, log, &alignment, |_, violations| {
-        if violations.is_empty() {
-            f.consistent += 1;
-        }
-        for v in violations {
-            match v {
-                Violation::NotConnected => f.not_connected += 1,
-                Violation::WrongInitiating { .. } | Violation::WrongTerminating { .. } => {
-                    f.wrong_endpoints += 1
-                }
-                Violation::Unreachable { .. } => f.unreachable += 1,
-                Violation::DependencyViolated { .. } => f.dependency_violated += 1,
-                Violation::UnknownActivity { .. } => f.unknown_activity += 1,
+    replay_log(
+        &mut NullSink,
+        model,
+        &log.columns(),
+        &alignment,
+        |_, violations| {
+            if violations.is_empty() {
+                f.consistent += 1;
             }
-        }
-    });
+            for v in violations {
+                match v {
+                    Violation::NotConnected => f.not_connected += 1,
+                    Violation::WrongInitiating { .. } | Violation::WrongTerminating { .. } => {
+                        f.wrong_endpoints += 1
+                    }
+                    Violation::Unreachable { .. } => f.unreachable += 1,
+                    Violation::DependencyViolated { .. } => f.dependency_violated += 1,
+                    Violation::UnknownActivity { .. } => f.unknown_activity += 1,
+                }
+            }
+        },
+    );
     f
 }
 
@@ -761,6 +798,7 @@ mod tests {
     use super::*;
     use crate::{mine_general_dag, mine_special_dag, MinerOptions};
     use procmine_graph::DiGraph;
+    use procmine_log::WorkflowLog;
 
     /// Figure 1 of the paper: A→B, A→C, B→E, C→D, C→E, D→E.
     fn figure1() -> (MinedModel, WorkflowLog) {

@@ -17,7 +17,7 @@ use crate::session::{run_stage, MineSession};
 use crate::telemetry::{MetricsSink, Stage};
 use crate::{MineError, MinedModel, MinerOptions};
 use procmine_graph::NodeId;
-use procmine_log::{EventColumns, WorkflowLog};
+use procmine_log::{EventColumns, LogView};
 
 /// Mines a process graph that may contain cycles (Algorithm 3). With
 /// every activity repeating at most `k` times per execution, runs in
@@ -28,7 +28,10 @@ use procmine_log::{EventColumns, WorkflowLog};
 /// graph if there exists an edge between two vertices of *different*
 /// equivalent sets"); immediate self-repetition `AA` therefore does not
 /// produce a self-loop.
-pub fn mine_cyclic(log: &WorkflowLog, options: &MinerOptions) -> Result<MinedModel, MineError> {
+pub fn mine_cyclic<'a>(
+    log: impl Into<LogView<'a>>,
+    options: &MinerOptions,
+) -> Result<MinedModel, MineError> {
     mine_cyclic_in(&mut MineSession::new(), log, options)
 }
 
@@ -37,11 +40,12 @@ pub fn mine_cyclic(log: &WorkflowLog, options: &MinerOptions) -> Result<MinedMod
 /// Instance labeling and lowering are timed as [`Stage::Lower`]; the
 /// instance-merge step is part of [`Stage::Assemble`]. With
 /// `threads > 1` the heavy pipeline stages fan out across threads.
-pub fn mine_cyclic_in<S: MetricsSink>(
+pub fn mine_cyclic_in<'a, S: MetricsSink>(
     session: &mut MineSession<S>,
-    log: &WorkflowLog,
+    log: impl Into<LogView<'a>>,
     options: &MinerOptions,
 ) -> Result<MinedModel, MineError> {
+    let log = log.into();
     let deadline = options.limits.start_clock();
     let tracer = session.tracer.clone();
     let _root = tracer.span_cat("mine.cyclic", "miner");
@@ -53,16 +57,31 @@ pub fn mine_cyclic_in<S: MetricsSink>(
 
     // Step 2 (of Algorithm 3): uniquely identify each occurrence.
     // Instance vertex space: activity a gets `max_occ[a]` consecutive
-    // vertices starting at offset[a]. Lowering the log to instance
-    // vertices (steps 1–3) is one pass.
+    // vertices starting at offset[a]. Labeling the log's columns with
+    // instance vertices (steps 1–3) is two passes: one finds each
+    // activity's most occurrences in an execution, one labels.
     let (cols, activity_of, total) = run_stage(session, Stage::Lower, deadline, |_, _| {
+        let base = log.columns();
+        let m = base.exec_count();
+        // The occurrences of activity `a` counted so far under `pass`,
+        // a number unique to one execution in one pass: a count whose
+        // pass is not the current one starts again from zero.
+        let mut occ = vec![(0usize, 0usize); n];
+        let mut next_occurrence = |pass: usize, a: usize| {
+            let (count, counted_in) = &mut occ[a];
+            if *counted_in != pass {
+                *counted_in = pass;
+                *count = 0;
+            }
+            *count += 1;
+            *count - 1
+        };
         let mut max_occ = vec![0usize; n];
-        for exec in log.executions() {
+        for x in 0..m {
             deadline.check()?;
-            let mut counts = vec![0usize; n];
-            for a in exec.sequence() {
-                counts[a.index()] += 1;
-                max_occ[a.index()] = max_occ[a.index()].max(counts[a.index()]);
+            for &a in base.exec(x).activities {
+                let a = a as usize;
+                max_occ[a] = max_occ[a].max(next_occurrence(x + 1, a) + 1);
             }
         }
         let mut offset = vec![0usize; n + 1];
@@ -76,17 +95,14 @@ pub fn mine_cyclic_in<S: MetricsSink>(
             activity_of[offset[a]..offset[a + 1]].fill(a);
         }
 
-        let events = log.executions().iter().map(|e| e.len()).sum();
-        let mut cols = EventColumns::with_capacity(log.len(), events);
-        for e in log.executions() {
+        let mut cols = EventColumns::with_capacity(m, base.event_count());
+        for x in 0..m {
             deadline.check()?;
-            let labeled = e.labeled_sequence();
-            cols.push_exec(e.instances().iter().zip(labeled).map(|(inst, (a, occ))| {
-                (
-                    (offset[a.index()] + occ as usize) as u32,
-                    inst.start,
-                    inst.end,
-                )
+            let exec = base.exec(x);
+            cols.push_exec((0..exec.len()).map(|j| {
+                let a = exec.activities[j] as usize;
+                let vertex = offset[a] + next_occurrence(m + x + 1, a);
+                (vertex as u32, exec.starts[j], exec.ends[j])
             }));
         }
         Ok((cols, activity_of, total))
@@ -132,6 +148,7 @@ pub fn mine_cyclic_in<S: MetricsSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use procmine_log::WorkflowLog;
 
     fn mine(strings: &[&str]) -> MinedModel {
         let log = WorkflowLog::from_strings(strings.iter().copied()).unwrap();

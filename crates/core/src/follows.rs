@@ -16,7 +16,7 @@
 
 use crate::general_dag::{count_one_execution, OrderObservations};
 use procmine_graph::{reach, scc, AdjMatrix};
-use procmine_log::{ExecColumns, WorkflowLog};
+use procmine_log::{EventColumns, ExecColumns, LogView};
 
 /// Per-ordered-pair observation counts over a log, at activity level.
 ///
@@ -39,10 +39,19 @@ pub struct OrderCounts {
 
 impl OrderCounts {
     /// Scans the log once and tallies the counters. O(Σ k²) over
-    /// execution lengths `k`.
-    pub fn from_log(log: &WorkflowLog) -> Self {
+    /// execution lengths `k`. Takes a [`WorkflowLog`] or a
+    /// [`CompactLog`](procmine_log::CompactLog).
+    ///
+    /// [`WorkflowLog`]: procmine_log::WorkflowLog
+    pub fn from_log<'a>(log: impl Into<LogView<'a>>) -> Self {
+        let log = log.into();
+        Self::of_columns(log.activities().len(), &log.columns())
+    }
+
+    /// [`OrderCounts::from_log`] over a log's columns, whose activity
+    /// ids are below `n`.
+    pub(crate) fn of_columns(n: usize, cols: &EventColumns) -> Self {
         const ABSENT: usize = usize::MAX;
-        let n = log.activities().len();
         let mut obs = OrderObservations::new(n);
         // One execution's whole-activity intervals, in first-occurrence
         // order. Instances are start-sorted, so that order is start
@@ -51,17 +60,18 @@ impl OrderCounts {
         let mut activities: Vec<u32> = Vec::new();
         let mut starts: Vec<u64> = Vec::new();
         let mut ends: Vec<u64> = Vec::new();
-        for exec in log.executions() {
-            for inst in exec.instances() {
-                let a = inst.activity.index();
+        for x in 0..cols.exec_count() {
+            let exec = cols.exec(x);
+            for j in 0..exec.len() {
+                let a = exec.activities[j] as usize;
                 match slot[a] {
                     ABSENT => {
                         slot[a] = activities.len();
                         activities.push(a as u32);
-                        starts.push(inst.start);
-                        ends.push(inst.end);
+                        starts.push(exec.starts[j]);
+                        ends.push(exec.ends[j]);
                     }
-                    p => ends[p] = ends[p].max(inst.end),
+                    p => ends[p] = ends[p].max(exec.ends[j]),
                 }
             }
             let lowered = ExecColumns {
@@ -140,9 +150,10 @@ pub struct FollowsAnalysis {
 }
 
 impl FollowsAnalysis {
-    /// Analyzes a log: builds the direct-following relation and closes
-    /// it transitively.
-    pub fn analyze(log: &WorkflowLog) -> Self {
+    /// Analyzes a log (a [`WorkflowLog`](procmine_log::WorkflowLog) or a
+    /// [`CompactLog`](procmine_log::CompactLog)): builds the
+    /// direct-following relation and closes it transitively.
+    pub fn analyze<'a>(log: impl Into<LogView<'a>>) -> Self {
         let counts = OrderCounts::from_log(log);
         Self::from_counts(&counts)
     }

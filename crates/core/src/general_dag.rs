@@ -48,7 +48,7 @@ use crate::session::{run_stage, MineSession};
 use crate::telemetry::{MetricsSink, Stage};
 use crate::{MineError, MinedModel, MinerOptions};
 use procmine_graph::{scc, words, AdjMatrix, Arena, ArenaStats};
-use procmine_log::{EventColumns, ExecColumns, WorkflowLog};
+use procmine_log::{EventColumns, ExecColumns, LogView};
 use std::borrow::Cow;
 use std::collections::HashSet;
 
@@ -517,15 +517,17 @@ pub(crate) fn finish_from_counts<S: MetricsSink>(
 }
 
 /// Mines a conformal graph for an acyclic process whose executions may
-/// skip activities (Algorithm 2). Runs in O(n³m).
+/// skip activities (Algorithm 2). Runs in O(n³m). Takes a
+/// [`WorkflowLog`](procmine_log::WorkflowLog) or a
+/// [`CompactLog`](procmine_log::CompactLog).
 ///
 /// Errors: [`MineError::EmptyLog`] for an empty log,
 /// [`MineError::RepeatsRequireCyclicMiner`] if any execution repeats an
 /// activity (use [`crate::mine_cyclic`]), and
 /// [`MineError::LimitExceeded`] when `options.limits` sets a bound the
 /// log or the run exceeds.
-pub fn mine_general_dag(
-    log: &WorkflowLog,
+pub fn mine_general_dag<'a>(
+    log: impl Into<LogView<'a>>,
     options: &MinerOptions,
 ) -> Result<MinedModel, MineError> {
     mine_general_dag_in(&mut MineSession::new(), log, options)
@@ -537,12 +539,14 @@ pub fn mine_general_dag(
 /// execution strategy (`threads > 1` fans the counting and marking
 /// passes out over scoped threads, with output identical to the serial
 /// strategy). With the default session this compiles to exactly the
-/// uninstrumented serial miner.
-pub fn mine_general_dag_in<S: MetricsSink>(
+/// uninstrumented serial miner. [`Stage::Lower`] borrows a compact
+/// log's columns and lowers a nested log's rows.
+pub fn mine_general_dag_in<'a, S: MetricsSink>(
     session: &mut MineSession<S>,
-    log: &WorkflowLog,
+    log: impl Into<LogView<'a>>,
     options: &MinerOptions,
 ) -> Result<MinedModel, MineError> {
+    let log = log.into();
     let deadline = options.limits.start_clock();
     let tracer = session.tracer.clone();
     let _root = tracer.span_cat(
@@ -557,28 +561,16 @@ pub fn mine_general_dag_in<S: MetricsSink>(
         return Err(MineError::EmptyLog);
     }
     options.limits.check_log(log)?;
-    for exec in log.executions() {
+    for (x, repeated) in log.repeats().enumerate() {
         deadline.check()?;
-        if exec.has_repeats() {
+        if repeated {
             return Err(MineError::RepeatsRequireCyclicMiner {
-                execution: exec.id.clone(),
+                execution: log.id(x).to_string(),
             });
         }
     }
 
-    let cols = run_stage(session, Stage::Lower, deadline, |_, _| {
-        let events = log.executions().iter().map(|e| e.len()).sum();
-        let mut cols = EventColumns::with_capacity(log.len(), events);
-        for e in log.executions() {
-            deadline.check()?;
-            cols.push_exec(
-                e.instances()
-                    .iter()
-                    .map(|i| (i.activity.index() as u32, i.start, i.end)),
-            );
-        }
-        Ok(cols)
-    })?;
+    let cols = run_stage(session, Stage::Lower, deadline, |_, _| Ok(log.columns()))?;
 
     let vlog = VertexLog {
         n: log.activities().len(),
@@ -594,6 +586,7 @@ pub fn mine_general_dag_in<S: MetricsSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use procmine_log::WorkflowLog;
 
     fn mine(strings: &[&str]) -> MinedModel {
         let log = WorkflowLog::from_strings(strings.iter().copied()).unwrap();

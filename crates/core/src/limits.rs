@@ -20,6 +20,7 @@
 //! single graph call.
 
 use crate::MineError;
+use procmine_log::LogView;
 use std::time::{Duration, Instant};
 
 /// Which resource limit a mining run exceeded.
@@ -64,8 +65,12 @@ pub struct Limits {
 
 impl Limits {
     /// Checks the size limits against a whole log — run once at miner
-    /// entry, before any quadratic work.
-    pub fn check_log(&self, log: &procmine_log::WorkflowLog) -> Result<(), MineError> {
+    /// entry, before any quadratic work. Takes a
+    /// [`WorkflowLog`](procmine_log::WorkflowLog) or a
+    /// [`CompactLog`](procmine_log::CompactLog) and reads only execution
+    /// lengths.
+    pub fn check_log<'a>(&self, log: impl Into<LogView<'a>>) -> Result<(), MineError> {
+        let log = log.into();
         if let Some(max) = self.max_activities {
             let n = log.activities().len();
             if n > max {
@@ -76,15 +81,15 @@ impl Limits {
             }
         }
         let mut events: u64 = 0;
-        for exec in log.executions() {
-            let len = exec.len();
+        for x in 0..log.len() {
+            let len = log.exec_len(x);
             if let Some(max) = self.max_execution_len {
                 if len > max {
                     return Err(MineError::LimitExceeded {
                         kind: LimitKind::ExecutionLength,
                         details: format!(
                             "execution `{}` has {len} activity instances (limit {max})",
-                            exec.id
+                            log.id(x)
                         ),
                     });
                 }

@@ -6,7 +6,7 @@ use crate::session::MineSession;
 use crate::special_dag::mine_special_dag_in;
 use crate::telemetry::MetricsSink;
 use crate::{MineError, MinedModel};
-use procmine_log::WorkflowLog;
+use procmine_log::LogView;
 
 /// Options shared by all miners.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,13 +66,15 @@ pub enum Algorithm {
 ///   (Algorithm 1), which guarantees the unique minimal conformal graph;
 /// * otherwise → [`mine_general_dag`] (Algorithm 2).
 ///
-/// Returns the model together with the algorithm chosen.
+/// Returns the model together with the algorithm chosen. Takes a
+/// [`WorkflowLog`](procmine_log::WorkflowLog) or a
+/// [`CompactLog`](procmine_log::CompactLog).
 ///
 /// [`mine_cyclic`]: crate::mine_cyclic
 /// [`mine_special_dag`]: crate::mine_special_dag
 /// [`mine_general_dag`]: crate::mine_general_dag
-pub fn mine_auto(
-    log: &WorkflowLog,
+pub fn mine_auto<'a>(
+    log: impl Into<LogView<'a>>,
     options: &MinerOptions,
 ) -> Result<(MinedModel, Algorithm), MineError> {
     mine_auto_in(&mut MineSession::new(), log, options)
@@ -82,17 +84,33 @@ pub fn mine_auto(
 /// timings and counters are recorded into the session's sink, its spans
 /// into the session's tracer, and its heavy stages honor the session's
 /// thread count.
-pub fn mine_auto_in<S: MetricsSink>(
+///
+/// The choice takes one pass over the log's activity ids with one
+/// stamp per activity, which allocates nothing per execution and does
+/// not lower a nested log: the chosen miner lowers it, once.
+pub fn mine_auto_in<'a, S: MetricsSink>(
     session: &mut MineSession<S>,
-    log: &WorkflowLog,
+    log: impl Into<LogView<'a>>,
     options: &MinerOptions,
 ) -> Result<(MinedModel, Algorithm), MineError> {
+    let log = log.into();
     if log.is_empty() {
         return Err(MineError::EmptyLog);
     }
-    if log.has_repeats() {
+    let n = log.activities().len();
+    let (mut repeats, mut every_activity) = (false, true);
+    for (x, repeated) in log.repeats().enumerate() {
+        if repeated {
+            repeats = true;
+            break;
+        }
+        // Without repeats, an execution of n instances holds every one
+        // of the table's n activities.
+        every_activity &= log.exec_len(x) == n;
+    }
+    if repeats {
         Ok((mine_cyclic_in(session, log, options)?, Algorithm::Cyclic))
-    } else if log.every_activity_in_every_execution() {
+    } else if every_activity {
         Ok((
             mine_special_dag_in(session, log, options)?,
             Algorithm::SpecialDag,
@@ -108,6 +126,7 @@ pub fn mine_auto_in<S: MetricsSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use procmine_log::WorkflowLog;
 
     #[test]
     fn dispatches_to_special() {

@@ -22,10 +22,12 @@ use procmine_graph::reduction::{
     transitive_reduction_matrix_budgeted, transitive_reduction_matrix_parallel_budgeted,
 };
 use procmine_graph::{AdjMatrix, GraphError};
-use procmine_log::WorkflowLog;
+use procmine_log::LogView;
 
 /// Mines the unique minimal conformal graph of a log in which every
 /// activity appears in every execution exactly once (Algorithm 1).
+/// Takes a [`WorkflowLog`](procmine_log::WorkflowLog) or a
+/// [`CompactLog`](procmine_log::CompactLog).
 ///
 /// Errors:
 /// * [`MineError::EmptyLog`] — no executions;
@@ -37,8 +39,8 @@ use procmine_log::WorkflowLog;
 ///   cycle after two-cycle removal. This cannot happen for instantaneous
 ///   (totally ordered) executions, but interval logs with partial
 ///   overlaps can produce one; the general miner handles those.
-pub fn mine_special_dag(
-    log: &WorkflowLog,
+pub fn mine_special_dag<'a>(
+    log: impl Into<LogView<'a>>,
     options: &MinerOptions,
 ) -> Result<MinedModel, MineError> {
     mine_special_dag_in(&mut MineSession::new(), log, options)
@@ -46,15 +48,16 @@ pub fn mine_special_dag(
 
 /// [`mine_special_dag`] inside a [`MineSession`]: stage timings and
 /// counters are recorded into the session's sink, spans into its
-/// tracer. Algorithm 1 lowers while counting, so [`Stage::Lower`] stays
-/// zero and its global transitive reduction is timed as
-/// [`Stage::Reduce`]; with `threads > 1` and a large activity universe
-/// the reduction runs row-parallel.
-pub fn mine_special_dag_in<S: MetricsSink>(
+/// tracer. [`Stage::Lower`] borrows a compact log's columns and lowers
+/// a nested log's rows; Algorithm 1's global transitive reduction is
+/// timed as [`Stage::Reduce`]; with `threads > 1` and a large activity
+/// universe the reduction runs row-parallel.
+pub fn mine_special_dag_in<'a, S: MetricsSink>(
     session: &mut MineSession<S>,
-    log: &WorkflowLog,
+    log: impl Into<LogView<'a>>,
     options: &MinerOptions,
 ) -> Result<MinedModel, MineError> {
+    let log = log.into();
     let deadline = options.limits.start_clock();
     let tracer = session.tracer.clone();
     let _root = tracer.span_cat("mine.special", "miner");
@@ -63,19 +66,21 @@ pub fn mine_special_dag_in<S: MetricsSink>(
     }
     options.limits.check_log(log)?;
     let n = log.activities().len();
-    for exec in log.executions() {
+    for (x, repeated) in log.repeats().enumerate() {
         deadline.check()?;
-        if exec.has_repeats() {
+        if repeated {
             return Err(MineError::RepeatsRequireCyclicMiner {
-                execution: exec.id.clone(),
+                execution: log.id(x).to_string(),
             });
         }
-        if exec.len() != n {
+        if log.exec_len(x) != n {
             return Err(MineError::SpecialPreconditionViolated {
-                execution: exec.id.clone(),
+                execution: log.id(x).to_string(),
             });
         }
     }
+
+    let cols = run_stage(session, Stage::Lower, deadline, |_, _| Ok(log.columns()))?;
 
     // Step 2: count observed orderings and overlaps. Each activity
     // occurs once per execution, so each execution contributes at most
@@ -83,28 +88,9 @@ pub fn mine_special_dag_in<S: MetricsSink>(
     // the pair like a two-cycle.
     let obs = run_stage(session, Stage::CountPairs, deadline, |session, _| {
         let mut obs = crate::general_dag::OrderObservations::new(n);
-        // Columnar scratch reused across executions: Algorithm 1 lowers
-        // while counting, so one execution's columns live here at a
-        // time.
-        let mut verts: Vec<u32> = Vec::with_capacity(n);
-        let mut starts: Vec<u64> = Vec::with_capacity(n);
-        let mut ends: Vec<u64> = Vec::with_capacity(n);
-        for exec in log.executions() {
+        for x in 0..cols.exec_count() {
             deadline.check()?;
-            verts.clear();
-            starts.clear();
-            ends.clear();
-            for i in exec.instances() {
-                verts.push(i.activity.index() as u32);
-                starts.push(i.start);
-                ends.push(i.end);
-            }
-            let cols = procmine_log::ExecColumns {
-                activities: &verts,
-                starts: &starts,
-                ends: &ends,
-            };
-            crate::general_dag::count_one_execution(n, cols, &mut obs);
+            crate::general_dag::count_one_execution(n, cols.exec(x), &mut obs);
         }
         if S::ENABLED {
             let scanned = log.len() as u64;
@@ -186,6 +172,7 @@ pub fn mine_special_dag_in<S: MetricsSink>(
 mod tests {
     use super::*;
     use crate::MinerOptions;
+    use procmine_log::WorkflowLog;
 
     fn mine(strings: &[&str]) -> MinedModel {
         let log = WorkflowLog::from_strings(strings.iter().copied()).unwrap();

@@ -26,7 +26,7 @@
 
 use crate::MinedModel;
 use procmine_graph::{words, NodeId};
-use procmine_log::WorkflowLog;
+use procmine_log::LogView;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -87,11 +87,13 @@ impl GatewayAnalysis {
 }
 
 /// Classifies every split and join of `model` from the co-occurrence
-/// statistics of `log`. The model's node indices must align with the
-/// log's activity table (true for models mined from that log).
-pub fn analyze_gateways(model: &MinedModel, log: &WorkflowLog) -> GatewayAnalysis {
+/// statistics of `log`, a [`WorkflowLog`](procmine_log::WorkflowLog) or
+/// a [`CompactLog`](procmine_log::CompactLog). The model's node indices
+/// must align with the log's activity table (true for models mined from
+/// that log).
+pub fn analyze_gateways<'a>(model: &MinedModel, log: impl Into<LogView<'a>>) -> GatewayAnalysis {
     let g = model.graph();
-    let sets = ActivitySets::of(log, g.node_count());
+    let sets = ActivitySets::of(log.into(), g.node_count());
     let mut analysis = GatewayAnalysis::default();
 
     for v in g.node_ids() {
@@ -133,14 +135,14 @@ struct ActivitySets {
 }
 
 impl ActivitySets {
-    fn of(log: &WorkflowLog, n: usize) -> Self {
+    fn of(log: LogView<'_>, n: usize) -> Self {
         let width = n.div_ceil(u64::BITS as usize);
         let mut counts: HashMap<Box<[u64]>, usize> = HashMap::new();
         let mut row = vec![0u64; width];
-        for exec in log.executions() {
+        for x in 0..log.len() {
             row.fill(0);
-            for inst in exec.instances() {
-                let a = inst.activity.index();
+            for a in log.exec_activities(x) {
+                let a = a as usize;
                 if a < n {
                     words::insert(&mut row, a);
                 }
@@ -204,6 +206,7 @@ impl ActivitySets {
 mod tests {
     use super::*;
     use crate::{mine_general_dag, MinerOptions};
+    use procmine_log::WorkflowLog;
 
     fn mine(strings: &[&str]) -> (MinedModel, WorkflowLog) {
         let log = WorkflowLog::from_strings(strings.iter().copied()).unwrap();

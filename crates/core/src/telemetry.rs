@@ -39,13 +39,14 @@ use std::fmt;
 /// The pipeline stages timed by the session-based miners.
 ///
 /// Not every algorithm exercises every stage: Algorithm 1 has no
-/// separate lowering pass (it lowers while counting) and no marking
-/// pass (its step 4 is a global transitive reduction, timed as
+/// marking pass (its step 4 is a global transitive reduction, timed as
 /// [`Stage::Reduce`]). Untouched stages report zero.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
-    /// Lowering the log to dense vertex ids (instance labeling, for the
-    /// cyclic miner).
+    /// Lowering the log to dense vertex ids: borrowing a
+    /// [`CompactLog`](procmine_log::CompactLog)'s columns, copying a
+    /// nested log's rows into columns, and instance labeling for the
+    /// cyclic miner.
     Lower,
     /// Step 2: scanning executions and counting ordered/overlapping
     /// pairs.

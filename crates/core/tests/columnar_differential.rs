@@ -14,17 +14,25 @@
 //! Covered miners: special (Algorithm 1), general (Algorithm 2), cyclic
 //! (Algorithm 3), auto dispatch, the parallel strategy, and the
 //! online miner — plus conformance replay of both models.
+//!
+//! Every miner, the gateway report and conformance replay also read a
+//! [`CompactLog`] in place: each runs once through the log's columns
+//! and once through the `&WorkflowLog` entry, which lowers the nested
+//! log into the same code, and the two runs must agree with each other
+//! and the miners with the reference.
 
-use procmine_core::conformance::check_conformance;
+use procmine_core::conformance::{check_conformance, check_conformance_in};
 use procmine_core::reference::{
     mine_auto_reference, mine_cyclic_reference, mine_general_reference, mine_special_reference,
 };
+use procmine_core::splits::analyze_gateways;
 use procmine_core::{
-    mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, MineSession,
-    MinedModel, MinerMetrics, MinerOptions, OnlineMiner, SnapshotPolicy,
+    mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, Algorithm,
+    ConformanceMetrics, MineError, MineSession, MinedModel, MinerMetrics, MinerOptions,
+    OnlineMiner, SnapshotPolicy,
 };
 use procmine_graph::NodeId;
-use procmine_log::WorkflowLog;
+use procmine_log::{CompactLog, LogView, WorkflowLog};
 use proptest::prelude::*;
 use proptest::{collection, sample};
 
@@ -94,8 +102,118 @@ fn assert_counters_identical(columnar: &MinerMetrics, legacy: &MinerMetrics, wha
     );
 }
 
+/// One run's outcome: the model with its algorithm and counters, or
+/// the error.
+type Mined = Result<(MinedModel, Algorithm, MinerMetrics), MineError>;
+
+/// Mines `log` with the miner named `miner` (`"parallel"` is the
+/// general miner on three threads).
+fn mine_view<'a>(miner: &str, log: impl Into<LogView<'a>>, options: &MinerOptions) -> Mined {
+    let log = log.into();
+    let mut metrics = MinerMetrics::new();
+    let threads = if miner == "parallel" { 3 } else { 1 };
+    let mut session = MineSession::new()
+        .with_threads(threads)
+        .with_sink(&mut metrics);
+    let mined = match miner {
+        "special" => {
+            mine_special_dag_in(&mut session, log, options).map(|m| (m, Algorithm::SpecialDag))
+        }
+        "general" | "parallel" => {
+            mine_general_dag_in(&mut session, log, options).map(|m| (m, Algorithm::GeneralDag))
+        }
+        "cyclic" => mine_cyclic_in(&mut session, log, options).map(|m| (m, Algorithm::Cyclic)),
+        _ => mine_auto_in(&mut session, log, options),
+    };
+    drop(session);
+    mined.map(|(model, algorithm)| (model, algorithm, metrics))
+}
+
+/// The reference's outcome for the same miner.
+fn mine_reference(miner: &str, log: &WorkflowLog, options: &MinerOptions) -> Mined {
+    match miner {
+        "special" => {
+            mine_special_reference(log, options).map(|(m, c)| (m, Algorithm::SpecialDag, c))
+        }
+        "general" | "parallel" => {
+            mine_general_reference(log, options).map(|(m, c)| (m, Algorithm::GeneralDag, c))
+        }
+        "cyclic" => mine_cyclic_reference(log, options).map(|(m, c)| (m, Algorithm::Cyclic, c)),
+        _ => mine_auto_reference(log, options),
+    }
+}
+
+/// Every miner over `log` at T 0..=3, through its columns and through
+/// the nested entry: both agree with the reference on the model, the
+/// algorithm, the counters and any error, and with each other on the
+/// gateway report and the conformance report and its counters.
+fn assert_compact_and_nested_agree(log: &WorkflowLog) {
+    let compact = CompactLog::from_log(log);
+    for threshold in 0..=3 {
+        let options = MinerOptions::with_threshold(threshold);
+        for miner in ["special", "general", "parallel", "cyclic", "auto"] {
+            let what = format!("{miner} T={threshold}");
+            let columns = mine_view(miner, &compact, &options);
+            let nested = mine_view(miner, log, &options);
+            let reference = mine_reference(miner, log, &options);
+            let (model, expected) = match (&columns, &nested, &reference) {
+                (Ok(c), Ok(n), Ok(r)) => {
+                    for (got, how) in [(c, "columns"), (n, "nested")] {
+                        assert_eq!(got.1, r.1, "{what} {how}: algorithm");
+                        assert_models_identical(&got.0, &r.0, &format!("{what} {how}"));
+                        assert_counters_identical(&got.2, &r.2, &format!("{what} {how}"));
+                    }
+                    (&c.0, &n.0)
+                }
+                (Err(c), Err(n), Err(r)) => {
+                    assert_eq!(c, r, "{what}: columns error");
+                    assert_eq!(n, r, "{what}: nested error");
+                    continue;
+                }
+                _ => panic!(
+                    "{what}: outcomes diverged: {:?} / {:?} / {:?}",
+                    columns.as_ref().err(),
+                    nested.as_ref().err(),
+                    reference.as_ref().err()
+                ),
+            };
+            assert_eq!(
+                analyze_gateways(model, &compact),
+                analyze_gateways(expected, log),
+                "{what}: gateway report"
+            );
+            let report = |log: LogView<'_>| {
+                let mut metrics = ConformanceMetrics::new();
+                let report = check_conformance_in(
+                    &mut MineSession::new().with_sink(&mut metrics),
+                    model,
+                    log,
+                );
+                (report, metrics.counters())
+            };
+            assert_eq!(
+                report(LogView::Compact(&compact)),
+                report(LogView::Nested(log)),
+                "{what}: conformance report"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn compact_logs_mine_like_nested_ones(
+        general in general_log(6),
+        cyclic in cyclic_log(4),
+        special in special_log(5),
+        interval in interval_log(5),
+    ) {
+        for log in [&general, &cyclic, &special, &interval] {
+            assert_compact_and_nested_agree(log);
+        }
+    }
 
     #[test]
     fn general_miner_matches_reference(log in general_log(6), threshold in 1u32..3) {

@@ -31,7 +31,7 @@ use procmine_core::{
     mine_cyclic, mine_general_dag, ConformanceMetrics, MineSession, MinedModel, MinerOptions,
 };
 use procmine_graph::{DiGraph, NodeId};
-use procmine_log::{ActivityInstance, ActivityTable, Execution, WorkflowLog};
+use procmine_log::{ActivityInstance, ActivityTable, CompactLog, Execution, LogView, WorkflowLog};
 use proptest::prelude::*;
 use proptest::{collection, sample};
 
@@ -578,49 +578,69 @@ fn reference_fitness(per_exec: &[Vec<Violation>]) -> Fitness {
     f
 }
 
-/// Every pair count of `OrderCounts` against the all-pairs loop.
+/// Every pair count of `OrderCounts` against the all-pairs loop, from
+/// the nested log and from its columns.
 fn assert_order_counts_match(log: &WorkflowLog) {
-    let counts = OrderCounts::from_log(log);
+    let compact = CompactLog::from_log(log);
     let (ordered, cooccur) = reference::order_counts(log);
     let n = log.activities().len();
-    assert_eq!(counts.activity_count(), n);
-    for u in 0..n {
-        for v in 0..n {
-            assert_eq!(
-                counts.ordered(u, v),
-                ordered[u * n + v],
-                "ordered({u}, {v})"
-            );
-            assert_eq!(
-                counts.cooccur(u, v),
-                cooccur[u * n + v],
-                "cooccur({u}, {v})"
-            );
+    for counts in [OrderCounts::from_log(log), OrderCounts::from_log(&compact)] {
+        assert_eq!(counts.activity_count(), n);
+        for u in 0..n {
+            for v in 0..n {
+                assert_eq!(
+                    counts.ordered(u, v),
+                    ordered[u * n + v],
+                    "ordered({u}, {v})"
+                );
+                assert_eq!(
+                    counts.cooccur(u, v),
+                    cooccur[u * n + v],
+                    "cooccur({u}, {v})"
+                );
+            }
         }
     }
 }
 
-/// Every replay and gateway output for one model × log pair.
+/// Every replay and gateway output for one model × log pair. The
+/// report, its counters, fitness and the gateways are checked for the
+/// nested log and for the same log in columns.
 fn assert_pair_matches(model: &MinedModel, log: &WorkflowLog, what: &str) {
     let (expected, per_exec) = reference::check_conformance(model, log);
-    assert_eq!(check_conformance(model, log), expected, "{what}: report");
+    let compact = CompactLog::from_log(log);
+    for (view, how) in [
+        (LogView::Nested(log), "nested"),
+        (LogView::Compact(&compact), "columns"),
+    ] {
+        assert_eq!(
+            check_conformance(model, view),
+            expected,
+            "{what} {how}: report"
+        );
 
-    let mut metrics = ConformanceMetrics::new();
-    let mut session = MineSession::new().with_sink(&mut metrics);
-    let report = check_conformance_in(&mut session, model, log);
-    drop(session);
-    assert_eq!(report, expected, "{what}: session report");
-    assert_eq!(
-        metrics.counters(),
-        reference_counters(&expected, &per_exec).counters(),
-        "{what}: counters"
-    );
+        let mut metrics = ConformanceMetrics::new();
+        let mut session = MineSession::new().with_sink(&mut metrics);
+        let report = check_conformance_in(&mut session, model, view);
+        drop(session);
+        assert_eq!(report, expected, "{what} {how}: session report");
+        assert_eq!(
+            metrics.counters(),
+            reference_counters(&expected, &per_exec).counters(),
+            "{what} {how}: counters"
+        );
 
-    assert_eq!(
-        fitness(model, log),
-        reference_fitness(&per_exec),
-        "{what}: fitness"
-    );
+        assert_eq!(
+            fitness(model, view),
+            reference_fitness(&per_exec),
+            "{what} {how}: fitness"
+        );
+        assert_eq!(
+            analyze_gateways(model, view),
+            reference::analyze_gateways(model, log),
+            "{what} {how}: gateways"
+        );
+    }
 
     let mut raw = Vec::new();
     for exec in log.executions() {

@@ -16,17 +16,29 @@
 //! activity name, the event type, and the timestamp", §8).
 //!
 //! Lines are decoded by [`FlowmarkSource`], the one Flowmark decoder,
-//! with one byte-level line parser. [`read_log_with`] takes each line's
-//! fields borrowed from the line, interns their names into a table of
-//! events as lines decode, and groups and pairs the cases over ids; no
-//! string is owned per event, and cases whose lines arrive grouped are
-//! paired without a sort.
+//! with one byte-level line parser. The readers take each line's fields
+//! borrowed from the line and intern their names as lines decode; no
+//! string is owned per event.
+//!
+//! [`read_log_with`] (and [`read_compact_with`] over a reader that
+//! cannot rewind) keeps a table of every event and groups and pairs the
+//! cases over ids once the input ends; cases whose lines arrive grouped
+//! are paired without a sort. [`read_compact_with`] over a reader that
+//! can rewind, such as a file, pairs each case as soon as the next case
+//! starts, as long as every line belongs to the open case or to a case
+//! not seen before, so its table holds one case at a time. Where the
+//! whole table could decide differently it rewinds and reads the input
+//! again through the whole table, whose result, [`CodecStats`] and
+//! [`IngestReport`] it returns: when a closed case reappears (an
+//! interleaved log does so at its second line), when a case fails
+//! strict pairing (a decode error further on would be reported
+//! instead), and when lenient pairing drops an event.
 
-use super::{assemble, CodecStats, IngestReport, RecoveryPolicy};
+use super::{assemble, assembly_policy, CodecStats, IngestReport, RecoveryPolicy};
 use crate::stream::FlowmarkSource;
-use crate::validate::EventTable;
-use crate::{EventKind, LogError, WorkflowLog};
-use std::io::{BufRead, Write};
+use crate::validate::{EventTable, GroupedCases};
+use crate::{CompactLog, EventKind, LogError, WorkflowLog};
+use std::io::{BufRead, Seek, SeekFrom, Write};
 
 /// Parses a Flowmark-style event stream and assembles it into a
 /// [`WorkflowLog`] (strict START/END pairing).
@@ -55,6 +67,73 @@ pub fn read_log_with<R: BufRead>(
     stats: &mut CodecStats,
     report: &mut IngestReport,
 ) -> Result<WorkflowLog, LogError> {
+    read_table(reader, policy, stats, report).map(CompactLog::into_log)
+}
+
+/// [`read_log_with`] into columns: the same log, stats, report and
+/// errors, as a [`CompactLog`]. A reader whose position can be read
+/// (`Seek::stream_position`) before the first line is rewound to it if
+/// the read must go through the whole table; one whose position cannot
+/// be read, such as a pipe, goes through the whole table from the start.
+/// See the module docs.
+pub fn read_compact_with<R: BufRead + Seek>(
+    mut reader: R,
+    policy: RecoveryPolicy,
+    stats: &mut CodecStats,
+    report: &mut IngestReport,
+) -> Result<CompactLog, LogError> {
+    let Ok(origin) = reader.stream_position() else {
+        return read_table(reader, policy, stats, report);
+    };
+    let mut source = FlowmarkSource::new(reader, policy);
+    let mut cases = GroupedCases::new(assembly_policy(policy));
+    // `None` once a case hands the read over to the whole table.
+    let drained = loop {
+        let next = source.next_fields(|fields, _| {
+            let (case, activity) = (fields.process, fields.activity);
+            cases.push(case, activity, fields.kind, fields.time, fields.output)
+        });
+        match next {
+            Ok(Some(Ok(()))) => {}
+            Ok(Some(Err(_))) => break None,
+            Ok(None) => break Some(Ok(())),
+            Err(e) => break Some(Err(e)),
+        }
+    };
+    let log = match drained {
+        Some(Ok(())) => cases.finish().ok(),
+        Some(Err(e)) => {
+            stats.bytes_read += source.stats().bytes_read;
+            report.merge(source.report());
+            return Err(e);
+        }
+        None => None,
+    };
+    let Some(log) = log else {
+        let mut reader = source.into_inner();
+        if let Err(e) = reader.seek(SeekFrom::Start(origin)) {
+            let e = LogError::from(e);
+            report.record_error(origin, 0, e.to_string());
+            return Err(e);
+        }
+        return read_table(reader, policy, stats, report);
+    };
+    let decoded = source.stats();
+    stats.bytes_read += decoded.bytes_read;
+    report.merge(source.report());
+    stats.events_parsed += decoded.events_parsed;
+    stats.executions_parsed += log.len() as u64;
+    Ok(log)
+}
+
+/// The whole-table read: every event into one table, then grouped and
+/// paired.
+fn read_table<R: BufRead>(
+    reader: R,
+    policy: RecoveryPolicy,
+    stats: &mut CodecStats,
+    report: &mut IngestReport,
+) -> Result<CompactLog, LogError> {
     let mut source = FlowmarkSource::new(reader, policy);
     let mut events = EventTable::default();
     let drained = loop {
@@ -745,10 +824,76 @@ p2,A,END,2
         (log, stats, report)
     }
 
+    /// A reader whose position cannot be read, as a pipe's cannot.
+    struct Unseekable<'a>(&'a [u8]);
+
+    impl std::io::Read for Unseekable<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.0.read(buf)
+        }
+    }
+
+    impl BufRead for Unseekable<'_> {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            Ok(self.0)
+        }
+
+        fn consume(&mut self, amt: usize) {
+            self.0 = &self.0[amt..];
+        }
+    }
+
+    impl Seek for Unseekable<'_> {
+        fn seek(&mut self, _: SeekFrom) -> std::io::Result<u64> {
+            Err(std::io::ErrorKind::Unsupported.into())
+        }
+    }
+
+    /// A read's log in columns (or its error, rendered), stats and
+    /// report.
+    type CompactRead = (Result<CompactLog, String>, CodecStats, IngestReport);
+
+    /// `read_compact_with` over a reader that can rewind and over one
+    /// that cannot, each against `read_log_with` converted to columns:
+    /// the same log, errors, stats and report under every policy.
+    fn assert_columns_read_like_nested(input: &[u8]) {
+        for policy in POLICIES {
+            let mut stats = CodecStats::default();
+            let mut report = IngestReport::default();
+            let nested = read_log_with(input, policy, &mut stats, &mut report);
+            let want: CompactRead = (
+                nested
+                    .map(|log| CompactLog::from_log(&log))
+                    .map_err(|e| format!("{e:?}")),
+                stats,
+                report,
+            );
+            let read = |reader: &mut dyn FnMut(
+                &mut CodecStats,
+                &mut IngestReport,
+            ) -> Result<CompactLog, LogError>| {
+                let mut stats = CodecStats::default();
+                let mut report = IngestReport::default();
+                let log = reader(&mut stats, &mut report).map_err(|e| format!("{e:?}"));
+                (log, stats, report)
+            };
+            let seekable = read(&mut |stats, report| {
+                read_compact_with(std::io::Cursor::new(input), policy, stats, report)
+            });
+            let pipe = read(&mut |stats, report| {
+                read_compact_with(Unseekable(input), policy, stats, report)
+            });
+            let context = format!("{policy:?} on {:?}", String::from_utf8_lossy(input));
+            assert_eq!(seekable, want, "rewindable: {context}");
+            assert_eq!(pipe, want, "pipe: {context}");
+        }
+    }
+
     /// `read_log_with` equals the reference read under every policy:
     /// the log (executions, ids, outputs, activity-table order), the
-    /// codec stats and the ingest report.
+    /// codec stats and the ingest report. So does the columns read.
     fn assert_reads_like_reference(input: &[u8]) {
+        assert_columns_read_like_nested(input);
         for policy in POLICIES {
             let mut stats = CodecStats::default();
             let mut report = IngestReport::default();
@@ -976,5 +1121,120 @@ p2,A,END,2
                 assert_reads_like_reference(corrupted);
             }
         }
+
+        /// Texts that exercise the grouped pairing and each hand-over:
+        /// see [`arb_case_layout`].
+        #[test]
+        fn columns_read_pairs_grouped_cases_like_the_whole_table(
+            text in arb_case_layout(),
+        ) {
+            assert_reads_like_reference(&text);
+        }
+    }
+
+    /// One case's event lines: instances of `A`..`D` over a few
+    /// timestamps, so starts and ends often tie, with an END's output
+    /// now and then; `dangling` drops one instance's END (1) or START
+    /// (2).
+    fn case_lines(case: usize, instances: &[(u8, u64, u64, bool)], dangling: u8) -> Vec<String> {
+        let mut events = Vec::new();
+        for (i, &(activity, start, length, output)) in instances.iter().enumerate() {
+            let act = char::from(b'A' + activity);
+            let (keep_start, keep_end) = match dangling {
+                1 if i == 0 => (true, false),
+                2 if i == 0 => (false, true),
+                _ => (true, true),
+            };
+            if keep_start {
+                events.push((start, 0, format!("c{case},{act},START,{start}")));
+            }
+            if keep_end {
+                let end = start + length;
+                let line = if output {
+                    format!("c{case},{act},END,{end},{case};{end}")
+                } else {
+                    format!("c{case},{act},END,{end}")
+                };
+                events.push((end, 1, line));
+            }
+        }
+        // Time order, START before END at one instant, and log order
+        // among equals: most logs are written so.
+        events.sort_by_key(|&(time, is_end, _)| (time, is_end));
+        events.into_iter().map(|(_, _, line)| line).collect()
+    }
+
+    /// Flowmark texts of up to six cases whose lines arrive grouped by
+    /// case, possibly with one closed case reappearing (right after the
+    /// next case starts, in the middle, or on the last line), or fully
+    /// interleaved; cases may hold dangling STARTs or ENDs and equal
+    /// timestamps; a garbage line may follow them, so a decode error
+    /// can come after an early case's pairing error.
+    fn arb_case_layout() -> impl Strategy<Value = Vec<u8>> {
+        let output = (0u8..5).prop_map(|o| o == 0);
+        let instance = (0u8..4, 0u64..4, 0u64..3, output);
+        // Mostly clean cases; one in eight drops an END, one a START.
+        let dangling = (0u8..8).prop_map(|d| d.saturating_sub(5));
+        let case = (proptest::collection::vec(instance, 1..5), dangling);
+        // A garbage line in one text of four.
+        let garbage = (0usize..4_000).prop_map(|g| (g < 1_000).then_some(g));
+        (
+            proptest::collection::vec(case, 1..7),
+            0u8..4,
+            0usize..1_000,
+            0usize..1_000,
+            garbage,
+        )
+            .prop_map(|(cases, layout, at, pick, garbage)| {
+                let per_case: Vec<Vec<String>> = cases
+                    .iter()
+                    .enumerate()
+                    .map(|(c, (instances, dangling))| case_lines(c, instances, *dangling))
+                    .collect();
+                let mut lines: Vec<String> = per_case.concat();
+                match layout {
+                    // Grouped.
+                    0 => {}
+                    // One closed case reappears with one more instance,
+                    // right after the next case's first line, in the
+                    // middle of what follows, or on the last lines.
+                    1 if per_case.len() > 1 => {
+                        let case = pick % (per_case.len() - 1);
+                        let next_start: usize = per_case[..=case].iter().map(Vec::len).sum();
+                        let to = match at % 3 {
+                            0 => next_start + 1,
+                            1 => next_start + 1 + (lines.len() - next_start - 1) / 2,
+                            _ => lines.len(),
+                        };
+                        let time = (pick / 8 % 5) as u64;
+                        lines.insert(to, format!("c{case},D,END,{}", time + 1));
+                        lines.insert(to, format!("c{case},D,START,{time}"));
+                    }
+                    // Fully interleaved: one line of each case in turn.
+                    2 => {
+                        let mut queues: Vec<std::collections::VecDeque<String>> =
+                            per_case.iter().cloned().map(Into::into).collect();
+                        lines.clear();
+                        while queues.iter().any(|q| !q.is_empty()) {
+                            for q in &mut queues {
+                                lines.extend(q.pop_front());
+                            }
+                        }
+                    }
+                    // Grouped, with a blank line and a comment.
+                    _ => {
+                        let k = at % (lines.len() + 1);
+                        lines.insert(k, String::new());
+                        lines.insert(k, "# between".to_string());
+                    }
+                }
+                if let Some(g) = garbage {
+                    let k = g % (lines.len() + 1);
+                    lines.insert(k, "garbage".to_string());
+                }
+                let mut text = lines.join("\n");
+                text.push('\n');
+                text.into_bytes()
+            })
     }
 }

@@ -21,7 +21,7 @@ pub mod xes;
 pub mod xes_reference;
 
 use crate::validate::{assemble_events, AssemblyPolicy, EventTable};
-use crate::{ActivityTable, LogError, WorkflowLog};
+use crate::{CompactLog, LogError};
 use std::io::{BufRead, Read};
 
 /// How a codec treats decode errors (bad lines, truncated tails,
@@ -190,7 +190,7 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Assembles the events of one read into a [`WorkflowLog`]: strict
+/// Assembles the events of one read into a [`CompactLog`]: strict
 /// START/END pairing under [`RecoveryPolicy::Strict`], lenient pairing
 /// otherwise (dropped events count as skipped records). An assembly
 /// error is recorded at `bytes`, this read's input length, so its
@@ -202,24 +202,25 @@ pub(crate) fn assemble(
     bytes: u64,
     stats: &mut CodecStats,
     report: &mut IngestReport,
-) -> Result<WorkflowLog, LogError> {
-    let assembly = if policy.is_strict() {
-        AssemblyPolicy::Strict
-    } else {
-        AssemblyPolicy::Lenient
-    };
-    let mut table = ActivityTable::new();
-    let (executions, diagnostics) = assemble_events(events, &mut table, assembly).map_err(|e| {
+) -> Result<CompactLog, LogError> {
+    let mut log = CompactLog::default();
+    let diagnostics = assemble_events(events, &mut log, assembly_policy(policy)).map_err(|e| {
         report.record_error(bytes, 0, e.to_string());
         e
     })?;
     report.records_skipped += diagnostics.len() as u64;
-    let mut log = WorkflowLog::with_activities(table);
-    for exec in executions {
-        log.push(exec);
-    }
     stats.executions_parsed += log.len() as u64;
     Ok(log)
+}
+
+/// START/END pairing under a decode policy: strict under
+/// [`RecoveryPolicy::Strict`], lenient under the recovering ones.
+pub(crate) fn assembly_policy(policy: RecoveryPolicy) -> AssemblyPolicy {
+    if policy.is_strict() {
+        AssemblyPolicy::Strict
+    } else {
+        AssemblyPolicy::Lenient
+    }
 }
 
 /// Byte-level line reader for the recovering decode paths: unlike
@@ -280,6 +281,11 @@ impl<R: BufRead> ByteLines<R> {
     /// returned by [`ByteLines::read_next`]; 0 before the first).
     pub fn lineno(&self) -> usize {
         self.lineno
+    }
+
+    /// The reader, positioned after the last line read.
+    pub fn into_inner(self) -> R {
+        self.reader.inner
     }
 }
 
@@ -365,6 +371,7 @@ impl<R: BufRead> BufRead for CountingReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkflowLog;
 
     /// A strict read into `stats`, discarding the ingest report.
     fn strict<R>(

@@ -5,10 +5,12 @@
 //! mined models against other tools; reading XES lets real-world event
 //! logs flow into these miners. The implementation is self-contained: a
 //! minimal XML pull parser (elements, attributes, comments,
-//! declarations, entity escapes) and civil-date conversion, covering the
-//! XES subset the log model needs:
+//! declarations, the five named entities and numeric character
+//! references) and civil-date conversion, covering the XES subset the
+//! log model needs:
 //!
-//! * one `<trace>` per execution, named by `concept:name`;
+//! * one `<trace>` per execution, named by a `concept:name` attribute
+//!   element directly inside it;
 //! * one `<event>` per START/END, with `concept:name` (activity),
 //!   `lifecycle:transition` (`start` / `complete`) and `time:timestamp`
 //!   (ISO 8601; the log's integer ticks are interpreted as milliseconds
@@ -42,6 +44,13 @@
 //! Timestamps are parsed by digit arithmetic over their fixed-width
 //! shape.
 //!
+//! A close tag must close the innermost open element, as XML 1.0
+//! well-formedness requires: an `</event>` that closes no open
+//! `<event>` emits nothing. Under [`RecoveryPolicy::Strict`] a
+//! mismatched close tag is an XML error located at the tag; a
+//! recovering read records it as an error, emits nothing for it, and
+//! closes the innermost open element of its name, if any.
+//!
 //! Errors keep the historical contract — byte offsets, 1-based
 //! line:column (column in characters), [`LogError::UnexpectedEof`] at
 //! clean truncation — computed on the error paths only. The scanner
@@ -53,8 +62,10 @@
 //! Flowmark reader fills, as the event closes and only once it has
 //! validated: its case and activity names become ids, START/END balance
 //! is kept per (case id, activity id) in a fold-hashed map that holds
-//! only the open pairs, and no string is owned per event. The previous
-//! character-based implementation is preserved as
+//! only the open pairs, and no string is owned per event.
+//! [`read_compact_with`] groups and pairs the cases straight into
+//! columns; [`read_log_with`] converts those into a [`WorkflowLog`]. The
+//! previous character-based implementation is preserved as
 //! [`xes_reference`](super::xes_reference) and pinned to this one by
 //! differential tests.
 
@@ -62,7 +73,7 @@ use super::flowmark::parse_output_vector;
 use super::{assemble, CodecStats, IngestReport, RecoveryPolicy};
 use crate::hash::{word64, FoldMap};
 use crate::validate::EventTable;
-use crate::{EventKind, LogError, WorkflowLog};
+use crate::{CompactLog, EventKind, LogError, WorkflowLog};
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
@@ -416,6 +427,8 @@ fn char_count(bytes: &[u8]) -> usize {
 struct Scanner<'a> {
     text: &'a str,
     pos: usize,
+    /// Where the tag [`Scanner::next`] returned last starts (its `<`).
+    tag_start: usize,
     /// The last position reported, which the next report counts on
     /// from: `pos` only grows, so the lines and columns of all errors
     /// together cost one pass over the document.
@@ -427,6 +440,7 @@ impl<'a> Scanner<'a> {
         Scanner {
             text,
             pos: 0,
+            tag_start: 0,
             cursor: Cell::new(Cursor::START),
         }
     }
@@ -435,7 +449,13 @@ impl<'a> Scanner<'a> {
     /// the current position, counted on from the last position reported
     /// (from the start only if the current one is earlier).
     fn position(&self) -> (usize, usize, u64) {
-        let end = self.pos.min(self.text.len());
+        self.position_at(self.pos)
+    }
+
+    /// [`Scanner::position`] of byte offset `at` instead of the current
+    /// one.
+    fn position_at(&self, at: usize) -> (usize, usize, u64) {
+        let end = at.min(self.text.len());
         let mut cursor = self.cursor.get();
         if end < cursor.offset {
             cursor = Cursor::START;
@@ -568,6 +588,7 @@ impl<'a> Scanner<'a> {
             }
             // The byte after `<` tells a comment or declaration, a
             // processing instruction, a closing and an opening tag apart.
+            self.tag_start = self.pos;
             match bytes.get(self.pos + 1) {
                 Some(b'!') if bytes[self.pos + 2..].starts_with(b"--") => self.skip_until("-->")?,
                 Some(b'!') => self.skip_until(">")?,
@@ -703,6 +724,8 @@ pub(crate) fn unescape(s: &str) -> Result<String, String> {
             "gt" => '>',
             "quot" => '"',
             "apos" => '\'',
+            reference if reference.starts_with('#') => char_reference(&reference[1..])
+                .ok_or_else(|| format!("invalid character reference `&{reference};`"))?,
             other => return Err(format!("unsupported entity `&{other};`")),
         });
         // Skip the entity body.
@@ -711,6 +734,28 @@ pub(crate) fn unescape(s: &str) -> Result<String, String> {
         }
     }
     Ok(out)
+}
+
+/// The character a numeric character reference names, from its body
+/// after `&#`: decimal digits, or `x` and hexadecimal digits in either
+/// case. `None` for an empty body, one that is not all digits, and a
+/// code point that XML's `Char` production excludes: the C0 controls
+/// other than tab, LF and CR, surrogates, U+FFFE, U+FFFF, and anything
+/// above U+10FFFF.
+fn char_reference(body: &str) -> Option<char> {
+    let (digits, radix) = match body.strip_prefix('x') {
+        Some(hex) => (hex, 16),
+        None => (body, 10),
+    };
+    if digits.is_empty() || !digits.chars().all(|c| c.is_digit(radix)) {
+        return None;
+    }
+    let code = u32::from_str_radix(digits, radix).ok()?;
+    let is_char = matches!(
+        code,
+        0x9 | 0xA | 0xD | 0x20..=0xD7FF | 0xE000..=0xFFFD | 0x1_0000..=0x10_FFFF
+    );
+    is_char.then(|| char::from_u32(code)).flatten()
 }
 
 // ---------------------------------------------------------------------------
@@ -804,11 +849,24 @@ pub fn read_log<R: BufRead>(reader: R) -> Result<WorkflowLog, LogError> {
 /// are dropped, XML syntax errors re-sync at the next tag, and
 /// START/END pairing falls back to lenient assembly.
 pub fn read_log_with<R: BufRead>(
-    mut reader: R,
+    reader: R,
     policy: RecoveryPolicy,
     stats: &mut CodecStats,
     report: &mut IngestReport,
 ) -> Result<WorkflowLog, LogError> {
+    read_compact_with(reader, policy, stats, report).map(CompactLog::into_log)
+}
+
+/// [`read_log_with`] into columns: the same log, stats, report and
+/// errors, as a [`CompactLog`]. Each `<event>` joins a table of events
+/// as it closes; the cases are grouped and paired straight into the
+/// columns once the document ends.
+pub fn read_compact_with<R: BufRead>(
+    mut reader: R,
+    policy: RecoveryPolicy,
+    stats: &mut CodecStats,
+    report: &mut IngestReport,
+) -> Result<CompactLog, LogError> {
     let mut raw = Vec::new();
     let read_result = reader.read_to_end(&mut raw);
     stats.bytes_read += raw.len() as u64;
@@ -909,6 +967,7 @@ fn parse_events(
                 element,
                 self_closing,
             } => {
+                let parent = open_elements.last().copied();
                 if !self_closing {
                     open_elements.push(name);
                 }
@@ -929,7 +988,10 @@ fn parse_events(
                         let value = kv.value.take().unwrap_or(Cow::Borrowed(""));
                         if in_event {
                             attrs.set(key, value);
-                        } else if key == Key::Name && trace_name.is_some() {
+                        } else if key == Key::Name
+                            && parent == Some("trace")
+                            && trace_name.is_some()
+                        {
                             trace_name = Some(value);
                         }
                     }
@@ -937,11 +999,36 @@ fn parse_events(
                 }
             }
             Tag::Close { name, element } => {
-                // Pop to the innermost matching element; mismatches are
-                // tolerated (recovery resync can drop close tags).
-                if let Some(i) = open_elements.iter().rposition(|n| *n == name) {
-                    open_elements.truncate(i);
+                if open_elements.last() != Some(&name) {
+                    // XML 1.0 well-formedness: a close tag closes the
+                    // innermost open element. A recovering read records
+                    // the mismatch and emits nothing for it; it closes
+                    // the innermost element of that name, if one is
+                    // open, with everything left open inside it.
+                    let (line, column, byte_offset) = scanner.position_at(scanner.tag_start);
+                    let err = LogError::Xml {
+                        line,
+                        column,
+                        message: mismatched_close(name, open_elements.last().copied()),
+                    };
+                    report.record_error(byte_offset, line, err.to_string());
+                    if policy.is_strict() {
+                        return Err(err);
+                    }
+                    report.over_budget(policy)?;
+                    if let Some(i) = open_elements.iter().rposition(|n| *n == name) {
+                        let closed = &open_elements[i..];
+                        if closed.contains(&"event") {
+                            in_event = false;
+                        }
+                        if closed.contains(&"trace") {
+                            trace_name = None;
+                        }
+                        open_elements.truncate(i);
+                    }
+                    continue;
                 }
+                open_elements.pop();
                 match element {
                     Element::Event => {
                         in_event = false;
@@ -970,6 +1057,16 @@ fn parse_events(
         }
     }
     Ok(events)
+}
+
+/// The message of a close tag `</name>` that does not close `open`, the
+/// innermost open element (`None`: no element is open). Shared with
+/// the reference parser.
+pub(crate) fn mismatched_close(name: &str, open: Option<&str>) -> String {
+    match open {
+        Some(open) => format!("closing tag `</{name}>` does not match the open `<{open}>`"),
+        None => format!("closing tag `</{name}>` with no element open"),
+    }
 }
 
 /// The event attribute keys the log model reads.
@@ -1565,13 +1662,11 @@ mod tests {
     #[test]
     fn malformed_xml_is_rejected() {
         for bad in [
-            "<log><trace><event></log>", // mismatched nesting is tolerated…
-            "<log><event><string key=></event></log>", // …but broken attributes are not
-            "<log><trace><event><string key='concept:name' value='A'",
+            "<log><trace><event></log>",               // mismatched nesting…
+            "<log><event><string key=></event></log>", // …broken attributes…
+            "<log><trace><event><string key='concept:name' value='A'", // …truncation
         ] {
-            // Only assert no panic; structurally-broken inputs either
-            // error or produce an empty/partial log.
-            let _ = read_log(bad.as_bytes());
+            assert!(read_log(bad.as_bytes()).is_err(), "{bad}");
         }
         let bad_attr =
             "<log><event><string key=\"concept:name\" value=\"unterminated></event></log>";
@@ -1805,6 +1900,101 @@ mod tests {
             assert_eq!(exec.id, case, "{doc}");
             assert_eq!((hours(inst.start), hours(inst.end)), span, "{doc}");
         }
+    }
+
+    /// A trace `c1` whose second event opens as `<evXnt>` and closes
+    /// with `</event>`: the close tag closes no `<event>`, so it emits
+    /// nothing, and the `concept:name` inside `<evXnt>` is not the
+    /// trace's. Strict reads fail at the close tag; recovering reads
+    /// record it, and the `</trace>` that closes over the open
+    /// `<evXnt>`, and keep `c1`'s other events.
+    #[test]
+    fn a_close_tag_closes_only_the_innermost_open_element() {
+        let doc = "<log><trace><string key=\"concept:name\" value=\"c1\"/>\n\
+                   <event><string key=\"concept:name\" value=\"A\"/></event>\n\
+                   <evXnt><string key=\"concept:name\" value=\"B\"/></event>\n\
+                   <event><string key=\"concept:name\" value=\"C\"/></event>\n\
+                   </trace></log>\n";
+        let line3 = doc.lines().nth(2).unwrap();
+        let column = line3.find("</event>").unwrap() + 1;
+        let at = doc.find("</event>\n<event>").unwrap() as u64;
+        let err = read_like_reference(doc.as_bytes(), RecoveryPolicy::Strict).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                LogError::Xml { line: 3, column: c, message }
+                    if *c == column
+                        && message == "closing tag `</event>` does not match the open `<evXnt>`"
+            ),
+            "{err:?}"
+        );
+        for policy in [
+            RecoveryPolicy::Skip { max_errors: 4 },
+            RecoveryPolicy::BestEffort,
+        ] {
+            let mut report = IngestReport::default();
+            let log = read_log_with(
+                doc.as_bytes(),
+                policy,
+                &mut CodecStats::default(),
+                &mut report,
+            )
+            .unwrap();
+            assert_eq!(log.display_sequences(), ["A C"], "{policy:?}");
+            assert_eq!(log.executions()[0].id, "c1");
+            assert_eq!(report.errors_total, 2);
+            assert_eq!(
+                (report.errors[0].byte_offset, report.errors[0].line),
+                (at, 3)
+            );
+            assert!(report.errors[1].message.contains("`</trace>`"));
+        }
+    }
+
+    /// Numeric character references decode to their character, in
+    /// attribute values as in `unescape` itself; malformed ones and
+    /// code points XML excludes are refused.
+    #[test]
+    fn numeric_character_references_decode() {
+        for (raw, want) in [
+            ("c&#49;", "c1"),
+            ("A&#x26;B", "A&B"),
+            ("&#10;", "\n"),
+            ("&#x1F600;", "\u{1F600}"),
+            ("&#x4a;&#x4A;&#0074;", "JJJ"),
+            ("&#9;&#13;&#xFFFD;&#x10FFFF;", "\t\r\u{FFFD}\u{10FFFF}"),
+        ] {
+            assert_eq!(unescape(raw).as_deref(), Ok(want), "{raw}");
+        }
+        for raw in [
+            "&#;",
+            "&#x;",
+            "&#12a;",
+            "&#0;",
+            "&#xD800;",
+            "&#x110000;",
+            "&#X41;",
+            "&#+65;",
+            "&#x1;",
+            "&#xFFFE;",
+            "&#99999999999;",
+        ] {
+            let err = unescape(raw).unwrap_err();
+            assert!(err.contains("invalid character reference"), "{raw}: {err}");
+        }
+        let doc = "<log><trace><string key=\"concept:name\" value=\"c&#49;\"/>\
+                   <event><string key=\"concept:name\" value=\"A&#x26;B\"/></event>\
+                   </trace></log>";
+        let log = read_like_reference(doc.as_bytes(), RecoveryPolicy::Strict).unwrap();
+        assert_eq!(log.executions()[0].id, "c1");
+        assert_eq!(log.activities().names(), ["A&B"]);
+        let refused = doc.replace("&#49;", "&#0;");
+        let err = read_like_reference(refused.as_bytes(), RecoveryPolicy::Strict).unwrap_err();
+        assert!(
+            matches!(&err, LogError::Xml { line: 1, message, .. }
+                if message == "invalid character reference `&#0;`"),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Reference XES reader — the original character-based pull parser,
 //! kept as it was (apart from the shared output-vector parser below,
 //! which refuses an output that is not a list of integers instead of
-//! dropping its bad entries) so differential tests can pin the
-//! zero-copy parser in
-//! [`super::xes`] to its exact behaviour: same `WorkflowLog`, same
+//! dropping its bad entries; the shared `unescape`, which decodes
+//! numeric character references; and close tags, which must close the
+//! innermost open element, with `concept:name` renaming a trace only
+//! directly inside it, as in the fast parser) so differential tests can
+//! pin the zero-copy parser in [`super::xes`] to its exact behaviour:
+//! same `WorkflowLog`, same
 //! [`IngestReport`] (error byte offsets, line numbers, messages), same
 //! terminal errors.
 //!
@@ -15,7 +18,7 @@
 //! [`super::flowmark`] so the comparison isolates the parsing itself.
 
 use super::flowmark::parse_output_vector;
-use super::xes::{iso8601_to_millis, unescape};
+use super::xes::{iso8601_to_millis, mismatched_close, unescape};
 use super::{CodecStats, IngestReport, RecoveryPolicy};
 use crate::{EventKind, EventRecord, LogError, WorkflowLog};
 use std::collections::HashMap;
@@ -35,6 +38,8 @@ enum Xml {
 struct XmlParser {
     text: Vec<char>,
     pos: usize,
+    /// Where the close tag `next` returned last starts (its `<`).
+    tag_start: usize,
 }
 
 impl XmlParser {
@@ -42,14 +47,20 @@ impl XmlParser {
         XmlParser {
             text: text.chars().collect(),
             pos: 0,
+            tag_start: 0,
         }
     }
 
     /// 1-based line, 1-based column (in characters), and byte offset of
     /// the current position. O(pos), but only paid on the error paths.
     fn position(&self) -> (usize, usize, u64) {
+        self.position_at(self.pos)
+    }
+
+    /// [`XmlParser::position`] of character `at`.
+    fn position_at(&self, at: usize) -> (usize, usize, u64) {
         let (mut line, mut column, mut bytes) = (1usize, 1usize, 0u64);
-        for &c in &self.text[..self.pos.min(self.text.len())] {
+        for &c in &self.text[..at.min(self.text.len())] {
             bytes += c.len_utf8() as u64;
             if c == '\n' {
                 line += 1;
@@ -112,6 +123,7 @@ impl XmlParser {
                 continue;
             }
             if self.starts_with("</") {
+                self.tag_start = self.pos;
                 self.pos += 2;
                 let name = self.read_name()?;
                 self.skip_ws();
@@ -327,18 +339,43 @@ fn parse_events(
                 continue;
             }
         };
+        let parent = open_elements.last().cloned();
         match &xml {
             Xml::Open {
                 name,
                 self_closing: false,
                 ..
             } => open_elements.push(name.clone()),
+            Xml::Close(name) if open_elements.last() == Some(name) => {
+                open_elements.pop();
+            }
             Xml::Close(name) => {
-                // Pop to the innermost matching element; mismatches are
-                // tolerated (recovery resync can drop close tags).
+                // A close tag must close the innermost open element. A
+                // recovering read records the mismatch and emits nothing
+                // for it; it closes the innermost element of that name,
+                // if one is open, with everything left open inside it.
+                let (line, column, byte_offset) = parser.position_at(parser.tag_start);
+                let err = LogError::Xml {
+                    line,
+                    column,
+                    message: mismatched_close(name, open_elements.last().map(String::as_str)),
+                };
+                report.record_error(byte_offset, line, err.to_string());
+                if policy.is_strict() {
+                    return Err(err);
+                }
+                report.over_budget(policy)?;
                 if let Some(i) = open_elements.iter().rposition(|n| n == name) {
+                    let closed = &open_elements[i..];
+                    if closed.iter().any(|n| n == "event") {
+                        in_event = false;
+                    }
+                    if closed.iter().any(|n| n == "trace") {
+                        trace_name = None;
+                    }
                     open_elements.truncate(i);
                 }
+                continue;
             }
             _ => {}
         }
@@ -363,7 +400,10 @@ fn parse_events(
                 let value = attrs.get("value").cloned().unwrap_or_default();
                 if in_event {
                     event_attrs.insert(key, value);
-                } else if key == "concept:name" && trace_name.is_some() {
+                } else if key == "concept:name"
+                    && parent.as_deref() == Some("trace")
+                    && trace_name.is_some()
+                {
                     trace_name = Some(value);
                 }
             }

@@ -12,10 +12,21 @@
 //! carries that the miners do not need per-event (the activity table,
 //! execution ids, sparse output vectors), making the conversion
 //! lossless in both directions: `CompactLog::from_log(&log).to_log()`
-//! reproduces the original log exactly, so codecs and the streaming
-//! case assembler keep operating on [`WorkflowLog`] unchanged.
+//! reproduces the original log exactly.
+//!
+//! Batch reads build a `CompactLog` directly: the one pairing kernel
+//! (`validate::assemble_case`) appends each case's instances to the
+//! columns, so the Flowmark and XES readers' `read_compact_with` hand
+//! the miners their columns without a nested log in between, and
+//! `read_log_with` converts the same columns into a [`WorkflowLog`]
+//! ([`CompactLog::into_log`]). The streaming case assembler still hands
+//! the online miner one [`Execution`] per closed case.
+//!
+//! [`LogView`] is what the miners and reports read: a `CompactLog`'s
+//! columns in place, or a `WorkflowLog` lowered to columns once.
 
 use crate::{ActivityId, ActivityInstance, ActivityTable, Execution, LogError, WorkflowLog};
+use std::borrow::Cow;
 
 /// Struct-of-arrays event storage: all instances of all executions in
 /// four parallel buffers, executions delimited CSR-style by `offsets`.
@@ -23,7 +34,7 @@ use crate::{ActivityId, ActivityInstance, ActivityTable, Execution, LogError, Wo
 /// Execution `i` owns the index range `offsets[i]..offsets[i + 1]` of
 /// `activities` / `starts` / `ends`. Within an execution, events keep
 /// the [`Execution`] invariant: sorted by `(start, end, activity)`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventColumns {
     activities: Vec<u32>,
     starts: Vec<u64>,
@@ -54,6 +65,13 @@ impl ExecColumns<'_> {
     /// `true` if the execution has no events.
     pub fn is_empty(&self) -> bool {
         self.activities.is_empty()
+    }
+}
+
+impl Default for EventColumns {
+    /// Empty columns: [`EventColumns::new`].
+    fn default() -> Self {
+        EventColumns::new()
     }
 }
 
@@ -166,16 +184,32 @@ impl EventColumns {
 /// [`EventColumns`] carries what the miners consume; this wrapper adds
 /// the activity table, per-execution case ids, and the sparse output
 /// vectors (Definition 2's `O` field, present on few events in
-/// practice) so the row form can be reconstructed exactly.
-#[derive(Debug, Clone)]
+/// practice) so the row form can be reconstructed exactly. Batch reads
+/// assemble straight into one (see the module docs); every execution
+/// holds at least one instance, sorted by `(start, end, activity)` with
+/// `start <= end`, as an [`Execution`]'s are.
+#[derive(Debug, Clone, Default)]
 pub struct CompactLog {
-    activities: ActivityTable,
-    ids: Vec<String>,
-    columns: EventColumns,
+    pub(crate) activities: ActivityTable,
+    pub(crate) ids: Vec<String>,
+    pub(crate) columns: EventColumns,
     /// `(exec index, event index within the execution, output vector)`
     /// for each event that recorded an output, in log order.
-    outputs: Vec<(u32, u32, Vec<i64>)>,
+    pub(crate) outputs: Vec<(u32, u32, Vec<i64>)>,
 }
+
+/// Two logs are equal when their activity names, ids, columns and
+/// outputs are.
+impl PartialEq for CompactLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.activities.names() == other.activities.names()
+            && self.ids == other.ids
+            && self.columns == other.columns
+            && self.outputs == other.outputs
+    }
+}
+
+impl Eq for CompactLog {}
 
 impl CompactLog {
     /// Converts a row-layout log to columns, keeping everything needed
@@ -199,12 +233,25 @@ impl CompactLog {
 
     /// Reconstructs the row-layout log. Exact inverse of
     /// [`from_log`](Self::from_log): ids, instance order, and outputs
-    /// all round-trip.
+    /// all round-trip. Never fails: a `CompactLog` holds only valid
+    /// executions (see the type docs).
     pub fn to_log(&self) -> Result<WorkflowLog, LogError> {
-        let mut log = WorkflowLog::with_activities(self.activities.clone());
-        let mut out_iter = self.outputs.iter().peekable();
-        for (x, id) in self.ids.iter().enumerate() {
-            let cols = self.columns.exec(x);
+        Ok(self.clone().into_log())
+    }
+
+    /// [`to_log`](Self::to_log) without the copy: the ids, the activity
+    /// table and the output vectors move into the nested log.
+    pub fn into_log(self) -> WorkflowLog {
+        let CompactLog {
+            activities,
+            ids,
+            columns,
+            outputs,
+        } = self;
+        let mut log = WorkflowLog::with_activities(activities);
+        let mut outputs = outputs.into_iter().peekable();
+        for (x, id) in ids.into_iter().enumerate() {
+            let cols = columns.exec(x);
             let mut instances: Vec<ActivityInstance> = (0..cols.len())
                 .map(|j| ActivityInstance {
                     activity: ActivityId::from_index(cols.activities[j] as usize),
@@ -213,16 +260,12 @@ impl CompactLog {
                     output: None,
                 })
                 .collect();
-            while let Some((ex, j, out)) = out_iter.peek() {
-                if *ex as usize != x {
-                    break;
-                }
-                instances[*j as usize].output = Some(out.clone());
-                out_iter.next();
+            while let Some((_, j, out)) = outputs.next_if(|&(ex, _, _)| ex as usize == x) {
+                instances[j as usize].output = Some(out);
             }
-            log.push(Execution::new(id.clone(), instances)?);
+            log.push(Execution::from_sorted(id, instances));
         }
-        Ok(log)
+        log
     }
 
     /// The shared activity table.
@@ -248,6 +291,114 @@ impl CompactLog {
     /// `true` if the log has no executions.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
+    }
+}
+
+/// A log as the miners and reports read it: a [`CompactLog`]'s columns
+/// in place, or a [`WorkflowLog`]'s rows.
+///
+/// Functions that take `impl Into<LogView>` accept `&CompactLog` and
+/// `&WorkflowLog` alike. What needs only activity ids per execution
+/// ([`LogView::exec_activities`], [`LogView::repeats`]) reads either
+/// form in place; what needs the time columns calls
+/// [`LogView::columns`], which borrows a compact log's columns and
+/// lowers a nested log's rows once.
+#[derive(Debug, Clone, Copy)]
+pub enum LogView<'a> {
+    /// A row-layout log.
+    Nested(&'a WorkflowLog),
+    /// A columnar log.
+    Compact(&'a CompactLog),
+}
+
+impl<'a> From<&'a WorkflowLog> for LogView<'a> {
+    fn from(log: &'a WorkflowLog) -> Self {
+        LogView::Nested(log)
+    }
+}
+
+impl<'a> From<&'a CompactLog> for LogView<'a> {
+    fn from(log: &'a CompactLog) -> Self {
+        LogView::Compact(log)
+    }
+}
+
+impl<'a> LogView<'a> {
+    /// The log's activity table.
+    pub fn activities(self) -> &'a ActivityTable {
+        match self {
+            LogView::Nested(log) => log.activities(),
+            LogView::Compact(log) => &log.activities,
+        }
+    }
+
+    /// Number of executions.
+    pub fn len(self) -> usize {
+        match self {
+            LogView::Nested(log) => log.len(),
+            LogView::Compact(log) => log.len(),
+        }
+    }
+
+    /// `true` if the log has no executions.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The case id of execution `x`. Panics if `x` is out of range.
+    pub fn id(self, x: usize) -> &'a str {
+        match self {
+            LogView::Nested(log) => &log.executions()[x].id,
+            LogView::Compact(log) => &log.ids[x],
+        }
+    }
+
+    /// Number of instances in execution `x`. Panics if `x` is out of
+    /// range.
+    pub fn exec_len(self, x: usize) -> usize {
+        match self {
+            LogView::Nested(log) => log.executions()[x].len(),
+            LogView::Compact(log) => log.columns.exec_len(x),
+        }
+    }
+
+    /// The activity ids of execution `x`'s instances, in start order.
+    /// Panics if `x` is out of range.
+    pub fn exec_activities(self, x: usize) -> impl Iterator<Item = u32> + 'a {
+        let (rows, column): (&[ActivityInstance], &[u32]) = match self {
+            LogView::Nested(log) => (log.executions()[x].instances(), &[]),
+            LogView::Compact(log) => (&[], log.columns.exec(x).activities),
+        };
+        rows.iter()
+            .map(|i| i.activity.0)
+            .chain(column.iter().copied())
+    }
+
+    /// Per execution, in log order: `true` if it repeats an activity.
+    /// One pass over the log with one stamp per activity of the table;
+    /// every instance's activity must come from the table.
+    pub fn repeats(self) -> impl Iterator<Item = bool> + 'a {
+        // Execution `x` stamps its activities with `x + 1`: a stamp
+        // already equal to it is a repeat.
+        let mut stamps = vec![0usize; self.activities().len()];
+        (0..self.len()).map(move |x| {
+            let mut repeated = false;
+            for a in self.exec_activities(x) {
+                let stamp = &mut stamps[a as usize];
+                repeated |= *stamp == x + 1;
+                *stamp = x + 1;
+            }
+            repeated
+        })
+    }
+
+    /// The event columns: a compact log's own, borrowed, or a nested
+    /// log's rows lowered into new columns.
+    pub fn columns(self) -> Cow<'a, EventColumns> {
+        match self {
+            LogView::Nested(log) => Cow::Owned(EventColumns::from_log(log)),
+            LogView::Compact(log) => Cow::Borrowed(&log.columns),
+        }
     }
 }
 

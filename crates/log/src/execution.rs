@@ -59,6 +59,19 @@ impl Execution {
         Ok(Execution { id, instances })
     }
 
+    /// An execution from instances that already hold [`Execution::new`]'s
+    /// invariants: at least one, each with `start <= end`, sorted by
+    /// `(start, end, activity)`. The columns of a
+    /// [`CompactLog`](crate::CompactLog) hold them.
+    pub(crate) fn from_sorted(id: String, instances: Vec<ActivityInstance>) -> Self {
+        debug_assert!(!instances.is_empty());
+        debug_assert!(instances.iter().all(|i| i.start <= i.end));
+        debug_assert!(instances.windows(2).all(
+            |w| (w[0].start, w[0].end, w[0].activity) <= (w[1].start, w[1].end, w[1].activity)
+        ));
+        Execution { id, instances }
+    }
+
     /// Builds an instantaneous execution from an ordered activity-id
     /// sequence: the `i`-th activity gets `start == end == i`.
     pub fn from_ids(id: impl Into<String>, seq: &[ActivityId]) -> Result<Self, LogError> {

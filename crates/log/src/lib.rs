@@ -13,6 +13,9 @@
 //!   independent by construction (the paper's simplification to
 //!   instantaneous activities is the special case `start == end`);
 //! * [`WorkflowLog`] — a set of executions over a shared activity table;
+//! * [`columnar`] — the same log as columns: [`CompactLog`], which the
+//!   batch readers assemble into, and [`LogView`], which the miners and
+//!   reports read from either form;
 //! * [`codec`] — Flowmark-style CSV event format, a one-line-per-execution
 //!   sequence format, JSON-lines, and XES, each with a recovering decode
 //!   path ([`RecoveryPolicy`] / [`IngestReport`]);
@@ -57,7 +60,7 @@ pub mod validate;
 
 pub use activity::{ActivityId, ActivityTable};
 pub use codec::{IngestError, IngestReport, RecoveryPolicy};
-pub use columnar::{CompactLog, EventColumns, ExecColumns};
+pub use columnar::{CompactLog, EventColumns, ExecColumns, LogView};
 pub use error::LogError;
 pub use event::{EventKind, EventRecord};
 pub use execution::{ActivityInstance, Execution};

@@ -8,8 +8,8 @@ use serde::{Deserialize, Serialize};
 /// [`ActivityTable`]. This is the input to all mining algorithms.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct WorkflowLog {
-    activities: ActivityTable,
-    executions: Vec<Execution>,
+    pub(crate) activities: ActivityTable,
+    pub(crate) executions: Vec<Execution>,
 }
 
 impl WorkflowLog {

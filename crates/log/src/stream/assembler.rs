@@ -32,7 +32,9 @@ use super::checkpoint::{self, CheckpointError, WireError, WireReader, WireWriter
 use super::{Observer, SourceLocation, StreamError, StreamSink};
 use crate::codec::flowmark::EventFields;
 use crate::hash::{FoldMap, FoldState};
-use crate::validate::{assemble_case, AssemblyPolicy, CaseWork, EventRows, EventTable};
+use crate::validate::{
+    assemble_case, case_execution, AssemblyPolicy, CaseWork, EventRows, EventTable,
+};
 use crate::{ActivityTable, EventRecord, IngestReport};
 
 /// Default [`AssemblerConfig::max_open_cases`]: generous for real logs
@@ -489,7 +491,7 @@ impl<O: Observer> CaseAssembler<O> {
         };
         self.events.load_case(name, &mut case.rows);
         let work = &mut self.work;
-        let exec = assemble_case(
+        let paired = assemble_case(
             &mut self.events,
             0,
             0..buffered,
@@ -509,7 +511,8 @@ impl<O: Observer> CaseAssembler<O> {
             self.report.cases_evicted += 1;
             self.observer.on_eviction(&case.case, buffered);
         }
-        if let Some(exec) = exec? {
+        if paired? {
+            let exec = case_execution(&mut self.events, 0, &mut self.work)?;
             self.observer.on_execution(&exec, &self.table)?;
             self.executions_emitted += 1;
         }

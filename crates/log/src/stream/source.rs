@@ -93,6 +93,11 @@ impl<R: BufRead> FlowmarkSource<R> {
         &self.report
     }
 
+    /// The reader, positioned after the last line decoded.
+    pub(crate) fn into_inner(self) -> R {
+        self.lines.into_inner()
+    }
+
     /// Reads the next event as an owned record. `Ok(None)` at end of
     /// input; any `Err` also ends the stream. Blank lines and `#`
     /// comments are skipped.

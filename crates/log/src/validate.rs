@@ -6,11 +6,23 @@
 //! [`Execution`] values, either strictly (any structural problem is an
 //! error) or leniently (problems are dropped and reported as
 //! diagnostics, letting the noise-tolerant miner see the rest).
+//!
+//! One grouping and one pairing serve every reader. The pairing,
+//! `assemble_case`, pairs one case's STARTs and ENDs. A batch read
+//! appends each paired case to the columns of a
+//! [`CompactLog`]; the streaming case assembler
+//! builds the one [`Execution`] it hands the online miner. The grouping
+//! either takes a whole table of events at once or, for a Flowmark read
+//! whose cases arrive one after another, pairs each case as the next one
+//! starts (`GroupedCases`) and hands the read back to the whole-table
+//! grouping wherever the two could decide differently.
 
 use crate::hash::FoldMap;
 use crate::{
-    ActivityId, ActivityInstance, ActivityTable, EventKind, EventRecord, Execution, LogError,
+    ActivityId, ActivityInstance, ActivityTable, CompactLog, EventKind, EventRecord, Execution,
+    LogError, WorkflowLog,
 };
+use std::hash::BuildHasher;
 
 /// How [`assemble_executions_with`] treats structural problems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -84,12 +96,7 @@ pub fn assemble_executions(
     records: &[EventRecord],
     table: &mut ActivityTable,
 ) -> Result<Vec<Execution>, LogError> {
-    let (execs, _) = assemble_events(
-        EventTable::from_records(records),
-        table,
-        AssemblyPolicy::Strict,
-    )?;
-    Ok(execs)
+    assemble_executions_with(records, table, AssemblyPolicy::Strict).map(|r| r.executions)
 }
 
 /// Assembles `records` into executions under the given policy.
@@ -104,11 +111,19 @@ pub fn assemble_executions_with(
     table: &mut ActivityTable,
     policy: AssemblyPolicy,
 ) -> Result<AssemblyReport, LogError> {
-    let (executions, diagnostics) =
-        assemble_events(EventTable::from_records(records), table, policy)?;
-    Ok(AssemblyReport {
+    let mut log = CompactLog {
+        activities: std::mem::take(table),
+        ..CompactLog::default()
+    };
+    let assembled = assemble_events(EventTable::from_records(records), &mut log, policy);
+    let WorkflowLog {
+        activities,
         executions,
-        diagnostics,
+    } = log.into_log();
+    *table = activities;
+    Ok(AssemblyReport {
+        diagnostics: assembled?,
+        executions,
     })
 }
 
@@ -319,6 +334,20 @@ impl EventTable {
         self.interleaved = false;
     }
 
+    /// Replaces the table's cases and events with one case named
+    /// `name`, id 0, and no events yet. Activities and their
+    /// activity-table ids are kept.
+    fn open_case(&mut self, name: &str) {
+        self.cases.clear();
+        self.cases.names.push(name.to_string());
+        self.events.clear();
+    }
+
+    /// The one case an [`EventTable::open_case`] table holds, if any.
+    fn open_case_name(&self) -> Option<&str> {
+        self.cases.names.first().map(String::as_str)
+    }
+
     /// Row indices grouped by case: cases in id (first-seen) order, log
     /// order within a case. Case `c` owns
     /// `order[offsets[c]..offsets[c + 1]]`. When the rows arrived
@@ -348,21 +377,21 @@ impl EventTable {
     }
 }
 
-/// Groups `events` by case and pairs each case into an execution,
-/// interning activity names into `table`: the one batch assembly,
-/// behind every codec read and [`assemble_executions_with`].
-/// Executions keep the order of their case's first event; returns them
-/// with the diagnostics of dropped events (lenient only).
+/// Groups `events` by case and pairs each case onto the end of `log`,
+/// interning activity names into its table: the whole-table batch
+/// assembly, behind every codec read and [`assemble_executions_with`].
+/// Executions keep the order of their case's first event; returns the
+/// diagnostics of dropped events (lenient only).
 pub(crate) fn assemble_events(
     mut events: EventTable,
-    table: &mut ActivityTable,
+    log: &mut CompactLog,
     policy: AssemblyPolicy,
-) -> Result<(Vec<Execution>, Vec<Diagnostic>), LogError> {
+) -> Result<Vec<Diagnostic>, LogError> {
     let (offsets, order) = events.group_by_case();
     let mut work = CaseWork::default();
-    let mut executions = Vec::with_capacity(offsets.len() - 1);
     for (case, span) in offsets.windows(2).enumerate() {
-        let exec = match &order {
+        let table = &mut log.activities;
+        let paired = match &order {
             Some(order) => {
                 let members = order[span[0]..span[1]].iter().copied();
                 assemble_case(&mut events, case, members, table, policy, &mut work)?
@@ -376,16 +405,164 @@ pub(crate) fn assemble_events(
                 &mut work,
             )?,
         };
-        executions.extend(exec);
+        if paired {
+            append_case(&mut events, case, &mut work, log);
+        }
     }
-    Ok((executions, work.diagnostics))
+    Ok(work.diagnostics)
+}
+
+/// Appends the case `assemble_case` paired last to `log`: its instances
+/// sorted by `(start, end, activity)`, stably, as [`Execution::new`]
+/// sorts them, with the case name and the closing ENDs' outputs moved
+/// out of `events`.
+fn append_case(events: &mut EventTable, case: usize, work: &mut CaseWork, log: &mut CompactLog) {
+    let paired = &mut work.paired;
+    let key = |i: &ActivityInstance| (i.start, i.end, i.activity);
+    if paired.windows(2).any(|w| key(&w[0]) > key(&w[1])) {
+        paired.sort_by_key(key);
+    }
+    let exec = id32(log.ids.len());
+    for (j, inst) in paired.iter_mut().enumerate() {
+        if let Some(output) = inst.output.take() {
+            log.outputs.push((exec, id32(j), output));
+        }
+    }
+    log.columns.push_exec(
+        paired
+            .iter()
+            .map(|i| (i.activity.index() as u32, i.start, i.end)),
+    );
+    log.ids.push(std::mem::take(&mut events.cases.names[case]));
+}
+
+/// The case `assemble_case` paired last as an [`Execution`], taking the
+/// paired instances and the case name: what
+/// [`CaseAssembler`](crate::stream::CaseAssembler) hands its observer.
+pub(crate) fn case_execution(
+    events: &mut EventTable,
+    case: usize,
+    work: &mut CaseWork,
+) -> Result<Execution, LogError> {
+    Execution::new(
+        std::mem::take(&mut events.cases.names[case]),
+        std::mem::take(&mut work.paired),
+    )
+}
+
+/// The whole-table grouping must decide the read: a closed case
+/// reappeared, or pairing a case failed or dropped an event.
+#[derive(Debug)]
+pub(crate) struct HandOver;
+
+/// The grouping of a read whose cases arrive one after another: each
+/// case is paired and appended to the log as soon as the next case
+/// starts, so the table holds one case's events at a time.
+///
+/// The result equals the whole-table grouping's as long as no case
+/// reappears after it closed and every case pairs cleanly. Anything
+/// else returns [`HandOver`] and the caller re-reads through the whole
+/// table: a closed case's name coming back, a case that fails strict
+/// pairing (a later decode error would win over it there), and a case
+/// from which lenient pairing drops an event.
+pub(crate) struct GroupedCases {
+    events: EventTable,
+    policy: AssemblyPolicy,
+    work: CaseWork,
+    /// Closed cases by the fold hash of their name, probing on to the
+    /// next value past a slot whose case is named differently: a hit is
+    /// confirmed against `log.ids`, so no name is kept twice.
+    closed: FoldMap<u64, u32>,
+    log: CompactLog,
+}
+
+impl GroupedCases {
+    /// An empty grouping under `policy`.
+    pub(crate) fn new(policy: AssemblyPolicy) -> Self {
+        GroupedCases {
+            events: EventTable::default(),
+            policy,
+            work: CaseWork::default(),
+            closed: FoldMap::default(),
+            log: CompactLog::default(),
+        }
+    }
+
+    /// Takes one event of case `case` and activity `activity`. When
+    /// `case` differs from the open case, the open case closes first.
+    pub(crate) fn push(
+        &mut self,
+        case: &str,
+        activity: &str,
+        kind: EventKind,
+        time: u64,
+        output: Option<Vec<i64>>,
+    ) -> Result<(), HandOver> {
+        if self.events.open_case_name() != Some(case) {
+            self.close()?;
+            if self.is_closed(case) {
+                return Err(HandOver);
+            }
+            self.events.open_case(case);
+        }
+        let activity = self.events.activity_id(activity);
+        self.events.push(0, activity, kind, time, output);
+        Ok(())
+    }
+
+    /// Closes the last case and returns the log.
+    pub(crate) fn finish(mut self) -> Result<CompactLog, HandOver> {
+        self.close()?;
+        Ok(self.log)
+    }
+
+    /// Pairs the open case, if any, and appends it to the log.
+    fn close(&mut self) -> Result<(), HandOver> {
+        if self.events.open_case_name().is_none() {
+            return Ok(());
+        }
+        let rows = self.events.len();
+        let table = &mut self.log.activities;
+        let paired = assemble_case(
+            &mut self.events,
+            0,
+            0..rows,
+            table,
+            self.policy,
+            &mut self.work,
+        );
+        if !matches!(paired, Ok(true)) || !self.work.diagnostics.is_empty() {
+            return Err(HandOver);
+        }
+        append_case(&mut self.events, 0, &mut self.work, &mut self.log);
+        let exec = self.log.ids.len() - 1;
+        let mut slot = self.closed.hasher().hash_one(self.log.ids[exec].as_str());
+        while self.closed.contains_key(&slot) {
+            slot = slot.wrapping_add(1);
+        }
+        self.closed.insert(slot, id32(exec));
+        self.events.cases.clear();
+        Ok(())
+    }
+
+    /// `true` if a case named `name` has closed.
+    fn is_closed(&self, name: &str) -> bool {
+        let mut slot = self.closed.hasher().hash_one(name);
+        while let Some(&exec) = self.closed.get(&slot) {
+            if self.log.ids[exec as usize] == name {
+                return true;
+            }
+            slot = slot.wrapping_add(1);
+        }
+        false
+    }
 }
 
 /// End of a chain in [`CaseWork`].
 const NONE: usize = usize::MAX;
 
-/// Reusable working memory of [`assemble_case`], plus what it reports
-/// about dropped events.
+/// Reusable working memory of [`assemble_case`], the instances it
+/// paired last, and what it reports about dropped events.
 #[derive(Debug, Default)]
 pub(crate) struct CaseWork {
     /// Row indices of the case being paired, sorted by time.
@@ -396,6 +573,9 @@ pub(crate) struct CaseWork {
     chains: Vec<(usize, usize)>,
     /// Per instance of the case being paired.
     starts: Vec<OpenStart>,
+    /// The instances of the case paired last, in START order, with the
+    /// closing ENDs' outputs.
+    paired: Vec<ActivityInstance>,
     /// One diagnostic per dropped event, across calls (lenient only).
     pub(crate) diagnostics: Vec<Diagnostic>,
     /// The row index of each dropped event, parallel to `diagnostics`.
@@ -413,8 +593,9 @@ struct OpenStart {
     open: bool,
 }
 
-/// Assembles case `case` of `events` from the rows in `members` (in
-/// log order) — the one per-case pairing behind batch reads and
+/// Pairs case `case` of `events` from the rows in `members` (in log
+/// order) into `work`'s paired instances — the one per-case pairing
+/// behind batch reads and
 /// [`CaseAssembler`](crate::stream::CaseAssembler).
 ///
 /// Events are sorted by timestamp (stable, so equal timestamps keep log
@@ -422,12 +603,12 @@ struct OpenStart {
 /// through a FIFO chain per event-table activity id: O(1) amortized per
 /// event, whatever the number of open STARTs. STARTs intern their
 /// activity into `table` in that order, so ids match a pass that
-/// interned every START's name. The execution takes the case name and
-/// the closing ENDs' outputs out of `events`. Under
-/// [`AssemblyPolicy::Lenient`] every dropped event appends a diagnostic
-/// to `work.diagnostics` and its row index to `work.dropped` — dangling
-/// ENDs in time order, then never-ended STARTs in instance order.
-/// Returns `None` when nothing survives.
+/// interned every START's name. The paired instances stay in START
+/// order, each with its closing END's output moved out of `events`; the
+/// caller takes them with `append_case` or [`case_execution`]. Under [`AssemblyPolicy::Lenient`] every dropped
+/// event appends a diagnostic to `work.diagnostics` and its row index
+/// to `work.dropped` — dangling ENDs in time order, then never-ended
+/// STARTs in instance order. Returns `false` when nothing survives.
 pub(crate) fn assemble_case(
     events: &mut EventTable,
     case: usize,
@@ -435,7 +616,7 @@ pub(crate) fn assemble_case(
     table: &mut ActivityTable,
     policy: AssemblyPolicy,
     work: &mut CaseWork,
-) -> Result<Option<Execution>, LogError> {
+) -> Result<bool, LogError> {
     let EventTable {
         cases,
         activities,
@@ -447,6 +628,7 @@ pub(crate) fn assemble_case(
         order,
         chains,
         starts,
+        paired,
         diagnostics,
         dropped,
     } = work;
@@ -465,7 +647,10 @@ pub(crate) fn assemble_case(
     }
 
     starts.clear();
-    let mut instances: Vec<ActivityInstance> = Vec::with_capacity(order.len() / 2);
+    paired.clear();
+    // `case_execution` takes the vector, so on the streaming path each
+    // case allocates it here, sized for its instances (half its events).
+    paired.reserve_exact(order.len() / 2);
     let mut unmatched_end = None;
     for &i in order.iter() {
         let row = rows[i];
@@ -474,8 +659,8 @@ pub(crate) fn assemble_case(
             EventKind::Start => {
                 let activity = *log_ids[a].get_or_insert_with(|| table.intern(&names[a]));
                 debug_assert_eq!(table.name(activity), names[a]);
-                let idx = instances.len();
-                instances.push(ActivityInstance {
+                let idx = paired.len();
+                paired.push(ActivityInstance {
                     activity,
                     start: row.time,
                     end: u64::MAX, // patched on END
@@ -500,8 +685,8 @@ pub(crate) fn assemble_case(
                     let idx = chain.0;
                     chain.0 = starts[idx].next;
                     starts[idx].open = false;
-                    instances[idx].end = row.time;
-                    instances[idx].output = (row.output != NO_OUTPUT)
+                    paired[idx].end = row.time;
+                    paired[idx].output = (row.output != NO_OUTPUT)
                         .then(|| std::mem::take(&mut outputs[row.output as usize]));
                 } else if policy == AssemblyPolicy::Strict {
                     unmatched_end = Some(row);
@@ -550,14 +735,11 @@ pub(crate) fn assemble_case(
     }
     if any_open {
         let mut open = starts.iter().map(|s| s.open);
-        instances.retain(|_| open.next() == Some(false));
+        paired.retain(|_| open.next() == Some(false));
     }
-
-    if instances.is_empty() {
-        // A lenient pass may have dropped everything; skip the case.
-        return Ok(None);
-    }
-    Execution::new(std::mem::take(&mut cases.names[case]), instances).map(Some)
+    // A lenient pass may have dropped everything; the caller skips the
+    // case.
+    Ok(!paired.is_empty())
 }
 
 /// The record-keyed assembly, kept as the reference the id-keyed
@@ -846,7 +1028,11 @@ mod tests {
                 let mut table = seeded_table(seed);
                 let mut events = EventTable::from_records(&records);
                 let case = events.case_id("p0") as usize;
-                let got = assemble_case(&mut events, case, 0..records.len(), &mut table, policy, &mut work);
+                let got = assemble_case(&mut events, case, 0..records.len(), &mut table, policy, &mut work)
+                    .and_then(|paired| match paired {
+                        true => case_execution(&mut events, case, &mut work).map(Some),
+                        false => Ok(None),
+                    });
                 let mut ref_table = seeded_table(seed);
                 let want = reference_assemble(&records, &mut ref_table, policy);
                 prop_assert_eq!(table.names(), ref_table.names());

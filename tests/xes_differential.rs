@@ -15,10 +15,14 @@
 //! START/complete intervals, outputs, escaped and non-ASCII names,
 //! foreign attribute syntax, markup between events, CRLF, tab and
 //! U+00A0 whitespace, unnamed traces and events outside any trace.
+//!
+//! Every decode through the parser under test also reads the document
+//! into columns (`xes::read_compact_with`), which must give the same
+//! log, error, stats and report.
 
 use procmine::log::codec::{xes, xes_reference, CodecStats};
 use procmine::log::fault::{corrupt_bytes, FaultConfig};
-use procmine::log::{Execution, IngestReport, RecoveryPolicy, WorkflowLog};
+use procmine::log::{CompactLog, Execution, IngestReport, RecoveryPolicy, WorkflowLog};
 use proptest::prelude::*;
 
 /// Strategy: a random log over activities `B`..`I` framed by `A`/`J`
@@ -57,10 +61,25 @@ fn observe(
     (flat, stats, report)
 }
 
+/// Decodes with the parser under test. Its columns read must give the
+/// same log in columns, the same error, stats and report.
 fn decode_new(data: &[u8], policy: RecoveryPolicy) -> Observed {
     let mut stats = CodecStats::default();
     let mut report = IngestReport::default();
     let result = xes::read_log_with(data, policy, &mut stats, &mut report);
+    let mut compact_stats = CodecStats::default();
+    let mut compact_report = IngestReport::default();
+    let compact = xes::read_compact_with(data, policy, &mut compact_stats, &mut compact_report);
+    assert_eq!(
+        compact.map_err(|e| e.to_string()),
+        result
+            .as_ref()
+            .map(CompactLog::from_log)
+            .map_err(|e| e.to_string()),
+        "{policy:?}: columns read"
+    );
+    assert_eq!(compact_stats, stats, "{policy:?}: columns read stats");
+    assert_eq!(compact_report, report, "{policy:?}: columns read report");
     observe(result, stats, report)
 }
 
