@@ -278,6 +278,35 @@ if ! diff -u "$smoke_dir/crash-batch.edges" "$smoke_dir/crash-resumed.edges"; th
   exit 1
 fi
 
+# Follow-state lane: at T = 1 the online miner retains one execution per
+# activity set, so its state grows with distinct behaviour, not with
+# the stream. A log followed once, and again with every case repeated
+# twice more under new case ids, must print the same edges and leave
+# final checkpoints of the same size: the retained executions are the
+# same, and every other checkpoint field has a fixed width.
+echo "==> follow-state lane: repeated cases leave the final checkpoint's size unchanged"
+./target/release/procmine generate --preset graph10 --executions 300 --seed 31 \
+  -o "$smoke_dir/state.fm" >/dev/null
+cp "$smoke_dir/state.fm" "$smoke_dir/state3.fm"
+for copy in 1 2; do
+  sed "s/^\([^,]*\),/\1-copy$copy,/" "$smoke_dir/state.fm" >> "$smoke_dir/state3.fm"
+done
+for log in state state3; do
+  ./target/release/procmine mine --follow "$smoke_dir/$log.fm" \
+    --checkpoint "$smoke_dir/$log.ckpt" 2>/dev/null \
+    | grep -E '^  .* -> ' | sort > "$smoke_dir/$log.edges"
+done
+if ! diff -u "$smoke_dir/state.edges" "$smoke_dir/state3.edges"; then
+  echo "following repeated cases changed the mined edges" >&2
+  exit 1
+fi
+once=$(wc -c < "$smoke_dir/state.ckpt")
+thrice=$(wc -c < "$smoke_dir/state3.ckpt")
+if [ "$once" -ne "$thrice" ]; then
+  echo "follow state grew with repeated cases: final checkpoint $once bytes, $thrice with every case thrice" >&2
+  exit 1
+fi
+
 # Perf-regression smoke: run the fixed scenario matrix once in smoke
 # mode, validate the report against the perfsuite schema, and let the
 # binary's built-in disabled-tracer overhead guard gate the run. The

@@ -711,9 +711,10 @@ type ResumeState = (
 /// Attempts to resume a follow session from `ck_path`. Returns
 /// `Ok(None)` for a cold start — the file does not exist, or it is
 /// corrupt and `recovering` allows discarding it. Version skew and an
-/// options-fingerprint mismatch always refuse: the first is a
-/// different build's format, the second would silently mix counts
-/// accumulated under different mining semantics.
+/// options-fingerprint mismatch always refuse: the first is a format
+/// version this build does not know (it reads older versions and
+/// migrates them), the second would silently mix counts accumulated
+/// under different mining semantics.
 fn load_follow_checkpoint(
     ck_path: &str,
     log_path: &str,
@@ -746,8 +747,7 @@ fn load_follow_checkpoint(
         Ok(ck) => ck,
         Err(e @ CheckpointError::VersionSkew { .. }) => {
             return Err(format!(
-                "cannot resume from `{ck_path}`: {e} (written by a different build; \
-                 delete the file to start over)"
+                "cannot resume from `{ck_path}`: {e}; delete the file to start over"
             )
             .into())
         }

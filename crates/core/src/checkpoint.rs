@@ -25,11 +25,10 @@
 //!   model that matches *neither* configuration, so a fingerprint
 //!   mismatch always refuses — `--recover` does not override it.
 
-use crate::general_dag::OrderObservations;
-use crate::online::set_index;
+use crate::general_dag::{pair_observations, sorted_set, OrderObservations, SetIndex};
 use crate::{MinerOptions, OnlineMiner, SnapshotPolicy};
 use procmine_log::codec::CodecStats;
-use procmine_log::stream::checkpoint::{read_payload, write_atomic_raw};
+use procmine_log::stream::checkpoint::{read_payload, write_atomic_raw, OLDEST_VERSION, VERSION};
 use procmine_log::stream::{AssemblerState, CheckpointError, WireError, WireReader, WireWriter};
 use procmine_log::{ActivityTable, EventColumns, IngestReport};
 use std::path::Path;
@@ -120,11 +119,13 @@ impl OptionsFingerprint {
 
 /// The resumable state of an [`OnlineMiner`]: activity universe,
 /// step-2 count matrices, the lowered executions the marking pass
-/// needs, and the cadence counters that survive a restart. Produced by
-/// [`OnlineMiner::export_state`], consumed by
-/// [`OnlineMiner::from_state`]. The *checkpoint* cadence counter is
-/// deliberately absent — the resume point is by definition a
-/// checkpoint, so it restarts at zero.
+/// needs, the totals of everything absorbed and the cadence counters
+/// that survive a restart. Produced by [`OnlineMiner::export_state`],
+/// consumed by [`OnlineMiner::from_state`]. The *checkpoint* cadence
+/// counter is deliberately absent — the resume point is by definition
+/// a checkpoint, so it restarts at zero. So are the marks of the last
+/// snapshot: a resumed miner's first snapshot marks every retained
+/// execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OnlineMinerState {
     /// Interned activity names, in id order.
@@ -134,9 +135,16 @@ pub struct OnlineMinerState {
     /// Row-major `n × n` overlap counts.
     pub overlap: Vec<u32>,
     /// Retained executions: `(dense vertex, start, end)` per instance.
+    /// At noise threshold T ≤ 1 the first execution of each activity
+    /// set, at T ≥ 2 every absorbed execution.
     pub execs: EventColumns,
     /// Activity instances absorbed over the miner's whole life.
     pub events_absorbed: u64,
+    /// Executions absorbed over the miner's whole life.
+    pub executions_absorbed: u64,
+    /// Instance pairs of the absorbed executions: `k·(k−1)/2` per
+    /// execution of length `k`.
+    pub pairs_absorbed: u64,
     /// Events absorbed since the last model snapshot.
     pub events_since_snapshot: u64,
     /// Model snapshots materialized so far.
@@ -155,6 +163,8 @@ pub struct MinerStateView<'a> {
     overlap: &'a [u32],
     execs: &'a EventColumns,
     events_absorbed: u64,
+    executions_absorbed: u64,
+    pairs_absorbed: u64,
     events_since_snapshot: u64,
     snapshots_taken: u64,
 }
@@ -165,10 +175,24 @@ impl MinerStateView<'_> {
         let names: usize = self.activities.iter().map(|a| 8 + a.len()).sum();
         let matrices = 2 * 8 + 4 * (self.ordered.len() + self.overlap.len());
         let execs = 8 + 8 * self.execs.exec_count() + 24 * self.execs.event_count();
-        8 + names + matrices + execs + 4 * 8
+        8 + names + matrices + execs + 5 * 8
     }
 
+    /// Encodes the state in the current format: the activities, the two
+    /// matrices and the retained executions as version 1 laid them out,
+    /// then the totals and the cadence counters.
     fn encode_into(&self, w: &mut WireWriter) {
+        self.encode_tables(w);
+        w.put_u64(self.events_absorbed);
+        w.put_u64(self.executions_absorbed);
+        w.put_u64(self.pairs_absorbed);
+        w.put_u64(self.events_since_snapshot);
+        w.put_u64(self.snapshots_taken);
+    }
+
+    /// The part every format version shares: the activities, the two
+    /// count matrices and the retained executions.
+    fn encode_tables(&self, w: &mut WireWriter) {
         w.put_usize(self.activities.len());
         for name in self.activities {
             w.put_str(name);
@@ -189,12 +213,6 @@ impl MinerStateView<'_> {
                 w.put_u64(exec.ends[j]);
             }
         }
-        // Version 1 holds the event total twice: once after the
-        // executions, once with the cadence counters.
-        w.put_u64(self.events_absorbed);
-        w.put_u64(self.events_absorbed);
-        w.put_u64(self.events_since_snapshot);
-        w.put_u64(self.snapshots_taken);
     }
 }
 
@@ -207,12 +225,18 @@ impl OnlineMinerState {
             overlap: &self.overlap,
             execs: &self.execs,
             events_absorbed: self.events_absorbed,
+            executions_absorbed: self.executions_absorbed,
+            pairs_absorbed: self.pairs_absorbed,
             events_since_snapshot: self.events_since_snapshot,
             snapshots_taken: self.snapshots_taken,
         }
     }
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    /// Decodes the state as format `version` (1 or 2) lays it out.
+    /// Version 1 held every absorbed execution and its event total
+    /// twice, which must agree; its execution and pair totals are
+    /// those of its executions.
+    fn decode(r: &mut WireReader<'_>, version: u16) -> Result<Self, WireError> {
         let n = r.get_len("miner.activities.len", 8)?;
         let mut activities = Vec::with_capacity(n);
         for _ in 0..n {
@@ -249,21 +273,33 @@ impl OnlineMinerState {
             }
             execs.push_exec(exec.iter().copied());
         }
-        let events = r.get_u64("miner.events")?;
-        let events_absorbed = r.get_u64("online.events_absorbed")?;
-        if events != events_absorbed {
-            return Err(WireError {
-                message: format!(
-                    "miner event total {events} differs from the online event total {events_absorbed}"
-                ),
-            });
-        }
+        let (events_absorbed, executions_absorbed, pairs_absorbed) = if version == 1 {
+            let events = r.get_u64("miner.events")?;
+            let events_absorbed = r.get_u64("online.events_absorbed")?;
+            if events != events_absorbed {
+                return Err(WireError {
+                    message: format!(
+                        "miner event total {events} differs from the online event total {events_absorbed}"
+                    ),
+                });
+            }
+            let executions = execs.exec_count() as u64;
+            (events_absorbed, executions, pair_observations(&execs))
+        } else {
+            (
+                r.get_u64("miner.events_absorbed")?,
+                r.get_u64("miner.executions_absorbed")?,
+                r.get_u64("miner.pairs_absorbed")?,
+            )
+        };
         Ok(OnlineMinerState {
             activities,
             ordered,
             overlap,
             execs,
             events_absorbed,
+            executions_absorbed,
+            pairs_absorbed,
             events_since_snapshot: r.get_u64("online.events_since_snapshot")?,
             snapshots_taken: r.get_u64("online.snapshots_taken")?,
         })
@@ -394,13 +430,29 @@ impl FollowCheckpoint {
         self.view().encode()
     }
 
-    /// Decodes a checkpoint payload. Requires full consumption —
-    /// trailing bytes mean a writer/reader skew the version field
-    /// failed to catch.
+    /// Decodes a checkpoint payload in the current format. Requires
+    /// full consumption — trailing bytes mean a writer/reader skew the
+    /// version field failed to catch.
     pub fn decode(payload: &[u8]) -> Result<Self, CheckpointError> {
+        FollowCheckpoint::decode_version(VERSION, payload)
+    }
+
+    /// Decodes a checkpoint payload written in format `version`, any
+    /// from [`OLDEST_VERSION`] to [`VERSION`]; another version is
+    /// refused as [`CheckpointError::VersionSkew`]. Only the miner part
+    /// differs between versions: a version 1 miner state holds every
+    /// absorbed execution, and [`OnlineMiner::from_state`] keeps what
+    /// the threshold retains.
+    pub fn decode_version(version: u16, payload: &[u8]) -> Result<Self, CheckpointError> {
+        if !(OLDEST_VERSION..=VERSION).contains(&version) {
+            return Err(CheckpointError::VersionSkew {
+                found: version,
+                expected: VERSION,
+            });
+        }
         let mut r = WireReader::new(payload);
         let fingerprint = OptionsFingerprint::decode(&mut r)?;
-        let miner = OnlineMinerState::decode(&mut r)?;
+        let miner = OnlineMinerState::decode(&mut r, version)?;
         let assembler = AssemblerState::decode(&mut r)?;
         let source = SourceState::decode(&mut r)?;
         r.finish()?;
@@ -419,9 +471,11 @@ impl FollowCheckpoint {
     }
 
     /// Reads and fully validates a checkpoint from `path`: envelope
-    /// (magic, version, length, CRC-32), then payload structure.
+    /// (magic, version, length, CRC-32), then payload structure in the
+    /// file's format version.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        FollowCheckpoint::decode(&read_payload(path)?)
+        let (version, payload) = read_payload(path)?;
+        FollowCheckpoint::decode_version(version, &payload)
     }
 }
 
@@ -436,6 +490,8 @@ impl OnlineMiner {
             overlap: &self.obs.overlap,
             execs: &self.execs,
             events_absorbed: self.events_absorbed,
+            executions_absorbed: self.executions_absorbed,
+            pairs_absorbed: self.pairs_absorbed,
             events_since_snapshot: self.events_since_snapshot,
             snapshots_taken: self.snapshots_taken,
         }
@@ -450,6 +506,8 @@ impl OnlineMiner {
             overlap: self.obs.overlap.clone(),
             execs: self.execs.clone(),
             events_absorbed: self.events_absorbed,
+            executions_absorbed: self.executions_absorbed,
+            pairs_absorbed: self.pairs_absorbed,
             events_since_snapshot: self.events_since_snapshot,
             snapshots_taken: self.snapshots_taken,
         }
@@ -458,10 +516,15 @@ impl OnlineMiner {
     /// Rebuilds a miner from an exported [`OnlineMinerState`] under the
     /// given options and snapshot policy. Structural invariants are
     /// re-validated — cadence counters, matrix shapes, vertex ranges,
-    /// per-execution repeat-freedom, the event total — so a corrupt or
-    /// hand-forged state is refused instead of mined from. The
-    /// first-of-set list the snapshots mark at T ≤ 1 is not part of the
-    /// state; it is keyed again here.
+    /// per-execution repeat-freedom, the totals — so a corrupt or
+    /// hand-forged state is refused instead of mined from.
+    ///
+    /// At noise threshold T ≤ 1 the miner keeps the first retained
+    /// execution of each activity set, which migrates a state that
+    /// retained every execution (format version 1) in place; the
+    /// retained instances and executions may then be fewer than the
+    /// totals. At T ≥ 2 every absorbed execution is retained, and the
+    /// totals must be those of the retained executions.
     pub fn from_state(
         options: MinerOptions,
         policy: SnapshotPolicy,
@@ -511,29 +574,69 @@ impl OnlineMiner {
                 last_seen[v] = i;
             }
         }
-        let events = state.execs.event_count() as u64;
-        if events != state.events_absorbed {
-            return Err(invalid(format!(
-                "miner event total {} does not match the {events} instances in its executions",
-                state.events_absorbed
-            )));
+        let mut miner = OnlineMiner::new(options, policy);
+        let execs = match &mut miner.sets {
+            Some(sets) => first_of_each_set(state.execs, sets),
+            None => state.execs,
+        };
+        let retained = [
+            ("event", execs.event_count() as u64, state.events_absorbed),
+            (
+                "execution",
+                execs.exec_count() as u64,
+                state.executions_absorbed,
+            ),
+            ("pair", pair_observations(&execs), state.pairs_absorbed),
+        ];
+        for (what, held, total) in retained {
+            // At T ≤ 1 each retained execution stands for one or more
+            // absorbed ones of its activity set.
+            let consistent = if miner.sets.is_some() {
+                held <= total && (held == 0) == (total == 0)
+            } else {
+                held == total
+            };
+            if !consistent {
+                return Err(invalid(format!(
+                    "miner {what} total {total} does not match the {held} retained in its executions"
+                )));
+            }
         }
-        Ok(OnlineMiner {
-            sets: set_index(&options, &state.execs),
-            options,
-            policy,
-            table,
-            obs: OrderObservations {
-                ordered: state.ordered,
-                overlap: state.overlap,
-            },
-            execs: state.execs,
-            id_map: Vec::new(),
-            events_absorbed: events,
-            events_since_snapshot: state.events_since_snapshot,
-            snapshots_taken: state.snapshots_taken,
-        })
+        miner.table = table;
+        miner.obs = OrderObservations {
+            ordered: state.ordered,
+            overlap: state.overlap,
+        };
+        miner.execs = execs;
+        miner.events_absorbed = state.events_absorbed;
+        miner.executions_absorbed = state.executions_absorbed;
+        miner.pairs_absorbed = state.pairs_absorbed;
+        miner.events_since_snapshot = state.events_since_snapshot;
+        miner.snapshots_taken = state.snapshots_taken;
+        Ok(miner)
     }
+}
+
+/// The first execution of each activity set in `execs`, keyed into
+/// `sets`: `execs` itself when every set is distinct.
+fn first_of_each_set(execs: EventColumns, sets: &mut SetIndex) -> EventColumns {
+    let mut set = Vec::new();
+    let first: Vec<bool> = (0..execs.exec_count())
+        .map(|i| {
+            sorted_set(execs.exec(i).activities, &mut set);
+            sets.insert(&set)
+        })
+        .collect();
+    if first.iter().all(|&f| f) {
+        return execs;
+    }
+    let mut kept = EventColumns::new();
+    for i in (0..execs.exec_count()).filter(|&i| first[i]) {
+        let exec = execs.exec(i);
+        let events = exec.activities.iter().zip(exec.starts).zip(exec.ends);
+        kept.push_exec(events.map(|((&a, &start), &end)| (a, start, end)));
+    }
+    kept
 }
 
 #[cfg(test)]
@@ -553,17 +656,18 @@ mod tests {
     #[test]
     fn corrupt_miner_states_are_refused() {
         let good = seeded_miner().export_state();
-        let reject = |state: OnlineMinerState, needle: &str| {
+        let reject_at = |threshold: u32, state: OnlineMinerState, needle: &str| {
             let err = OnlineMiner::from_state(
-                MinerOptions::default(),
+                MinerOptions::with_threshold(threshold),
                 SnapshotPolicy::on_demand(),
                 state,
             )
             .map(|_| ())
             .expect_err(needle)
             .to_string();
-            assert!(err.contains(needle), "got: {err}");
+            assert!(err.contains(needle), "T={threshold}, got: {err}");
         };
+        let reject = |state: OnlineMinerState, needle: &str| reject_at(1, state, needle);
         // `good` plus one forged execution, the event total kept in step.
         let with_exec = |events: &[(u32, u64, u64)]| {
             let mut state = good.clone();
@@ -585,9 +689,32 @@ mod tests {
         reject(with_exec(&[(0, 0, 0), (0, 1, 1)]), "repeats vertex");
         reject(with_exec(&[]), "is empty");
 
-        let mut miscounted = good.clone();
-        miscounted.events_absorbed += 1;
-        reject(miscounted, "event total");
+        // At T ≤ 1 the totals may exceed what is retained, never fall
+        // short of it; at T ≥ 2 they must equal it.
+        type Total = fn(&mut OnlineMinerState) -> &mut u64;
+        let totals: [(&str, Total); 3] = [
+            ("event", |s| &mut s.events_absorbed),
+            ("execution", |s| &mut s.executions_absorbed),
+            ("pair", |s| &mut s.pairs_absorbed),
+        ];
+        for (what, total) in totals {
+            let mut short = good.clone();
+            *total(&mut short) -= 1;
+            short.events_since_snapshot = 0;
+            reject(short, &format!("{what} total"));
+            let mut over = good.clone();
+            *total(&mut over) += 1;
+            reject_at(2, over.clone(), &format!("{what} total"));
+            assert!(OnlineMiner::from_state(
+                MinerOptions::default(),
+                SnapshotPolicy::on_demand(),
+                over
+            )
+            .is_ok());
+        }
+        let mut emptied = good.clone();
+        emptied.execs = EventColumns::new();
+        reject(emptied, "total");
 
         let mut counters = good.clone();
         counters.events_since_snapshot = counters.events_absorbed + 1;
@@ -601,23 +728,39 @@ mod tests {
         .is_ok());
     }
 
+    /// A version 1 miner part: the shared tables, then the event total
+    /// twice and the cadence counters.
+    fn encode_v1(view: &MinerStateView<'_>) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        view.encode_tables(&mut w);
+        w.put_u64(view.events_absorbed);
+        w.put_u64(view.events_absorbed);
+        w.put_u64(view.events_since_snapshot);
+        w.put_u64(view.snapshots_taken);
+        w.into_bytes()
+    }
+
     #[test]
     fn unequal_event_total_slots_are_refused() {
         // Version 1 writes the event total twice; a payload whose two
         // copies disagree is corrupt, whichever copy is wrong.
-        let mut w = WireWriter::new();
-        seeded_miner().state_view().encode_into(&mut w);
-        let good = w.into_bytes();
+        let miner = seeded_miner();
+        let good = encode_v1(&miner.state_view());
         // The two slots precede the last two counters.
         let first = good.len() - 32;
         for slot in [first, first + 8] {
             let mut bytes = good.clone();
             bytes[slot] ^= 1;
-            let err = OnlineMinerState::decode(&mut WireReader::new(&bytes))
+            let err = OnlineMinerState::decode(&mut WireReader::new(&bytes), 1)
                 .expect_err("unequal slots accepted");
             assert!(err.message.contains("differs"), "got: {err}");
         }
-        assert!(OnlineMinerState::decode(&mut WireReader::new(&good)).is_ok());
+        let decoded = OnlineMinerState::decode(&mut WireReader::new(&good), 1).unwrap();
+        assert_eq!(
+            decoded,
+            miner.export_state(),
+            "v1 totals derive from its executions"
+        );
     }
 
     /// The save buffer is sized from `encoded_len`, so it must count

@@ -18,7 +18,7 @@
 //! **Marking once per activity set.** At noise threshold T ≤ 1 the
 //! marking pass reduces only the first execution of each distinct
 //! vertex set ([`executions_to_mark`], keyed by a [`SetIndex`]; the
-//! online miner keeps its index across snapshots). This is exact.
+//! online miner retains only those executions). This is exact.
 //! For T = 1, every edge u→v left after pruning and SCC removal has
 //! `ordered[u][v] ≥ 1` and `overlap[u][v] = 0`, and `ordered[v][u] = 0`
 //! because otherwise two-cycle removal would have dropped the pair. So
@@ -49,7 +49,6 @@ use crate::telemetry::{MetricsSink, Stage};
 use crate::{MineError, MinedModel, MinerOptions};
 use procmine_graph::{scc, words, AdjMatrix, Arena, ArenaStats};
 use procmine_log::{EventColumns, ExecColumns, LogView};
-use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// A log lowered to dense vertex ids, in columnar form: each
@@ -84,10 +83,37 @@ pub(crate) fn mine_vertex_log<S: MetricsSink>(
     threshold: u32,
     deadline: Deadline,
 ) -> Result<VertexMineResult, MineError> {
+    let n = vlog.n;
     let obs = run_stage(session, Stage::CountPairs, deadline, |session, busy_ns| {
         count_ordered_pairs(session, vlog, deadline, busy_ns)
     })?;
-    finish_from_counts(session, vlog, obs, threshold, None, deadline)
+    let mut g = prune_graph(session, n, &obs, threshold, deadline)?;
+
+    // Steps 5–6: per-execution induced-subgraph transitive reduction;
+    // keep only edges some reduction needs.
+    let marked = run_stage(session, Stage::Reduce, deadline, |session, busy_ns| {
+        let list = executions_to_mark(vlog.cols, threshold, deadline)?;
+        let (marked, arena) = if session.threads > 1 {
+            parallel::mark(session, vlog, &g, &list, deadline, busy_ns)?
+        } else {
+            let mut marked = AdjMatrix::new(n);
+            let mut scratch = MarkScratch::new();
+            for k in 0..list.len() {
+                deadline.check()?;
+                mark_one_execution(&g, vlog.cols.exec(list.get(k)), &mut scratch, |u, v| {
+                    marked.add_edge(u as usize, v as usize);
+                });
+            }
+            (marked, scratch.arena_stats())
+        };
+        record_arena_telemetry(session, &arena);
+        Ok(marked)
+    })?;
+    drop_unmarked(session, &mut g, |u, v| marked.has_edge(u, v));
+    Ok(VertexMineResult {
+        graph: g,
+        counts: obs.ordered,
+    })
 }
 
 /// Step-2 observation counts: `ordered[u*n+v]` executions where `u`
@@ -176,6 +202,10 @@ pub(crate) fn count_one_execution(n: usize, exec: ExecColumns<'_>, obs: &mut Ord
     }
 }
 
+/// The edges one execution's reduction marked, as `(u, v)` vertex
+/// pairs.
+pub(crate) type MarkedEdges = Vec<(u32, u32)>;
+
 /// Reusable scratch for the per-execution marking pass. The pass needs
 /// two k×k bit-matrix workspaces per execution; a bump [`Arena`] hands
 /// both out as one zeroed word block that is recycled (not freed)
@@ -204,19 +234,23 @@ impl MarkScratch {
 /// Step 5 for one execution: build the induced subgraph (only edges of
 /// `g` whose endpoints are ordered in this execution), take its
 /// transitive reduction (Appendix A, over positions — start order is a
-/// topological order), and mark the surviving edges.
+/// topological order), and hand each surviving edge `(u, v)` to
+/// `mark`, once.
 ///
 /// At T ≤ 1 the induced subgraph depends only on the execution's vertex
 /// set (see the module doc), so the caller runs this once per distinct
-/// set; at T ≥ 2 it runs once per execution.
+/// set; at T ≥ 2 it runs once per execution. Either way the marks
+/// depend only on `g` restricted to the execution's vertices and on its
+/// own interval order, which lets the online miner keep them across
+/// snapshots.
 ///
 /// The induced subgraph `sub` and descendant DP table `desc` are packed
 /// bit rows of `wpr = ceil(k/64)` words, carved from one arena block.
 pub(crate) fn mark_one_execution(
     g: &AdjMatrix,
     exec: ExecColumns<'_>,
-    marked: &mut AdjMatrix,
     scratch: &mut MarkScratch,
+    mut mark: impl FnMut(u32, u32),
 ) {
     let k = exec.len();
     let wpr = k.div_ceil(u64::BITS as usize);
@@ -264,7 +298,7 @@ pub(crate) fn mark_one_execution(
     // Mark surviving edges at the vertex level.
     for i in 0..k {
         for j in words::ones(&sub[i * wpr..(i + 1) * wpr]) {
-            marked.add_edge(exec.activities[i] as usize, exec.activities[j] as usize);
+            mark(exec.activities[i], exec.activities[j]);
         }
     }
 }
@@ -279,7 +313,10 @@ impl Default for MarkScratch {
 /// and the registry's `procmine_arena_bytes_total` /
 /// `procmine_arena_resets_total` counters (satellite telemetry for the
 /// arena-backed scratch).
-fn record_arena_telemetry<S: MetricsSink>(session: &mut MineSession<S>, stats: &ArenaStats) {
+pub(crate) fn record_arena_telemetry<S: MetricsSink>(
+    session: &mut MineSession<S>,
+    stats: &ArenaStats,
+) {
     if S::ENABLED {
         let st = *stats;
         session.sink.record(|m| {
@@ -380,14 +417,14 @@ pub(crate) fn prune_graph<S: MetricsSink>(
 
 /// The executions the marking pass reduces, by position `0..len()`.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum MarkList<'a> {
+pub(crate) enum MarkList {
     /// Every execution `0..m`; no list is built.
     Every(usize),
     /// The first execution of each distinct sorted vertex set.
-    FirstOfSet(Cow<'a, [usize]>),
+    FirstOfSet(Vec<usize>),
 }
 
-impl MarkList<'_> {
+impl MarkList {
     pub(crate) fn len(&self) -> usize {
         match self {
             MarkList::Every(m) => *m,
@@ -404,101 +441,68 @@ impl MarkList<'_> {
     }
 }
 
-/// The first execution of each distinct sorted vertex set, keyed one
-/// execution at a time: the marking list at T ≤ 1. A batch run keys
-/// its whole log ([`executions_to_mark`]); the online miner keys each
-/// execution once, as it is absorbed.
+/// The distinct sorted vertex sets seen so far: what decides the
+/// marking list at T ≤ 1. A batch run keys its whole log
+/// ([`executions_to_mark`]); the online miner keys each execution once,
+/// as it is absorbed, and retains only the first of each set.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SetIndex {
     seen: HashSet<Box<[u32]>>,
-    /// The first execution of each set, in keying order.
-    first: Vec<usize>,
-    /// The set being keyed, sorted.
-    set: Vec<u32>,
 }
 
 impl SetIndex {
-    /// Keys execution `exec`, whose vertices are `vertices`.
-    pub(crate) fn key(&mut self, exec: usize, vertices: &[u32]) {
-        self.set.clear();
-        self.set.extend_from_slice(vertices);
-        self.set.sort_unstable();
+    /// Records the sorted vertex set `set`; `true` if it is new.
+    pub(crate) fn insert(&mut self, set: &[u32]) -> bool {
         // Look up by slice so a set already seen allocates nothing.
-        if !self.seen.contains(self.set.as_slice()) {
-            self.seen.insert(self.set.as_slice().into());
-            self.first.push(exec);
+        if self.seen.contains(set) {
+            return false;
         }
+        self.seen.insert(set.into());
+        true
     }
+}
 
-    /// The first execution of each set keyed so far, in keying order.
-    pub(crate) fn first(&self) -> &[usize] {
-        &self.first
-    }
+/// Replaces `set` with `vertices`, sorted.
+pub(crate) fn sorted_set(vertices: &[u32], set: &mut Vec<u32>) {
+    set.clear();
+    set.extend_from_slice(vertices);
+    set.sort_unstable();
 }
 
 /// The executions the marking pass reduces: at `threshold ≤ 1`, the
 /// first execution of each distinct sorted vertex set (exact — see the
-/// module doc) — `first_of_set` when the caller keeps that list, else
-/// keyed here, re-checking the deadline once per execution; otherwise
-/// every execution.
-pub(crate) fn executions_to_mark<'a>(
+/// module doc), keyed here, re-checking the deadline once per
+/// execution; otherwise every execution.
+pub(crate) fn executions_to_mark(
     cols: &EventColumns,
     threshold: u32,
-    first_of_set: Option<&'a [usize]>,
     deadline: Deadline,
-) -> Result<MarkList<'a>, MineError> {
+) -> Result<MarkList, MineError> {
     let m = cols.exec_count();
     if threshold > 1 {
         return Ok(MarkList::Every(m));
     }
-    if let Some(keys) = first_of_set {
-        return Ok(MarkList::FirstOfSet(Cow::Borrowed(keys)));
-    }
     let mut sets = SetIndex::default();
+    let mut set = Vec::new();
+    let mut first = Vec::new();
     for i in 0..m {
         deadline.check()?;
-        sets.key(i, cols.exec(i).activities);
+        sorted_set(cols.exec(i).activities, &mut set);
+        if sets.insert(&set) {
+            first.push(i);
+        }
     }
-    Ok(MarkList::FirstOfSet(Cow::Owned(sets.first)))
+    Ok(MarkList::FirstOfSet(first))
 }
 
-/// Steps 3–7 of Algorithm 2, given precomputed step-2 counts, and the
-/// first execution of each activity set when the caller keeps that
-/// list (see [`executions_to_mark`]).
-pub(crate) fn finish_from_counts<S: MetricsSink>(
+/// Step 6: drops the edges of `g` that no execution's reduction marked,
+/// and counts the dropped and the final edges.
+pub(crate) fn drop_unmarked<S: MetricsSink>(
     session: &mut MineSession<S>,
-    vlog: &VertexLog<'_>,
-    obs: OrderObservations,
-    threshold: u32,
-    first_of_set: Option<&[usize]>,
-    deadline: Deadline,
-) -> Result<VertexMineResult, MineError> {
-    let n = vlog.n;
-    let mut g = prune_graph(session, n, &obs, threshold, deadline)?;
-    let counts = obs.ordered;
-
-    // Steps 5–6: per-execution induced-subgraph transitive reduction;
-    // keep only edges some reduction needs.
-    let marked = run_stage(session, Stage::Reduce, deadline, |session, busy_ns| {
-        let list = executions_to_mark(vlog.cols, threshold, first_of_set, deadline)?;
-        let (marked, arena) = if session.threads > 1 {
-            parallel::mark(session, vlog, &g, &list, deadline, busy_ns)?
-        } else {
-            let mut marked = AdjMatrix::new(n);
-            let mut scratch = MarkScratch::new();
-            for k in 0..list.len() {
-                deadline.check()?;
-                mark_one_execution(&g, vlog.cols.exec(list.get(k)), &mut marked, &mut scratch);
-            }
-            (marked, scratch.arena_stats())
-        };
-        record_arena_telemetry(session, &arena);
-        Ok(marked)
-    })?;
-
-    // Step 6: drop edges no execution needed.
-    let unmarked: Vec<(usize, usize)> =
-        g.edges().filter(|&(u, v)| !marked.has_edge(u, v)).collect();
+    g: &mut AdjMatrix,
+    marked: impl Fn(usize, usize) -> bool,
+) {
+    let unmarked: Vec<(usize, usize)> = g.edges().filter(|&(u, v)| !marked(u, v)).collect();
     if S::ENABLED {
         let dropped = unmarked.len() as u64;
         session
@@ -512,8 +516,6 @@ pub(crate) fn finish_from_counts<S: MetricsSink>(
         let final_edges = g.edge_count() as u64;
         session.sink.record(|m| m.edges_final += final_edges);
     }
-
-    Ok(VertexMineResult { graph: g, counts })
 }
 
 /// Mines a conformal graph for an acyclic process whose executions may
@@ -763,12 +765,12 @@ mod tests {
         let deadline = Deadline::unlimited();
         for threshold in [0, 1] {
             assert_eq!(
-                executions_to_mark(&cols, threshold, None, deadline).unwrap(),
-                MarkList::FirstOfSet(vec![0, 2].into()),
+                executions_to_mark(&cols, threshold, deadline).unwrap(),
+                MarkList::FirstOfSet(vec![0, 2]),
                 "T={threshold}"
             );
         }
-        let every = executions_to_mark(&cols, 2, None, deadline).unwrap();
+        let every = executions_to_mark(&cols, 2, deadline).unwrap();
         assert_eq!(every, MarkList::Every(5));
         let order: Vec<usize> = (0..every.len()).map(|k| every.get(k)).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);

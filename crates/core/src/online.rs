@@ -13,35 +13,47 @@
 //! the retained executions. The activity universe may grow between
 //! absorbs — count matrices are re-indexed on the fly.
 //!
-//! Each absorb does only new work. Source-table activity ids map to
-//! the miner's through a cached id map, checked by name, so an absorb
-//! hashes only names the map has not seen. Each execution's sorted
-//! activity set is keyed once, as it is absorbed, into a persistent
-//! first-of-set list; at noise threshold T ≤ 1 a snapshot marks that
-//! list instead of re-keying the whole history (exact — see
-//! [`crate::general_dag`]). The list is rebuilt by
-//! [`OnlineMiner::from_state`], not checkpointed. What a `--follow`
-//! session adds is *when to look*: a [`SnapshotPolicy`] makes a snapshot
-//! due every N absorbed events, or only on demand. Edge-support
-//! frequencies are preserved — a snapshot after k executions equals
-//! batch-mining those k executions (the `--follow` parity tests pin
-//! this, edges and support counts both).
+//! **State in proportion to distinct behaviour.** Every absorbed
+//! execution adds to the counts and to the totals (executions, events,
+//! pairs), but at noise threshold T ≤ 1 only the first execution of
+//! each activity set is retained: marking the first of a set is exact
+//! for all of it (see [`crate::general_dag`]). At T ≥ 2 every execution
+//! is retained. Absorbing maps source-table activity ids to the
+//! miner's through a cached id map, checked by name, into buffers the
+//! miner keeps, so an absorb hashes only names the map has not seen and
+//! allocates only for what it retains (at T ≤ 1 a new activity set's
+//! key and columns) and when the activity table grows.
+//!
+//! **Marks that survive snapshots.** A snapshot keeps the pruned graph
+//! it marked against and the edges each retained execution marked on
+//! it. An execution's marks depend only on that graph restricted to its
+//! activities and on its own interval order, so the next snapshot
+//! re-marks only the executions that contain both endpoints of an edge
+//! pruning added or dropped since, plus those retained since. This is
+//! exact at every T.
+//!
+//! What a `--follow` session adds is *when to look*: a
+//! [`SnapshotPolicy`] makes a snapshot due every N absorbed events, or
+//! only on demand. Edge-support frequencies are preserved — a snapshot
+//! after k executions equals batch-mining those k executions (the
+//! `--follow` parity tests pin this, edges and support counts both).
 //!
 //! Like Algorithm 2, the online miner handles acyclic processes; an
 //! execution with repeated activities is rejected (route such logs to
 //! [`crate::mine_cyclic`]).
 
 use crate::general_dag::{
-    count_one_execution, finish_from_counts, pair_observations, OrderObservations, SetIndex,
-    VertexLog,
+    count_one_execution, drop_unmarked, mark_one_execution, prune_graph, record_arena_telemetry,
+    sorted_set, MarkScratch, MarkedEdges, OrderObservations, SetIndex,
 };
-use crate::limits::LimitKind;
+use crate::limits::{Deadline, LimitKind};
 use crate::model::assemble;
+use crate::parallel;
 use crate::session::{run_stage, MineSession};
 use crate::telemetry::{MetricsSink, Stage};
 use crate::{MineError, MinedModel, MinerOptions};
-use procmine_log::{ActivityTable, EventColumns, Execution, WorkflowLog};
-use std::collections::HashSet;
+use procmine_graph::AdjMatrix;
+use procmine_log::{ActivityId, ActivityTable, EventColumns, ExecColumns, Execution, WorkflowLog};
 
 /// When an [`OnlineMiner`] considers a snapshot due.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,42 +90,180 @@ pub struct OnlineMiner {
     pub(crate) policy: SnapshotPolicy,
     pub(crate) table: ActivityTable,
     /// Row-major `n × n` ordered-pair and overlap counts over the
-    /// *current* table.
+    /// *current* table, of every absorbed execution.
     pub(crate) obs: OrderObservations,
-    /// Lowered executions (dense vertex, start, end) in columnar form,
-    /// kept for the marking pass (steps 5–6 need the executions
-    /// themselves).
+    /// The retained executions (dense vertex, start, end) in columnar
+    /// form, kept for the marking pass: at T ≤ 1 the first execution of
+    /// each activity set, at T ≥ 2 every execution.
     pub(crate) execs: EventColumns,
-    /// The first execution of each activity set, keyed as executions
-    /// are absorbed: what a snapshot marks at T ≤ 1. `None` at T ≥ 2,
-    /// where every execution is marked.
+    /// The sorted activity sets of the retained executions, which
+    /// decide retention at T ≤ 1. `None` at T ≥ 2.
     pub(crate) sets: Option<SetIndex>,
     /// Per activity id of the table last absorbed from: the miner id
     /// it mapped to (`u32::MAX`: none yet). An entry is used only while
     /// it names the same activity, so absorbing from another table
     /// stays correct.
     pub(crate) id_map: Vec<u32>,
+    /// The buffers an absorb maps one execution into.
+    scratch: AbsorbScratch,
+    /// The marks of the last snapshot; `None` until a snapshot
+    /// completes, and after one fails while marking, so the next one
+    /// marks every retained execution.
+    marks: Option<Marks>,
     /// Activity instances absorbed over the miner's whole life —
     /// checked against [`crate::Limits::max_events`] before each absorb.
     pub(crate) events_absorbed: u64,
+    /// Executions absorbed over the miner's whole life.
+    pub(crate) executions_absorbed: u64,
+    /// Instance pairs the absorbed executions hold: `k·(k−1)/2` per
+    /// execution of length `k`, what step 2 compares.
+    pub(crate) pairs_absorbed: u64,
     /// Events absorbed since the last snapshot (or the start).
     pub(crate) events_since_snapshot: u64,
     pub(crate) snapshots_taken: u64,
 }
 
+/// One execution as an absorb maps it, in buffers kept across absorbs.
+#[derive(Debug, Clone, Default)]
+struct AbsorbScratch {
+    /// Per instance, in start order: the miner id, start and end.
+    activities: Vec<u32>,
+    starts: Vec<u64>,
+    ends: Vec<u64>,
+    /// The source ids of the names the miner has not seen, in order of
+    /// first appearance.
+    unseen: Vec<ActivityId>,
+    /// `activities`, sorted: the activity set, and the repeat check.
+    set: Vec<u32>,
+}
+
+/// What a snapshot's marking pass found, kept for the next snapshot.
+#[derive(Debug, Clone)]
+struct Marks {
+    /// The graph the marks were made on: the snapshot's graph after
+    /// pruning, two-cycle and SCC removal.
+    graph: AdjMatrix,
+    /// Per retained execution, in retention order: the edges its
+    /// reduction marked on `graph`. Executions retained since have no
+    /// entry yet.
+    edges: Vec<MarkedEdges>,
+    /// Row-major `n × n`: how many retained executions marked each
+    /// edge.
+    count: Vec<u32>,
+}
+
+impl Marks {
+    fn new(n: usize) -> Self {
+        Marks {
+            graph: AdjMatrix::new(n),
+            edges: Vec::new(),
+            count: vec![0; n * n],
+        }
+    }
+
+    /// Re-indexes onto an activity table grown from `old_n` to `new_n`
+    /// activities.
+    fn grow(&mut self, old_n: usize, new_n: usize) {
+        self.count = grow_matrix(&self.count, old_n, new_n);
+        let mut graph = AdjMatrix::new(new_n);
+        for (u, v) in self.graph.edges() {
+            graph.add_edge(u, v);
+        }
+        self.graph = graph;
+    }
+
+    /// The retained executions whose marks may differ on `g`: the
+    /// marked ones that contain both endpoints of an edge `g` added or
+    /// dropped, then every one retained since. The deadline is
+    /// re-checked once per marked execution scanned.
+    fn stale(
+        &self,
+        execs: &EventColumns,
+        g: &AdjMatrix,
+        deadline: Deadline,
+    ) -> Result<Vec<usize>, MineError> {
+        let n = g.node_count();
+        let added = g.edges().filter(|&(u, v)| !self.graph.has_edge(u, v));
+        let dropped = self.graph.edges().filter(|&(u, v)| !g.has_edge(u, v));
+        // `changed` is symmetric, so a pair is looked up in either order.
+        let mut changed = AdjMatrix::new(n);
+        let mut endpoint = vec![false; n];
+        let mut any = false;
+        for (u, v) in added.chain(dropped) {
+            changed.add_edge(u, v);
+            changed.add_edge(v, u);
+            endpoint[u] = true;
+            endpoint[v] = true;
+            any = true;
+        }
+        let mut stale = Vec::new();
+        if any {
+            let mut ends = Vec::new();
+            for i in 0..self.edges.len() {
+                deadline.check()?;
+                ends.clear();
+                ends.extend(
+                    execs
+                        .exec(i)
+                        .activities
+                        .iter()
+                        .map(|&a| a as usize)
+                        .filter(|&a| endpoint[a]),
+                );
+                let touched = (0..ends.len())
+                    .any(|j| ends[j + 1..].iter().any(|&b| changed.has_edge(ends[j], b)));
+                if touched {
+                    stale.push(i);
+                }
+            }
+        }
+        stale.extend(self.edges.len()..execs.exec_count());
+        Ok(stale)
+    }
+
+    /// Replaces the marks of retained execution `i` (the next one, when
+    /// it has none yet) with `marked`, keeping the counts in step.
+    fn set(&mut self, i: usize, marked: MarkedEdges) {
+        if i == self.edges.len() {
+            self.edges.push(Vec::new());
+        }
+        let old = std::mem::replace(&mut self.edges[i], marked);
+        let n = self.graph.node_count();
+        for &(u, v) in &old {
+            self.count[u as usize * n + v as usize] -= 1;
+        }
+        for &(u, v) in &self.edges[i] {
+            self.count[u as usize * n + v as usize] += 1;
+        }
+    }
+}
+
+/// A row-major `old_n × old_n` matrix re-indexed to `new_n × new_n`,
+/// the new rows and columns zero.
+fn grow_matrix(old: &[u32], old_n: usize, new_n: usize) -> Vec<u32> {
+    let mut grown = vec![0u32; new_n * new_n];
+    for u in 0..old_n {
+        grown[u * new_n..u * new_n + old_n].copy_from_slice(&old[u * old_n..u * old_n + old_n]);
+    }
+    grown
+}
+
 impl OnlineMiner {
     /// Creates an empty miner.
     pub fn new(options: MinerOptions, policy: SnapshotPolicy) -> Self {
-        let execs = EventColumns::new();
         OnlineMiner {
-            sets: set_index(&options, &execs),
+            sets: (options.noise_threshold <= 1).then(SetIndex::default),
             options,
             policy,
             table: ActivityTable::new(),
             obs: OrderObservations::new(0),
-            execs,
+            execs: EventColumns::new(),
             id_map: Vec::new(),
+            scratch: AbsorbScratch::default(),
+            marks: None,
             events_absorbed: 0,
+            executions_absorbed: 0,
+            pairs_absorbed: 0,
             events_since_snapshot: 0,
             snapshots_taken: 0,
         }
@@ -122,27 +272,83 @@ impl OnlineMiner {
     /// Absorbs one completed execution from a log that shares this
     /// miner's activity-name universe (ids are mapped by name, so the
     /// source log may use a different table). Returns `true` if the
-    /// cadence policy now wants a snapshot. Errors leave the miner
-    /// untouched.
+    /// cadence policy now wants a snapshot.
+    ///
+    /// Every check runs before any state changes, so a refused
+    /// execution leaves the miner — its activity table included —
+    /// untouched. The sorted activity set that decides retention also
+    /// answers the repeat check.
     pub fn absorb(
         &mut self,
         exec: &Execution,
         source_table: &ActivityTable,
     ) -> Result<bool, MineError> {
-        let events: Vec<_> = exec
-            .instances()
-            .iter()
-            .map(|i| {
-                let name = source_table.name(i.activity);
-                (
-                    name,
-                    self.cached_id(i.activity.index(), name),
-                    i.start,
-                    i.end,
-                )
-            })
-            .collect();
-        self.absorb_events(&exec.id, exec.has_repeats(), &events)
+        let n = self.table.len();
+        let s = &mut self.scratch;
+        s.activities.clear();
+        s.starts.clear();
+        s.ends.clear();
+        s.unseen.clear();
+        for i in exec.instances() {
+            let name = source_table.name(i.activity);
+            let id = cached_id(&mut self.id_map, &self.table, i.activity.index(), name)
+                .unwrap_or_else(|| {
+                    // An unseen name gets the id interning will give it:
+                    // the next after the table's and the unseen before it.
+                    let k = match s.unseen.iter().position(|&a| a == i.activity) {
+                        Some(k) => k,
+                        None => {
+                            s.unseen.push(i.activity);
+                            s.unseen.len() - 1
+                        }
+                    };
+                    (n + k) as u32
+                });
+            s.activities.push(id);
+            s.starts.push(i.start);
+            s.ends.push(i.end);
+        }
+        sorted_set(&s.activities, &mut s.set);
+        let len = s.activities.len();
+        if len == 0 {
+            return Err(MineError::EmptyExecution {
+                execution: exec.id.clone(),
+            });
+        }
+        if s.set.windows(2).any(|w| w[0] == w[1]) {
+            return Err(MineError::RepeatsRequireCyclicMiner {
+                execution: exec.id.clone(),
+            });
+        }
+        let new_names = s.unseen.len();
+        self.check_limits(&exec.id, len, new_names)?;
+
+        for &a in &self.scratch.unseen {
+            self.table.intern(source_table.name(a));
+        }
+        self.grow_to(self.table.len(), n);
+        let s = &self.scratch;
+        let columns = ExecColumns {
+            activities: &s.activities,
+            starts: &s.starts,
+            ends: &s.ends,
+        };
+        count_one_execution(self.table.len(), columns, &mut self.obs);
+        let retain = match &mut self.sets {
+            Some(sets) => sets.insert(&s.set),
+            None => true,
+        };
+        if retain {
+            let events = s.activities.iter().zip(&s.starts).zip(&s.ends);
+            self.execs
+                .push_exec(events.map(|((&a, &start), &end)| (a, start, end)));
+        }
+        let k = len as u64;
+        self.events_absorbed += k;
+        self.executions_absorbed += 1;
+        self.pairs_absorbed += k * (k - 1) / 2;
+        self.events_since_snapshot += k;
+        Ok(self.snapshot_due())
     }
 
     /// Absorbs one execution given as an ordered list of activity
@@ -150,36 +356,13 @@ impl OnlineMiner {
     /// New names grow the activity universe. Returns what
     /// [`absorb`](OnlineMiner::absorb) returns.
     pub fn absorb_sequence<S: AsRef<str>>(&mut self, names: &[S]) -> Result<bool, MineError> {
-        let id = format!("incremental-{}", self.execs.exec_count());
-        let mut seen = HashSet::new();
-        let repeats = names.iter().any(|n| !seen.insert(n.as_ref()));
-        let events: Vec<_> = names
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let known = self.table.id(s.as_ref()).map(|a| a.index() as u32);
-                (s.as_ref(), known, i as u64, i as u64)
-            })
-            .collect();
-        self.absorb_events(&id, repeats, &events)
-    }
-
-    /// The miner id of activity `name`, whose id is `source` in the
-    /// table being absorbed from: the cached entry while it still names
-    /// `name`, else a table lookup, which is cached. `None` for a name
-    /// the miner has not seen.
-    fn cached_id(&mut self, source: usize, name: &str) -> Option<u32> {
-        let names = self.table.names();
-        let cached = self.id_map.get(source).copied();
-        if let Some(id) = cached.filter(|&id| names.get(id as usize).is_some_and(|n| n == name)) {
-            return Some(id);
-        }
-        let id = self.table.id(name)?.index() as u32;
-        if self.id_map.len() <= source {
-            self.id_map.resize(source + 1, u32::MAX);
-        }
-        self.id_map[source] = id;
-        Some(id)
+        let id = format!("incremental-{}", self.executions_absorbed);
+        let mut table = ActivityTable::new();
+        let seq: Vec<ActivityId> = names.iter().map(|n| table.intern(n.as_ref())).collect();
+        // An empty sequence is the one thing `from_ids` refuses.
+        let exec = Execution::from_ids(&id, &seq)
+            .map_err(|_| MineError::EmptyExecution { execution: id })?;
+        self.absorb(&exec, &table)
     }
 
     /// Absorbs every execution of a log, stopping at the first error.
@@ -188,53 +371,6 @@ impl OnlineMiner {
             self.absorb(exec, log.activities())?;
         }
         Ok(())
-    }
-
-    /// The one absorb path. `events` are one execution's `(activity
-    /// name, miner id, start, end)` in start order, the id `None` for a
-    /// name the miner has not seen. Every check runs before any state
-    /// changes, so a refused execution leaves the miner — its activity
-    /// table included — untouched.
-    fn absorb_events(
-        &mut self,
-        id: &str,
-        repeats: bool,
-        events: &[(&str, Option<u32>, u64, u64)],
-    ) -> Result<bool, MineError> {
-        let len = events.len();
-        if len == 0 {
-            return Err(MineError::EmptyExecution {
-                execution: id.to_string(),
-            });
-        }
-        if repeats {
-            return Err(MineError::RepeatsRequireCyclicMiner {
-                execution: id.to_string(),
-            });
-        }
-        // Without repeats, the unseen names are distinct.
-        let new_names = events.iter().filter(|e| e.1.is_none()).count();
-        self.check_limits(id, len, new_names)?;
-        let old_n = self.table.len();
-        let table = &mut self.table;
-        self.execs
-            .push_exec(events.iter().map(|&(name, known, start, end)| {
-                (
-                    known.unwrap_or_else(|| table.intern(name).index() as u32),
-                    start,
-                    end,
-                )
-            }));
-        self.grow_to(self.table.len(), old_n);
-        let last = self.execs.exec_count() - 1;
-        let exec = self.execs.exec(last);
-        count_one_execution(self.table.len(), exec, &mut self.obs);
-        if let Some(sets) = &mut self.sets {
-            sets.key(last, exec.activities);
-        }
-        self.events_absorbed += len as u64;
-        self.events_since_snapshot += len as u64;
-        Ok(self.snapshot_due())
     }
 
     /// The size limits an absorb must respect. `new_names` is how many
@@ -262,22 +398,17 @@ impl OnlineMiner {
         Ok(())
     }
 
-    /// Re-indexes the count matrices when the activity universe grows
-    /// from `old_n` to `new_n`.
+    /// Re-indexes the count matrices, and the marks, when the activity
+    /// universe grows from `old_n` to `new_n`.
     fn grow_to(&mut self, new_n: usize, old_n: usize) {
         if new_n == old_n {
             return;
         }
-        let grow = |old: &[u32]| {
-            let mut grown = vec![0u32; new_n * new_n];
-            for u in 0..old_n {
-                grown[u * new_n..u * new_n + old_n]
-                    .copy_from_slice(&old[u * old_n..u * old_n + old_n]);
-            }
-            grown
-        };
-        self.obs.ordered = grow(&self.obs.ordered);
-        self.obs.overlap = grow(&self.obs.overlap);
+        self.obs.ordered = grow_matrix(&self.obs.ordered, old_n, new_n);
+        self.obs.overlap = grow_matrix(&self.obs.overlap, old_n, new_n);
+        if let Some(marks) = &mut self.marks {
+            marks.grow(old_n, new_n);
+        }
     }
 
     /// `true` when the cadence policy wants a snapshot.
@@ -292,7 +423,7 @@ impl OnlineMiner {
     /// has been absorbed yet.
     ///
     /// Snapshots borrow the retained executions — producing a model
-    /// copies nothing but the count matrices.
+    /// copies nothing but the pruned graph it keeps for the next one.
     pub fn snapshot(&mut self) -> Result<MinedModel, MineError> {
         self.snapshot_in(&mut MineSession::new())
     }
@@ -302,18 +433,23 @@ impl OnlineMiner {
     /// recorded as spans into its tracer, and fanned out over its
     /// threads. The step-2 counting work happened at absorb time, so
     /// [`Stage::CountPairs`] stays zero here; the scanned-execution and
-    /// pair totals are still reported so the counters describe the
-    /// whole mining effort behind the snapshot.
+    /// pair totals are still reported — every absorbed execution and
+    /// its pairs, as batch mining the same executions reports them — so
+    /// the counters describe the whole mining effort behind the
+    /// snapshot.
     ///
-    /// At T ≤ 1 the marking pass reduces the first execution of each
-    /// activity set, from the list kept as executions were absorbed;
-    /// at T ≥ 2 it reduces every retained execution.
+    /// The marking pass reduces only the retained executions whose
+    /// marks may have changed: those that contain both endpoints of an
+    /// edge pruning added or dropped since the last snapshot, and those
+    /// retained since it (see the module doc).
     ///
     /// The deadline (`options.limits.deadline`, measured from this
     /// call) starts *before* any work and is re-checked once per
-    /// marked execution, so an expired deadline aborts the snapshot
-    /// promptly even on large histories. A failed snapshot leaves the
-    /// cadence as it was.
+    /// execution the marking pass scans or marks, so an expired
+    /// deadline aborts the snapshot promptly even on large histories. A
+    /// failed snapshot leaves the cadence as it was; one that fails
+    /// while marking drops the kept marks, so the next snapshot marks
+    /// every retained execution.
     pub fn snapshot_in<S: MetricsSink>(
         &mut self,
         session: &mut MineSession<S>,
@@ -325,37 +461,73 @@ impl OnlineMiner {
             return Err(MineError::EmptyLog);
         }
         deadline.check()?;
-        let vlog = VertexLog {
-            n: self.table.len(),
-            cols: &self.execs,
-        };
         if S::ENABLED {
-            let scanned = self.execs.exec_count() as u64;
-            let pairs = pair_observations(&self.execs);
+            let (scanned, pairs) = (self.executions_absorbed, self.pairs_absorbed);
             session.sink.record(|m| {
                 m.executions_scanned += scanned;
                 m.pairs_counted += pairs;
             });
         }
-        let result = finish_from_counts(
-            session,
-            &vlog,
-            self.obs.clone(),
-            self.options.noise_threshold,
-            self.sets.as_ref().map(SetIndex::first),
-            deadline,
-        )?;
+        let n = self.table.len();
+        let threshold = self.options.noise_threshold;
+        let mut g = prune_graph(session, n, &self.obs, threshold, deadline)?;
+        let marks = self.mark(session, &g, deadline)?;
+        drop_unmarked(session, &mut g, |u, v| marks.count[u * n + v] > 0);
+        self.marks = Some(marks);
+
         let model = run_stage(session, Stage::Assemble, deadline, |_, _| {
-            Ok(assemble(&self.table, &result.graph, &result.counts))
+            Ok(assemble(&self.table, &g, &self.obs.ordered))
         })?;
         self.events_since_snapshot = 0;
         self.snapshots_taken += 1;
         Ok(model)
     }
 
+    /// Steps 5–6 as the [`Stage::Reduce`] stage: the kept marks, taken
+    /// out of the miner, brought up to date on the pruned graph `g` by
+    /// re-marking the retained executions whose marks may differ on it.
+    /// On an error the marks are dropped, not put back.
+    fn mark<S: MetricsSink>(
+        &mut self,
+        session: &mut MineSession<S>,
+        g: &AdjMatrix,
+        deadline: Deadline,
+    ) -> Result<Marks, MineError> {
+        let mut marks = self
+            .marks
+            .take()
+            .unwrap_or_else(|| Marks::new(self.table.len()));
+        let execs = &self.execs;
+        run_stage(session, Stage::Reduce, deadline, |session, busy_ns| {
+            let stale = marks.stale(execs, g, deadline)?;
+            let arena = if session.threads > 1 {
+                let (lists, arena) =
+                    parallel::mark_each(session, execs, g, &stale, deadline, busy_ns)?;
+                for (&i, marked) in stale.iter().zip(lists) {
+                    marks.set(i, marked);
+                }
+                arena
+            } else {
+                let mut scratch = MarkScratch::new();
+                for &i in &stale {
+                    deadline.check()?;
+                    let mut marked = Vec::new();
+                    mark_one_execution(g, execs.exec(i), &mut scratch, |u, v| {
+                        marked.push((u, v));
+                    });
+                    marks.set(i, marked);
+                }
+                scratch.arena_stats()
+            };
+            record_arena_telemetry(session, &arena);
+            marks.graph.clone_from(g);
+            Ok(marks)
+        })
+    }
+
     /// Executions absorbed so far.
     pub fn executions(&self) -> usize {
-        self.execs.exec_count()
+        self.executions_absorbed as usize
     }
 
     /// Activity instances absorbed so far.
@@ -374,16 +546,27 @@ impl OnlineMiner {
     }
 }
 
-/// The set index a miner under `options` keeps over its retained
-/// executions `execs`, every one keyed; `None` at T ≥ 2.
-pub(crate) fn set_index(options: &MinerOptions, execs: &EventColumns) -> Option<SetIndex> {
-    (options.noise_threshold <= 1).then(|| {
-        let mut sets = SetIndex::default();
-        for i in 0..execs.exec_count() {
-            sets.key(i, execs.exec(i).activities);
-        }
-        sets
-    })
+/// The miner id of activity `name`, whose id is `source` in the table
+/// being absorbed from: the cached entry of `id_map` while it still
+/// names `name`, else a lookup in the miner's `table`, which is cached.
+/// `None` for a name the miner has not seen.
+fn cached_id(
+    id_map: &mut Vec<u32>,
+    table: &ActivityTable,
+    source: usize,
+    name: &str,
+) -> Option<u32> {
+    let cached = id_map.get(source).copied();
+    if let Some(id) = cached.filter(|&id| table.names().get(id as usize).is_some_and(|n| n == name))
+    {
+        return Some(id);
+    }
+    let id = table.id(name)?.index() as u32;
+    if id_map.len() <= source {
+        id_map.resize(source + 1, u32::MAX);
+    }
+    id_map[source] = id;
+    Some(id)
 }
 
 #[cfg(test)]
@@ -391,6 +574,7 @@ mod tests {
     use super::*;
     use crate::Limits;
     use procmine_log::ActivityId;
+    use std::collections::HashSet;
     use std::time::Duration;
 
     fn on_demand() -> OnlineMiner {
@@ -558,66 +742,91 @@ mod tests {
             .collect()
     }
 
+    /// `all`, the executions in absorb order, as a miner under
+    /// `threshold` retains them: at T ≤ 1 the first of each activity
+    /// set, at T ≥ 2 every one.
+    fn retained_under<'a>(threshold: u32, all: &[Vec<&'a str>]) -> Vec<Vec<&'a str>> {
+        let mut seen = HashSet::new();
+        all.iter()
+            .filter(|exec| {
+                let mut set = exec.to_vec();
+                set.sort();
+                threshold > 1 || seen.insert(set)
+            })
+            .cloned()
+            .collect()
+    }
+
     #[test]
     fn id_map_follows_names_across_alternating_tables() {
         // The same ids name different activities in the two tables:
         // id 0 is A in one and D in the other.
         let one = WorkflowLog::from_strings(["ABC", "BD"]).unwrap();
         let two = WorkflowLog::from_strings(["DCB", "AD", "E"]).unwrap();
-        let mut miner = on_demand();
-        let mut want = Vec::new();
-        for round in 0..3 {
-            for (log, k) in [(&one, round % 2), (&two, round % 3), (&one, 1 - round % 2)] {
-                let exec = &log.executions()[k];
-                miner.absorb(exec, log.activities()).unwrap();
-                want.push(exec.display(log.activities()));
+        for threshold in [1, 2] {
+            let options = MinerOptions::with_threshold(threshold);
+            let mut miner = OnlineMiner::new(options, SnapshotPolicy::on_demand());
+            let mut absorbed = Vec::new();
+            for round in 0..3 {
+                for (log, k) in [(&one, round % 2), (&two, round % 3), (&one, 1 - round % 2)] {
+                    let exec = &log.executions()[k];
+                    miner.absorb(exec, log.activities()).unwrap();
+                    let names = exec
+                        .sequence()
+                        .into_iter()
+                        .map(|a| log.activities().name(a));
+                    absorbed.push(names.collect::<Vec<_>>());
+                }
             }
+            let want = retained_under(threshold, &absorbed);
+            assert_eq!(retained(&miner), want, "T={threshold}");
+            assert_eq!(miner.executions(), 9);
+            assert_eq!(miner.activities().len(), 5);
         }
-        let got: Vec<String> = retained(&miner).iter().map(|e| e.join(" ")).collect();
-        assert_eq!(got, want);
-        assert_eq!(miner.activities().len(), 5);
     }
 
     #[test]
     fn absorb_refused_for_a_new_name_changes_nothing() {
-        let mut miner = OnlineMiner::new(
-            MinerOptions::default().with_limits(Limits {
-                max_activities: Some(3),
-                ..Limits::default()
-            }),
-            SnapshotPolicy::on_demand(),
-        );
-        let log = WorkflowLog::from_strings(["ABC", "ABD", "BA", "CB"]).unwrap();
-        let (execs, table) = (log.executions(), log.activities());
-        miner.absorb(&execs[0], table).unwrap();
-        // `ABD` would grow the universe to four activities.
-        assert!(matches!(
-            miner.absorb(&execs[1], table),
-            Err(MineError::LimitExceeded {
-                kind: LimitKind::Activities,
-                ..
-            })
-        ));
-        assert_eq!(miner.activities().names(), ["A", "B", "C"]);
-        assert_eq!((miner.executions(), miner.events_absorbed()), (1, 3));
-        // The next absorbs, from the same table and from one whose id 2
-        // names another activity, land on their activities by name.
-        miner.absorb(&execs[2], table).unwrap();
-        miner.absorb(&execs[3], table).unwrap();
-        let other = WorkflowLog::from_strings(["CAB"]).unwrap();
-        miner.absorb_log(&other).unwrap();
-        assert_eq!(
-            retained(&miner),
-            [
+        for threshold in [1, 2] {
+            let options = MinerOptions::with_threshold(threshold);
+            let mut miner = OnlineMiner::new(
+                options.clone().with_limits(Limits {
+                    max_activities: Some(3),
+                    ..Limits::default()
+                }),
+                SnapshotPolicy::on_demand(),
+            );
+            let log = WorkflowLog::from_strings(["ABC", "ABD", "BA", "CB"]).unwrap();
+            let (execs, table) = (log.executions(), log.activities());
+            miner.absorb(&execs[0], table).unwrap();
+            // `ABD` would grow the universe to four activities.
+            assert!(matches!(
+                miner.absorb(&execs[1], table),
+                Err(MineError::LimitExceeded {
+                    kind: LimitKind::Activities,
+                    ..
+                })
+            ));
+            assert_eq!(miner.activities().names(), ["A", "B", "C"]);
+            assert_eq!((miner.executions(), miner.events_absorbed()), (1, 3));
+            // The next absorbs, from the same table and from one whose id
+            // 2 names another activity, land on their activities by name.
+            miner.absorb(&execs[2], table).unwrap();
+            miner.absorb(&execs[3], table).unwrap();
+            let other = WorkflowLog::from_strings(["CAB"]).unwrap();
+            miner.absorb_log(&other).unwrap();
+            let absorbed = [
                 vec!["A", "B", "C"],
                 vec!["B", "A"],
                 vec!["C", "B"],
-                vec!["C", "A", "B"]
-            ]
-        );
-        let batch = WorkflowLog::from_strings(["ABC", "BA", "CB", "CAB"]).unwrap();
-        let want = crate::mine_general_dag(&batch, &MinerOptions::default()).unwrap();
-        assert_eq!(miner.snapshot().unwrap().edges_named(), want.edges_named());
+                vec!["C", "A", "B"],
+            ];
+            let want = retained_under(threshold, &absorbed);
+            assert_eq!(retained(&miner), want, "T={threshold}");
+            let batch = WorkflowLog::from_strings(["ABC", "BA", "CB", "CAB"]).unwrap();
+            let want = crate::mine_general_dag(&batch, &options).unwrap();
+            assert_eq!(miner.snapshot().unwrap().edges_named(), want.edges_named());
+        }
     }
 
     #[test]
@@ -645,6 +854,139 @@ mod tests {
                 miner.snapshot().unwrap().edge_support(),
                 "T={threshold}"
             );
+        }
+    }
+
+    /// Arena resets count the executions a snapshot marked.
+    fn marked_by_snapshot(miner: &mut OnlineMiner) -> (MinedModel, u64) {
+        let mut metrics = crate::MinerMetrics::new();
+        let model = miner
+            .snapshot_in(&mut MineSession::new().with_sink(&mut metrics))
+            .unwrap();
+        (model, metrics.arena_resets)
+    }
+
+    #[test]
+    fn snapshots_mark_only_what_changed() {
+        let mut miner = on_demand();
+        let mut batch = Vec::new();
+        // (execution, executions the snapshot after it marks)
+        for (exec, marked) in [
+            ("ABC", 1),
+            // A new set. The edges it adds, A→D and B→D, end at D, which
+            // ABC lacks: only ABD is marked.
+            ("ABD", 1),
+            // ABC's set again, not retained. It dissolves every edge
+            // among A, B and C: ABC and ABD are marked again.
+            ("CBA", 2),
+            // New activities: the edges that change all touch E or F.
+            ("AEF", 1),
+            // D→E: ABD holds D and AEF holds E, neither holds both.
+            ("DE", 1),
+        ] {
+            let names: Vec<String> = exec.chars().map(String::from).collect();
+            miner.absorb_sequence(&names).unwrap();
+            batch.push(exec);
+            let (model, resets) = marked_by_snapshot(&mut miner);
+            let want = crate::mine_general_dag(
+                &WorkflowLog::from_strings(batch.iter().copied()).unwrap(),
+                &MinerOptions::default(),
+            )
+            .unwrap();
+            assert_eq!(model.edges_named(), want.edges_named(), "after {exec}");
+            assert_eq!(model.edge_support(), want.edge_support(), "after {exec}");
+            assert_eq!(resets, marked, "executions marked after {exec}");
+        }
+    }
+
+    #[test]
+    fn snapshot_that_fails_while_marking_drops_the_marks() {
+        let log = WorkflowLog::from_strings(["ABCF", "ACDF", "ADEF", "AECF"]).unwrap();
+        let mut miner = on_demand();
+        miner.absorb_log(&log).unwrap();
+        miner.snapshot().unwrap();
+        miner.absorb_sequence(&["A", "D", "B", "F"]).unwrap();
+        let n = miner.table.len();
+        let g = crate::general_dag::prune_graph(
+            &mut MineSession::new(),
+            n,
+            &miner.obs,
+            1,
+            Deadline::unlimited(),
+        )
+        .unwrap();
+        let err = miner
+            .mark(&mut MineSession::new(), &g, Deadline::already_expired())
+            .map(|_| ())
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            MineError::LimitExceeded {
+                kind: LimitKind::Deadline,
+                ..
+            }
+        ));
+        assert!(
+            miner.marks.is_none(),
+            "a failed marking pass keeps no marks"
+        );
+        let want = crate::mine_general_dag(
+            &WorkflowLog::from_strings(["ABCF", "ACDF", "ADEF", "AECF", "ADBF"]).unwrap(),
+            &MinerOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(
+            miner.snapshot().unwrap().edge_support(),
+            want.edge_support()
+        );
+    }
+
+    /// Snapshots under deadlines short enough to fail anywhere in the
+    /// pipeline, the marking pass included, leave the miner consistent:
+    /// the next snapshot without a deadline matches batch mining.
+    #[test]
+    fn snapshots_cut_short_by_deadlines_leave_the_marks_consistent() {
+        use procmine_sim::{randdag, walk};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(29);
+        let config = randdag::RandomDagConfig {
+            vertices: 24,
+            edge_prob: 0.3,
+        };
+        let model = randdag::random_dag(&config, &mut rng).unwrap();
+        let log = walk::random_walk_log(&model, 600, &mut rng).unwrap();
+        for threshold in [1, 2] {
+            let options = MinerOptions::with_threshold(threshold);
+            let mut miner = OnlineMiner::new(options.clone(), SnapshotPolicy::on_demand());
+            let mut absorbed = WorkflowLog::with_activities(log.activities().clone());
+            for (i, exec) in log.executions().iter().enumerate() {
+                miner.absorb(exec, log.activities()).unwrap();
+                absorbed.push(exec.clone());
+                if i % 50 != 49 {
+                    continue;
+                }
+                let micros = [0, 1, 10, 100, 1000][i / 50 % 5];
+                miner.options.limits.deadline = Some(Duration::from_micros(micros));
+                let _ = miner.snapshot();
+                miner.options.limits.deadline = None;
+                let sorted = |model: MinedModel| {
+                    let mut edges: Vec<(String, String)> = model
+                        .edges_named()
+                        .into_iter()
+                        .map(|(u, v)| (u.to_string(), v.to_string()))
+                        .collect();
+                    edges.sort();
+                    edges
+                };
+                let want = crate::mine_general_dag(&absorbed, &options).unwrap();
+                assert_eq!(
+                    sorted(miner.snapshot().unwrap()),
+                    sorted(want),
+                    "T={threshold} after {} executions, deadline {micros} µs",
+                    i + 1
+                );
+            }
         }
     }
 

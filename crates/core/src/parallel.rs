@@ -22,13 +22,15 @@
 //! binary).
 
 use crate::general_dag::{
-    count_one_execution, mark_one_execution, MarkList, MarkScratch, OrderObservations, VertexLog,
+    count_one_execution, mark_one_execution, MarkList, MarkScratch, MarkedEdges, OrderObservations,
+    VertexLog,
 };
 use crate::limits::Deadline;
 use crate::session::MineSession;
 use crate::telemetry::MetricsSink;
 use crate::MineError;
 use procmine_graph::{AdjMatrix, ArenaStats};
+use procmine_log::EventColumns;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -138,7 +140,7 @@ pub(crate) fn mark<S: MetricsSink>(
     session: &MineSession<S>,
     vlog: &VertexLog<'_>,
     g: &AdjMatrix,
-    list: &MarkList<'_>,
+    list: &MarkList,
     deadline: Deadline,
     busy_ns: &mut Option<u64>,
 ) -> Result<(AdjMatrix, ArenaStats), MineError> {
@@ -155,7 +157,9 @@ pub(crate) fn mark<S: MetricsSink>(
             let mut scratch = MarkScratch::new();
             for k in keys {
                 deadline.check()?;
-                mark_one_execution(g, cols.exec(list.get(k)), &mut local, &mut scratch);
+                mark_one_execution(g, cols.exec(list.get(k)), &mut scratch, |u, v| {
+                    local.add_edge(u as usize, v as usize);
+                });
             }
             Ok((local, scratch.arena_stats()))
         },
@@ -167,6 +171,47 @@ pub(crate) fn mark<S: MetricsSink>(
         },
     )?;
     Ok((total, arena))
+}
+
+/// The fanned-out marking body of an online snapshot: the executions
+/// in `execs` are chunked over workers, each marking every execution
+/// with the serial [`mark_one_execution`] body into a list of its own.
+/// The lists come back in `execs` order, and the arena statistics merge
+/// by [`ArenaStats::merge`].
+pub(crate) fn mark_each<S: MetricsSink>(
+    session: &MineSession<S>,
+    cols: &EventColumns,
+    g: &AdjMatrix,
+    execs: &[usize],
+    deadline: Deadline,
+    busy_ns: &mut Option<u64>,
+) -> Result<(Vec<MarkedEdges>, ArenaStats), MineError> {
+    let mut lists = Vec::with_capacity(execs.len());
+    let mut arena = ArenaStats::default();
+    fan_out(
+        session,
+        execs.len(),
+        "transitive_reduction.worker",
+        busy_ns,
+        |chunk| {
+            let mut local = Vec::with_capacity(chunk.len());
+            let mut scratch = MarkScratch::new();
+            for k in chunk {
+                deadline.check()?;
+                let mut list = Vec::new();
+                mark_one_execution(g, cols.exec(execs[k]), &mut scratch, |u, v| {
+                    list.push((u, v));
+                });
+                local.push(list);
+            }
+            Ok((local, scratch.arena_stats()))
+        },
+        |(local, stats)| {
+            lists.extend(local);
+            arena.merge(&stats);
+        },
+    )?;
+    Ok((lists, arena))
 }
 
 #[cfg(test)]

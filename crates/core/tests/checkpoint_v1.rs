@@ -1,26 +1,28 @@
-//! The version-1 checkpoint payload, pinned byte for byte.
+//! The version-1 checkpoint payload: the migration fixture.
 //!
-//! `checkpoint_v1.payload` beside this file holds the encoding of
-//! [`pinned_checkpoint`] as written when the online miner's state was
-//! still nested (one `Vec` per retained execution, the event total kept
-//! in two slots). While `checkpoint::VERSION` stays 1 the encoder must
-//! reproduce those bytes and the decoder must read them back to the
-//! same value, so a checkpoint written by an older binary resumes under
-//! a newer one.
+//! `checkpoint_v1.payload` beside this file holds [`pinned_checkpoint`]
+//! as builds before version 2 wrote it: every absorbed execution
+//! retained, the event total in two slots, no execution or pair totals.
+//! This build writes version 2 (see `checkpoint_v2.rs`) but still reads
+//! version 1: the pinned payload must decode to the same value and
+//! resume in lockstep with the miner it came from, and a version 1
+//! state whose executions repeat activity sets must migrate to one
+//! execution per set and resume in lockstep too.
 
-use procmine_core::{
-    FollowCheckpoint, FollowCheckpointView, MinerOptions, OnlineMiner, OptionsFingerprint,
-    SnapshotPolicy, SourceState,
-};
-use procmine_log::codec::CodecStats;
-use procmine_log::stream::{AssemblerState, OpenCaseState, SourceLocation};
-use procmine_log::{EventRecord, IngestReport, WorkflowLog};
+use procmine_core::{FollowCheckpoint, MinerOptions, OnlineMiner, SnapshotPolicy};
+use procmine_log::stream::checkpoint::{encode_envelope, encode_report, encode_stats};
+use procmine_log::stream::WireWriter;
+use procmine_log::WorkflowLog;
+
+mod checkpoint_fixture;
+use checkpoint_fixture::{assembler, late_execution, source, temp_file, FINGERPRINT};
 
 const PINNED: &[u8] = include_bytes!("checkpoint_v1.payload");
 
 /// Example 7's log absorbed under a six-event cadence, one snapshot
 /// taken, then one execution with overlapping intervals and timestamps
 /// past `u32::MAX` absorbed after it, so every miner counter differs.
+/// Every activity set is distinct, so the miner retains all five.
 fn seeded_miner() -> OnlineMiner {
     let log = WorkflowLog::from_strings(["ABCF", "ACDF", "ADEF", "AECF"]).unwrap();
     let mut miner = OnlineMiner::new(MinerOptions::default(), SnapshotPolicy::every(6));
@@ -28,118 +30,72 @@ fn seeded_miner() -> OnlineMiner {
         miner.absorb(exec, log.activities()).unwrap();
     }
     miner.snapshot().unwrap();
-    let t = 1u64 << 40;
-    let late = WorkflowLog::from_events(&[
-        EventRecord::start("late", "B", t + 3),
-        EventRecord::start("late", "A", t),
-        EventRecord::end("late", "A", t + 5, Some(vec![1, -2])),
-        EventRecord::end("late", "B", t + 9, None),
-        EventRecord::start("late", "F", t + 20),
-        EventRecord::end("late", "F", t + 21, None),
-    ])
-    .unwrap();
+    let late = late_execution();
     miner
         .absorb(&late.executions()[0], late.activities())
         .unwrap();
     miner
 }
 
-/// An ingest report that skipped one record per error message.
-fn report(parsed: u64, errors: &[&str]) -> IngestReport {
-    let mut report = IngestReport {
-        records_parsed: parsed,
-        records_skipped: errors.len() as u64,
-        ..IngestReport::default()
-    };
-    for (i, message) in errors.iter().enumerate() {
-        report.record_error(100 * i as u64 + 7, 3 * i + 2, *message);
-    }
-    report
-}
-
-/// An open case buffering `records`, read from consecutive lines.
-fn open_case(case: &str, records: Vec<EventRecord>, opened: u64) -> OpenCaseState {
-    let locations = (0..records.len())
-        .map(|i| SourceLocation {
-            byte_offset: 40 * (opened + i as u64),
-            line: opened as usize + i,
-        })
-        .collect();
-    OpenCaseState {
-        case: case.to_string(),
-        last_touch: opened + records.len() as u64 - 1,
-        records,
-        locations,
-        opened,
-    }
-}
-
 /// A follow session caught mid-stream: the seeded miner, two open
-/// cases (one with an output vector), and decode errors on both the
-/// assembler and the source side.
+/// cases and decode errors on both the assembler and the source side.
 fn pinned_checkpoint() -> FollowCheckpoint {
-    let c17 = vec![
-        EventRecord::start("c17", "A", 50),
-        EventRecord::end("c17", "A", 51, Some(vec![4, 0, -7])),
-        EventRecord::start("c17", "C", 52),
-    ];
     FollowCheckpoint {
-        fingerprint: OptionsFingerprint {
-            noise_threshold: 1,
-            max_open_cases: 64,
-            strict_assembly: false,
-        },
+        fingerprint: FINGERPRINT,
         miner: seeded_miner().export_state(),
-        assembler: AssemblerState {
-            activities: ["A", "B", "C", "D", "E", "F"].map(String::from).to_vec(),
-            open: vec![
-                open_case("c17", c17, 30),
-                open_case("c18", vec![EventRecord::start("c18", "A", 53)], 33),
-            ],
-            clock: 35,
-            executions_emitted: 5,
-            report: report(40, &["END of `C` without a matching START"]),
-        },
-        source: SourceState {
-            byte_offset: 540,
-            line: 19,
-            source_len: 4096,
-            stats: CodecStats {
-                bytes_read: 540,
-                events_parsed: 41,
-                executions_parsed: 0,
-            },
-            report: report(41, &["expected 4 or 5 fields, got 2", "bad timestamp"]),
-        },
+        assembler: assembler(),
+        source: source(),
     }
 }
 
-#[test]
-fn v1_payload_bytes_are_pinned() {
-    let encoded = pinned_checkpoint().encode();
-    if let Some(at) = encoded.iter().zip(PINNED).position(|(a, b)| a != b) {
-        panic!("payload differs from the pinned v1 bytes at offset {at}");
+/// `ck` in the version 1 layout, field by field as builds before
+/// version 2 wrote it.
+fn encode_v1(ck: &FollowCheckpoint) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_u32(ck.fingerprint.noise_threshold);
+    w.put_u64(ck.fingerprint.max_open_cases);
+    w.put_u8(u8::from(ck.fingerprint.strict_assembly));
+    let miner = &ck.miner;
+    w.put_usize(miner.activities.len());
+    for name in &miner.activities {
+        w.put_str(name);
     }
-    assert_eq!(encoded.len(), PINNED.len(), "payload length changed");
+    for matrix in [&miner.ordered, &miner.overlap] {
+        w.put_usize(matrix.len());
+        for &c in matrix {
+            w.put_u32(c);
+        }
+    }
+    w.put_usize(miner.execs.exec_count());
+    for i in 0..miner.execs.exec_count() {
+        let exec = miner.execs.exec(i);
+        w.put_usize(exec.len());
+        for j in 0..exec.len() {
+            w.put_usize(exec.activities[j] as usize);
+            w.put_u64(exec.starts[j]);
+            w.put_u64(exec.ends[j]);
+        }
+    }
+    w.put_u64(miner.events_absorbed);
+    w.put_u64(miner.events_absorbed);
+    w.put_u64(miner.events_since_snapshot);
+    w.put_u64(miner.snapshots_taken);
+    ck.assembler.encode_into(&mut w);
+    let source = &ck.source;
+    w.put_u64(source.byte_offset);
+    w.put_u64(source.line);
+    w.put_u64(source.source_len);
+    encode_stats(&mut w, &source.stats);
+    encode_report(&mut w, &source.report);
+    w.into_bytes()
 }
 
-#[test]
-fn v1_payload_resumes_in_lockstep_with_the_original() {
-    let decoded = FollowCheckpoint::decode(PINNED).unwrap();
-    assert_eq!(decoded, pinned_checkpoint());
-
-    // Resumed and uninterrupted miners agree on every counter and on
-    // each snapshot, support counts included, as both keep absorbing.
-    let mut resumed = OnlineMiner::from_state(
-        MinerOptions::default(),
-        SnapshotPolicy::every(6),
-        decoded.miner,
-    )
-    .unwrap();
-    let mut original = seeded_miner();
-    let more = WorkflowLog::from_strings(["ABDF"]).unwrap();
-    let (exec, table) = (&more.executions()[0], more.activities());
-    for _ in 0..2 {
+/// Resumed and uninterrupted miners agree on every counter and on each
+/// snapshot, support counts included, as both keep absorbing — a set
+/// seen before and a new one.
+fn assert_lockstep(mut resumed: OnlineMiner, mut original: OnlineMiner) {
+    let more = WorkflowLog::from_strings(["ABDF", "ACDF"]).unwrap();
+    for exec in more.executions() {
         assert_eq!(resumed.executions(), original.executions());
         assert_eq!(resumed.events_absorbed(), original.events_absorbed());
         assert_eq!(resumed.snapshot_due(), original.snapshot_due());
@@ -148,60 +104,101 @@ fn v1_payload_resumes_in_lockstep_with_the_original() {
             original.snapshot().unwrap().edge_support()
         );
         assert_eq!(resumed.snapshots_taken(), original.snapshots_taken());
-        resumed.absorb(exec, table).unwrap();
-        original.absorb(exec, table).unwrap();
+        assert_eq!(resumed.export_state(), original.export_state());
+        resumed.absorb(exec, more.activities()).unwrap();
+        original.absorb(exec, more.activities()).unwrap();
     }
 }
 
+/// The fixture's writer is the version 1 layout: it reproduces the
+/// pinned bytes.
 #[test]
-fn checkpoint_round_trips_through_disk() {
-    let ck = pinned_checkpoint();
-    let path = std::env::temp_dir().join(format!(
-        "procmine-checkpoint-v1-test-{}.ckpt",
-        std::process::id()
-    ));
-    ck.save(&path).unwrap();
-    assert_eq!(FollowCheckpoint::load(&path).unwrap(), ck);
-    let _ = std::fs::remove_file(&path);
+fn v1_writer_reproduces_the_pinned_bytes() {
+    let encoded = encode_v1(&pinned_checkpoint());
+    if let Some(at) = encoded.iter().zip(PINNED).position(|(a, b)| a != b) {
+        panic!("payload differs from the pinned v1 bytes at offset {at}");
+    }
+    assert_eq!(encoded.len(), PINNED.len(), "payload length changed");
 }
 
-/// A `--follow` save encodes straight from the live miner into one
-/// buffer that already holds the envelope header; the file it writes is
-/// the pinned payload in its envelope, byte for byte.
 #[test]
-fn save_from_the_live_miner_writes_the_pinned_file() {
-    let ck = pinned_checkpoint();
-    let miner = seeded_miner();
-    let view = FollowCheckpointView {
-        fingerprint: ck.fingerprint,
-        miner: miner.state_view(),
-        assembler: &ck.assembler,
-        source: &ck.source,
-    };
-    assert_eq!(view.encode(), PINNED);
-    let path = std::env::temp_dir().join(format!(
-        "procmine-checkpoint-v1-live-{}.ckpt",
-        std::process::id()
-    ));
-    view.save(&path).unwrap();
-    let written = std::fs::read(&path).unwrap();
+fn v1_payload_resumes_in_lockstep_with_the_original() {
+    let decoded = FollowCheckpoint::decode_version(1, PINNED).unwrap();
+    assert_eq!(decoded, pinned_checkpoint());
+    let resumed = OnlineMiner::from_state(
+        MinerOptions::default(),
+        SnapshotPolicy::every(6),
+        decoded.miner,
+    )
+    .unwrap();
+    assert_lockstep(resumed, seeded_miner());
+}
+
+/// A version 1 state retained every execution, repeated activity sets
+/// included. Resumed at T = 1 it keeps the first execution of each set
+/// and the totals of all of them: the state of a miner that absorbed
+/// the same executions under this build.
+#[test]
+fn v1_state_with_repeated_sets_migrates_and_resumes_in_lockstep() {
+    let log =
+        WorkflowLog::from_strings(["ABCF", "ACBF", "ABCF", "ADEF", "AEDF", "AF", "ADEF"]).unwrap();
+    // At T = 2 the miner retains every execution, as version 1 did; the
+    // counts and totals do not depend on the threshold.
+    let mut every = OnlineMiner::new(MinerOptions::with_threshold(2), SnapshotPolicy::every(6));
+    let mut original = OnlineMiner::new(MinerOptions::default(), SnapshotPolicy::every(6));
+    for (i, exec) in log.executions().iter().enumerate() {
+        every.absorb(exec, log.activities()).unwrap();
+        original.absorb(exec, log.activities()).unwrap();
+        if i == 3 {
+            every.snapshot().unwrap();
+            original.snapshot().unwrap();
+        }
+    }
+    let state = every.export_state();
+    assert_eq!(state.execs.exec_count(), 7);
+    let v1 = encode_v1(&FollowCheckpoint {
+        fingerprint: FINGERPRINT,
+        miner: state,
+        assembler: assembler(),
+        source: source(),
+    });
+    let decoded = FollowCheckpoint::decode_version(1, &v1).unwrap();
+    assert_eq!(decoded.miner.executions_absorbed, 7);
+    let resumed = OnlineMiner::from_state(
+        MinerOptions::default(),
+        SnapshotPolicy::every(6),
+        decoded.miner,
+    )
+    .unwrap();
+    let migrated = resumed.export_state();
+    assert_eq!(migrated.execs.exec_count(), 3, "one execution per set");
+    assert_eq!(migrated, original.export_state());
+    assert_lockstep(resumed, original);
+}
+
+/// A version 1 file on disk loads through its envelope's version.
+#[test]
+fn v1_file_loads_from_disk() {
+    let mut file = encode_envelope(PINNED);
+    // The CRC covers the payload only, so the version field is free.
+    file[7..9].copy_from_slice(&1u16.to_le_bytes());
+    let path = temp_file("checkpoint-v1-test");
+    std::fs::write(&path, &file).unwrap();
+    let loaded = FollowCheckpoint::load(&path);
     let _ = std::fs::remove_file(&path);
-    assert_eq!(
-        written,
-        procmine_log::stream::checkpoint::encode_envelope(PINNED)
-    );
+    assert_eq!(loaded.unwrap(), pinned_checkpoint());
 }
 
 #[test]
 fn truncated_or_padded_payload_is_refused() {
     for cut in [0, 1, PINNED.len() / 2, PINNED.len() - 1] {
         assert!(
-            FollowCheckpoint::decode(&PINNED[..cut]).is_err(),
+            FollowCheckpoint::decode_version(1, &PINNED[..cut]).is_err(),
             "cut at {cut} accepted"
         );
     }
     // Trailing garbage is a skew, not slack.
     let mut padded = PINNED.to_vec();
     padded.push(0);
-    assert!(FollowCheckpoint::decode(&padded).is_err());
+    assert!(FollowCheckpoint::decode_version(1, &padded).is_err());
 }

@@ -32,9 +32,14 @@ use procmine_core::{
     OnlineMiner, SnapshotPolicy,
 };
 use procmine_graph::NodeId;
-use procmine_log::{CompactLog, LogView, WorkflowLog};
+use procmine_log::{ActivityId, CompactLog, LogView, WorkflowLog};
+use procmine_sim::noise::{corrupt_log, NoiseConfig};
+use procmine_sim::{randdag, walk};
 use proptest::prelude::*;
 use proptest::{collection, sample};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::collections::HashSet;
 
 mod common;
 use common::{cyclic_log, general_log, interval_log, log_from_indices, set_reuse_log, NAMES};
@@ -200,8 +205,85 @@ fn assert_compact_and_nested_agree(log: &WorkflowLog) {
     }
 }
 
+/// Random walks of a random DAG corrupted with §6's three noise
+/// sources: adjacent swaps, dropped activities and inserted duplicates
+/// (which repeat an activity, so the online miner refuses them). At
+/// T ≥ 2 thresholding then really removes edges.
+fn noisy_log(seed: u64, vertices: usize, executions: usize, rate: f64) -> WorkflowLog {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let config = randdag::RandomDagConfig {
+        vertices,
+        edge_prob: 0.4,
+    };
+    let model = randdag::random_dag(&config, &mut rng).unwrap();
+    let log = walk::random_walk_log(&model, executions, &mut rng).unwrap();
+    let noise = NoiseConfig {
+        swap_prob: rate,
+        drop_prob: rate,
+        insert_prob: rate / 4.0,
+    };
+    corrupt_log(&log, &noise, &mut rng)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// An online snapshot after every absorb matches the reference over
+    /// the absorbed prefix — edges, supports and counters — while the
+    /// miner retains one execution per activity set at T ≤ 1 and every
+    /// execution at T ≥ 2. A refused execution leaves no trace. At the
+    /// end a threaded snapshot and a resumed miner's agree too.
+    #[test]
+    fn incremental_snapshots_match_reference_on_noisy_logs(
+        seed in 0u64..u64::MAX,
+        vertices in 3usize..8,
+        executions in 1usize..40,
+        percent in 0u32..50,
+        threshold in 0u32..=5,
+    ) {
+        let log = noisy_log(seed, vertices, executions, f64::from(percent) / 100.0);
+        let options = MinerOptions::with_threshold(threshold);
+        let mut inc = OnlineMiner::new(options.clone(), SnapshotPolicy::on_demand());
+        let mut prefix = WorkflowLog::with_activities(log.activities().clone());
+        let mut sets: HashSet<Vec<ActivityId>> = HashSet::new();
+        for (j, exec) in log.executions().iter().enumerate() {
+            let before = inc.export_state();
+            match inc.absorb(exec, log.activities()) {
+                Ok(_) => {}
+                Err(MineError::RepeatsRequireCyclicMiner { .. }) if exec.has_repeats() => {
+                    prop_assert_eq!(inc.export_state(), before, "refused absorb {}", j);
+                    continue;
+                }
+                Err(e) => panic!("absorb {j}: {e}"),
+            }
+            prefix.push(exec.clone());
+            let mut set = exec.sequence();
+            set.sort();
+            sets.insert(set);
+
+            let what = format!("noisy incremental T={threshold} after {}", j + 1);
+            let (model, metrics) = with_metrics(|s| inc.snapshot_in(s).unwrap());
+            let (expected, ref_metrics) = mine_general_reference(&prefix, &options).unwrap();
+            prop_assert_eq!(named_support(&model), named_support(&expected), "{}", what);
+            assert_counters_identical(&metrics, &ref_metrics, &what);
+            let retained = inc.export_state().execs.exec_count();
+            let want = if threshold <= 1 { sets.len() } else { prefix.len() };
+            prop_assert_eq!(retained, want, "{}: retained executions", what);
+            prop_assert_eq!(inc.executions(), prefix.len());
+        }
+        if !prefix.is_empty() {
+            let (expected, _) = mine_general_reference(&prefix, &options).unwrap();
+            let threaded = inc
+                .snapshot_in(&mut MineSession::new().with_threads(3))
+                .unwrap();
+            prop_assert_eq!(named_support(&threaded), named_support(&expected), "threaded");
+            let mut resumed =
+                OnlineMiner::from_state(options, SnapshotPolicy::on_demand(), inc.export_state())
+                    .unwrap();
+            let remodel = resumed.snapshot().unwrap();
+            prop_assert_eq!(named_support(&remodel), named_support(&expected), "resumed");
+        }
+    }
 
     #[test]
     fn compact_logs_mine_like_nested_ones(

@@ -281,23 +281,32 @@ pub struct EventFields<'a> {
 /// caller.
 ///
 /// A line that is not UTF-8 is an error, whatever else is wrong with
-/// it. One pass over the line's bytes finds the commas;
-/// the line and each field are trimmed by testing their boundary bytes
-/// ([`trim`]), the kind is matched as bytes and the timestamp is parsed
-/// with checked decimal arithmetic ([`parse_u64`]). What is accepted,
-/// and every error's text, are those of `str::trim`,
-/// `EventKind::from_str` and `str::parse`. An END whose fifth field is
-/// empty carries an empty output vector.
+/// it; a line already known to be text goes to [`parse_event_text`]
+/// directly.
 pub(crate) fn parse_event_line(
     line: &[u8],
+    lineno: usize,
+) -> Result<Option<EventFields<'_>>, LogError> {
+    match std::str::from_utf8(line) {
+        Ok(line) => parse_event_text(line, lineno),
+        Err(_) => Err(super::not_utf8(lineno)),
+    }
+}
+
+/// [`parse_event_line`] for a line that is text. One pass over the
+/// line's bytes finds the commas; the line and each field are trimmed
+/// by testing their boundary bytes ([`trim`]), the kind is matched as
+/// bytes and the timestamp is parsed with checked decimal arithmetic
+/// ([`parse_u64`]). What is accepted, and every error's text, are
+/// those of `str::trim`, `EventKind::from_str` and `str::parse`. An END
+/// whose fifth field is empty carries an empty output vector.
+pub(crate) fn parse_event_text(
+    line: &str,
     lineno: usize,
 ) -> Result<Option<EventFields<'_>>, LogError> {
     let error = |message: String| LogError::Parse {
         line: lineno,
         message,
-    };
-    let Ok(line) = std::str::from_utf8(line) else {
-        return Err(error("line is not valid UTF-8".to_string()));
     };
     let line = trim(line);
     if line.is_empty() || line.starts_with('#') {

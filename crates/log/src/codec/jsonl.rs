@@ -7,7 +7,7 @@
 //! {"id":"p1","instances":[{"activity":"A","start":0,"end":1,"output":[3,4]}]}
 //! ```
 
-use super::{ByteLines, CodecStats, IngestReport, RecoveryPolicy};
+use super::{ByteLines, CodecStats, IngestReport, Line, RecoveryPolicy};
 use crate::{ActivityInstance, ActivityTable, Execution, LogError, WorkflowLog};
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, Write};
@@ -135,14 +135,11 @@ fn read_impl<R: BufRead>(
 /// execution is validated *before* names are interned, so a skipped
 /// record cannot pollute the activity table.
 fn parse_line(
-    raw: &[u8],
+    line: Line<'_>,
     lineno: usize,
     table: &mut ActivityTable,
 ) -> Result<Option<Execution>, LogError> {
-    let text = std::str::from_utf8(raw).map_err(|_| LogError::Parse {
-        line: lineno,
-        message: "line is not valid UTF-8".to_string(),
-    })?;
+    let text = line.text().ok_or_else(|| super::not_utf8(lineno))?;
     if text.trim().is_empty() {
         return Ok(None);
     }

@@ -22,7 +22,7 @@ pub mod xes_reference;
 
 use crate::validate::{assemble_events, AssemblyPolicy, EventTable};
 use crate::{CompactLog, LogError};
-use std::io::{BufRead, Read};
+use std::io::BufRead;
 
 /// How a codec treats decode errors (bad lines, truncated tails,
 /// malformed XML). Every codec's `read_log_with` entry point takes one;
@@ -223,58 +223,186 @@ pub(crate) fn assembly_policy(policy: RecoveryPolicy) -> AssemblyPolicy {
     }
 }
 
+/// The error of a line that is not valid UTF-8, the same in every
+/// line-oriented codec.
+pub(crate) fn not_utf8(lineno: usize) -> LogError {
+    LogError::Parse {
+        line: lineno,
+        message: "line is not valid UTF-8".to_string(),
+    }
+}
+
 /// Byte-level line reader for the recovering decode paths: unlike
 /// [`BufRead::lines`], it survives invalid UTF-8 (a bit flip must not
 /// abort the whole read as an I/O error), reports each line's starting
 /// byte offset, and says whether the line was newline-terminated — the
 /// signal that distinguishes a garbage line from a truncated tail.
+///
+/// Lines are found in place inside a *fill*: what the reader has
+/// buffered (one `fill_buf`, more only while no newline has turned
+/// up), cut after the last newline it holds. The fill's complete lines
+/// are validated as UTF-8 in one pass, so a line of a valid fill is
+/// handed out as text without a check of its own. The reader is read
+/// as `read_until` read it; what is copied is the fill, once, instead
+/// of each line, and the partial line after the cut is copied again to
+/// the front of the next fill. A fill that fails validation is kept as
+/// bytes, and each of its lines is checked as it is handed out
+/// ([`Line::text`]).
 pub(crate) struct ByteLines<R: BufRead> {
-    reader: CountingReader<R>,
-    buf: Vec<u8>,
+    reader: R,
+    /// The complete lines of the current fill, or at end of input its
+    /// unterminated last line.
+    fill: Fill,
+    /// Where the next line starts in `fill`.
+    pos: usize,
+    /// The last line handed out: its byte range in `fill`.
+    line: std::ops::Range<usize>,
+    /// Bytes read past the current fill's last newline: the start of
+    /// the line that straddles it and the next fill.
+    rest: Vec<u8>,
+    /// Bytes consumed: the offset at which the next line starts.
+    consumed: u64,
     lineno: usize,
+}
+
+/// One fill's lines: text when they validated as UTF-8 at once, else
+/// their bytes.
+enum Fill {
+    Text(String),
+    Bytes(Vec<u8>),
+}
+
+impl Fill {
+    fn new(bytes: Vec<u8>) -> Fill {
+        match String::from_utf8(bytes) {
+            Ok(text) => Fill::Text(text),
+            Err(e) => Fill::Bytes(e.into_bytes()),
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Fill::Text(text) => text.as_bytes(),
+            Fill::Bytes(bytes) => bytes,
+        }
+    }
+
+    fn into_bytes(self) -> Vec<u8> {
+        match self {
+            Fill::Text(text) => text.into_bytes(),
+            Fill::Bytes(bytes) => bytes,
+        }
+    }
+}
+
+/// A line handed out by [`ByteLines`], without its terminator.
+#[derive(Clone, Copy)]
+pub(crate) enum Line<'a> {
+    /// A line of a fill that validated as UTF-8.
+    Text(&'a str),
+    /// A line of a fill that did not, not yet checked on its own.
+    Bytes(&'a [u8]),
+}
+
+impl<'a> Line<'a> {
+    /// The line as text, or `None` if it is not valid UTF-8.
+    pub fn text(self) -> Option<&'a str> {
+        match self {
+            Line::Text(text) => Some(text),
+            Line::Bytes(bytes) => std::str::from_utf8(bytes).ok(),
+        }
+    }
 }
 
 impl<R: BufRead> ByteLines<R> {
     pub fn new(reader: R) -> Self {
         ByteLines {
-            reader: CountingReader::new(reader),
-            buf: Vec::new(),
+            reader,
+            fill: Fill::Text(String::new()),
+            pos: 0,
+            line: 0..0,
+            rest: Vec::new(),
+            consumed: 0,
             lineno: 0,
         }
     }
 
-    /// Bytes consumed so far.
+    /// Bytes consumed so far: the lines handed out, terminators
+    /// included (after an I/O error, also the part of the line it cut
+    /// short).
     pub fn bytes(&self) -> u64 {
-        // Fully qualified: `Read::bytes` (in scope here) would win the
-        // by-value probe over the inherent counter.
-        CountingReader::bytes(&self.reader)
+        self.consumed
     }
 
     /// Advances to the next line. Returns `Ok(Some((byte_offset,
-    /// lineno, had_newline)))` and exposes the raw bytes via
+    /// lineno, had_newline)))` and exposes the line via
     /// [`ByteLines::line`]; `Ok(None)` at EOF. I/O errors are fatal.
     pub fn read_next(&mut self) -> Result<Option<(u64, usize, bool)>, LogError> {
-        let offset = CountingReader::bytes(&self.reader);
-        self.buf.clear();
-        let n = self.reader.read_until(b'\n', &mut self.buf)?;
-        if n == 0 {
+        if self.pos == self.fill.as_bytes().len() && !self.refill()? {
             return Ok(None);
         }
+        let bytes = self.fill.as_bytes();
+        let start = self.pos;
+        let (end, had_newline) = match bytes[start..].iter().position(|&b| b == b'\n') {
+            Some(len) => (start + len, true),
+            None => (bytes.len(), false),
+        };
+        self.pos = end + usize::from(had_newline);
+        let offset = self.consumed;
+        self.consumed += (self.pos - start) as u64;
+        let trimmed = if had_newline && bytes[start..end].last() == Some(&b'\r') {
+            end - 1
+        } else {
+            end
+        };
+        self.line = start..trimmed;
         self.lineno += 1;
-        let had_newline = self.buf.last() == Some(&b'\n');
-        if had_newline {
-            self.buf.pop();
-            if self.buf.last() == Some(&b'\r') {
-                self.buf.pop();
-            }
-        }
         Ok(Some((offset, self.lineno, had_newline)))
     }
 
-    /// The bytes of the line returned by the last
-    /// [`ByteLines::read_next`], without the line terminator.
-    pub fn line(&self) -> &[u8] {
-        &self.buf
+    /// Reads the next fill: the straddling partial line, then the
+    /// reader's buffered bytes, one `fill_buf` at a time, until they
+    /// hold a newline or the input ends; the fill is cut after the last
+    /// newline. `Ok(false)` when nothing is left. An I/O error counts
+    /// the bytes of the line it cut short as consumed.
+    fn refill(&mut self) -> Result<bool, LogError> {
+        let mut buf = std::mem::replace(&mut self.fill, Fill::Text(String::new())).into_bytes();
+        buf.clear();
+        buf.append(&mut self.rest);
+        let cut = loop {
+            let chunk = match self.reader.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    self.consumed += buf.len() as u64;
+                    self.pos = 0;
+                    return Err(e.into());
+                }
+            };
+            if chunk.is_empty() {
+                break buf.len();
+            }
+            let start = buf.len();
+            buf.extend_from_slice(chunk);
+            self.reader.consume(buf.len() - start);
+            if let Some(last) = buf[start..].iter().rposition(|&b| b == b'\n') {
+                break start + last + 1;
+            }
+        };
+        self.rest.extend_from_slice(&buf[cut..]);
+        buf.truncate(cut);
+        self.pos = 0;
+        self.fill = Fill::new(buf);
+        Ok(cut > 0)
+    }
+
+    /// The line returned by the last [`ByteLines::read_next`], without
+    /// the line terminator.
+    pub fn line(&self) -> Line<'_> {
+        match &self.fill {
+            Fill::Text(text) => Line::Text(&text[self.line.clone()]),
+            Fill::Bytes(bytes) => Line::Bytes(&bytes[self.line.clone()]),
+        }
     }
 
     /// Lines consumed so far (the 1-based number of the last line
@@ -283,9 +411,10 @@ impl<R: BufRead> ByteLines<R> {
         self.lineno
     }
 
-    /// The reader, positioned after the last line read.
+    /// The reader, positioned at the end of the current fill: past the
+    /// last line handed out when lines of the fill remain.
     pub fn into_inner(self) -> R {
-        self.reader.inner
+        self.reader
     }
 }
 
@@ -327,51 +456,113 @@ impl CodecStats {
     }
 }
 
-/// A [`BufRead`] adapter that counts the bytes consumed through it.
-///
-/// Bytes are tallied in [`BufRead::consume`] (the line-oriented codecs)
-/// and in [`Read::read`] (the slurping XES codec); each codec drives
-/// exactly one of the two paths, so nothing is double-counted.
-pub struct CountingReader<R> {
-    inner: R,
-    bytes: u64,
-}
-
-impl<R> CountingReader<R> {
-    /// Wraps a reader with a zeroed byte counter.
-    pub fn new(inner: R) -> Self {
-        CountingReader { inner, bytes: 0 }
-    }
-
-    /// Bytes consumed so far.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl<R: Read> Read for CountingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.bytes += n as u64;
-        Ok(n)
-    }
-}
-
-impl<R: BufRead> BufRead for CountingReader<R> {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        self.inner.fill_buf()
-    }
-
-    fn consume(&mut self, amt: usize) {
-        self.bytes += amt as u64;
-        self.inner.consume(amt);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::WorkflowLog;
+    use std::io::Read;
+
+    /// A reader that hands out at most `step` bytes per read.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Each line `ByteLines` hands out: offset, number, whether a
+    /// newline ended it, its bytes, and whether it came out as text.
+    type Lines = Vec<(u64, usize, bool, Vec<u8>, bool)>;
+
+    fn byte_lines(reader: impl BufRead) -> (Lines, u64) {
+        let mut lines = ByteLines::new(reader);
+        let mut out = Vec::new();
+        while let Some((offset, lineno, had_newline)) = lines.read_next().unwrap() {
+            let (bytes, text) = match lines.line() {
+                Line::Text(text) => (text.as_bytes().to_vec(), true),
+                Line::Bytes(bytes) => (bytes.to_vec(), std::str::from_utf8(bytes).is_ok()),
+            };
+            assert_eq!(lines.line().text().is_some(), text);
+            out.push((offset, lineno, had_newline, bytes, text));
+        }
+        (out, lines.bytes())
+    }
+
+    /// What `read_until` makes of the same input.
+    fn read_until_lines(mut input: &[u8]) -> Lines {
+        let mut out = Vec::new();
+        let mut offset = 0u64;
+        loop {
+            let mut line = Vec::new();
+            let n = input.read_until(b'\n', &mut line).unwrap();
+            if n == 0 {
+                return out;
+            }
+            let had_newline = line.last() == Some(&b'\n');
+            if had_newline {
+                line.pop();
+                if line.last() == Some(&b'\r') {
+                    line.pop();
+                }
+            }
+            let text = std::str::from_utf8(&line).is_ok();
+            out.push((offset, out.len() + 1, had_newline, line, text));
+            offset += n as u64;
+        }
+    }
+
+    /// Lines found in place match `read_until` across fill boundaries,
+    /// CRLF endings, a line longer than a fill, multi-byte characters
+    /// across read boundaries, a fill that is not UTF-8 (one bad line,
+    /// its neighbours still text) and an unterminated last line, whether
+    /// the reader hands out large fills or a few bytes at a time.
+    #[test]
+    fn byte_lines_match_read_until_across_fills() {
+        const LONG: usize = 70_000;
+        let mut input = Vec::new();
+        let mut k = 0usize;
+        while input.len() < 3 * LONG {
+            match k % 6 {
+                0 => input.extend_from_slice(b"p1,A,START,1\r\n"),
+                1 => input.extend_from_slice("naïve,é,END,2\n".as_bytes()),
+                2 => input.push(b'\n'),
+                3 if k % 5000 == 3 => input.extend_from_slice(b"\xff\xfe,bad,START,3\n"),
+                4 if k % 9000 == 4 => {
+                    input.resize(input.len() + LONG, b'x');
+                    input.push(b'\n');
+                }
+                _ => input.extend_from_slice(format!("case-{k},B,END,{k}\n").as_bytes()),
+            }
+            k += 1;
+        }
+        input.extend_from_slice("tail,é".as_bytes());
+        let want = read_until_lines(&input);
+        assert!(
+            want.iter().any(|l| !l.4),
+            "the input holds a line that is not text"
+        );
+        for (capacity, step) in [(8192, usize::MAX), (8192, 4093), (16, 7)] {
+            let reader = Trickle {
+                bytes: &input,
+                step,
+            };
+            let (got, consumed) = byte_lines(std::io::BufReader::with_capacity(capacity, reader));
+            let what = format!("fills of {capacity}, reads of {step}");
+            assert_eq!(consumed, input.len() as u64, "{what}");
+            assert_eq!(got.len(), want.len(), "{what}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g, w, "{what}");
+            }
+        }
+        assert!(byte_lines(&b""[..]).0.is_empty());
+    }
 
     /// A strict read into `stats`, discarding the ingest report.
     fn strict<R>(

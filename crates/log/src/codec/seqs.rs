@@ -54,8 +54,8 @@ fn read_impl<R: BufRead>(
     log: &mut WorkflowLog,
 ) -> Result<(), LogError> {
     while let Some((offset, lineno, had_newline)) = lines.read_next()? {
-        let pushed = match std::str::from_utf8(lines.line()) {
-            Ok(text) => {
+        let pushed = match lines.line().text() {
+            Some(text) => {
                 let trimmed = text.trim();
                 if trimmed.is_empty() || trimmed.starts_with('#') {
                     continue;
@@ -72,10 +72,7 @@ fn read_impl<R: BufRead>(
                         other => other,
                     })
             }
-            Err(_) => Err(LogError::Parse {
-                line: lineno,
-                message: "line is not valid UTF-8".to_string(),
-            }),
+            None => Err(super::not_utf8(lineno)),
         };
         match pushed {
             Ok(count) => {

@@ -55,7 +55,12 @@ impl Execution {
                 end: bad.end,
             });
         }
-        instances.sort_by_key(|i| (i.start, i.end, i.activity));
+        // A stable sort leaves sorted instances as they are, so sorted
+        // input skips it.
+        let key = |i: &ActivityInstance| (i.start, i.end, i.activity);
+        if instances.windows(2).any(|w| key(&w[0]) > key(&w[1])) {
+            instances.sort_by_key(key);
+        }
         Ok(Execution { id, instances })
     }
 
@@ -70,6 +75,12 @@ impl Execution {
             |w| (w[0].start, w[0].end, w[0].activity) <= (w[1].start, w[1].end, w[1].activity)
         ));
         Execution { id, instances }
+    }
+
+    /// The case name and the instances, for a caller that reuses their
+    /// buffers.
+    pub(crate) fn into_parts(self) -> (String, Vec<ActivityInstance>) {
+        (self.id, self.instances)
     }
 
     /// Builds an instantaneous execution from an ordered activity-id

@@ -212,6 +212,9 @@ pub struct CaseAssembler<O: Observer> {
     /// the slot keeps its own copy of the id, whose buffer the next case
     /// in the slot reuses.
     index: FoldMap<String, usize>,
+    /// The id of the execution delivered last, taken back after the
+    /// observer saw it: its buffer keys the next case to open.
+    spare_key: String,
     slots: Vec<OpenCase>,
     /// Slots not holding an open case (their buffers keep capacity).
     free: Vec<usize>,
@@ -239,6 +242,7 @@ impl<O: Observer> CaseAssembler<O> {
             observer,
             table: ActivityTable::new(),
             index: FoldMap::default(),
+            spare_key: String::new(),
             slots: Vec::new(),
             free: Vec::new(),
             lru: NIL,
@@ -420,6 +424,7 @@ impl<O: Observer> CaseAssembler<O> {
             observer,
             table,
             index,
+            spare_key: String::new(),
             slots,
             free: Vec::new(),
             lru: NIL,
@@ -515,6 +520,11 @@ impl<O: Observer> CaseAssembler<O> {
             let exec = case_execution(&mut self.events, 0, &mut self.work)?;
             self.observer.on_execution(&exec, &self.table)?;
             self.executions_emitted += 1;
+            // The execution's buffers serve the next cases: its id keys
+            // the next case to open, its instances take the next pairing.
+            let (id, instances) = exec.into_parts();
+            self.spare_key = id;
+            self.work.reuse_paired(instances);
         }
         Ok(())
     }
@@ -585,7 +595,10 @@ impl<O: Observer> StreamSink for CaseAssembler<O> {
                         self.slots.len() - 1
                     }
                 };
-                self.index.insert(event.process.to_string(), slot);
+                let mut key = std::mem::take(&mut self.spare_key);
+                key.clear();
+                key.push_str(event.process);
+                self.index.insert(key, slot);
                 let case = &mut self.slots[slot];
                 case.case.clear();
                 case.case.push_str(event.process);

@@ -29,10 +29,14 @@ use std::path::Path;
 /// First bytes of every checkpoint file.
 pub const MAGIC: &[u8; 7] = b"PMCKPT\n";
 
-/// Current checkpoint format version. Bump on any payload layout
-/// change; readers refuse other versions with
-/// [`CheckpointError::VersionSkew`].
-pub const VERSION: u16 = 1;
+/// Current checkpoint format version: the one every write uses. Bump
+/// on any payload layout change. Readers take every version from
+/// [`OLDEST_VERSION`] to this one, telling the payload decoder which
+/// it is, and refuse any other with [`CheckpointError::VersionSkew`].
+pub const VERSION: u16 = 2;
+
+/// The oldest checkpoint format version this build reads.
+pub const OLDEST_VERSION: u16 = 1;
 
 /// Header length: magic (7) + version (2) + payload length (8) +
 /// CRC32 (4).
@@ -46,11 +50,12 @@ pub enum CheckpointError {
     /// The file does not start with the checkpoint magic — it is not a
     /// checkpoint (or its header itself was destroyed).
     NotACheckpoint,
-    /// The file is a checkpoint of an incompatible format version.
+    /// The file is a checkpoint of a format version this build does not
+    /// know.
     VersionSkew {
         /// Version found in the file.
         found: u16,
-        /// Version this build reads and writes.
+        /// Version this build writes, the newest it reads.
         expected: u16,
     },
     /// The file is shorter than its header promises — a torn write.
@@ -85,7 +90,8 @@ impl fmt::Display for CheckpointError {
             }
             CheckpointError::VersionSkew { found, expected } => write!(
                 f,
-                "checkpoint format version {found} is not readable by this build (expected {expected})"
+                "checkpoint format version {found} is not readable by this build \
+                 (it reads versions {OLDEST_VERSION} to {expected})"
             ),
             CheckpointError::Truncated { expected, actual } => write!(
                 f,
@@ -117,11 +123,11 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-// CRC32 (IEEE 802.3 polynomial, reflected), slice-by-8: eight
-// 256-entry tables fold eight input bytes per step. Vendored so the
+// CRC32 (IEEE 802.3 polynomial, reflected), slice-by-16: sixteen
+// 256-entry tables fold sixteen input bytes per step. Vendored so the
 // checkpoint format needs no external dependency.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -141,7 +147,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     let mut i = 0;
     while i < 256 {
         let mut k = 1;
-        while k < 8 {
+        while k < 16 {
             let prev = tables[k - 1][i];
             tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
             k += 1;
@@ -151,26 +157,29 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// CRC32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
+    // Byte `j` of a step, `b[j]`, is followed by 15 - j more bytes of
+    // the step: its table is t[15 - j].
+    let fold = |w: u32, k: usize| {
+        t[k][(w & 0xFF) as usize]
+            ^ t[k - 1][((w >> 8) & 0xFF) as usize]
+            ^ t[k - 2][((w >> 16) & 0xFF) as usize]
+            ^ t[k - 3][(w >> 24) as usize]
+    };
+    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
     let mut c = 0xFFFF_FFFFu32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    let mut steps = bytes.chunks_exact(16);
+    for b in &mut steps {
+        c = fold(c ^ word(&b[0..4]), 15)
+            ^ fold(word(&b[4..8]), 11)
+            ^ fold(word(&b[8..12]), 7)
+            ^ fold(word(&b[12..16]), 3);
     }
-    for &b in words.remainder() {
+    for &b in steps.remainder() {
         c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
@@ -195,15 +204,15 @@ pub fn encode_envelope(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Validates the envelope and returns the payload slice. Every check
-/// runs before a single payload byte is interpreted: magic, version,
-/// declared length, CRC32.
-pub fn decode_envelope(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
+/// Validates the envelope and returns the format version and the
+/// payload slice. Every check runs before a single payload byte is
+/// interpreted: magic, version, declared length, CRC32.
+pub fn decode_envelope(bytes: &[u8]) -> Result<(u16, &[u8]), CheckpointError> {
     if bytes.len() < HEADER_LEN || &bytes[..MAGIC.len()] != MAGIC {
         return Err(CheckpointError::NotACheckpoint);
     }
     let version = u16::from_le_bytes([bytes[7], bytes[8]]);
-    if version != VERSION {
+    if !(OLDEST_VERSION..=VERSION).contains(&version) {
         return Err(CheckpointError::VersionSkew {
             found: version,
             expected: VERSION,
@@ -230,7 +239,7 @@ pub fn decode_envelope(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
             actual: actual_crc,
         });
     }
-    Ok(payload)
+    Ok((version, payload))
 }
 
 /// Writes `payload` (wrapped in the envelope) to `path` atomically:
@@ -272,11 +281,13 @@ pub fn write_atomic_raw(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError
     Ok(())
 }
 
-/// Reads `path`, validates the envelope, and returns the payload.
-pub fn read_payload(path: &Path) -> Result<Vec<u8>, CheckpointError> {
+/// Reads `path`, validates the envelope, and returns the format
+/// version and the payload.
+pub fn read_payload(path: &Path) -> Result<(u16, Vec<u8>), CheckpointError> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
-    decode_envelope(&bytes).map(<[u8]>::to_vec)
+    let (version, payload) = decode_envelope(&bytes)?;
+    Ok((version, payload.to_vec()))
 }
 
 /// Structural decode failure inside a checkpoint payload. Converted to
@@ -669,6 +680,22 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Reference: the bitwise CRC32, no tables.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     /// Reference: the bytewise table-driven CRC32.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         let mut c = 0xFFFF_FFFFu32;
@@ -707,6 +734,25 @@ mod tests {
         assert_eq!(crc32(&big), crc32_bytewise(&big));
     }
 
+    /// Every length across a few 16-byte steps, at odd offsets, so the
+    /// remainder loop and unaligned steps are both covered.
+    #[test]
+    fn crc32_matches_the_bitwise_reference() {
+        for seed in [1, 0xC0FFEE, 0x5EED_5EED] {
+            let buf = noise(64 + 16, seed);
+            for offset in (1..16).step_by(2) {
+                for len in 0..=64 {
+                    let bytes = &buf[offset..offset + len];
+                    assert_eq!(
+                        crc32(bytes),
+                        crc32_bitwise(bytes),
+                        "seed {seed}, offset {offset}, length {len}"
+                    );
+                }
+            }
+        }
+    }
+
     /// Envelope bytes are pinned: checkpoints written by earlier builds
     /// must keep loading, and theirs must load ours.
     #[test]
@@ -714,7 +760,7 @@ mod tests {
         let payload = b"procmine checkpoint payload\x00\x01\x02\xff";
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PMCKPT\n");
-        expected.extend_from_slice(&[0x01, 0x00]); // version 1
+        expected.extend_from_slice(&[0x02, 0x00]); // version 2
         expected.extend_from_slice(&[31, 0, 0, 0, 0, 0, 0, 0]); // payload length
         expected.extend_from_slice(&[0xB9, 0x12, 0x01, 0x71]); // CRC32, little-endian
         expected.extend_from_slice(payload);
@@ -725,7 +771,7 @@ mod tests {
     fn envelope_roundtrips() {
         let payload = b"hello checkpoint";
         let bytes = encode_envelope(payload);
-        assert_eq!(decode_envelope(&bytes).unwrap(), payload);
+        assert_eq!(decode_envelope(&bytes).unwrap(), (VERSION, &payload[..]));
     }
 
     #[test]
@@ -742,15 +788,27 @@ mod tests {
 
     #[test]
     fn version_skew_is_typed() {
-        let mut bytes = encode_envelope(b"x");
-        bytes[7] = 99;
-        assert!(matches!(
-            decode_envelope(&bytes),
-            Err(CheckpointError::VersionSkew {
-                found: 99,
-                expected: VERSION
-            })
-        ));
+        for unknown in [0, VERSION + 1, 99] {
+            let mut bytes = encode_envelope(b"x");
+            bytes[7..9].copy_from_slice(&unknown.to_le_bytes());
+            assert!(matches!(
+                decode_envelope(&bytes),
+                Err(CheckpointError::VersionSkew {
+                    found,
+                    expected: VERSION
+                }) if found == unknown
+            ));
+        }
+    }
+
+    /// Every version from the oldest on opens, and says which it is.
+    #[test]
+    fn known_versions_open() {
+        for version in OLDEST_VERSION..=VERSION {
+            let mut bytes = encode_envelope(b"x");
+            bytes[7..9].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(decode_envelope(&bytes).unwrap(), (version, &b"x"[..]));
+        }
     }
 
     #[test]
@@ -789,10 +847,10 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("procmine-ckpt-test-{}.ckpt", std::process::id()));
         write_atomic(&path, b"payload").unwrap();
-        assert_eq!(read_payload(&path).unwrap(), b"payload");
+        assert_eq!(read_payload(&path).unwrap(), (VERSION, b"payload".to_vec()));
         // Overwrite: the rename replaces the previous checkpoint.
         write_atomic(&path, b"second").unwrap();
-        assert_eq!(read_payload(&path).unwrap(), b"second");
+        assert_eq!(read_payload(&path).unwrap(), (VERSION, b"second".to_vec()));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -21,7 +21,7 @@
 
 use super::{SourceLocation, StreamError, StreamSink};
 use crate::codec::flowmark::{self, EventFields};
-use crate::codec::{ByteLines, CodecStats, IngestReport, RecoveryPolicy};
+use crate::codec::{ByteLines, CodecStats, IngestReport, Line, RecoveryPolicy};
 use crate::{EventRecord, LogError};
 use std::io::BufRead;
 
@@ -153,7 +153,11 @@ impl<R: BufRead> FlowmarkSource<R> {
                     return Err(e);
                 }
             };
-            match flowmark::parse_event_line(self.lines.line(), lineno) {
+            let parsed = match self.lines.line() {
+                Line::Text(line) => flowmark::parse_event_text(line, lineno),
+                Line::Bytes(line) => flowmark::parse_event_line(line, lineno),
+            };
+            match parsed {
                 Ok(None) => {} // a blank or comment line
                 Ok(Some(fields)) => {
                     self.stats.events_parsed += 1;

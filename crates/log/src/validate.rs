@@ -439,6 +439,8 @@ fn append_case(events: &mut EventTable, case: usize, work: &mut CaseWork, log: &
 /// The case `assemble_case` paired last as an [`Execution`], taking the
 /// paired instances and the case name: what
 /// [`CaseAssembler`](crate::stream::CaseAssembler) hands its observer.
+/// The caller gives the instance vector back with
+/// [`CaseWork::reuse_paired`] once the execution is done with.
 pub(crate) fn case_execution(
     events: &mut EventTable,
     case: usize,
@@ -582,6 +584,15 @@ pub(crate) struct CaseWork {
     pub(crate) dropped: Vec<usize>,
 }
 
+impl CaseWork {
+    /// Takes back the instance vector of an execution from
+    /// [`case_execution`], emptied, for the next case's pairing.
+    pub(crate) fn reuse_paired(&mut self, mut instances: Vec<ActivityInstance>) {
+        instances.clear();
+        self.paired = instances;
+    }
+}
+
 /// The START that opened one instance of the case being paired.
 #[derive(Debug)]
 struct OpenStart {
@@ -648,8 +659,10 @@ pub(crate) fn assemble_case(
 
     starts.clear();
     paired.clear();
-    // `case_execution` takes the vector, so on the streaming path each
-    // case allocates it here, sized for its instances (half its events).
+    // Sized for the case's instances (half its events). The streaming
+    // path takes the vector with `case_execution` and gives it back
+    // with `CaseWork::reuse_paired`, so this allocates only for a case
+    // larger than any before it.
     paired.reserve_exact(order.len() / 2);
     let mut unmatched_end = None;
     for &i in order.iter() {
